@@ -32,7 +32,7 @@ from repro.corpus import build_suite
 from repro.engine.session import Session
 from repro.perf import cache as perf_cache
 from repro.perf import vectorize
-from repro.store import ArtifactStore, canonical_bytes, store_disabled
+from repro.store import FILE_RESULTS_NAMESPACE, ArtifactStore, canonical_bytes, store_disabled
 
 #: Campaign workload: one suite, analysed and cross-executed on every host,
 #: plain and with the dialect translator (the tables 1-6 / figure 4 pipeline).
@@ -74,13 +74,11 @@ MIN_MATRIX_WARM_SPEEDUP = float(os.environ.get("BENCH_MIN_MATRIX_WARM_SPEEDUP", 
 MIN_CODEC_COMPRESSION = float(os.environ.get("BENCH_MIN_CODEC_COMPRESSION", "5.0"))
 
 #: Workload and floor of the streaming-engine benchmark: the full registry
-#: (all 14 experiments) run through one streaming pass with cell-level
-#: overlap vs the serial batch, cold store both sides.  Cells fan out over
-#: the worker pool's thread lane; sqlite3 and the runner's I/O release the
-#: GIL enough for overlap to pay even on one visible core.
+#: (all 14 experiments) run through one serial streaming pass vs serial
+#: per-experiment batch runs, cold store both sides.  The pass pays by
+#: executing each unique matrix cell once and fanning the live result out.
 STREAMING_SCALE = 0.35
 STREAMING_SEED = 42
-STREAMING_WIDTH = 4
 MIN_STREAMING_SPEEDUP = float(os.environ.get("BENCH_MIN_STREAMING_SPEEDUP", "1.3"))
 
 #: Workload and floor of the incremental-campaign benchmark: after editing one
@@ -502,9 +500,9 @@ def test_pipeline_matrix_warm_full_matrix(benchmark, tmp_path):
     assert _campaign_counts(cold_result) == _campaign_counts(warm_result)
 
     # payload compactness: stored codec bytes vs pickles of the same cells.
-    # Cells are deduped by stored-artifact identity first: donor runs are
-    # keyed without the translate flag (translation is the identity there),
-    # so the translated matrix's donor cells reuse the plain matrix's
+    # Cells are deduped by stored-artifact identity first: a donor cell runs
+    # with translation off (translation is the identity there), so the
+    # translated matrix's donor cells reuse the plain matrix's per-file
     # artifacts and must not be pickled twice on the comparison side.
     distinct_cells = {}
     for translated, matrix in zip((False, True), cold_result):
@@ -514,7 +512,7 @@ def test_pipeline_matrix_warm_full_matrix(benchmark, tmp_path):
     cell_count = len(distinct_cells)
     pickle_bytes = sum(len(pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)) for entry in distinct_cells.values())
     namespaces = store.namespace_stats()
-    codec_bytes = sum(namespaces.get(name, {}).get("bytes", 0) for name in ("donor-runs", "matrix-cells"))
+    codec_bytes = namespaces.get(FILE_RESULTS_NAMESPACE, {}).get("bytes", 0)
     compression = pickle_bytes / codec_bytes if codec_bytes else float("inf")
 
     speedup = cold_wall / warm_wall if warm_wall else float("inf")
@@ -559,10 +557,11 @@ def test_pipeline_streaming(benchmark, tmp_path):
     runs as its own serial invocation (fresh context and cleared statement
     caches per experiment — fresh-process semantics), sharing campaign work
     only through the artifact store, which starts cold.  The streaming side is
-    one :func:`stream_experiments` pass over the same registry on its own cold
-    store: the unioned-needs planner executes each unique matrix cell exactly
-    once in memory and fans the live result out to every subscriber, so the
-    per-experiment store round-trips and matrix re-assembly disappear.  Every
+    one serial :func:`stream_experiments` pass over the same registry on its
+    own cold store: the unioned-needs planner executes each unique matrix
+    cell exactly once in memory and fans the live result out to every
+    subscriber, so the per-experiment store round-trips and matrix
+    re-assembly disappear.  Every
     round gets a fresh cold store.  The streamed results must be
     byte-identical to the per-experiment batch results — same
     accumulate/finalize computation, different schedule — and the single pass
@@ -601,7 +600,7 @@ def test_pipeline_streaming(benchmark, tmp_path):
     def streaming_campaign():
         perf_cache.clear_caches()
         with fresh_context(cold_store_dir()) as context:
-            return list(stream_experiments(None, context, max_inflight=STREAMING_WIDTH))
+            return list(stream_experiments(None, context))
 
     batch_wall, batch_result = _timed_min_of(2, batch_campaign)
 
@@ -628,7 +627,6 @@ def test_pipeline_streaming(benchmark, tmp_path):
             "pipeline_streaming": {
                 "experiments": len(batch_result),
                 "scale": STREAMING_SCALE,
-                "max_inflight": STREAMING_WIDTH,
                 "batch_mode": "serial per-experiment runs, cold shared store",
                 "batch_wall_s": round(batch_wall, 4),
                 "streaming_wall_s": round(streaming_wall, 4),
@@ -639,7 +637,7 @@ def test_pipeline_streaming(benchmark, tmp_path):
     )
     print(
         f"\nstreaming engine ({len(batch_result)} experiments): per-experiment batch {batch_wall:.3f}s, "
-        f"single pass width={STREAMING_WIDTH} {streaming_wall:.3f}s, speedup {speedup:.2f}x"
+        f"single pass {streaming_wall:.3f}s, speedup {speedup:.2f}x"
     )
     assert speedup >= MIN_STREAMING_SPEEDUP, (
         f"one streaming pass must be at least {MIN_STREAMING_SPEEDUP}x faster than "
@@ -653,11 +651,10 @@ def test_pipeline_incremental_single_file_edit(benchmark, tmp_path):
     A cold campaign seeds per-file ``file-results`` artifacts; then one file
     is "edited" (replaced with a file generated from another seed — same
     path, different content, so the suite hash and that file's hash change).
-    The warm incremental rebuild (``incremental=True``, the default) must
-    assemble the 7 untouched files from the store and execute exactly the
-    edited one; the cold side is the same invocation with ``incremental=False``
-    (the ``--no-incremental`` behaviour: a suite-level miss re-executes the
-    whole suite).  Both sides run best-of-three with cleared statement caches
+    The warm incremental rebuild must assemble the 7 untouched files from the
+    store and execute exactly the edited one; the cold side is the same
+    invocation into a fresh, empty store, which executes, encodes and
+    persists all 8 files.  Both sides run best-of-three with cleared statement caches
     — fresh-process semantics — and the warm side's fresh artifacts are
     removed between rounds so every round is a true first rebuild after the
     edit.
@@ -695,8 +692,8 @@ def test_pipeline_incremental_single_file_edit(benchmark, tmp_path):
     perf_cache.clear_caches()
     run_transplant(base, INCREMENTAL_HOST, translate_dialect=True, store=store)  # seed per-file artifacts
 
-    # cold full re-execution (the pre-incremental path), fresh store per round
-    # so a later round cannot be served by an earlier round's cell
+    # cold full execution into a fresh, empty store per round, so a later
+    # round cannot be served by an earlier round's files
     cold_wall = cold_cpu = float("inf")
     cold_result = None
     for round_index in range(3):
@@ -705,13 +702,13 @@ def test_pipeline_incremental_single_file_edit(benchmark, tmp_path):
         gc.collect()  # an unlucky mid-round collection would skew the min
         started = time.perf_counter()
         started_cpu = time.process_time()
-        cold_result = transplant(store=baseline_store, incremental=False)
+        cold_result = transplant(store=baseline_store)
         cold_cpu = min(cold_cpu, time.process_time() - started_cpu)
         cold_wall = min(cold_wall, time.perf_counter() - started)
 
-    # warm incremental rebuild; artifacts the rebuild writes (the edited
-    # file's entry and the new cell) are removed between rounds so each round
-    # is the first rebuild after the edit
+    # warm incremental rebuild; the artifact the rebuild writes (the edited
+    # file's entry) is removed between rounds so each round is the first
+    # rebuild after the edit
     preexisting = set(store.root.rglob("*.pkl"))
     perf_cache.clear_caches()
     gc.collect()

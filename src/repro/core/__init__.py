@@ -5,8 +5,7 @@ PostgreSQL, DuckDB, and MySQL test suites are parsed into a common internal
 representation (:mod:`repro.core.records`), and a unified runner
 (:mod:`repro.core.runner`) executes them on any registered DBMS adapter,
 validating results statement-by-statement.  The native-format parsers live in
-the registry-driven :mod:`repro.formats` subsystem (the ``parser_*`` modules
-here are import shims).
+the registry-driven :mod:`repro.formats` subsystem.
 
 High-level entry points:
 

@@ -1,8 +1,7 @@
 """Campaign write-ahead journal: durable progress records for crash recovery.
 
 A campaign that dies mid-flight (SIGKILL, OOM, power loss) loses every piece
-of in-memory coordination state — ``run_matrix(resume=...)`` only ever worked
-within one process.  The journal makes campaign progress durable: an
+of in-memory coordination state.  The journal makes campaign progress durable: an
 append-only JSONL file, one fsync'd line per event, recording which matrix
 cells started and finished (and which per-file artifacts they produced).
 Replaying the journal after a crash reconstructs exactly where the campaign
@@ -203,16 +202,32 @@ def _fold_event(replay: JournalReplay, event: dict, number: int) -> None:
     # intact lines, so they are history — just history this reader ignores
 
 
+def open_campaign_journal(setting: "bool | str | os.PathLike", store, spec: dict) -> "CampaignJournal":
+    """Open the journal a ``journal=`` setting names for the campaign ``spec``.
+
+    ``True`` keeps it under ``store`` (``<store root>/journals/``); a
+    ``.jsonl`` path (or an existing file) names the file outright; any other
+    path is a journals directory holding one file per campaign.  ``store``
+    (an :class:`~repro.store.ArtifactStore`) supplies the fingerprint the
+    campaign id embeds.
+    """
+    if setting is True:
+        return CampaignJournal.open_in(Path(store.root) / JOURNAL_DIRNAME, spec, store.fingerprint)
+    path = Path(setting)
+    if path.suffix == ".jsonl" or path.is_file():
+        return CampaignJournal.open(path, spec, store.fingerprint)
+    return CampaignJournal.open_in(path, spec, store.fingerprint)
+
+
 class CampaignJournal:
     """An open, append-only campaign journal (one campaign, one file).
 
     Use :meth:`open` — it derives the campaign id, validates any existing
     journal against it, truncates a torn tail, and writes the header for a
     fresh file.  :meth:`append` is durable: the line is flushed and fsync'd
-    before the call returns.  Appends are serialized by an internal lock
-    (each :meth:`append_many` batch lands as one contiguous fsync'd block):
-    ``run_matrix`` journals from its coordinating thread, but the streaming
-    engine journals cells from its fan-out threads.
+    before the call returns.  Appends are serialized by an internal lock, so
+    each :meth:`append_many` batch lands as one contiguous fsync'd block even
+    when several threads share a journal.
     """
 
     def __init__(self, path: Path, campaign: str, spec: dict, fingerprint: str, handle: "io.BufferedWriter", replay: JournalReplay):
@@ -302,27 +317,18 @@ class CampaignJournal:
     def cell_started(self, suite: str, host: str) -> None:
         self.append({"event": "cell-start", "suite": suite, "host": host})
 
-    def cell_finished(
-        self,
-        suite: str,
-        host: str,
-        complete: bool,
-        artifact: str | None = None,
-        files: "list[dict] | None" = None,
-    ) -> None:
+    def cell_finished(self, suite: str, host: str, complete: bool, files: "list[dict] | None" = None) -> None:
         """Journal one cell's completion, batching its per-file events.
 
-        ``artifact`` is the cell-level store digest (None for storeless or
-        degraded cells); ``files`` is a list of per-file event payloads —
-        dicts with ``path`` and ``artifact`` keys — journaled as
-        ``file-finish`` lines in the same durable batch.
+        ``files`` is a list of per-file event payloads — dicts with ``path``
+        and ``artifact`` (the ``file-results`` store digest) keys — journaled
+        as ``file-finish`` lines in the same durable batch; None for
+        storeless or degraded cells.
         """
         events: list[dict] = [
             {"event": "file-finish", "suite": suite, "host": host, **entry} for entry in (files or [])
         ]
-        events.append(
-            {"event": "cell-finish", "suite": suite, "host": host, "complete": bool(complete), "artifact": artifact}
-        )
+        events.append({"event": "cell-finish", "suite": suite, "host": host, "complete": bool(complete)})
         self.append_many(events)
 
     # -- state -------------------------------------------------------------------------

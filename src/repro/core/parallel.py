@@ -61,7 +61,7 @@ from typing import Any
 
 from repro.adapters.base import DBMSAdapter
 from repro.adapters.pool import AdapterPool, pool_key
-from repro.adapters.registry import available_adapters, create_adapter
+from repro.adapters.registry import available_adapters
 from repro.core import shutdown
 from repro.core.records import TestFile, TestSuite
 from repro.core.resilience import InfraFailure, ResiliencePolicy, run_with_deadline
@@ -214,8 +214,8 @@ def _file_result_key(spec: "RunnerSpec", test_file: TestFile) -> dict:
     return file_result_key(spec, test_file)
 
 
-def _load_file_result(store: "ArtifactStore", key: dict, test_file: TestFile):
-    """``(frame, FileResult)`` for a ``file-results`` entry, or None on miss.
+def _load_file_result(store: "ArtifactStore", key: dict, test_file: TestFile) -> FileResult | None:
+    """The :class:`FileResult` of a ``file-results`` entry, or None on miss.
 
     The one corrupt-blob protocol both readers (shards and assembly) share:
     a frame the codec rejects is invalidated — deleted, its lookup demoted
@@ -225,10 +225,19 @@ def _load_file_result(store: "ArtifactStore", key: dict, test_file: TestFile):
     if cached is None:
         return None
     try:
-        return cached, result_codec.decode_file_result(cached, test_file)
+        return result_codec.decode_file_result(cached, test_file)
     except result_codec.CodecError:
         store.invalidate(FILE_RESULTS_NAMESPACE, key)
         return None
+
+
+def _save_file_result(store: "ArtifactStore", key: dict, file_result: FileResult, test_file: TestFile) -> None:
+    """Persist one executed file under ``key`` (the write side of assembly and shards)."""
+    try:
+        blob = result_codec.encode_file_result(file_result, test_file)
+    except result_codec.CodecError:
+        return  # unencodable file result: reuse simply does not extend to it
+    store.save(FILE_RESULTS_NAMESPACE, key, blob)
 
 
 @dataclass(frozen=True)
@@ -256,11 +265,6 @@ class RunnerSpec:
             max_records_per_file=self.max_records_per_file,
         )
 
-    def build_runner(self) -> TestRunner:
-        adapter = create_adapter(self.adapter_name, **dict(self.adapter_kwargs))
-        adapter.setup()
-        return self.make_runner(adapter)
-
 
 @dataclass
 class ShardedRunReport:
@@ -268,12 +272,8 @@ class ShardedRunReport:
 
     result: SuiteResult
     workers: int
-    executor: str                          # "process" | "thread" | "serial"
+    executor: str                          # "process" | "thread"
     cache_stats: dict[str, dict[str, Any]] = field(default_factory=dict)
-    #: per-file codec frames the store-aware shards loaded or encoded, keyed
-    #: by suite file index (absent for storeless runs and unencodable files);
-    #: suite-level bundling reuses these instead of re-encoding
-    file_blobs: dict[int, bytes] = field(default_factory=dict)
     #: unrecovered infrastructure faults (also attached to ``result``);
     #: empty for clean — and cleanly *recovered* — runs
     infra_failures: list[InfraFailure] = field(default_factory=list)
@@ -410,7 +410,7 @@ def _run_shard(
     store_ref: "ArtifactStore | StoreSpec | None" = None,
     probe_store: bool = True,
     policy: "ResiliencePolicy | None" = None,
-) -> tuple[list[tuple[int, FileResult, "bytes | None"]], dict, list[InfraFailure]]:
+) -> tuple[list[tuple[int, FileResult]], dict, list[InfraFailure]]:
     """Worker entry point: run one chunk of files on a pooled adapter.
 
     ``caching`` mirrors the submitting process's global cache switch into
@@ -439,10 +439,6 @@ def _run_shard(
     element, alongside synthesized stand-in results that keep the merge
     aligned with the suite's file list.
 
-    Each result travels as ``(index, FileResult, frame-or-None)``: the codec
-    frame a store-aware shard loaded or encoded rides back to the submitter,
-    so suite-level bundling reuses it instead of re-encoding the file.
-
     Every error raised by shard work — adapter acquisition included — leaves
     this function as :class:`ShardExecutionError`, so the submitter's pool-
     dispatch ``except _POOL_INFRA_ERRORS`` can never mistake an in-shard
@@ -468,7 +464,7 @@ def _execute_shard(
     store_ref: "ArtifactStore | StoreSpec | None",
     probe_store: bool,
     policy: "ResiliencePolicy | None",
-) -> tuple[list[tuple[int, FileResult, "bytes | None"]], dict, list[InfraFailure]]:
+) -> tuple[list[tuple[int, FileResult]], dict, list[InfraFailure]]:
     perf_cache.set_caching(caching)
     before = perf_cache.cache_stats() if collect_stats else {}
     store = store_ref if isinstance(store_ref, ArtifactStore) else _worker_store(store_ref)
@@ -493,7 +489,7 @@ def _execute_shard(
 
     failures: list[InfraFailure] = []
     try:
-        results: list[tuple[int, FileResult, bytes | None]] = []
+        results: list[tuple[int, FileResult]] = []
         for index, test_file in shard:
             if shutdown.draining():
                 # the file that was executing when the drain was requested
@@ -501,16 +497,15 @@ def _execute_shard(
                 # shard degrades to a resumable stand-in
                 file_result, failure = _drained_file_result(spec.host_name, test_file)
                 failures.append(failure)
-                results.append((index, file_result, None))
+                results.append((index, file_result))
                 continue
             key = None
             if store is not None:
                 key = _file_result_key(spec, test_file)
                 if probe_store:
-                    loaded = _load_file_result(store, key, test_file)
-                    if loaded is not None:
-                        blob, file_result = loaded
-                        results.append((index, file_result, blob))
+                    file_result = _load_file_result(store, key, test_file)
+                    if file_result is not None:
+                        results.append((index, file_result))
                         store_hits += 1
                         continue
                 store_misses += 1
@@ -519,15 +514,9 @@ def _execute_shard(
             )
             if failure is not None:
                 failures.append(failure)
-            blob = None
             if key is not None and persistable:
-                try:
-                    blob = result_codec.encode_file_result(file_result, test_file)
-                except result_codec.CodecError:
-                    pass  # unencodable file result: reuse simply does not extend to it
-                else:
-                    store.save(FILE_RESULTS_NAMESPACE, key, blob)
-            results.append((index, file_result, blob))
+                _save_file_result(store, key, file_result, test_file)
+            results.append((index, file_result))
             kill_point("file-finish")
     except AdapterNotFoundError:
         raise  # infrastructure: the submitter degrades to threads
@@ -552,11 +541,9 @@ def _execute_shard(
     return results, stats, failures
 
 
-def _merge(
-    suite: TestSuite, spec: RunnerSpec, indexed_results: list[tuple[int, FileResult, "bytes | None"]]
-) -> SuiteResult:
+def _merge(suite: TestSuite, spec: RunnerSpec, indexed_results: list[tuple[int, FileResult]]) -> SuiteResult:
     merged = SuiteResult(suite=suite.name, host=spec.host_name)
-    merged.files = [file_result for _, file_result, _ in sorted(indexed_results, key=lambda item: item[0])]
+    merged.files = [file_result for _, file_result in sorted(indexed_results, key=lambda item: item[0])]
     return merged
 
 
@@ -593,7 +580,6 @@ class WorkerPool:
         # task function itself, so only the dispatch overhead disappears.
         self._inline = self.flavour == "thread" and (os.cpu_count() or 1) <= 1
         self._inline_adapters: AdapterPool | None = None
-        self._local_pool: ThreadPoolExecutor | None = None
 
     def _ensure(self):
         if self._pool is None:
@@ -709,30 +695,7 @@ class WorkerPool:
             results[index] = outcome
         return results
 
-    def local_executor(self) -> ThreadPoolExecutor:
-        """The pool's in-process thread lane (lazily created, pool-lifetime).
-
-        A side lane for tasks that must stay in this process no matter the
-        pool's flavour — closures over live adapters, stores, or contexts that
-        cannot travel by pickle.  The streaming experiment engine fans matrix
-        cells out on it (cells hold live pools and stores); width matches the
-        pool's ``workers``.  :meth:`shutdown` tears it down with the pool.
-        """
-        if self._local_pool is None:
-            self._local_pool = ThreadPoolExecutor(max_workers=self.workers)
-        return self._local_pool
-
-    def submit_local(self, fn, *args):
-        """Submit ``fn(*args)`` to the in-process thread lane (a Future)."""
-        return self.local_executor().submit(fn, *args)
-
     def shutdown(self) -> None:
-        if self._local_pool is not None:
-            self._local_pool.shutdown()
-            self._local_pool = None
-            # the lane's threads parked adapters per-thread like any worker;
-            # they are gone now, so reclaim those adapters too
-            close_dead_worker_adapter_pools()
         if self._inline_adapters is not None:
             try:
                 self._inline_adapters.close()
@@ -773,7 +736,6 @@ def _run_with_pool(
     outcomes = worker_pool.map_shards(spec, shards, caching, collect_stats, store_ref, probe_store, policy)
     indexed_results = [item for results, _, _ in outcomes for item in results]
     worker_stats = perf_cache.merge_stats(*(stats for _, stats, _ in outcomes))
-    file_blobs = {index: blob for index, _, blob in indexed_results if blob is not None}
     # deterministic order regardless of shard layout: failures are part of
     # the (partial) result and must not vary with worker interleaving
     infra_failures = sorted(
@@ -782,7 +744,7 @@ def _run_with_pool(
     )
     merged = _merge(suite, spec, indexed_results)
     merged.infra_failures = infra_failures
-    return merged, worker_stats, file_blobs, infra_failures
+    return merged, worker_stats, infra_failures
 
 
 def run_suite_sharded(
@@ -799,8 +761,7 @@ def run_suite_sharded(
 
     ``executor`` is ``"process"``, ``"thread"``, or ``"auto"`` (processes on
     multi-core machines, threads otherwise).  Process-pool bootstrap failures
-    degrade to the threaded pool; ``workers <= 1`` or an empty suite runs
-    serially in-process.  Passing a :class:`WorkerPool` keeps the executor —
+    degrade to the threaded pool.  Passing a :class:`WorkerPool` keeps the executor —
     and each worker's adapter pool — alive across calls (campaign reuse); the
     caller owns its shutdown.  Passing the campaign's :class:`ArtifactStore`
     makes every worker store-aware (see :func:`_run_shard`): warm per-file
@@ -811,24 +772,8 @@ def run_suite_sharded(
 
     ``policy`` arms per-file resilience inside every shard (retry, watchdog,
     circuit breaker — see :func:`_execute_shard_file`); unrecovered faults
-    surface in the report's (and result's) ``infra_failures``.  The serial
-    fallback ignores it — serial resilience is the transplant layer's
-    cell-level concern (:func:`repro.core.transplant.run_transplant`).
+    surface in the report's (and result's) ``infra_failures``.
     """
-    if workers <= 1 or len(suite.files) <= 1:
-        before = perf_cache.cache_stats()
-        runner = spec.build_runner()
-        try:
-            result = runner.run_suite(suite)
-        finally:
-            runner.adapter.teardown()
-        return ShardedRunReport(
-            result=result,
-            workers=1,
-            executor="serial",
-            cache_stats=_stats_delta(before, perf_cache.cache_stats()),
-        )
-
     owns_pool = worker_pool is None
     if worker_pool is None:
         # a one-shot pool serves exactly this suite: never start more workers
@@ -838,7 +783,7 @@ def run_suite_sharded(
     try:
         if worker_pool.flavour == "process":
             try:
-                result, worker_stats, file_blobs, failures = _run_with_pool(
+                result, worker_stats, failures = _run_with_pool(
                     worker_pool, suite, spec, workers, store, probe_store, policy
                 )
                 # worker processes accumulated cache activity in their own
@@ -847,7 +792,7 @@ def run_suite_sharded(
                 perf_cache.absorb_stats(worker_stats)
                 return ShardedRunReport(
                     result=result, workers=workers, executor="process", cache_stats=worker_stats,
-                    file_blobs=file_blobs, infra_failures=failures,
+                    infra_failures=failures,
                 )
             except Exception as error:
                 if not _is_pool_infra_error(error):
@@ -863,7 +808,7 @@ def run_suite_sharded(
         # The store-files counters are shard-local (see _run_shard) and stay
         # valid, so that bucket is folded into the report from the workers.
         before = perf_cache.cache_stats()
-        result, worker_stats, file_blobs, failures = _run_with_pool(
+        result, worker_stats, failures = _run_with_pool(
             worker_pool, suite, spec, workers, store, probe_store, policy
         )
         cache_stats = _stats_delta(before, perf_cache.cache_stats())
@@ -874,7 +819,6 @@ def run_suite_sharded(
             workers=workers,
             executor="thread",
             cache_stats=cache_stats,
-            file_blobs=file_blobs,
             infra_failures=failures,
         )
     finally:
@@ -905,21 +849,24 @@ def map_over_pool(worker_pool: WorkerPool, fn, tasks):
 def assemble_suite_result(
     suite: TestSuite,
     runner: TestRunner,
-    store: ArtifactStore,
+    store: "ArtifactStore | None",
     workers: int = 1,
     executor: str = "auto",
     worker_pool: "WorkerPool | None" = None,
     prepare_runner=None,
     policy: "ResiliencePolicy | None" = None,
-) -> "tuple[SuiteResult, list[bytes | None]] | None":
-    """Assemble a suite-level result from per-file ``file-results`` artifacts.
+) -> SuiteResult:
+    """Assemble a suite result file by file — the one path every matrix cell takes.
 
-    The incremental-campaign core: every file of ``suite`` is probed in the
-    store first and only the misses are executed, so a campaign whose suite
-    changed in one file re-executes that one file and loads the other N-1 —
-    at ~1/N of a cold run's cost while staying byte-identical to full
-    re-execution (per-file results are exactly what serial execution
-    produces; the merge preserves file order).
+    With a ``store``, every file of ``suite`` is probed in the
+    ``file-results`` namespace first and only the misses are executed, so a
+    campaign whose suite changed in one file re-executes that one file and
+    loads the other N-1 — at ~1/N of a cold run's cost while staying
+    byte-identical to full re-execution (per-file results are exactly what
+    serial execution produces; the merge preserves file order).  Without a
+    store — or when the runner's adapter cannot be described as a
+    :class:`RunnerSpec`, so no key can name its results — every file is a
+    miss and nothing persists.
 
     A corrupted, truncated, or version-bumped per-file blob falls back to
     executing *that one file* (the blob is invalidated, never trusted), not
@@ -930,67 +877,53 @@ def assemble_suite_result(
     ``workers`` when there is more than one (with ``probe_store=False``:
     every file was already probed — and its miss counted — here, so workers
     only execute and persist).  ``prepare_runner`` is invoked once before the
-    first serial execution — callers whose adapter's ``setup()`` was deferred
-    pass it here, so adapters that hook setup still see it exactly when (and
-    only when) assembly actually executes on them.
-
-    Returns ``(merged result, per-file frames)``; the frames — loaded here,
-    encoded here, or shipped back from the store-aware workers — let
-    :func:`repro.core.transplant.run_transplant` bundle the suite-level cell
-    by byte reuse instead of re-encoding any file (``None`` only for
-    unencodable results).  Returns None when the runner's adapter cannot be
-    described as a :class:`RunnerSpec`; callers fall back to plain execution.
+    first serial execution: it is where the caller acquires the runner's
+    adapter, so a cell served wholly from the store (or by the workers)
+    never leases or connects one.
     """
     spec = runner_spec_for(runner)
     if spec is None:
-        return None
+        store = None
+    keys = [_file_result_key(spec, test_file) for test_file in suite.files] if store is not None else []
     assembled: dict[int, FileResult] = {}
-    blobs: list[bytes | None] = [None] * len(suite.files)
-    keys = [_file_result_key(spec, test_file) for test_file in suite.files]
     missing: list[tuple[int, TestFile]] = []
     infra_failures: list[InfraFailure] = []
     for index, test_file in enumerate(suite.files):
-        loaded = _load_file_result(store, keys[index], test_file)
-        if loaded is not None:
-            blobs[index], assembled[index] = loaded
-            continue
+        if store is not None:
+            file_result = _load_file_result(store, keys[index], test_file)
+            if file_result is not None:
+                assembled[index] = file_result
+                continue
         missing.append((index, test_file))
-    if missing:
-        if workers > 1 and len(missing) > 1:
-            partial = TestSuite(name=suite.name, files=[test_file for _, test_file in missing])
-            # probe_store=False: every file of ``partial`` was just probed
-            # (and counted) above; workers only execute and persist
-            report = run_suite_sharded(
-                partial, spec, workers=workers, executor=executor, worker_pool=worker_pool, store=store,
-                probe_store=False, policy=policy,
-            )
-            for partial_index, ((index, _), file_result) in enumerate(zip(missing, report.result.files)):
-                assembled[index] = file_result
-                blobs[index] = report.file_blobs.get(partial_index)
-            infra_failures.extend(report.infra_failures)
-        else:
-            prepared = False
-            for index, test_file in missing:
-                if shutdown.draining():
-                    # finish nothing new: the remaining misses degrade to
-                    # resumable stand-ins (never persisted)
-                    assembled[index], failure = _drained_file_result(spec.host_name, test_file)
-                    infra_failures.append(failure)
-                    continue
-                if not prepared:
-                    prepared = True
-                    if prepare_runner is not None:
-                        prepare_runner()
-                file_result = runner.run_file(test_file)
-                assembled[index] = file_result
-                try:
-                    blob = result_codec.encode_file_result(file_result, test_file)
-                except result_codec.CodecError:
-                    continue  # unencodable file result: reuse simply does not extend to it
-                blobs[index] = blob
-                store.save(FILE_RESULTS_NAMESPACE, keys[index], blob)
+    if spec is not None and workers > 1 and len(missing) > 1:
+        partial = TestSuite(name=suite.name, files=[test_file for _, test_file in missing])
+        # probe_store=False: every file of ``partial`` was just probed
+        # (and counted) above; workers only execute and persist
+        report = run_suite_sharded(
+            partial, spec, workers=workers, executor=executor, worker_pool=worker_pool, store=store,
+            probe_store=False, policy=policy,
+        )
+        for (index, _), file_result in zip(missing, report.result.files):
+            assembled[index] = file_result
+        infra_failures.extend(report.infra_failures)
+    else:
+        prepared = False
+        for index, test_file in missing:
+            if shutdown.draining():
+                # finish nothing new: the remaining misses degrade to
+                # resumable stand-ins (never persisted)
+                assembled[index], failure = _drained_file_result(runner.host_name, test_file)
+                infra_failures.append(failure)
+                continue
+            if not prepared:
+                prepared = True
+                if prepare_runner is not None:
+                    prepare_runner()
+            assembled[index] = runner.run_file(test_file)
+            if store is not None:
+                _save_file_result(store, keys[index], assembled[index], test_file)
                 kill_point("file-finish")
-    merged = SuiteResult(suite=suite.name, host=spec.host_name)
+    merged = SuiteResult(suite=suite.name, host=runner.host_name)
     merged.files = [assembled[index] for index in range(len(suite.files))]
     merged.infra_failures = infra_failures
-    return merged, blobs
+    return merged

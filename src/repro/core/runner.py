@@ -213,8 +213,8 @@ def _drained_file_result(host_name: str, test_file: TestFile):
     """``(stand-in FileResult, InfraFailure)`` for a file a drain skipped.
 
     The failure record is what routes a drained campaign through the
-    existing partial-results machinery: the cell is not memoized, the CLI
-    exits 2, and resume re-enters exactly this file.
+    existing partial-results machinery: the stand-in is never persisted, the
+    CLI exits 2, and resume re-enters exactly this file.
     """
     from repro.core.resilience import InfraFailure
 
@@ -292,33 +292,13 @@ class TestRunner:
                 crashed = True
         return file_result
 
-    def run_suite(self, suite: TestSuite, workers: int = 1, executor: str = "auto", worker_pool=None, store=None, resilience=None) -> SuiteResult:
-        """Execute every file of ``suite``, each from a clean database.
+    def run_suite(self, suite: TestSuite) -> SuiteResult:
+        """Execute every file of ``suite`` serially, each from a clean database.
 
-        With ``workers > 1`` the suite is split into per-file shards executed
-        on a worker pool (see :mod:`repro.core.parallel`); results are merged
-        in file order, so the outcome is identical to the serial run.  Falls
-        back to serial execution when the adapter cannot be re-created in a
-        worker (no registry entry).  ``worker_pool`` (a
-        :class:`repro.core.parallel.WorkerPool`) lets a campaign share one
-        persistent pool — and its per-worker adapters — across suites.
-        ``store`` (an :class:`~repro.store.ArtifactStore`) makes those workers
-        store-aware: each shard serves already-persisted per-file results from
-        the store instead of re-executing them.  ``resilience`` (a
-        :class:`repro.core.resilience.ResiliencePolicy`) arms per-file retry,
-        watchdog, and circuit-breaker handling inside the shards; the serial
-        path leaves resilience to the caller (the transplant layer retries
-        whole cells).
+        Matrix cells — sharded, store-backed, or neither — go through
+        :func:`repro.core.transplant.run_transplant` instead; this is the
+        plain in-process loop for callers that hold a live adapter.
         """
-        if workers > 1 and len(suite.files) > 1:
-            from repro.core.parallel import runner_spec_for, run_suite_sharded
-
-            spec = runner_spec_for(self)
-            if spec is not None:
-                return run_suite_sharded(
-                    suite, spec, workers=workers, executor=executor, worker_pool=worker_pool, store=store,
-                    policy=resilience,
-                ).result
         suite_result = SuiteResult(suite=suite.name, host=self.host_name)
         for test_file in suite.files:
             if shutdown.draining():

@@ -12,23 +12,23 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.adapters.base import DBMSAdapter
 from repro.adapters.faults import FaultReport, FaultSummary
 from repro.adapters.pool import AdapterPool, adapter_breaker, pool_key
 from repro.adapters.registry import create_adapter
 from repro.core import shutdown
-from repro.core.journal import JOURNAL_DIRNAME, CampaignJournal, campaign_spec
+from repro.core.journal import CampaignJournal, campaign_spec, open_campaign_journal
+from repro.core.parallel import assemble_suite_result, runner_spec_for
 from repro.core.records import TestSuite
 from repro.core.resilience import InfraFailure, ResiliencePolicy, default_policy, run_with_deadline
-from repro.core.runner import RecordOutcome, SuiteResult, TestRunner
+from repro.core.runner import RecordOutcome, SuiteResult, TestRunner, _synthesize_file_result
 from repro.errors import AdapterQuarantinedError, WatchdogTimeout
 from repro.killpoints import kill_point
 from repro.perf import cache as perf_cache
 from repro.store import artifacts as artifact_store
 from repro.store import codec as result_codec
-from repro.store.keys import FILE_RESULTS_NAMESPACE, file_result_key, key_digest, suite_content_hash
+from repro.store.keys import FILE_RESULTS_NAMESPACE, file_result_key, key_digest
 
 logger = logging.getLogger(__name__)
 
@@ -84,68 +84,8 @@ class TransplantResult:
         return self.result.success_rate
 
 
-def _donor_run_key(
-    suite: TestSuite,
-    host: str,
-    float_tolerance: float,
-    available_extensions: set[str],
-    max_records_per_file: int | None,
-    adapter_kwargs: dict | None = None,
-) -> dict:
-    """Store key of one donor run.
-
-    Keyed on the suite's *content* (not its name or seed) so any campaign that
-    builds an identical suite — this process or another one, today or next
-    week — finds the recorded run.  ``translate_dialect`` and ``workers`` are
-    deliberately absent: translation is the identity when donor == host (the
-    runner skips it outright) and sharded execution merges to the exact serial
-    result, so both knobs cannot change a donor run's outcome.
-    """
-    return {
-        "suite_hash": suite_content_hash(suite),
-        "suite": suite.name,
-        "host": host,
-        "float_tolerance": float_tolerance,
-        "extensions": sorted(available_extensions),
-        "max_records_per_file": max_records_per_file,
-        "adapter_kwargs": dict(adapter_kwargs or {}),
-    }
-
-
-def _matrix_cell_key(
-    suite: TestSuite,
-    host: str,
-    donor: str,
-    float_tolerance: float,
-    translate_dialect: bool,
-    available_extensions: set[str],
-    max_records_per_file: int | None,
-    adapter_kwargs: dict | None = None,
-) -> dict:
-    """Store key of one off-diagonal matrix cell.
-
-    Unlike donor runs, cross-host cells *are* sensitive to the translator
-    switch (``translate_dialect``) and to the donor dialect the translator
-    reads from, so both join the key.  ``workers`` stays excluded: sharded
-    execution merges to the exact serial result.
-    """
-    return {
-        "suite_hash": suite_content_hash(suite),
-        "suite": suite.name,
-        "host": host,
-        "donor": donor,
-        "translate": bool(translate_dialect),
-        "float_tolerance": float_tolerance,
-        "extensions": sorted(available_extensions),
-        "max_records_per_file": max_records_per_file,
-        "adapter_kwargs": dict(adapter_kwargs or {}),
-    }
-
-
 def _synthesize_suite_result(suite: TestSuite, host: str, outcome: "RecordOutcome", reason: str) -> SuiteResult:
     """A stand-in :class:`SuiteResult` for a cell infrastructure would not run."""
-    from repro.core.parallel import _synthesize_file_result
-
     suite_result = SuiteResult(suite=suite.name, host=host)
     suite_result.files = [_synthesize_file_result(host, test_file, outcome, reason) for test_file in suite.files]
     return suite_result
@@ -164,39 +104,38 @@ def run_transplant(
     pool: AdapterPool | None = None,
     worker_pool=None,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
-    incremental: bool = True,
     resilience: ResiliencePolicy | None = None,
     journal: CampaignJournal | None = None,
 ) -> TransplantResult:
     """Run ``suite`` on ``host`` and collect results plus crash/hang reports.
 
-    ``workers > 1`` shards the suite's files across a worker pool (see
+    Every cell takes one path, :func:`repro.core.parallel.assemble_suite_result`:
+    with an artifact store active (and no caller-built ``adapter``), each file
+    is served from the ``file-results`` namespace when any earlier run — this
+    process or another one — persisted it, and only the misses execute and
+    persist.  Payloads are compact codec frames (:mod:`repro.store.codec`)
+    keyed by file content plus runner configuration, and records are
+    reattached from the live suite on load, so a warm campaign replays the
+    full matrix without touching an adapter and editing one file of an
+    N-file suite costs ~1/N of a cold run.  ``store=None`` or
+    :func:`repro.store.store_disabled` makes every file a miss and persists
+    nothing.
+
+    Translation is the identity when donor == host (the runner returns the
+    SQL unchanged), so ``translate_dialect`` is treated as off there: a
+    translated donor cell gets the plain cell's runner spec, and therefore
+    loads the plain cell's files.
+
+    ``workers > 1`` shards the misses across a worker pool (see
     :mod:`repro.core.parallel`); the merged result is identical to the serial
     run.  ``executor`` selects the pool flavour (``"process"``, ``"thread"``,
     or ``"auto"``).  ``pool`` (an :class:`AdapterPool`) serves the serial
     path's host adapter from a reusable lease instead of a fresh build, and
     ``worker_pool`` (a :class:`repro.core.parallel.WorkerPool`) keeps sharded
     workers — and their per-worker adapters — alive across the transplants of
-    one campaign; ``run_matrix`` wires up both.
-
-    **Every matrix cell is memoized on disk** (unless a caller-built
-    ``adapter`` overrides the default): donor-on-donor runs live in the
-    ``donor-runs`` namespace (keyed without ``translate_dialect`` — it is the
-    identity there) and cross-host cells in ``matrix-cells`` (keyed with it).
-    Payloads are compact codec frames (:mod:`repro.store.codec`), not pickles:
-    records are reattached from the live suite on load, so a warm campaign
-    replays the full matrix without touching an adapter.  ``store=None`` or
-    :func:`repro.store.store_disabled` restores the always-execute path.
-
-    When the suite-level entry misses, ``incremental`` (the default) probes
-    the ``file-results`` namespace per file and executes only the files with
-    no usable artifact, assembling the suite result — and the fresh
-    suite-level entry — from the per-file pieces
-    (:func:`repro.core.parallel.assemble_suite_result`).  Editing one file of
-    an N-file suite therefore costs ~1/N of a cold run, byte-identical to
-    full re-execution.  ``incremental=False`` (the CLI's
-    ``--no-incremental``) forces full suite execution on any suite-level
-    miss.
+    one campaign; ``run_matrix`` wires up both.  The host adapter is acquired
+    when the first file must execute in this process — a fully warm cell
+    neither leases nor connects one — and released on every exit.
 
     ``resilience`` (defaulting to :func:`repro.core.resilience.default_policy`)
     arms the campaign resilience layer: transient infrastructure failures of
@@ -205,218 +144,99 @@ def run_transplant(
     inside the workers, and a configuration the circuit breaker quarantined —
     or a cell that exhausted its retries / hit its watchdog deadline — becomes
     a *partial* cell: every record reports SKIP (or HANG for watchdog cuts),
-    the fault is recorded in ``TransplantResult.infra_failures``, and the cell
-    is **not** memoized, so a later run re-enters it.  Recovered faults leave
-    no trace in the result, keeping recovered campaigns byte-identical to
-    fault-free ones.  Caller-provided ``adapter`` instances opt out of
-    cell-level retry (no rebuild is possible on a foreign instance).
+    the fault is recorded in ``TransplantResult.infra_failures``, and the
+    stand-in files are never persisted, so a later run re-enters them.
+    Recovered faults leave no trace in the result, keeping recovered
+    campaigns byte-identical to fault-free ones.  Caller-provided ``adapter``
+    instances opt out of cell-level retry (no rebuild is possible on a
+    foreign instance).
 
     ``journal`` (a :class:`~repro.core.journal.CampaignJournal`, normally
     wired by :func:`run_matrix`) records this cell's start and finish as
     durable write-ahead events: ``cell-start`` lands before any execution
-    (including a warm store hit), ``cell-finish`` — with the cell's store
-    digest and its per-file artifact digests — after the memo save.  A
-    process killed between the two leaves the cell visibly in flight, which
-    is exactly what a crash-resume re-enters.
+    (including a warm store hit), ``cell-finish`` — with the cell's per-file
+    artifact digests — after its files persisted.  A process killed between
+    the two leaves the cell visibly in flight, which is exactly what a
+    crash-resume re-enters.
     """
     donor = DONOR_OF_SUITE.get(suite.name, suite.name)
+    if donor == host:
+        translate_dialect = False
     if available_extensions is None:
         available_extensions = DEFAULT_EXTENSIONS.get(host, set()) if donor == host else set()
     backing = artifact_store.active_store(store) if adapter is None else None
-    memo = None
-    if backing is not None:
-        if donor == host:
-            memo = ("donor-runs", _donor_run_key(suite, host, float_tolerance, available_extensions, max_records_per_file))
-        else:
-            memo = (
-                "matrix-cells",
-                _matrix_cell_key(
-                    suite, host, donor, float_tolerance, translate_dialect, available_extensions, max_records_per_file
-                ),
-            )
+    sharded = workers > 1 and len(suite.files) > 1
+    policy = resilience if resilience is not None else default_policy()
 
-    def _journal_file_events() -> "list[dict] | None":
-        # the artifact digests workers/assembly really wrote: reconstruct the
-        # RunnerSpec exactly as they do — fork_config() of a freshly built
-        # (never connected) adapter — so the journaled keys match the store
+    def _runner() -> TestRunner:
+        # the adapter stays unconnected: it describes the runner spec (and
+        # with it every store key) until a file must execute here
+        return TestRunner(
+            adapter if adapter is not None else create_adapter(host),
+            host_name=host,
+            available_extensions=available_extensions,
+            float_tolerance=float_tolerance,
+            translate_dialect=translate_dialect,
+            donor_dialect=donor,
+            max_records_per_file=max_records_per_file,
+        )
+
+    def _execute_cell() -> SuiteResult:
+        """One attempt at the cell: load what the store holds, execute the rest.
+
+        The attempt acquires its adapter once, when the first file must run
+        on this process — a pool lease when a pool is passed, otherwise its
+        own build's ``setup()`` — and releases it on every exit: a lease goes
+        back to the pool (or is discarded when the attempt raised, so no
+        consumer inherits a failed instance) and a build is torn down.
+        """
+        runner = _runner()
+        acquired: list[DBMSAdapter] = []
+
+        def _acquire() -> None:
+            if pool is not None:
+                runner.adapter = pool.acquire(host)
+                acquired.append(runner.adapter)
+            else:
+                acquired.append(runner.adapter)
+                runner.adapter.setup()
+
+        succeeded = False
         try:
-            from repro.core.parallel import runner_spec_for
-
-            spec = runner_spec_for(
-                TestRunner(
-                    create_adapter(host),
-                    host_name=host,
-                    available_extensions=available_extensions,
-                    float_tolerance=float_tolerance,
-                    translate_dialect=translate_dialect,
-                    donor_dialect=donor,
-                    max_records_per_file=max_records_per_file,
-                )
+            suite_result = assemble_suite_result(
+                suite,
+                runner,
+                backing,
+                workers=workers,
+                executor=executor,
+                worker_pool=worker_pool,
+                prepare_runner=_acquire if adapter is None else None,
+                policy=policy,
             )
-        except Exception:
-            return None
-        if spec is None:
-            return None
-        return [
-            {
-                "path": test_file.path,
-                "artifact": key_digest(FILE_RESULTS_NAMESPACE, file_result_key(spec, test_file), backing.fingerprint),
-            }
-            for test_file in suite.files
-        ]
-
-    def _journal_finish(result: TransplantResult) -> None:
-        if journal is None:
-            return
-        clean = not result.infra_failures
-        artifact = key_digest(memo[0], memo[1], backing.fingerprint) if (memo is not None and clean) else None
-        files = _journal_file_events() if (backing is not None and clean) else None
-        journal.cell_finished(suite.name, host, complete=clean, artifact=artifact, files=files)
-        kill_point("cell-finish")
+            succeeded = True
+            return suite_result
+        finally:
+            for live in acquired:
+                if pool is None:
+                    try:
+                        live.teardown()
+                    except Exception:
+                        # best effort: a failed close must not fail (or
+                        # retry) a cell whose results are already in hand
+                        logger.debug("teardown of the %s adapter failed", host, exc_info=True)
+                elif succeeded:
+                    pool.release(live)
+                else:
+                    pool.discard(live)
 
     if journal is not None:
         journal.cell_started(suite.name, host)
         kill_point("cell-start")
-    if memo is not None:
-        cached = backing.load(*memo)
-        if cached is not None:
-            try:
-                if isinstance(cached, dict):
-                    # the assembled-cell format: header + per-file frames
-                    decoded = result_codec.decode_transplant_bundle(cached, suite)
-                else:
-                    decoded = result_codec.decode_transplant_result(cached, suite)
-            except result_codec.CodecError:
-                # pre-codec pickle, version bump, or garbled payload: discard
-                # and recompute (the save below writes a fresh entry); the
-                # invalidation reclassifies the load as a miss
-                backing.invalidate(*memo)
-            else:
-                _journal_finish(decoded)
-                return decoded
-    # mirrors TestRunner.run_suite's guard: only multi-file suites shard
-    sharded = workers > 1 and len(suite.files) > 1
-    may_assemble = backing is not None and incremental
-    policy = resilience if resilience is not None else default_policy()
-
-    def _execute_cell() -> tuple[SuiteResult, "list | None"]:
-        """One attempt at the cell, on a freshly built (or leased) adapter.
-
-        Raising attempts never re-pool their lease: a failed adapter is
-        discarded (and a locally built one torn down), so the next attempt —
-        and every other consumer of the pool — starts from a clean instance.
-        """
-        cell_adapter = adapter
-        leased = False
-        created = False
-        if cell_adapter is None:
-            if pool is not None and not sharded and not may_assemble:
-                # one lease per campaign host instead of a build per transplant
-                cell_adapter = pool.acquire(host)
-                leased = True
-            else:
-                # the sharded path draws execution adapters from the workers'
-                # own pools, and the incremental-assembly path may execute
-                # nothing at all — in both cases this instance only seeds the
-                # RunnerSpec, so it stays unconnected; a pool lease (or this
-                # adapter's setup()) happens lazily, the moment something
-                # actually executes.  Only the plain serial path connects
-                # (inside the guarded block below), keeping seed behaviour.
-                cell_adapter = create_adapter(host)
-                created = True
-        # the lease is guarded from the moment of acquisition: everything
-        # that can raise — including the eager setup() and the TestRunner
-        # construction — happens inside the try, so an interrupt or failure
-        # anywhere past this point still releases (or tears down) the adapter
-        lease = {"adapter": cell_adapter, "leased": leased, "deferred": created}
-        try:
-            if created and not sharded and not may_assemble:
-                lease["adapter"].setup()
-                lease["deferred"] = False
-            runner = TestRunner(
-                lease["adapter"],
-                host_name=host,
-                available_extensions=available_extensions,
-                float_tolerance=float_tolerance,
-                translate_dialect=translate_dialect,
-                donor_dialect=donor,
-                max_records_per_file=max_records_per_file,
-            )
-
-            def _prepare_execution():
-                # bring the deferred adapter to life the moment something must
-                # execute on this process's runner: a campaign pool serves the
-                # lease (reusing live adapters across transplants, exactly as
-                # the eager path did), otherwise the seed adapter's setup()
-                # runs — adapters that hook setup() keep their hook.  A
-                # fully-warm assembly never gets here, so it neither leases
-                # nor connects anything.
-                if not lease["deferred"]:
-                    return
-                lease["deferred"] = False
-                if pool is not None and not sharded:
-                    lease["adapter"] = pool.acquire(host)
-                    lease["leased"] = True
-                    runner.adapter = lease["adapter"]
-                else:
-                    lease["adapter"].setup()
-
-            if lease["deferred"]:
-                from repro.core.parallel import runner_spec_for
-
-                if runner_spec_for(runner) is None:
-                    # no RunnerSpec means neither workers nor incremental
-                    # assembly can serve this adapter: run_suite will execute
-                    # serially on this very instance — prepare it now
-                    _prepare_execution()
-            suite_result = None
-            file_blobs = None
-            if may_assemble:
-                from repro.core.parallel import assemble_suite_result
-
-                assembly = assemble_suite_result(
-                    suite,
-                    runner,
-                    backing,
-                    workers=workers,
-                    executor=executor,
-                    worker_pool=worker_pool,
-                    prepare_runner=_prepare_execution,
-                    policy=policy,
-                )
-                if assembly is not None:
-                    suite_result, file_blobs = assembly
-            if suite_result is None:
-                # per-file store reuse inside sharded workers is the
-                # incremental feature too: with incremental=False the suite
-                # really is re-executed whole, as the flag's contract promises
-                suite_result = runner.run_suite(
-                    suite,
-                    workers=workers,
-                    executor=executor,
-                    worker_pool=worker_pool,
-                    store=backing if incremental else None,
-                    resilience=policy,
-                )
-        except BaseException:
-            # failure-path teardown: never re-pool a lease that blew up
-            if lease["leased"]:
-                pool.discard(lease["adapter"])
-            elif created:
-                try:
-                    lease["adapter"].teardown()
-                except Exception:
-                    pass
-            raise
-        if lease["leased"]:
-            pool.release(lease["adapter"])
-        return suite_result, file_blobs
-
     cell_failures: list[InfraFailure] = []
     if adapter is not None:
         # caller-managed adapter: single attempt — the caller owns the
         # lifecycle, so no rebuild (and hence no cell-level retry) is possible
-        suite_result, file_blobs = _execute_cell()
+        suite_result = _execute_cell()
     else:
         breaker = pool.breaker if pool is not None else adapter_breaker()
         breaker_key = pool_key(host, {})
@@ -428,7 +248,6 @@ def run_transplant(
             deadline = policy.watchdog_seconds * max(1, len(suite.files))
         attempt = 0
         suite_result = None
-        file_blobs = None
         while True:
             attempt += 1
             if breaker.is_quarantined(breaker_key):
@@ -447,9 +266,9 @@ def run_transplant(
                 break
             try:
                 if deadline is not None:
-                    suite_result, file_blobs = run_with_deadline(_execute_cell, deadline, label=cell_token)
+                    suite_result = run_with_deadline(_execute_cell, deadline, label=cell_token)
                 else:
-                    suite_result, file_blobs = _execute_cell()
+                    suite_result = _execute_cell()
             except WatchdogTimeout as error:
                 # a wedged execution would wedge again: no retry, the cell
                 # degrades to a HANG-shaped partial result immediately
@@ -498,19 +317,21 @@ def run_transplant(
         hangs=hangs,
         infra_failures=list(suite_result.infra_failures),
     )
-    if memo is not None and not transplant_result.infra_failures:
-        # partial cells are never memoized: a resumed campaign must re-enter
-        # them instead of replaying the degradation from the store
-        try:
-            # the suite-level entry is *assembled* from the per-file frames
-            # the incremental path already holds (byte reuse, no re-encoding);
-            # full executions encode their files here instead
-            payload = result_codec.encode_transplant_bundle(transplant_result, suite, file_blobs=file_blobs)
-        except result_codec.CodecError:
-            payload = None  # unencodable cell (foreign records): skip persisting
-        if payload is not None:
-            backing.save(*memo, payload)
-    _journal_finish(transplant_result)
+    if journal is not None:
+        clean = not transplant_result.infra_failures
+        files = None
+        spec = runner_spec_for(_runner()) if (backing is not None and clean) else None
+        if spec is not None:
+            # the artifact digests assembly (or its workers) really wrote
+            files = [
+                {
+                    "path": test_file.path,
+                    "artifact": key_digest(FILE_RESULTS_NAMESPACE, file_result_key(spec, test_file), backing.fingerprint),
+                }
+                for test_file in suite.files
+            ]
+        journal.cell_finished(suite.name, host, complete=clean, files=files)
+        kill_point("cell-finish")
     return transplant_result
 
 
@@ -573,9 +394,7 @@ def run_matrix(
     adapter_pool: AdapterPool | None = None,
     worker_pool=None,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
-    incremental: bool = True,
     resilience: ResiliencePolicy | None = None,
-    resume: TransplantMatrix | None = None,
     journal: "CampaignJournal | str | os.PathLike | bool | None" = None,
 ) -> TransplantMatrix:
     """Run every suite on every host (the Figure 4 campaign).
@@ -599,18 +418,16 @@ def run_matrix(
     reused cells reflect the old parameters.
 
     ``store`` extends that reuse across processes: *every* cell — donor runs
-    and cross-host transplants alike — is served from the persistent artifact
-    store (see :func:`run_transplant`), so a repeated campaign with all cells
-    persisted replays the whole matrix without executing anything.
-    ``incremental`` additionally assembles suite-level misses from per-file
-    ``file-results`` artifacts, so a campaign over an *edited* suite
+    and cross-host transplants alike — is assembled from the persistent
+    artifact store's per-file ``file-results`` (see :func:`run_transplant`),
+    so a repeated campaign with all files persisted replays the whole matrix
+    without executing anything, and a campaign over an *edited* suite
     re-executes only the changed files of every cell.
 
     ``resilience`` is threaded into every cell (see :func:`run_transplant`).
-    ``resume`` takes the matrix of a previous — possibly degraded — campaign:
-    complete cells are carried over by reference and **only the gaps** (cells
-    missing or carrying ``infra_failures``) are re-entered, so recovering from
-    a quarantined adapter costs one cell per gap, not a full campaign.
+    Degraded cells persist none of their stand-in files, so re-running the
+    same campaign against the same store after a fault re-executes **only the
+    gaps** — every file that did persist loads.
 
     ``journal`` extends that recovery across *process death*: pass ``True``
     to keep a durable write-ahead journal under the store
@@ -647,15 +464,7 @@ def run_matrix(
             translate_dialect=translate_dialect,
             max_records_per_file=max_records_per_file,
         )
-        if journal is True:
-            owned_journal = CampaignJournal.open_in(Path(store.root) / JOURNAL_DIRNAME, spec, store.fingerprint)
-        else:
-            path = Path(journal)
-            if path.suffix == ".jsonl" or path.is_file():
-                owned_journal = CampaignJournal.open(path, spec, store.fingerprint)
-            else:
-                owned_journal = CampaignJournal.open_in(path, spec, store.fingerprint)
-        journal = owned_journal
+        journal = owned_journal = open_campaign_journal(journal, store, spec)
     if journal is not None and journal.replay.incomplete_cells():
         logger.info(
             "journal %s: resuming campaign %s... — %d cell(s) in flight at last exit",
@@ -692,15 +501,6 @@ def run_matrix(
                         )
                     )
                     continue
-                if resume is not None:
-                    prior = resume.entries.get((suite.name, host))
-                    if prior is not None and not prior.infra_failures:
-                        matrix.add(prior)
-                        if journal is not None and not journal.is_cell_complete(suite.name, host):
-                            journal.cell_finished(suite.name, host, complete=True)
-                        continue
-                    if prior is not None:
-                        logger.info("re-entering incomplete cell (%s, %s)", suite.name, host)
                 if reuse_donor_runs_from is not None and perf_cache.caching_enabled():
                     if donor == host and (suite.name, host) in reuse_donor_runs_from.entries:
                         carried = reuse_donor_runs_from.get(suite.name, host)
@@ -724,7 +524,6 @@ def run_matrix(
                         pool=adapter_pool,
                         worker_pool=worker_pool,
                         store=store,
-                        incremental=incremental,
                         resilience=resilience,
                         journal=journal,
                     )

@@ -176,19 +176,12 @@ def main(argv: list[str] | None = None) -> int:
         "--store-dir",
         default=None,
         metavar="PATH",
-        help="artifact-store directory for corpora and donor runs (default: $REPRO_STORE_DIR or ~/.cache/repro-store)",
+        help="artifact-store directory for corpora and per-file results (default: $REPRO_STORE_DIR or ~/.cache/repro-store)",
     )
     parser.add_argument(
         "--no-store",
         action="store_true",
-        help="disable the persistent artifact store (regenerate corpora and re-record donor runs)",
-    )
-    parser.add_argument(
-        "--incremental",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="assemble store-backed campaigns from per-file artifacts, executing only changed files "
-        "(--no-incremental re-executes whole suites on any suite-level store miss)",
+        help="disable the persistent artifact store (regenerate corpora and re-execute every cell)",
     )
     parser.add_argument(
         "--journal",
@@ -256,7 +249,6 @@ def main(argv: list[str] | None = None) -> int:
         workers=arguments.workers,
         store_dir=arguments.store_dir,
         use_store=not arguments.no_store,
-        incremental=arguments.incremental,
         timeout_seconds=arguments.timeout,
         journal=journal,
     ) as context:
@@ -270,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
         with signal_aware_shutdown(resume_command=resume_command):
             if arguments.stream:
                 # one streaming pass: results print the moment their last
-                # matrix cell lands (cells overlap when --workers > 1)
+                # matrix cell lands
                 for result in stream_experiments(selected, context):
                     print(result.text)
                     print()

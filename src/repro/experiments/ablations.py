@@ -51,7 +51,17 @@ def _build(experiment: AblationsExperiment) -> ExperimentResult:
     # -- float tolerance (DuckDB donor run, exact vs 1%) ---------------------------
     duckdb_suite = context.suites["duckdb"]
     exact = experiment.cell("duckdb", "duckdb").result
-    tolerant = run_transplant(duckdb_suite, "duckdb", float_tolerance=0.01).result
+    tolerant = run_transplant(
+        duckdb_suite,
+        "duckdb",
+        float_tolerance=0.01,
+        workers=context.workers,
+        executor=context.executor,
+        pool=context.adapter_pool,
+        worker_pool=context.worker_pool,
+        store=context.store,
+        resilience=context.resilience,
+    ).result
     float_rows = [
         ["exact comparison (SQuaLity)", exact.failed_cases, format_percentage(exact.success_rate)],
         ["1% tolerance (DuckDB native runner)", tolerant.failed_cases, format_percentage(tolerant.success_rate)],

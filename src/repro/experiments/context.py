@@ -40,17 +40,11 @@ class ExperimentContext:
     ``store_dir`` points the persistent artifact store somewhere other than
     the default (``REPRO_STORE_DIR`` or ``~/.cache/repro-store``);
     ``use_store=False`` runs the whole campaign storeless (the CLI's
-    ``--no-store``).  Corpora and donor runs are then loaded from disk when a
-    previous campaign — in any process — already produced them.
-
-    ``incremental`` (the default) assembles store-backed campaigns file by
-    file: matrix cells whose suite changed re-execute only the changed files
-    and load the rest from the ``file-results`` namespace.
-    ``incremental=False`` (the CLI's ``--no-incremental``) re-executes whole
-    suites on any suite-level store miss.  Corpus builds reuse per-file
-    donor recordings (``file-donor``) whenever the store is on — that reuse
-    is part of the store layer itself (disable with ``use_store=False``),
-    not of this switch.
+    ``--no-store``).  With the store on, corpora and per-file donor
+    recordings load from disk when a previous campaign — in any process —
+    already produced them, and every matrix cell assembles file by file: a
+    cell whose suite changed re-executes only the changed files and loads
+    the rest from the ``file-results`` namespace.
 
     ``timeout_seconds`` (the CLI's ``--timeout``) sets the process-wide
     statement/watchdog timeout (see
@@ -70,7 +64,6 @@ class ExperimentContext:
         executor: str = "auto",
         store_dir: str | None = None,
         use_store: bool = True,
-        incremental: bool = True,
         timeout_seconds: float | None = None,
         resilience: ResiliencePolicy | None = None,
         journal: "bool | str | os.PathLike | None" = None,
@@ -78,7 +71,6 @@ class ExperimentContext:
         self.scale = scale
         self.seed = seed
         self.hosts = hosts
-        self.incremental = incremental
         if timeout_seconds is not None:
             set_default_timeout(timeout_seconds)
         self.timeout_seconds = timeout_seconds
@@ -230,7 +222,6 @@ class ExperimentContext:
                 adapter_pool=self.adapter_pool,
                 worker_pool=self.worker_pool,
                 store=self.store,
-                incremental=self.incremental,
                 resilience=self.resilience,
                 journal=self.journal,
             )
@@ -254,7 +245,6 @@ class ExperimentContext:
                 adapter_pool=self.adapter_pool,
                 worker_pool=self.worker_pool,
                 store=self.store,
-                incremental=self.incremental,
                 resilience=self.resilience,
                 journal=self.journal,
             )

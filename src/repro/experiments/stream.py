@@ -10,13 +10,12 @@ One pass over the campaign matrix feeds *every* selected experiment:
    aliases of their plain siblings (translation is the identity there) and are
    normalised away whenever caching is enabled, mirroring
    ``run_matrix(reuse_donor_runs_from=...)``.
-2. **Execute** — each unique cell runs exactly once per pass, via
-   :func:`repro.core.transplant.run_transplant` with the context's store,
-   pools, and resilience policy: store-warm cells resolve instantly, degraded
-   cells surface through :meth:`ExperimentContext.infra_failures`.  With
-   ``max_inflight > 1`` cells fan out over the
-   :class:`~repro.core.parallel.WorkerPool` thread lane so slow hosts overlap;
-   serially the cells keep the batch path's per-file sharding.
+2. **Execute** — each unique cell runs exactly once per pass, in plan
+   order, via :func:`repro.core.transplant.run_transplant` with the
+   context's store, pools, and resilience policy: store-warm cells resolve
+   instantly, ``workers > 1`` shards each cell's files exactly as the batch
+   path does, and degraded cells surface through
+   :meth:`ExperimentContext.infra_failures`.
 3. **Fan out** — every completed cell is delivered to each subscribed
    experiment's :meth:`~repro.experiments.base.Experiment.consume`, and an
    experiment's :class:`~repro.experiments.context.ExperimentResult` is
@@ -24,17 +23,16 @@ One pass over the campaign matrix feeds *every* selected experiment:
    (no cells) yield before any cell executes.
 
 Because accumulators compute everything in ``finalize``, each yielded result
-is byte-identical to the serial batch run no matter the completion order; only
-the *yield order* varies under concurrency.  :func:`run_batch` (what
-``run_all`` builds on) restores registry order.
+is byte-identical to its batch twin; the pass yields in a deterministic
+order, and :func:`run_batch` (what ``run_all`` builds on) restores registry
+order.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
 from typing import TYPE_CHECKING, Iterator
 
+from repro.core.journal import campaign_spec, open_campaign_journal
 from repro.core.transplant import DONOR_OF_SUITE, TransplantMatrix, run_transplant
 from repro.experiments.base import CellKey, ExperimentEntry, get_experiment_entry
 from repro.experiments.context import ExperimentContext, ExperimentResult
@@ -109,11 +107,11 @@ def _plan_cells(entries: list[ExperimentEntry], context: ExperimentContext) -> l
 
 
 def _warm_corpora(entries: list[ExperimentEntry], plan: list[CellKey], context: ExperimentContext) -> None:
-    """Build every needed corpus once, up front, on the calling thread.
+    """Build every needed corpus once, up front, before any cell executes.
 
     Cell execution and pure-analysis finalization both read the context's
-    lazily-built suites; warming them here keeps the lazy build off the cell
-    fan-out threads (no duplicated corpus work, no racing builders).
+    lazily-built suites; warming them here keeps corpus work out of the
+    first cell's (and the first analysis experiment's) time.
     """
     needed = {suite for entry in entries for suite in entry.needs.suites}
     needed.update(key.suite for key in plan)
@@ -136,12 +134,8 @@ def _open_pass_journals(context: ExperimentContext, plan: list[CellKey]) -> dict
     specs are derived from the plan's own suites and hosts, which makes the
     identity stable across reruns of the same experiment selection.
     """
-    setting = getattr(context, "journal", None)
-    if setting is None or setting is False:
+    if context.journal is None or context.journal is False:
         return {}
-    from pathlib import Path
-
-    from repro.core.journal import JOURNAL_DIRNAME, CampaignJournal, campaign_spec
     from repro.store import artifacts as artifact_store
 
     store = artifact_store.active_store(context.store)
@@ -155,47 +149,31 @@ def _open_pass_journals(context: ExperimentContext, plan: list[CellKey]) -> dict
         suites = {name: context.suites[name] for name in sorted({key.suite for key in keys})}
         hosts = tuple(sorted({key.host for key in keys}))
         spec = campaign_spec(suites, hosts, translate_dialect=translate)
-        if setting is True:
-            journals[translate] = CampaignJournal.open_in(Path(store.root) / JOURNAL_DIRNAME, spec, store.fingerprint)
-        else:
-            path = Path(setting)
-            if path.suffix == ".jsonl" or path.is_file():
-                journals[translate] = CampaignJournal.open(path, spec, store.fingerprint)
-            else:
-                journals[translate] = CampaignJournal.open_in(path, spec, store.fingerprint)
+        journals[translate] = open_campaign_journal(context.journal, store, spec)
     return journals
 
 
-def _execute_transplant(context: ExperimentContext, key: CellKey, workers: int, worker_pool, journal=None) -> "TransplantResult":
+def _execute_transplant(context: ExperimentContext, key: CellKey, journal) -> "TransplantResult":
     """Run one matrix cell with the context's store, pools, and policy."""
-    # journal only travels when the pass opened one: run_transplant fakes in
-    # the engine's unit tests (and third-party stand-ins) predate the kwarg
-    extra = {"journal": journal} if journal is not None else {}
     return run_transplant(
         context.suites[key.suite],
         key.host,
         translate_dialect=key.translate,
-        workers=workers,
+        workers=context.workers,
         executor=context.executor,
         pool=context.adapter_pool,
-        worker_pool=worker_pool,
+        worker_pool=context.worker_pool,
         store=context.store,
-        incremental=context.incremental,
         resilience=context.resilience,
-        **extra,
+        journal=journal,
     )
 
 
-def _resolve_cell(context: ExperimentContext, key: CellKey, workers: int, worker_pool, journal=None) -> "TransplantResult":
+def _resolve_cell(context: ExperimentContext, key: CellKey, journal) -> "TransplantResult":
     cached = context.peek_cell(key)
     if cached is not None:
         return cached
-    if journal is None:
-        # positional-only call: test doubles (and third-party stand-ins) for
-        # _execute_transplant predate the journal kwarg
-        result = _execute_transplant(context, key, workers, worker_pool)
-    else:
-        result = _execute_transplant(context, key, workers, worker_pool, journal=journal)
+    result = _execute_transplant(context, key, journal)
     context.note_stream_cell(key, result)
     return result
 
@@ -251,25 +229,14 @@ def _adopt_matrices(context: ExperimentContext, resolved: dict[CellKey, "Transpl
             context.adopt_matrix(matrix, translated=translate)
 
 
-def stream_experiments(
-    experiment_ids=None,
-    context: ExperimentContext | None = None,
-    *,
-    max_inflight: int | None = None,
-) -> Iterator[ExperimentResult]:
+def stream_experiments(experiment_ids=None, context: ExperimentContext | None = None) -> Iterator[ExperimentResult]:
     """Stream experiment results as the single campaign pass completes them.
 
     ``experiment_ids`` selects registered experiments (None = all); each
-    unique matrix cell of their unioned needs executes at most once.
-    ``max_inflight`` bounds how many cells execute concurrently (default: the
-    context's ``workers``).  Serial passes (``max_inflight == 1``) yield in a
-    deterministic order — analysis experiments first, then experiments in
-    completion order along the campaign-ordered plan — and keep the batch
-    path's per-file sharding inside each cell.  Concurrent passes fan cells
-    out over the worker pool's thread lane (cells hold live pools and stores,
-    so they never cross process boundaries) and run each cell serially
-    inside; the yield order then follows completion and is not deterministic,
-    but every yielded result is byte-identical to its batch twin.
+    unique matrix cell of their unioned needs executes at most once, in
+    campaign order, with the context's per-file sharding inside each cell.
+    Results yield in a deterministic order: analysis experiments first, then
+    each experiment the moment its last declared cell lands.
     """
     shared = context if context is not None else ExperimentContext()
     entries = _resolve_entries(experiment_ids)
@@ -291,27 +258,15 @@ def stream_experiments(
     if not plan:
         return
 
-    width = max_inflight if max_inflight is not None else shared.workers
     resolved: dict[CellKey, "TransplantResult"] = {}
     journals = _open_pass_journals(shared, plan)
-
-    def _deliver(key: CellKey, result: "TransplantResult") -> list[ExperimentResult]:
-        resolved[key] = result
-        ready = []
-        for subscription in subscribers.get(key, ()):
-            if subscription.deliver(key, result):
-                ready.append(subscription.experiment.finalize())
-        return ready
-
     try:
-        if width <= 1:
-            # serial: same execution shape as the pre-streaming batch (per-cell
-            # file sharding on the context's worker pool, campaign cell order)
-            for key in plan:
-                result = _resolve_cell(shared, key, shared.workers, shared.worker_pool, journals.get(key.translate))
-                yield from _deliver(key, result)
-        else:
-            yield from _stream_concurrent(shared, plan, width, _deliver, journals)
+        for key in plan:
+            result = _resolve_cell(shared, key, journals.get(key.translate))
+            resolved[key] = result
+            for subscription in subscribers.get(key, ()):
+                if subscription.deliver(key, result):
+                    yield subscription.experiment.finalize()
     finally:
         for journal in journals.values():
             journal.close()
@@ -319,54 +274,14 @@ def stream_experiments(
     _adopt_matrices(shared, resolved)
 
 
-def _stream_concurrent(
-    context: ExperimentContext, plan: list[CellKey], width: int, deliver, journals: dict | None = None
-) -> Iterator[ExperimentResult]:
-    """Bounded cell fan-out over the worker pool's thread lane.
-
-    At most ``width`` cells are in flight at any moment (backpressure: the
-    next cell is submitted only when one completes), and each cell runs its
-    files serially — cell-level overlap replaces file-level sharding.  The
-    thread lane comes from the context's persistent
-    :class:`~repro.core.parallel.WorkerPool` when it has one, else from a
-    pass-owned pool that is torn down with the generator.
-    """
-    from repro.core.parallel import WorkerPool
-
-    owned_pool = None
-    lane_pool = context.worker_pool
-    if lane_pool is None:
-        owned_pool = WorkerPool(width, "thread")
-        lane_pool = owned_pool
-    queued = deque(plan)
-    inflight: dict = {}
-    try:
-        while queued or inflight:
-            while queued and len(inflight) < width:
-                key = queued.popleft()
-                journal = (journals or {}).get(key.translate)
-                inflight[lane_pool.submit_local(_resolve_cell, context, key, 1, None, journal)] = key
-            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-            for future in done:
-                key = inflight.pop(future)
-                yield from deliver(key, future.result())
-    finally:
-        if owned_pool is not None:
-            owned_pool.shutdown()
-
-
 def run_batch(experiment_ids=None, context: ExperimentContext | None = None) -> list[ExperimentResult]:
-    """Run the selected experiments through one serial streaming pass.
+    """Run the selected experiments through one streaming pass.
 
     The compatibility core under :func:`repro.experiments.registry.run_all`
     and ``run_experiment``: results come back in selection order (registry
-    order for None), and shared matrix work is deduplicated by the planner
-    even though the pass is serial.
+    order for None), and shared matrix work is deduplicated by the planner.
     """
     shared = context if context is not None else ExperimentContext()
     entries = _resolve_entries(experiment_ids)
-    by_id = {
-        result.experiment_id: result
-        for result in stream_experiments([entry.id for entry in entries], shared, max_inflight=1)
-    }
+    by_id = {result.experiment_id: result for result in stream_experiments([entry.id for entry in entries], shared)}
     return [by_id[entry.id] for entry in entries]

@@ -27,7 +27,7 @@ Instrumented operations (grep for ``kill_point(`` to confirm the list):
 ``store-write``           after the atomic rename (the artifact is durable)
 ``journal-append``        after a journal line is written and fsync'd
 ``cell-start``            a campaign cell is about to execute
-``cell-finish``           a campaign cell's results are memoized and journaled
+``cell-finish``           a campaign cell's files persisted and it is journaled
 ``file-finish``           a shard/assembly worker persisted one file's results
 ========================  ==========================================================
 

@@ -1,13 +1,15 @@
-"""Persistent artifact store: cross-process reuse of corpora and donor runs.
+"""Persistent artifact store: cross-process reuse of corpora and results.
 
-Two clients ride on the store (see docs/STORE.md):
+Three clients ride on the store (see docs/STORE.md):
 
 * :mod:`repro.corpus.generate` persists generated suites keyed by
   ``(suite, seed, scale, generator fingerprint)`` so ``build_suite`` loads
-  instead of regenerating across processes and campaigns, and
-* :mod:`repro.core.transplant` memoizes donor-run ``TransplantResult``s keyed
-  by ``(suite content hash, donor, adapter kwargs)`` so ``run_matrix`` and
-  translated campaigns skip re-recording donors entirely.
+  instead of regenerating across processes and campaigns,
+* :mod:`repro.core.parallel` persists every matrix cell file by file in
+  ``file-results``, keyed by ``(file content hash, runner spec)``, so
+  ``run_matrix`` executes only the files no earlier run persisted, and
+* :mod:`repro.analysis.incremental` persists per-file RQ1/RQ2 partials in
+  ``file-analysis``.
 """
 
 from repro.store.artifacts import (
@@ -28,14 +30,8 @@ from repro.store.codec import (
     CodecError,
     decode_analysis_partial,
     decode_file_result,
-    decode_suite_result,
-    decode_transplant_bundle,
-    decode_transplant_result,
     encode_analysis_partial,
     encode_file_result,
-    encode_suite_result,
-    encode_transplant_bundle,
-    encode_transplant_result,
 )
 from repro.store.fingerprint import code_fingerprint, reset_fingerprint_cache
 from repro.store.keys import (
@@ -71,14 +67,8 @@ __all__ = [
     "file_result_key",
     "decode_analysis_partial",
     "decode_file_result",
-    "decode_suite_result",
-    "decode_transplant_bundle",
-    "decode_transplant_result",
     "encode_analysis_partial",
     "encode_file_result",
-    "encode_suite_result",
-    "encode_transplant_bundle",
-    "encode_transplant_result",
     "get_default_store",
     "key_digest",
     "reset_fingerprint_cache",

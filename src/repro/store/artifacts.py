@@ -528,8 +528,7 @@ class ArtifactStore:
         Three checks per artifact, mirroring exactly what a reader would
         trust: the pickle envelope must load, its embedded header must match
         the artifact's on-disk namespace and the current format version, and
-        any codec frame in the payload — the value itself or a bundle's
-        per-file frames — must pass its embedded digest.  Failures are
+        a value that is a codec frame must pass its embedded digest.  Failures are
         deleted (corruption-as-miss, applied eagerly instead of at first
         read) and listed in the summary.  ``sweep`` additionally removes
         every ``.tmp-`` leftover regardless of age: audit is for quiescent
@@ -549,14 +548,8 @@ class ArtifactStore:
                     raise ValueError(f"format version {version!r} != {STORE_FORMAT_VERSION}")
                 if stored_namespace != namespace:
                     raise ValueError(f"artifact labelled {stored_namespace!r} found under {namespace!r}")
-                frames: list[bytes] = []
-                if isinstance(value, (bytes, bytearray)):
-                    frames.append(bytes(value))
-                elif isinstance(value, dict):
-                    frames.extend(bytes(item) for item in value.values() if isinstance(item, (bytes, bytearray)))
-                for frame in frames:
-                    if frame[: len(MAGIC)] == MAGIC and not frame_intact(frame):
-                        raise ValueError("codec frame digest mismatch")
+                if isinstance(value, (bytes, bytearray)) and value[: len(MAGIC)] == MAGIC and not frame_intact(bytes(value)):
+                    raise ValueError("codec frame digest mismatch")
             except Exception as error:
                 logger.warning("store audit: deleting corrupt artifact %s (%s)", path, error)
                 self._discard_counted(path)

@@ -13,10 +13,11 @@ This codec replaces those pickles with a **column-oriented** wire format:
   (one outcome character each, record indexes, interned reason / error-class
   columns, sparse comparison and execution columns),
 * ``Record`` objects are **not stored at all** — results reference them by
-  index into the live suite's ``TestFile.records``, and decoding reattaches
-  them.  Store keys embed :func:`~repro.store.keys.suite_content_hash`, so
-  the suite a caller decodes against is guaranteed content-identical to the
-  one that produced the results,
+  index into the live ``TestFile.records``, and decoding reattaches them.
+  Store keys embed the file's content hash
+  (:func:`~repro.store.keys.file_result_key`), so the file a caller decodes
+  against is guaranteed content-identical to the one that produced the
+  results,
 * every string (SQL text, error messages, rendered values, previews) goes
   through one per-payload intern table, so repeated text is stored once,
 * the JSON document is zlib-compressed inside a small framed envelope —
@@ -31,7 +32,7 @@ This codec replaces those pickles with a **column-oriented** wire format:
   tests.
 
 Any mismatch — wrong magic, old codec version, corrupt zlib stream, digest
-mismatch, a suite whose shape no longer matches — raises :class:`CodecError`;
+mismatch, a file whose shape no longer matches — raises :class:`CodecError`;
 store clients treat that as a miss and recompute, never as data.
 """
 
@@ -45,7 +46,7 @@ from typing import Any
 from repro.adapters.base import ExecutionOutcome, ExecutionStatus
 from repro.adapters.faults import FaultReport
 from repro.core.comparison import ComparisonResult
-from repro.core.records import TestFile, TestSuite
+from repro.core.records import TestFile
 from repro.core.runner import FileResult, RecordOutcome, RecordResult, SuiteResult
 
 __all__ = [
@@ -53,14 +54,8 @@ __all__ = [
     "CodecError",
     "decode_analysis_partial",
     "decode_file_result",
-    "decode_suite_result",
-    "decode_transplant_bundle",
-    "decode_transplant_result",
     "encode_analysis_partial",
     "encode_file_result",
-    "encode_suite_result",
-    "encode_transplant_bundle",
-    "encode_transplant_result",
     "fault_reports_for",
     "frame_intact",
 ]
@@ -510,44 +505,6 @@ def decode_analysis_partial(blob: bytes, pass_id: str) -> dict:
     return partial
 
 
-def encode_suite_result(result: SuiteResult, suite: TestSuite) -> bytes:
-    """Serialize a whole :class:`SuiteResult` against its source ``suite``."""
-    intern = _Interner()
-    return _frame({"k": "suite", "s": _suite_document(result, suite, intern)}, intern)
-
-
-def decode_suite_result(blob: bytes, suite: TestSuite, verify: bool = False) -> SuiteResult:
-    """Rebuild a :class:`SuiteResult`, reattaching records from ``suite``."""
-    document, strings = _unframe(blob, "suite")
-    return _decode_suite_document(document["s"], suite, strings, verify=verify)
-
-
-def _suite_document(result: SuiteResult, suite: TestSuite, intern: _Interner) -> dict:
-    if len(result.files) != len(suite.files):
-        raise CodecError(f"suite result has {len(result.files)} files, suite has {len(suite.files)}")
-    return {
-        "suite": intern(result.suite),
-        "host": intern(result.host),
-        "files": [
-            _encode_file_section(file_result, test_file, intern)
-            for file_result, test_file in zip(result.files, suite.files)
-        ],
-    }
-
-
-def _decode_suite_document(document: dict, suite: TestSuite, strings: list[str], verify: bool = False) -> SuiteResult:
-    try:
-        sections = document["files"]
-        result = SuiteResult(suite=strings[document["suite"]], host=strings[document["host"]])
-    except (IndexError, KeyError, TypeError) as error:
-        raise CodecError(f"malformed suite document: {error}") from error
-    if len(sections) != len(suite.files):
-        raise CodecError(f"stored suite result has {len(sections)} files, live suite has {len(suite.files)}")
-    for section, test_file in zip(sections, suite.files):
-        result.files.append(_decode_file_section(section, test_file, strings, verify=verify))
-    return result
-
-
 def fault_reports_for(result: SuiteResult, host: str) -> tuple[list[FaultReport], list[FaultReport]]:
     """(crashes, hangs) extracted from a suite result, as ``run_transplant`` does.
 
@@ -567,115 +524,3 @@ def fault_reports_for(result: SuiteResult, host: str) -> tuple[list[FaultReport]
                     FaultReport(dbms=host, kind="hang", statement=record_result.sql, message=record_result.error)
                 )
     return crashes, hangs
-
-
-def encode_transplant_result(result: "TransplantResult", suite: TestSuite) -> bytes:  # noqa: F821
-    """Serialize a matrix cell.  Crash/hang reports are derived data (see
-    :func:`fault_reports_for`) and are not stored."""
-    intern = _Interner()
-    return _frame(
-        {
-            "k": "transplant",
-            "suite": intern(result.suite),
-            "host": intern(result.host),
-            "donor": intern(result.donor),
-            "s": _suite_document(result.result, suite, intern),
-        },
-        intern,
-    )
-
-
-def decode_transplant_result(blob: bytes, suite: TestSuite, verify: bool = False) -> "TransplantResult":  # noqa: F821
-    """Rebuild a matrix cell, reattaching records and re-deriving fault reports."""
-    from repro.core.transplant import TransplantResult
-
-    document, strings = _unframe(blob, "transplant")
-    try:
-        suite_name = strings[document["suite"]]
-        host = strings[document["host"]]
-        donor = strings[document["donor"]]
-    except (IndexError, KeyError, TypeError) as error:
-        raise CodecError(f"malformed transplant document: {error}") from error
-    suite_result = _decode_suite_document(document["s"], suite, strings, verify=verify)
-    crashes, hangs = fault_reports_for(suite_result, host)
-    return TransplantResult(
-        suite=suite_name, host=host, donor=donor, result=suite_result, crashes=crashes, hangs=hangs
-    )
-
-
-# -- transplant bundles -----------------------------------------------------------
-#
-# The matrix-cell payload format of the incremental-assembly era: a small
-# header plus one *independent* per-file codec frame per suite file — the
-# exact frames the ``file-results`` namespace stores.  A suite-level entry is
-# therefore assembled from already-encoded per-file artifacts by byte reuse
-# (no re-encoding, no re-interning), which is what keeps the edit-one-file
-# rebuild path fast; monolithic frames (``encode_transplant_result``) remain
-# for callers that want one self-contained blob, and cell *reads* accept both.
-
-#: Bundle kind tag (the dict-payload analogue of the frame magic).
-BUNDLE_KIND = "transplant-bundle"
-
-
-def encode_transplant_bundle(
-    result: "TransplantResult",  # noqa: F821
-    suite: TestSuite,
-    file_blobs: "list[bytes | None] | None" = None,
-) -> dict:
-    """Build a matrix-cell bundle: header dict + per-file codec frames.
-
-    ``file_blobs`` supplies already-encoded frames positionally (loaded from
-    the ``file-results`` namespace or encoded moments ago for it); ``None``
-    entries — and a missing list — are encoded here.  Raises
-    :class:`CodecError` for results that cannot be encoded, exactly like the
-    monolithic encoder.
-    """
-    if len(result.result.files) != len(suite.files):
-        raise CodecError(
-            f"transplant result has {len(result.result.files)} files, suite has {len(suite.files)}"
-        )
-    blobs: list[bytes] = []
-    for position, (file_result, test_file) in enumerate(zip(result.result.files, suite.files)):
-        blob = file_blobs[position] if file_blobs is not None else None
-        if blob is None:
-            blob = encode_file_result(file_result, test_file)
-        blobs.append(blob)
-    return {
-        "k": BUNDLE_KIND,
-        "v": CODEC_VERSION,
-        "suite": result.suite,
-        "host": result.host,
-        "donor": result.donor,
-        "result_suite": result.result.suite,
-        "result_host": result.result.host,
-        "files": blobs,
-    }
-
-
-def decode_transplant_bundle(payload: Any, suite: TestSuite, verify: bool = False) -> "TransplantResult":  # noqa: F821
-    """Rebuild a matrix cell from a bundle; any mismatch is a :class:`CodecError`."""
-    from repro.core.transplant import TransplantResult
-
-    if not isinstance(payload, dict) or payload.get("k") != BUNDLE_KIND:
-        raise CodecError(f"not a {BUNDLE_KIND!r} payload")
-    if payload.get("v") != CODEC_VERSION:
-        raise CodecError(f"bundle codec version {payload.get('v')} != {CODEC_VERSION}")
-    try:
-        suite_name = payload["suite"]
-        host = payload["host"]
-        donor = payload["donor"]
-        suite_result = SuiteResult(suite=payload["result_suite"], host=payload["result_host"])
-        blobs = payload["files"]
-    except KeyError as error:
-        raise CodecError(f"malformed transplant bundle: missing {error}") from error
-    if not isinstance(blobs, list) or len(blobs) != len(suite.files):
-        raise CodecError(
-            f"stored bundle has {len(blobs) if isinstance(blobs, list) else '??'} files, "
-            f"live suite has {len(suite.files)}"
-        )
-    for blob, test_file in zip(blobs, suite.files):
-        suite_result.files.append(decode_file_result(blob, test_file, verify=verify))
-    crashes, hangs = fault_reports_for(suite_result, host)
-    return TransplantResult(
-        suite=suite_name, host=host, donor=donor, result=suite_result, crashes=crashes, hangs=hangs
-    )

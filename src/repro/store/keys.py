@@ -99,16 +99,15 @@ def suite_content_hash(suite: Any) -> str:
     """Stable content hash of a parsed :class:`~repro.core.records.TestSuite`.
 
     Two suites generated from the same profile/seed/scale in different
-    processes hash identically, which is what lets donor-run artifacts written
-    by one campaign be found by the next.
+    processes hash identically, which is what lets a campaign journal written
+    by one process be resumed by the next (see
+    :func:`repro.core.journal.campaign_spec`).
 
     The digest is derived from the suite's name and its files' *per-file*
     content hashes — the same hashes that key the ``file-results`` assembly
     artifacts — rather than one canonical walk over every record.  Editing
     one file of a campaign's suite therefore re-hashes only that file (the
-    others are served from the per-object memo), which keeps the warm
-    incremental rebuild's keying cost proportional to the edit, not the
-    suite.
+    others are served from the per-object memo).
     """
     memo_key = id(suite)
     entry = _SUITE_HASH_MEMO.get(memo_key)
@@ -128,8 +127,8 @@ def suite_content_hash(suite: Any) -> str:
 
 # -- assembly namespaces and keys -------------------------------------------------
 #
-# Incremental campaigns assemble suite-level artifacts from file-level ones,
-# so the file-level namespaces and their key layouts are shared contracts
+# Campaigns assemble every suite-level answer from file-level artifacts, so
+# the file-level namespaces and their key layouts are shared contracts
 # between the writers (sharded workers, the serial assembly path, the corpus
 # generator) and the readers (assembly in ``repro.core.parallel``,
 # ``repro.corpus.generate``).  They live here so every party addresses

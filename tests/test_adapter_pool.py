@@ -287,6 +287,44 @@ class TestCircuitBreaker:
         assert breaker.quarantined_keys() == []
 
 
+class TestCellAdapterLifecycle:
+    """A cell acquires its adapter once, lazily, and releases it on every exit."""
+
+    def test_storeless_cell_tears_down_the_adapter_it_built(self, monkeypatch):
+        from repro.adapters.minidb_adapter import MiniDBAdapter
+
+        calls = []
+        setup, teardown = MiniDBAdapter.setup, MiniDBAdapter.teardown
+
+        def counting_setup(adapter):
+            calls.append("setup")
+            setup(adapter)
+
+        def counting_teardown(adapter):
+            calls.append("teardown")
+            teardown(adapter)
+
+        monkeypatch.setattr(MiniDBAdapter, "setup", counting_setup)
+        monkeypatch.setattr(MiniDBAdapter, "teardown", counting_teardown)
+        suite = build_suite("slt", file_count=3, records_per_file=10, seed=33, store=None)
+        result = run_transplant(suite, "duckdb", store=None)
+        assert result.result.total_cases > 0
+        assert calls == ["setup", "teardown"]
+
+    def test_fully_warm_cell_builds_nothing_live(self, tmp_path, monkeypatch):
+        from repro.adapters.minidb_adapter import MiniDBAdapter
+        from repro.store import ArtifactStore
+
+        store = ArtifactStore(root=tmp_path / "store", fingerprint="lifecycle-fp")
+        suite = build_suite("slt", file_count=3, records_per_file=10, seed=34, store=None)
+        run_transplant(suite, "duckdb", store=store)
+        calls = []
+        monkeypatch.setattr(MiniDBAdapter, "setup", lambda adapter: calls.append("setup"))
+        monkeypatch.setattr(MiniDBAdapter, "teardown", lambda adapter: calls.append("teardown"))
+        run_transplant(suite, "duckdb", store=store)
+        assert calls == []
+
+
 class TestFailureTeardown:
     """A unit of work that raises must discard its lease, never re-pool it."""
 

@@ -158,3 +158,20 @@ class TestExperiments:
         assert main(["--list"]) == 0
         captured = capsys.readouterr()
         assert "table4" in captured.out
+
+    def test_storeless_ablations_write_nothing_to_the_default_store(self, tmp_path, monkeypatch):
+        """The float-tolerance cell runs with the context's store: under
+        ``use_store=False`` (the CLI's ``--no-store``) the process-default
+        store — ``REPRO_STORE_DIR`` — must stay untouched."""
+        from repro.store import set_default_store
+
+        default_root = tmp_path / "default-store"
+        monkeypatch.setenv("REPRO_STORE_DIR", str(default_root))
+        previous = set_default_store(None)  # re-created lazily from the environment
+        try:
+            with ExperimentContext(scale=0.05, seed=11, use_store=False) as context:
+                result = run_experiment("ablations", context)
+        finally:
+            set_default_store(previous)
+        assert result.data["float_tolerance"]["tolerant_failed"] <= result.data["float_tolerance"]["exact_failed"]
+        assert not default_root.exists() or not any(path.is_file() for path in default_root.rglob("*"))

@@ -12,7 +12,8 @@ gates of the resilience layer live here:
 * a wedged adapter is cut off by the watchdog and surfaces as HANG;
 * artifact-store I/O errors demote the campaign to storeless mode without
   changing a single result byte;
-* ``run_matrix(resume=...)`` re-enters only the degraded cells.
+* re-running a degraded campaign against its store re-executes only the
+  degraded cells' files.
 
 Chaos campaigns use the thread executor: worker *processes* re-import a
 pristine registry and would not see the injected chaos factories.
@@ -44,6 +45,7 @@ from repro.core.resilience import (
 from repro.core.transplant import run_matrix, run_transplant
 from repro.corpus import build_suite
 from repro.errors import AdapterQuarantinedError, WatchdogTimeout
+from repro.store import ArtifactStore
 from repro.testing.chaos import ChaosError, ChaosStore, FaultSchedule, FaultSpec, inject_adapter
 
 #: export REPRO_CHAOS_SEED=<n> to replay a CI failure exactly
@@ -207,29 +209,32 @@ class TestWatchdog:
 
 
 class TestResume:
-    """``run_matrix(resume=...)`` re-enters only the degraded cells."""
+    """Re-running a degraded campaign on its store re-enters only the gaps."""
 
-    def test_resume_executes_only_gaps(self, slt_suite):
+    def test_resume_executes_only_gaps(self, slt_suite, tmp_path):
         suites = {"slt": slt_suite}
+        hosts = ("duckdb", "mysql")
+        store = ArtifactStore(root=tmp_path / "store", fingerprint="chaos-resume-fp")
         schedule = FaultSchedule([FaultSpec(op="execute", at=1, every=True)], seed=CHAOS_SEED)
         with inject_adapter("duckdb", schedule):
-            degraded = run_matrix(suites, hosts=("duckdb", "mysql"), store=None, resilience=FAST_POLICY)
+            degraded = run_matrix(suites, hosts=hosts, store=store, resilience=FAST_POLICY)
         assert degraded.incomplete_cells() == [("slt", "duckdb")]
 
         adapter_breaker().reset()  # operator fixed the infrastructure
+        store.stats.reset()
         pool = AdapterPool()
-        resumed = run_matrix(
-            suites, hosts=("duckdb", "mysql"), store=None, adapter_pool=pool, resume=degraded, resilience=FAST_POLICY
-        )
-        assert resumed.is_complete()
-        # the clean cell was carried over by reference, not re-executed
-        assert resumed.get("slt", "mysql") is degraded.get("slt", "mysql")
-        assert pool.stats()["created"] == 1, "resume must build an adapter only for the gap"
-        # and the re-entered cell matches a fresh fault-free run exactly
+        healed = run_matrix(suites, hosts=hosts, store=store, adapter_pool=pool, resilience=FAST_POLICY)
+        assert healed.is_complete()
+        # the clean cell loaded every file it persisted; only the degraded
+        # cell's files (none of which persisted) executed
+        files = len(slt_suite.files)
+        assert store.stats.by_namespace["file-results"] == {"hits": files, "misses": files}
+        assert pool.stats()["created"] == 1, "the re-run must build an adapter only for the gap"
+        # and the healed matrix matches a fresh fault-free campaign exactly
         assert_equivalent(
             {
-                "resumed-cell": resumed.get("slt", "duckdb"),
-                "fault-free": lambda: run_transplant(slt_suite, "duckdb", store=None),
+                "healed": healed,
+                "fault-free": lambda: run_matrix(suites, hosts=hosts, store=None),
             }
         )
 

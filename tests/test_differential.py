@@ -62,13 +62,6 @@ WORKLOADS = (
 )
 
 
-def _wipe(store: ArtifactStore, *namespaces: str) -> None:
-    """Delete every artifact of the given namespaces (forces re-derivation)."""
-    for namespace in namespaces:
-        for path in (store.root / namespace).rglob("*.pkl"):
-            path.unlink()
-
-
 class TestCampaignVariants:
     """The full equivalence lattice on both reference workloads."""
 
@@ -76,7 +69,7 @@ class TestCampaignVariants:
     def test_incremental_warm_sharded_and_full_all_match(self, suite_name, host, translate, tmp_path):
         suite = build_suite(suite_name, file_count=4, records_per_file=20, seed=23, store=None)
         store = ArtifactStore(root=tmp_path / "store", fingerprint="diff-fp")
-        full_store = ArtifactStore(root=tmp_path / "full-store", fingerprint="diff-fp")
+        sharded_store = ArtifactStore(root=tmp_path / "sharded-store", fingerprint="diff-fp")
 
         def run(**kwargs):
             return lambda: run_transplant(suite, host, translate_dialect=translate, **kwargs)
@@ -91,26 +84,19 @@ class TestCampaignVariants:
 
             return wrapped
 
-        def assembled(**kwargs):
-            # drop the suite-level cells so the run must assemble from the
-            # per-file artifacts the cold variant persisted
-            def invoke():
-                _wipe(store, "matrix-cells", "donor-runs")
-                return run_transplant(suite, host, translate_dialect=translate, store=store, **kwargs)
-
-            return invoke
-
         variants = assert_equivalent(
             {
                 "storeless-serial": run(store=None),
                 "storeless-workers-4": run(store=None, workers=4, executor="thread"),
                 "scalar-serial": scalar(run(store=None)),
                 "scalar-workers-4": scalar(run(store=None, workers=4, executor="thread")),
-                "full-no-incremental": run(store=full_store, incremental=False),
+                # cold runs execute and persist every file (serially, or
+                # inside the workers); warm ones assemble from those files
                 "incremental-cold": run(store=store),
+                "sharded-cold": run(store=sharded_store, workers=4, executor="thread"),
                 "warm-replay": run(store=store),
-                "assembled-serial": assembled(),
-                "assembled-workers-4": assembled(workers=4, executor="thread"),
+                "warm-workers-4": run(store=store, workers=4, executor="thread"),
+                "warm-from-sharded": run(store=sharded_store),
             }
         )
         assert variants["warm-replay"].result.total_cases > 0
@@ -205,11 +191,11 @@ class TestStreamingCampaignParity:
     """One streaming pass == the serial batch, byte for byte.
 
     The streaming engine's core guarantee: because experiments accumulate
-    cells and compute everything in ``finalize``, a pass that overlaps cells
-    (width 4), runs on a sharded context (workers 4), executes scalar
-    (vectorize off), or replays from a warm store must produce results
-    byte-identical to the serial storeless batch — only the *yield order* may
-    differ, so variants are compared in registry order.
+    cells and compute everything in ``finalize``, a pass that runs on a
+    sharded context (workers 4), executes scalar (vectorize off), or replays
+    from a warm store must produce results byte-identical to the serial
+    storeless batch — only the *yield order* differs from the batch's
+    registry order, so variants are compared in registry order.
     """
 
     def _ordered(self, results):
@@ -232,19 +218,19 @@ class TestStreamingCampaignParity:
         def batch(**kwargs):
             return lambda: run_batch(None, context(**kwargs))
 
-        def stream(width, **kwargs):
-            return lambda: self._ordered(stream_experiments(None, context(**kwargs), max_inflight=width))
+        def stream(**kwargs):
+            return lambda: self._ordered(stream_experiments(None, context(**kwargs)))
 
         def scalar_stream():
             with vectorize.vectorize_disabled():
-                return self._ordered(stream_experiments(None, context(), max_inflight=1))
+                return self._ordered(stream_experiments(None, context()))
 
         def cacheless_stream():
             # caching off disables the translated-donor aliasing: the pass
             # executes those cells for real and must still match
             perf_cache.set_caching(False)
             try:
-                return self._ordered(stream_experiments(None, context(), max_inflight=1))
+                return self._ordered(stream_experiments(None, context()))
             finally:
                 perf_cache.set_caching(True)
 
@@ -252,13 +238,12 @@ class TestStreamingCampaignParity:
         results = assert_equivalent(
             {
                 "batch-serial-storeless": batch(),
-                "stream-serial-storeless": stream(1),
-                "stream-width-4-storeless": stream(4),
-                "stream-width-4-workers-4": stream(4, workers=4, executor="thread"),
+                "stream-serial-storeless": stream(),
+                "stream-workers-4": stream(workers=4, executor="thread"),
                 "scalar-stream-serial": scalar_stream,
                 "cacheless-stream-serial": cacheless_stream,
                 "batch-store-cold": batch(use_store=True, store_dir=store_dir),
-                "stream-width-4-store-warm": stream(4, use_store=True, store_dir=store_dir),
+                "stream-store-warm": stream(use_store=True, store_dir=store_dir),
             }
         )
         assert len(results["batch-serial-storeless"]) == 14
@@ -275,7 +260,7 @@ class TestStreamingCampaignParity:
         results = assert_equivalent(
             {
                 "batch": lambda: run_batch(selected, context()),
-                "stream-width-3": lambda: self._ordered(stream_experiments(selected, context(), max_inflight=3)),
+                "stream": lambda: self._ordered(stream_experiments(selected, context())),
             }
         )
         assert [result.experiment_id for result in results["batch"]] == selected

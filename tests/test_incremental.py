@@ -2,12 +2,12 @@
 
 What must hold (and is pinned here):
 
-* a suite-level store miss assembles the result from per-file ``file-results``
-  artifacts and executes *only* the files with no usable artifact,
+* every cell assembles its result from per-file ``file-results`` artifacts
+  and executes *only* the files with no usable artifact,
 * a corrupted / truncated / version-bumped per-file blob falls back to
   executing that one file — never aborting the suite, never serving garbage —
   and the bad blob is discarded,
-* ``incremental=False`` restores the execute-whole-suites path,
+* a translated donor cell loads the plain donor cell's files,
 * corpus generation is incremental too: per-file donor recordings persist in
   ``file-donor`` and sharded generation is byte-identical to serial.
 
@@ -21,7 +21,7 @@ import pickle
 
 import pytest
 
-from test_differential import _wipe, assert_equivalent
+from test_differential import assert_equivalent
 
 from repro.core.records import TestSuite
 from repro.core.transplant import run_transplant
@@ -33,6 +33,13 @@ from repro.store import ArtifactStore, canonical_bytes, store_disabled
 @pytest.fixture
 def store(tmp_path) -> ArtifactStore:
     return ArtifactStore(root=tmp_path / "store", fingerprint="incremental-fp")
+
+
+def _wipe(store: ArtifactStore, *namespaces: str) -> None:
+    """Delete every artifact of the given namespaces (forces re-derivation)."""
+    for namespace in namespaces:
+        for path in (store.root / namespace).rglob("*.pkl"):
+            path.unlink()
 
 
 def _edit_file(base: TestSuite, donor: TestSuite, index: int) -> TestSuite:
@@ -58,15 +65,13 @@ class TestAssembly:
     def test_fully_warm_assembly_executes_nothing(self, store):
         suite = build_suite("slt", file_count=3, records_per_file=15, seed=61, store=None)
         cold = run_transplant(suite, "duckdb", store=store)
-        # evict the suite-level cell (as LRU pressure would): the per-file
-        # artifacts alone must reconstitute the cell without execution
-        _wipe(store, "matrix-cells")
         store.stats.reset()
         warm = run_transplant(suite, "duckdb", store=store)
+        # the per-file artifacts alone reconstitute the cell: no execution,
+        # so nothing is written either
         assert store.stats.by_namespace["file-results"] == {"hits": 3, "misses": 0}
+        assert store.stats.writes == 0
         assert canonical_bytes(warm) == canonical_bytes(cold)
-        # and the assembled run re-persisted the suite-level cell
-        assert list((store.root / "matrix-cells").rglob("*.pkl"))
 
     def test_fully_warm_assembly_never_leases_an_adapter(self, store):
         """A rebuild with every file warm must not acquire (and reset) a
@@ -76,7 +81,6 @@ class TestAssembly:
         base = build_suite("slt", file_count=3, records_per_file=15, seed=68, store=None)
         donor = build_suite("slt", file_count=3, records_per_file=15, seed=69, store=None)
         cold = run_transplant(base, "duckdb", store=store)
-        _wipe(store, "matrix-cells")
         pool = AdapterPool()
         try:
             warm = run_transplant(base, "duckdb", store=store, pool=pool)
@@ -95,7 +99,6 @@ class TestAssembly:
         assembly path and vice versa (same keys, same namespace)."""
         suite = build_suite("slt", file_count=4, records_per_file=15, seed=63, store=None)
         sharded_cold = run_transplant(suite, "duckdb", workers=4, executor="thread", store=store)
-        _wipe(store, "matrix-cells", "donor-runs")
         store.stats.reset()
         serial_warm = run_transplant(suite, "duckdb", store=store)
         assert store.stats.by_namespace["file-results"] == {"hits": 4, "misses": 0}
@@ -106,7 +109,6 @@ class TestAssembly:
         execute that one file, not abort the suite or poison the result."""
         suite = build_suite("slt", file_count=3, records_per_file=15, seed=64, store=None)
         cold = run_transplant(suite, "duckdb", store=store)
-        _wipe(store, "matrix-cells")
         # truncate one per-file codec frame *inside* its (still valid) pickle:
         # the store layer reads it fine, only the codec can notice
         victim = sorted((store.root / "file-results").rglob("*.pkl"))[0]
@@ -119,7 +121,6 @@ class TestAssembly:
         assert store.stats.by_namespace["file-results"] == {"hits": 2, "misses": 1}
         assert store.stats.errors >= 1
         # the fallback overwrote the bad blob: the next assembly is all-hit
-        _wipe(store, "matrix-cells")
         store.stats.reset()
         rewarmed = run_transplant(suite, "duckdb", store=store)
         assert store.stats.by_namespace["file-results"] == {"hits": 3, "misses": 0}
@@ -128,7 +129,6 @@ class TestAssembly:
     def test_version_bumped_file_blob_is_a_miss_not_an_abort(self, store, monkeypatch):
         suite = build_suite("slt", file_count=3, records_per_file=15, seed=64, store=None)
         cold = run_transplant(suite, "duckdb", store=store)
-        _wipe(store, "matrix-cells")
         victim = sorted((store.root / "file-results").rglob("*.pkl"))[0]
         version, namespace, blob = pickle.loads(victim.read_bytes())
         bumped = blob[:3] + bytes([blob[3] + 1]) + blob[4:]  # magic "RRC" + version byte
@@ -151,19 +151,30 @@ class TestAssembly:
         assert canonical_bytes(incremental) == canonical_bytes(reference)
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_no_incremental_skips_file_level_artifacts(self, store, workers):
-        """The opt-out really opts out — including inside sharded workers,
-        which are store-aware only when the incremental feature is on."""
+    def test_cold_cell_persists_only_file_results(self, store, workers):
+        """A cold cell probes, executes and persists each file exactly once —
+        serially or inside sharded workers — and writes nothing else; the
+        warm replay is served from those files alone."""
         suite = build_suite("slt", file_count=3, records_per_file=15, seed=65, store=None)
-        full = run_transplant(suite, "duckdb", store=store, incremental=False, workers=workers, executor="thread")
-        # no per-file artifacts were written or probed...
-        assert "file-results" not in store.stats.by_namespace
-        assert not (store.root / "file-results").exists()
-        # ...but the suite-level cell still memoizes the warm replay
+        cold = run_transplant(suite, "duckdb", store=store, workers=workers, executor="thread")
+        assert store.stats.by_namespace == {"file-results": {"hits": 0, "misses": 3}}
+        written = [path.relative_to(store.root).parts[0] for path in store.root.rglob("*.pkl")]
+        assert written == ["file-results"] * 3
         store.stats.reset()
-        warm = run_transplant(suite, "duckdb", store=store, incremental=False, workers=workers, executor="thread")
-        assert store.stats.by_namespace["matrix-cells"] == {"hits": 1, "misses": 0}
-        assert canonical_bytes(warm) == canonical_bytes(full)
+        warm = run_transplant(suite, "duckdb", store=store, workers=workers, executor="thread")
+        assert store.stats.by_namespace == {"file-results": {"hits": 3, "misses": 0}}
+        assert canonical_bytes(warm) == canonical_bytes(cold)
+
+    def test_translated_donor_cell_loads_the_plain_cells_files(self, store):
+        """Translation is the identity donor-on-donor, so the translated
+        donor cell shares the plain cell's runner spec — and its files."""
+        suite = build_suite("slt", file_count=3, records_per_file=15, seed=70, store=None)
+        plain = run_transplant(suite, "sqlite", store=store)
+        store.stats.reset()
+        translated = run_transplant(suite, "sqlite", translate_dialect=True, store=store)
+        assert store.stats.by_namespace["file-results"] == {"hits": 3, "misses": 0}
+        assert store.stats.writes == 0
+        assert canonical_bytes(translated) == canonical_bytes(plain)
 
 
 class TestIncrementalAnalysis:
@@ -297,19 +308,3 @@ class TestIncrementalCorpus:
                 "rebuilt": rebuilt,
             }
         )
-
-
-class TestCLIAndContext:
-    def test_cli_incremental_flags_parse(self):
-        from repro.experiments.__main__ import main
-
-        assert main(["--no-incremental", "--list"]) == 0
-        assert main(["--incremental", "--list"]) == 0
-
-    def test_context_threads_incremental_flag(self):
-        from repro.experiments.context import ExperimentContext
-
-        with ExperimentContext(incremental=False) as context:
-            assert context.incremental is False
-        with ExperimentContext() as context:
-            assert context.incremental is True

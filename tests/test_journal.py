@@ -51,7 +51,6 @@ def _journal_with_history(path, spec):
             "slt",
             "sqlite",
             complete=True,
-            artifact="a" * 64,
             files=[{"path": "slt/f0.test", "artifact": "b" * 64}],
         )
         journal.cell_started("slt", "postgres")

@@ -81,11 +81,12 @@ class TestShardedParity:
 
 class TestShardedRunReport:
     def test_workers_1_runs_serially(self):
+        """One worker runs the whole suite as a single shard, file after file."""
         suite = build_suite("slt", file_count=2, records_per_file=10, seed=1)
         spec = RunnerSpec(adapter_name="duckdb", host_name="duckdb", donor_dialect="slt")
-        report = run_suite_sharded(suite, spec, workers=1)
-        assert report.executor == "serial"
+        report = run_suite_sharded(suite, spec, workers=1, executor="thread")
         assert report.workers == 1
+        assert [file_result.path for file_result in report.result.files] == [test_file.path for test_file in suite.files]
         assert report.result.total_cases == suite.total_records - sum(
             len(tf.control_records()) for tf in suite.files
         )
@@ -139,10 +140,12 @@ class _UnforkableAdapter(DBMSAdapter):
 class TestFallbacks:
     def test_unforkable_adapter_falls_back_to_serial(self):
         suite = build_suite("slt", file_count=2, records_per_file=10, seed=4)
-        runner = TestRunner(_UnforkableAdapter(), host_name="sqlite")
-        assert runner_spec_for(runner) is None
-        result = runner.run_suite(suite, workers=4)
+        adapter = _UnforkableAdapter()
+        assert runner_spec_for(TestRunner(adapter, host_name="sqlite")) is None
+        # no worker can rebuild the adapter: the cell runs serially on it
+        result = run_transplant(suite, "sqlite", adapter=adapter, workers=4).result
         assert len(result.files) == len(suite.files)
+        assert result.total_cases > 0
 
     def test_unregistered_adapter_name_falls_back_to_serial(self):
         class Named(_UnforkableAdapter):

@@ -17,13 +17,7 @@ from repro.perf import vectorize
 from repro.sqlparser.statements import split_statements, statement_type
 from repro.sqlparser.tokenizer import tokenize
 from repro.store import canonical_bytes
-from repro.store.codec import (
-    CodecError,
-    decode_file_result,
-    decode_suite_result,
-    encode_file_result,
-    encode_suite_result,
-)
+from repro.store.codec import CodecError, decode_file_result, encode_file_result
 
 # -- strategies -----------------------------------------------------------------
 
@@ -508,8 +502,10 @@ class TestCodecProperties:
             test_file, file_result = _fuzz_file(rng, index)
             suite.files.append(test_file)
             result.files.append(file_result)
-        blob = encode_suite_result(result, suite)
-        decoded = decode_suite_result(blob, suite, verify=True)
+        # a suite result persists as one frame per file (file-results)
+        decoded = SuiteResult(suite=result.suite, host=result.host)
+        for file_result, test_file in zip(result.files, suite.files):
+            decoded.files.append(decode_file_result(encode_file_result(file_result, test_file), test_file, verify=True))
         assert canonical_bytes(decoded) == canonical_bytes(result)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -319,27 +319,27 @@ class TestDonorRunStore:
 
     def test_donor_run_is_memoized(self, store, suite):
         first = run_transplant(suite, "sqlite", store=store)
-        # one suite-level cell plus one incremental-assembly entry per file
-        assert store.stats.writes == 1 + len(suite.files)
+        # one file-results entry per file, nothing at the suite level
+        assert store.stats.writes == len(suite.files)
         second = run_transplant(suite, "sqlite", store=store)
-        assert store.stats.hits == 1
+        assert store.stats.hits == len(suite.files)
+        assert store.stats.writes == len(suite.files)
         assert canonical_bytes(first) == canonical_bytes(second)
 
     def test_cross_host_cells_are_memoized(self, store, suite):
         first = run_transplant(suite, "duckdb", store=store)
-        assert store.stats.writes == 1 + len(suite.files)
+        assert store.stats.writes == len(suite.files)
         second = run_transplant(suite, "duckdb", store=store)
-        assert store.stats.hits == 1
+        assert store.stats.hits == len(suite.files)
         assert canonical_bytes(first) == canonical_bytes(second)
-        # cross-host cells land in their own namespace, apart from donor runs
-        assert (store.root / "matrix-cells").is_dir()
-        assert not (store.root / "donor-runs").exists()
+        # cross-host cells persist file by file, like donor runs
+        assert [path.name for path in store.root.iterdir() if path.is_dir()] == ["file-results"]
 
     def test_translated_and_plain_cells_key_separately(self, store, suite):
         plain = run_transplant(suite, "duckdb", store=store)
         translated = run_transplant(suite, "duckdb", translate_dialect=True, store=store)
-        cells = list((store.root / "matrix-cells").rglob("*.pkl"))
-        assert len(cells) == 2, "translate_dialect must address a different cell"
+        files = list((store.root / "file-results").rglob("*.pkl"))
+        assert len(files) == 2 * len(suite.files), "translate_dialect must address different files"
         warm_plain = run_transplant(suite, "duckdb", store=store)
         warm_translated = run_transplant(suite, "duckdb", translate_dialect=True, store=store)
         assert canonical_bytes(warm_plain) == canonical_bytes(plain)
@@ -388,8 +388,8 @@ class TestStoreCLI:
     def populated(self, tmp_path):
         root = tmp_path / "cli-store"
         store = ArtifactStore(root=root, fingerprint="cli-fp")
-        store.save("donor-runs", {"k": 1}, "d" * 2000)
-        store.save("matrix-cells", {"k": 1}, "m" * 3000)
+        store.save("corpus-suites", {"k": 1}, "d" * 2000)
+        store.save("file-results", {"k": 1}, "m" * 3000)
         return root, store
 
     def _run(self, *argv) -> tuple[int, str]:
@@ -408,7 +408,7 @@ class TestStoreCLI:
         status, output = self._run("store", "stats", "--store-dir", str(root))
         assert status == 0
         assert "entries:     2" in output
-        assert "matrix-cells" in output and "donor-runs" in output
+        assert "file-results" in output and "corpus-suites" in output
 
     def test_stats_json(self, populated):
         import json
@@ -418,7 +418,7 @@ class TestStoreCLI:
         assert status == 0
         payload = json.loads(output)
         assert payload["entries"] == 2
-        assert set(payload["namespaces"]) == {"donor-runs", "matrix-cells"}
+        assert set(payload["namespaces"]) == {"corpus-suites", "file-results"}
 
     def test_gc_trims_to_requested_budget(self, populated):
         root, store = populated
@@ -584,9 +584,8 @@ class TestAuditAndSweep:
         # rot under the pickle layer, would look like
         forged = MAGIC + bytes([CODEC_VERSION]) + b"12345678" + zlib.compress(b"payload")
         store.save("file-results", {"k": 1}, forged)
-        store.save("donor-runs", {"k": 2}, {"a.test": forged})  # bundle shape
         report = store.audit()
-        assert report["corrupt"] == 2
+        assert report["corrupt"] == 1
         assert report["verified"] == 0
 
     def test_intact_codec_frames_pass(self, store):

@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
-import threading
-import time
-
 import pytest
 
 from repro.errors import ReproError, UnknownExperimentError
@@ -126,30 +122,21 @@ def _register_fake(experiment_id, cells):
 
 
 class TestStreamEngine:
-    """Planner dedup, execute-once, backpressure, and ordering (fake cells)."""
+    """Planner dedup, execute-once, and ordering (fake cells)."""
 
     @pytest.fixture
     def fake_executor(self, monkeypatch):
         calls = []
-        lock = threading.Lock()
-        state = {"active": 0, "max_active": 0, "delay": 0.0}
 
-        def _fake_execute(context, key, workers, worker_pool):
-            with lock:
-                state["active"] += 1
-                state["max_active"] = max(state["max_active"], state["active"])
-                calls.append(key)
-            if state["delay"]:
-                time.sleep(state["delay"])
-            with lock:
-                state["active"] -= 1
+        def _fake_execute(context, key, journal):
+            calls.append(key)
             return f"cell({key.suite}->{key.host})"
 
         monkeypatch.setattr(stream_module, "_execute_transplant", _fake_execute)
-        return calls, state
+        return calls
 
     def test_shared_cells_execute_exactly_once(self, fake_executor):
-        calls, _state = fake_executor
+        calls = fake_executor
         shared = (CellKey("s1", "h1"), CellKey("s1", "h2"))
         ids = [
             _register_fake("tmp-a", shared),
@@ -166,7 +153,7 @@ class TestStreamEngine:
         assert results["tmp-b"].text.endswith("cell(s1->h3)")
 
     def test_warm_context_executes_nothing_new(self, fake_executor):
-        calls, _state = fake_executor
+        calls = fake_executor
         cells = (CellKey("s1", "h1"), CellKey("s1", "h2"))
         ids = [_register_fake("tmp-warm", cells)]
         try:
@@ -180,19 +167,6 @@ class TestStreamEngine:
         finally:
             unregister_experiment(ids[0])
 
-    def test_backpressure_bounds_inflight_cells(self, fake_executor):
-        calls, state = fake_executor
-        state["delay"] = 0.02
-        cells = tuple(CellKey("s1", f"h{index}") for index in range(8))
-        ids = [_register_fake("tmp-wide", cells)]
-        try:
-            list(stream_experiments(ids, _tiny_context(), max_inflight=3))
-        finally:
-            unregister_experiment(ids[0])
-        assert len(calls) == 8
-        # at most three cells in flight at once, and the lane actually overlapped
-        assert 2 <= state["max_active"] <= 3
-
     def test_serial_yield_order_analysis_first_then_completion(self, fake_executor):
         @register_experiment("tmp-pure", "pure analysis")
         def _pure(context):
@@ -204,7 +178,7 @@ class TestStreamEngine:
             "tmp-pure",
         ]
         try:
-            yielded = [r.experiment_id for r in stream_experiments(ids, _tiny_context(), max_inflight=1)]
+            yielded = [r.experiment_id for r in stream_experiments(ids, _tiny_context())]
         finally:
             for experiment_id in ids:
                 unregister_experiment(experiment_id)
@@ -213,7 +187,7 @@ class TestStreamEngine:
         assert yielded == ["tmp-pure", "tmp-early", "tmp-late"]
 
     def test_translated_donor_cell_aliases_to_plain(self, fake_executor):
-        calls, _state = fake_executor
+        calls = fake_executor
         cells = (CellKey("slt", "sqlite"), CellKey("slt", "sqlite", translate=True))
         ids = [_register_fake("tmp-alias", cells)]
         try:
@@ -226,7 +200,7 @@ class TestStreamEngine:
         assert results[0].text == "cell(slt->sqlite),cell(slt->sqlite)"
 
     def test_duplicate_selection_collapses(self, fake_executor):
-        calls, _state = fake_executor
+        calls = fake_executor
         ids = [_register_fake("tmp-dupsel", (CellKey("s1", "h1"),))]
         try:
             results = list(stream_experiments(["tmp-dupsel", "tmp-dupsel"], _tiny_context()))
@@ -243,9 +217,9 @@ class TestRealCampaignDedup:
         executed = []
         real_execute = stream_module._execute_transplant
 
-        def spy(context, key, workers, worker_pool):
+        def spy(context, key, journal):
             executed.append(key)
-            return real_execute(context, key, workers, worker_pool)
+            return real_execute(context, key, journal)
 
         monkeypatch.setattr(stream_module, "_execute_transplant", spy)
         run_all(_tiny_context())
@@ -262,64 +236,6 @@ class TestRealCampaignDedup:
         assert context._matrix is not None
         assert context._translated_matrix is not None
         assert context.donor_result("slt").suite == "slt"
-
-
-class TestAsyncAdapterPath:
-    def test_execute_async_matches_execute(self):
-        from repro.adapters.minidb_adapter import MiniDBAdapter
-
-        async def _go():
-            with MiniDBAdapter("sqlite") as adapter:
-                adapter.execute("CREATE TABLE t(a INTEGER)")
-                adapter.execute("INSERT INTO t VALUES (1), (2)")
-                return await adapter.execute_async("SELECT a FROM t ORDER BY a")
-
-        outcome = asyncio.run(_go())
-        assert outcome.ok
-        assert outcome.rows == [[1], [2]]
-
-    def test_run_suite_async_matches_sync_runner(self):
-        from repro.adapters.minidb_adapter import MiniDBAdapter
-        from repro.core.runner import TestRunner
-        from repro.corpus import build_suite
-        from repro.store import canonical_bytes
-
-        suite = build_suite("slt", file_count=2, records_per_file=12, seed=5, store=None)
-        with MiniDBAdapter("sqlite") as adapter:
-            sync_result = TestRunner(adapter, host_name="sqlite").run_suite(suite)
-
-        async def _go():
-            with MiniDBAdapter("sqlite") as adapter:
-                return await adapter.run_suite_async(suite, host_name="sqlite")
-
-        async_result = asyncio.run(_go())
-        assert canonical_bytes(async_result) == canonical_bytes(sync_result)
-
-    def test_run_suite_async_runs_adapters_concurrently(self):
-        from repro.adapters.minidb_adapter import MiniDBAdapter
-        from repro.core.runner import TestRunner
-        from repro.corpus import build_suite
-        from repro.store import canonical_bytes
-
-        suite = build_suite("slt", file_count=2, records_per_file=12, seed=5, store=None)
-
-        async def _go():
-            adapters = [MiniDBAdapter("sqlite"), MiniDBAdapter("duckdb")]
-            for adapter in adapters:
-                adapter.setup()
-            try:
-                return await asyncio.gather(
-                    *(adapter.run_suite_async(suite, host_name=adapter.name) for adapter in adapters)
-                )
-            finally:
-                for adapter in adapters:
-                    adapter.teardown()
-
-        first, second = asyncio.run(_go())
-        with MiniDBAdapter("sqlite") as adapter:
-            reference = TestRunner(adapter, host_name="sqlite").run_suite(suite)
-        assert canonical_bytes(first) == canonical_bytes(reference)
-        assert second.suite == suite.name
 
 
 class TestStreamCli:
@@ -365,17 +281,3 @@ class TestStreamJournaling:
         # every executed cell of the pass finished and was journaled complete
         assert completed
         assert all(suite and host for suite, host in completed)
-
-    def test_fakes_without_journal_kwarg_still_work(self, monkeypatch):
-        # third-party stand-ins for _execute_transplant predate the journal
-        # kwarg; an unjournaled pass must keep calling them positionally
-        def legacy(context, key, workers, worker_pool):
-            return f"cell({key.suite}->{key.host})"
-
-        monkeypatch.setattr(stream_module, "_execute_transplant", legacy)
-        experiment_id = _register_fake("tmp-journal-legacy", (CellKey("s1", "h1"),))
-        try:
-            results = list(stream_experiments([experiment_id], _tiny_context()))
-        finally:
-            unregister_experiment(experiment_id)
-        assert len(results) == 1
