@@ -98,11 +98,12 @@ INCREMENTAL_EDIT_INDEX = 2
 MIN_INCREMENTAL_SPEEDUP = float(os.environ.get("BENCH_MIN_INCREMENTAL_SPEEDUP", "5.0"))
 
 #: Floor of the incremental-*analysis* benchmark (same edit-1-of-8 workload):
-#: assembling all four RQ1/RQ2 analysis passes from warm ``file-analysis``
-#: partials — re-scanning only the edited file — must beat the direct
-#: whole-suite re-scan by this factor in process CPU time.  The ideal ratio
-#: is INCREMENTAL_FILES (scan 1 file instead of 8), so the floor leaves room
-#: for the partial-frame decode overhead without letting the win evaporate.
+#: assembling all five analysis passes (the four RQ1/RQ2 scans and Table 8
+#: coverage) from warm ``file-analysis`` partials — re-analyzing only the
+#: edited file — must beat the direct whole-suite re-analysis by this factor
+#: in process CPU time.  The ideal ratio is INCREMENTAL_FILES (analyze 1
+#: file instead of 8), so the floor leaves room for the partial-frame decode
+#: overhead without letting the win evaporate.
 #: The files are deeper than the execution benchmark's: loading a partial
 #: frame costs the same regardless of file depth, so deeper files amortize
 #: the fixed per-artifact overhead and the ratio approaches the ideal.
@@ -789,8 +790,9 @@ def test_pipeline_analysis_warm(benchmark, tmp_path):
     A cold :meth:`SuiteAnalyzer.full_report` seeds one ``file-analysis``
     partial per (file, pass); then one file is "edited" (replaced with a file
     generated from another seed).  The warm assembly must load the 7
-    untouched files' partials for all four passes and re-scan exactly the
-    edited file; the cold side is the direct whole-suite re-scan
+    untouched files' partials for all five passes — the four RQ1/RQ2 scans
+    and Table 8's per-engine coverage — and re-analyze exactly the edited
+    file; the cold side is the direct whole-suite re-analysis
     (:func:`direct_report`, what every table/figure driver did before the
     analysis layer went incremental).  Both sides run best-of-three with
     cleared statement caches, and the warm side's fresh artifacts are removed

@@ -3,7 +3,7 @@
 The per-file partial (:func:`file_size_profile`) is trivially small — one
 line count — but routing it through the same partial/merge shape as the
 other scanners lets the incremental analysis layer
-(:mod:`repro.analysis.incremental`) treat all four passes uniformly.
+(:mod:`repro.analysis.incremental`) treat every pass uniformly.
 """
 
 from __future__ import annotations

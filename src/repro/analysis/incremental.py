@@ -1,12 +1,13 @@
-"""Incremental, store-backed RQ1/RQ2 analysis passes.
+"""Incremental, store-backed analysis passes (RQ1/RQ2 scans and Table 8 coverage).
 
 Execution became incremental in the campaign layer (``file-results``:
 per-file artifacts, suite answers assembled from them), but the analysis
-scanners behind Tables 2-3 and Figures 1-3 still re-scanned whole suites in
-every process.  This module closes that gap: every scanner is a per-file
-partial (see the four ``file_*`` functions in the scanner modules) plus an
-associative merge, so suite-level answers assemble from cached partials and
-editing 1 of N files re-analyzes exactly 1 file.
+scanners behind Tables 2-3 and Figures 1-3, and the coverage runs behind
+Table 8, still re-read whole suites in every process.  This module closes
+that gap: every analysis is a per-file partial (see the ``file_*`` functions
+in the scanner modules and :mod:`repro.core.coverage`) plus an associative
+merge, so suite-level answers assemble from cached partials and editing 1 of
+N files re-analyzes exactly 1 file.
 
 The store contract mirrors ``file-results``:
 
@@ -34,20 +35,23 @@ from collections import Counter
 from typing import Callable
 
 from repro.analysis import features, filesize, predicates, statements
+from repro.core import coverage
 from repro.core.records import TestFile, TestSuite
 from repro.store import artifacts as artifact_store
 from repro.store import codec as result_codec
 from repro.store.keys import FILE_ANALYSIS_NAMESPACE, analysis_file_key
 
-#: The four analysis passes: pass id -> module-level per-file scan function.
+#: The analysis passes: pass id -> module-level per-file scan function.
 #: Scans are pure functions of the file (picklable, so process-pool workers
 #: can receive them); the pass id is the store-key component that keeps one
-#: file's partials apart.
+#: file's partials apart.  ``coverage`` executes the file on each Table 8
+#: engine; the others only read it.
 ANALYSIS_PASSES: dict[str, Callable[[TestFile], dict]] = {
     "features": features.file_command_census,
     "statements": statements.file_statement_profile,
     "predicates": predicates.file_predicate_profile,
     "filesize": filesize.file_size_profile,
+    "coverage": coverage.file_coverage_partial,
 }
 
 
@@ -126,7 +130,7 @@ def suite_partials(
 
 
 class SuiteAnalyzer:
-    """Store-backed, incremental versions of the four RQ1/RQ2 scanners.
+    """Store-backed, incremental versions of the RQ1/RQ2 scanners and Table 8 coverage.
 
     Binds the store/worker configuration once; every method probes the
     ``file-analysis`` namespace per file and assembles the suite-level
@@ -204,6 +208,14 @@ class SuiteAnalyzer:
         """Incremental :func:`repro.analysis.filesize.size_summary`."""
         return filesize.summarize_sizes(suite.name, self.file_size_distribution(suite))
 
+    # -- engine feature coverage (Table 8) -----------------------------------------
+
+    def coverage_reports(self, suite: TestSuite) -> dict[str, coverage.CoverageReport]:
+        """Incremental :func:`repro.core.coverage.measure_coverage` of ``suite`` on
+        every engine in :data:`~repro.core.coverage.COVERAGE_DIALECTS`."""
+        merged = coverage.merge_coverage_partials(self.partials(suite, "coverage"))
+        return {dialect: coverage.CoverageReport(dialect, set(exercised)) for dialect, exercised in merged.items()}
+
     # -- everything at once --------------------------------------------------------
 
     def full_report(self, suite: TestSuite) -> dict:
@@ -217,7 +229,7 @@ class SuiteAnalyzer:
         stmts = statements.merge_statement_profiles(self.partials(suite, "statements"))
         preds = predicates.merge_predicate_profiles(self.partials(suite, "predicates"))
         sizes = filesize.sizes_from_profiles(self.partials(suite, "filesize"))
-        return _assemble_report(suite.name, census, stmts, preds, sizes)
+        return _assemble_report(suite.name, census, stmts, preds, sizes, self.coverage_reports(suite))
 
 
 def direct_report(suite: TestSuite) -> dict:
@@ -231,10 +243,16 @@ def direct_report(suite: TestSuite) -> dict:
         statements.merge_statement_profiles(statements.file_statement_profile(test_file) for test_file in suite.files),
         predicates.merge_predicate_profiles(predicates.file_predicate_profile(test_file) for test_file in suite.files),
         filesize.file_size_distribution(suite),
+        {
+            dialect: coverage.measure_coverage(dialect, [test_file.statements() for test_file in suite.files])
+            for dialect in coverage.COVERAGE_DIALECTS
+        },
     )
 
 
-def _assemble_report(suite_name: str, census: dict, stmts: dict, preds: dict, sizes: list[int]) -> dict:
+def _assemble_report(
+    suite_name: str, census: dict, stmts: dict, preds: dict, sizes: list[int], coverage_reports: dict
+) -> dict:
     return {
         "command_census": census,
         "statement_distribution": statements.distribution_from_profiles(stmts),
@@ -246,4 +264,5 @@ def _assemble_report(suite_name: str, census: dict, stmts: dict, preds: dict, si
         "size_summary": filesize.summarize_sizes(suite_name, sizes),
         "size_histogram": filesize.log_histogram(sizes),
         "sizes": list(sizes),
+        "coverage": coverage_reports,
     }

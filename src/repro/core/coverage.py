@@ -15,8 +15,10 @@ than any single suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.adapters.minidb_adapter import MiniDBAdapter
+from repro.core.records import TestFile
 from repro.dialects.base import DialectProfile, get_dialect
 
 #: Executor / statement features every dialect's engine exposes.
@@ -82,8 +84,8 @@ _COMMON_FEATURES = [
     "aggregate.max",
 ]
 
-#: Coarse families used for the "line"-style coverage figure.
-_FAMILIES = ("executor", "statement", "transaction", "expression", "operator", "aggregate", "function", "type", "semantic")
+#: The engines Table 8 measures, in the order its rows print.
+COVERAGE_DIALECTS = ("sqlite", "duckdb", "postgres")
 
 
 def feature_universe(dialect: DialectProfile | str) -> set[str]:
@@ -110,16 +112,6 @@ def feature_universe(dialect: DialectProfile | str) -> set[str]:
     if profile.row_value_null_comparison == "true":
         universe.add("semantic.row_value_null_true")
     return universe
-
-
-def family_universe(dialect: DialectProfile | str) -> set[str]:
-    """The coarse (line-level) universe: one entry per (family, subfamily)."""
-    coarse = set()
-    for feature in feature_universe(dialect):
-        family, _, rest = feature.partition(".")
-        head = rest.split(".")[0][:1] if family in ("function", "type") else rest
-        coarse.add(f"{family}.{head}" if family in ("function", "type") else feature.rsplit(".", 1)[0] + "." + rest.split(".")[0])
-    return coarse
 
 
 @dataclass
@@ -185,3 +177,25 @@ def combine_reports(dialect: str, reports: list[CoverageReport]) -> CoverageRepo
     for report in reports:
         combined.exercised |= report.exercised
     return combined
+
+
+def file_coverage_partial(test_file: TestFile) -> dict[str, list[str]]:
+    """The features one test file exercises on each Table 8 engine.
+
+    Each engine runs the file on a fresh session, as :func:`measure_coverage`
+    resets before every file of a suite, so the union of a suite's per-file
+    partials is its whole-suite measurement.  ``measure_coverage`` is resolved through
+    this module's globals on every call: a wrapper bound to
+    ``repro.core.coverage.measure_coverage`` sees each measurement.
+    """
+    statements = test_file.statements()
+    return {dialect: sorted(measure_coverage(dialect, [statements]).exercised) for dialect in COVERAGE_DIALECTS}
+
+
+def merge_coverage_partials(partials: Iterable[dict[str, list[str]]]) -> dict[str, list[str]]:
+    """Union per-file :func:`file_coverage_partial` results per engine (any order or split)."""
+    merged: dict[str, set[str]] = {dialect: set() for dialect in COVERAGE_DIALECTS}
+    for partial in partials:
+        for dialect, features in partial.items():
+            merged[dialect].update(features)
+    return {dialect: sorted(features) for dialect, features in merged.items()}

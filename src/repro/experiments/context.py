@@ -123,15 +123,16 @@ class ExperimentContext:
 
     @property
     def analysis(self):
-        """The campaign's incremental RQ1/RQ2 analyzer (store- and pool-backed).
+        """The campaign's incremental analyzer (store- and pool-backed).
 
-        Every analysis-driven experiment (tables 2-3, figures 1-3) scans
-        suites through this :class:`~repro.analysis.incremental.SuiteAnalyzer`
-        instead of re-scanning whole suites: per-file partials are served
-        from the store's ``file-analysis`` namespace and only changed files
-        are re-analyzed, fanned over the same worker pool the campaigns
-        execute on.  Storeless contexts (``use_store=False``) degrade to
-        direct scans — value-identical either way.
+        Every analysis-driven experiment (tables 2-3 and 8, figures 1-3)
+        reads suites through this
+        :class:`~repro.analysis.incremental.SuiteAnalyzer` instead of
+        re-scanning or re-executing whole suites: per-file partials are
+        served from the store's ``file-analysis`` namespace and only changed
+        files are re-analyzed, fanned over the same worker pool the
+        campaigns execute on.  Storeless contexts (``use_store=False``)
+        analyze every file — value-identical either way.
         """
         if self._analysis is None:
             from repro.analysis.incremental import SuiteAnalyzer

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from repro.core.coverage import combine_reports, measure_coverage
+from repro.core.coverage import combine_reports
 from repro.core.report import format_percentage, format_table
 from repro.corpus.profiles import TABLE8_COVERAGE
 from repro.experiments.base import Experiment, ExperimentNeeds, register_experiment
 from repro.experiments.context import ExperimentContext, ExperimentResult
-from repro.dialects.translator import translate
 from repro.dialects import ALL_DIALECTS
 
 EXPERIMENT_ID = "table8"
@@ -15,11 +14,6 @@ TITLE = "Table 8: engine feature coverage — original suite vs. SQuaLity union"
 
 #: engine (dialect) -> the suite originally written for it
 _ORIGINAL_SUITE = {"sqlite": "slt", "duckdb": "duckdb", "postgres": "postgres"}
-
-
-def _statement_lists(context: ExperimentContext, suite_name: str) -> list[list[str]]:
-    suite = context.suites[suite_name]
-    return [test_file.statements() for test_file in suite.files]
 
 
 @register_experiment(
@@ -43,8 +37,11 @@ def run(context: ExperimentContext) -> ExperimentResult:
 def _build(context: ExperimentContext) -> ExperimentResult:
     rows = []
     data: dict = {}
+    # suite -> engine -> that suite's coverage on the engine, assembled from
+    # per-file partials in the store (a warm replay executes nothing here)
+    measured = {suite: context.analysis.coverage_reports(context.suites[suite]) for suite in _ORIGINAL_SUITE.values()}
     for engine, original_suite in _ORIGINAL_SUITE.items():
-        original = measure_coverage(engine, _statement_lists(context, original_suite))
+        original = measured[original_suite][engine]
         # SQuaLity = the union of all three suites executed on this engine,
         # with the foreign suites' statements passed through as-is (the same
         # statements the unified runner sends).
@@ -52,7 +49,7 @@ def _build(context: ExperimentContext) -> ExperimentResult:
         for other_suite in _ORIGINAL_SUITE.values():
             if other_suite == original_suite:
                 continue
-            reports.append(measure_coverage(engine, _statement_lists(context, other_suite)))
+            reports.append(measured[other_suite][engine])
         union = combine_reports(engine, reports)
         paper = TABLE8_COVERAGE[engine]
         rows.append(

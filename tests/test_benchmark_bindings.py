@@ -141,6 +141,33 @@ class TestSpanHooks:
         assert counter == "experiments.records"
         assert count_of((None, "key", result), None) == 0
 
+    def test_coverage_pass_measures_through_the_traced_binding(self, tracer, monkeypatch):
+        """The ``coverage`` analysis pass must call ``measure_coverage`` through
+        the module global the tracer wraps, or the ``core.coverage.measure``
+        layer would silently read 0."""
+        from repro.analysis.incremental import ANALYSIS_PASSES
+        from repro.core.coverage import COVERAGE_DIALECTS
+        from repro.corpus import build_suite
+
+        (module_name, attribute), = [
+            (module_name, attribute)
+            for module_name, attribute, span in tracer.SPAN_TARGETS
+            if span == "core.coverage.measure"
+        ]
+        module = importlib.import_module(module_name)
+        measure = getattr(module, attribute)
+        measured = []
+
+        def counting(dialect, statement_lists):
+            measured.append(dialect)
+            return measure(dialect, statement_lists)
+
+        monkeypatch.setattr(module, attribute, counting)
+        test_file = build_suite("slt", file_count=1, records_per_file=10, seed=5, store=None).files[0]
+        partial = ANALYSIS_PASSES["coverage"](test_file)
+        assert measured == list(COVERAGE_DIALECTS)
+        assert list(partial) == list(COVERAGE_DIALECTS)
+
     def test_finalize_hook_reads_the_experiment_id(self, tracer):
         from repro.experiments.base import Experiment
 

@@ -17,9 +17,12 @@ import pytest
 
 from repro.analysis import ANALYSIS_PASSES
 from repro.analysis.incremental import SuiteAnalyzer, direct_report
+from repro.core import coverage
 from repro.core.records import TestSuite
 from repro.core.transplant import run_transplant
 from repro.corpus import build_suite
+from repro.experiments import ExperimentContext, run_experiment
+from repro.experiments.context import ExperimentResult
 from repro.perf import vectorize
 from repro.store import ArtifactStore, canonical_bytes
 
@@ -133,11 +136,12 @@ class TestCampaignVariants:
 class TestAnalysisVariants:
     """Incremental analysis == the direct whole-suite scanners, byte for byte.
 
-    The analysis counterpart of :class:`TestCampaignVariants`: every RQ1/RQ2
+    The analysis counterpart of :class:`TestCampaignVariants`: every analysis
     answer (Table 2 census, Figure 2 distribution, both Table 3 variants,
-    Figure 3 predicates/joins, Figure 1 sizes) assembled from ``file-analysis``
-    partials must be byte-identical — canonical serialization — to the direct
-    scan, cold store, warm store, storeless, and at workers 1 and 4.
+    Figure 3 predicates/joins, Figure 1 sizes, Table 8 coverage) assembled
+    from ``file-analysis`` partials must be byte-identical — canonical
+    serialization — to the direct scan, cold store, warm store, storeless,
+    and at workers 1 and 4.
     """
 
     @pytest.mark.parametrize("suite_name", ("slt", "postgres"))
@@ -185,6 +189,152 @@ class TestAnalysisVariants:
         passes = len(ANALYSIS_PASSES)
         lookups = store.stats.by_namespace["file-analysis"]
         assert lookups == {"hits": 3 * passes, "misses": 1 * passes}
+
+
+def whole_suite_table8(suites: dict[str, TestSuite]) -> ExperimentResult:
+    """Table 8 built from whole-suite measurements: one :func:`measure_coverage`
+    per (engine, suite), unioned per engine with :func:`combine_reports`.
+
+    The reference the store-backed experiment is pinned against; it renders
+    the table itself so that the experiment's assembly is checked end to end.
+    """
+    from repro.core.report import format_percentage, format_table
+    from repro.corpus.profiles import TABLE8_COVERAGE
+    from repro.dialects import ALL_DIALECTS
+    from repro.experiments.table8 import EXPERIMENT_ID, TITLE
+
+    original_suite = {"sqlite": "slt", "duckdb": "duckdb", "postgres": "postgres"}
+
+    def measure(engine, suite_name):
+        return coverage.measure_coverage(engine, [test_file.statements() for test_file in suites[suite_name].files])
+
+    rows, data = [], {}
+    for engine, own in original_suite.items():
+        original = measure(engine, own)
+        foreign = [measure(engine, other) for other in original_suite.values() if other != own]
+        union = coverage.combine_reports(engine, [original, *foreign])
+        paper = TABLE8_COVERAGE[engine]
+        measured = {
+            "original": (original.line_coverage, original.branch_coverage),
+            "squality": (union.line_coverage, union.branch_coverage),
+        }
+        cells = zip((*paper["original"], *paper["squality"]), (*measured["original"], *measured["squality"]))
+        rows.append(
+            [ALL_DIALECTS[engine].display_name]
+            + [f"{format_percentage(quoted, 1)} / {format_percentage(ours, 1)}" for quoted, ours in cells]
+        )
+        data[engine] = {"paper": paper, "measured": measured}
+    text = format_table(
+        ["Engine", "Original line (paper/measured)", "Original branch", "SQuaLity line", "SQuaLity branch"],
+        rows,
+        title=TITLE,
+    )
+    note = (
+        "\nThe preserved relationships: SQuaLity's union always covers at least as much as the\n"
+        "original suite, with the largest gain for SQLite (whose own SLT exercises only the\n"
+        "standard-compliant core) and small gains for DuckDB and PostgreSQL."
+    )
+    return ExperimentResult(experiment_id=EXPERIMENT_ID, title=TITLE, text=text + note, data=data)
+
+
+class TestTable8Variants:
+    """Table 8 from per-file ``coverage`` partials == whole-suite measurement.
+
+    The experiment assembles each suite's coverage through the context's
+    :class:`SuiteAnalyzer`; its text and data must be byte-identical to
+    :func:`whole_suite_table8` storeless, on a cold store, on a warm store
+    (which executes no coverage statement at all) and with the misses fanned
+    over a two-worker process pool.
+    """
+
+    SCALE, SEED = 0.06, 7
+
+    def _table8(self, **kwargs):
+        kwargs.setdefault("use_store", False)
+
+        def run():
+            with ExperimentContext(scale=self.SCALE, seed=self.SEED, **kwargs) as context:
+                return run_experiment("table8", context)
+
+        return run
+
+    @pytest.fixture
+    def measured(self, monkeypatch):
+        """Engines handed to ``measure_coverage`` (by the parent process), in call order."""
+        calls = []
+        measure = coverage.measure_coverage
+
+        def counting(dialect, statement_lists):
+            calls.append(dialect)
+            return measure(dialect, statement_lists)
+
+        monkeypatch.setattr(coverage, "measure_coverage", counting)
+        return calls
+
+    def test_table8_matches_whole_suite_reference(self, tmp_path, measured):
+        with ExperimentContext(scale=self.SCALE, seed=self.SEED, use_store=False) as context:
+            suites = context.suites
+        file_count = sum(len(suite.files) for suite in suites.values())
+        store_dir = str(tmp_path / "store")
+        calls = {}
+
+        def counted(label, variant):
+            def run():
+                measured.clear()
+                result = variant()
+                calls[label] = len(measured)
+                return result
+
+            return run
+
+        assert_equivalent(
+            {
+                "whole-suite-reference": lambda: whole_suite_table8(suites),
+                "storeless": counted("storeless", self._table8()),
+                "store-cold": counted("store-cold", self._table8(use_store=True, store_dir=store_dir)),
+                "store-warm": counted("store-warm", self._table8(use_store=True, store_dir=store_dir)),
+                "process-workers-2": self._table8(
+                    use_store=True, store_dir=str(tmp_path / "sharded-store"), workers=2, executor="process"
+                ),
+            }
+        )
+        engines = len(coverage.COVERAGE_DIALECTS)
+        # one fresh-session measurement per (file, engine) when nothing is
+        # stored; a warm store serves every partial and measures nothing
+        assert calls == {"storeless": engines * file_count, "store-cold": engines * file_count, "store-warm": 0}
+
+    def test_single_file_edit_measures_one_file_per_suite(self, tmp_path, measured, monkeypatch):
+        store_dir = str(tmp_path / "store")
+        self._table8(use_store=True, store_dir=store_dir)()  # seed one partial per (file, pass)
+        with ExperimentContext(scale=self.SCALE, seed=self.SEED + 1, use_store=False) as other:
+            donors = other.suites
+
+        with ExperimentContext(scale=self.SCALE, seed=self.SEED, store_dir=store_dir) as context:
+            # "edit" file 1 of every suite: same path, another seed's content
+            for name, base in list(context.suites.items()):
+                edited = [base.files[0], donors[name].files[1], *base.files[2:]]
+                context.suites[name] = TestSuite(name=name, files=edited)
+            lookups = {}
+            partials = context.analysis.partials
+
+            def counting_partials(suite, pass_id):
+                before = dict(context.store.stats.by_namespace.get("file-analysis", {"hits": 0, "misses": 0}))
+                found = partials(suite, pass_id)
+                after = context.store.stats.by_namespace["file-analysis"]
+                lookups[suite.name] = {outcome: after[outcome] - before[outcome] for outcome in ("hits", "misses")}
+                return found
+
+            monkeypatch.setattr(context.analysis, "partials", counting_partials)
+            reference = whole_suite_table8(context.suites)
+            measured.clear()
+            assert_equivalent(
+                {"whole-suite-reference": reference, "edited-warm": lambda: run_experiment("table8", context)}
+            )
+            # the coverage pass loaded every untouched file and measured only
+            # the edited one of each suite, on every engine
+            expected = {name: {"hits": len(suite.files) - 1, "misses": 1} for name, suite in context.suites.items()}
+            assert lookups == expected
+            assert len(measured) == len(coverage.COVERAGE_DIALECTS) * len(context.suites)
 
 
 class TestStreamingCampaignParity:

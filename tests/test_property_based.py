@@ -9,6 +9,7 @@ from repro.analysis import features, filesize, predicates, statements
 from repro.analysis.incremental import ANALYSIS_PASSES
 from repro.corpus import build_suite
 from repro.core.comparison import ComparisonResult, normalize_value, result_hash
+from repro.core.coverage import COVERAGE_DIALECTS, measure_coverage, merge_coverage_partials
 from repro.core.records import QueryRecord, StatementRecord, TestFile, TestSuite
 from repro.core.runner import FileResult, RecordOutcome, RecordResult, SuiteResult
 from repro.engine.session import Session
@@ -218,6 +219,14 @@ class TestAnalysisMergeLaws:
             filesize.size_summary(suite)
         )
         assert filesize.log_histogram(sizes) == filesize.log_histogram(filesize.file_size_distribution(suite))
+
+        # coverage (Table 8): per engine, the union of the per-file features
+        # == the whole-suite measurement
+        merged = merge_coverage_partials(shuffled("coverage"))
+        statement_lists = [test_file.statements() for test_file in suite.files]
+        assert merged == {
+            dialect: sorted(measure_coverage(dialect, statement_lists).exercised) for dialect in COVERAGE_DIALECTS
+        }
 
     @given(st.lists(st.integers(min_value=0, max_value=10**7), max_size=60))
     @settings(max_examples=100)
