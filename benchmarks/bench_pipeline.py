@@ -27,7 +27,7 @@ from _harness import update_pipeline_report
 from repro.analysis.predicates import join_usage, predicate_distribution
 from repro.analysis.statements import standard_compliance, statement_type_distribution
 from repro.core.records import TestSuite
-from repro.core.transplant import DEFAULT_HOSTS, run_matrix, run_transplant
+from repro.core.transplant import DEFAULT_HOSTS, CellKey, TransplantMatrix, run_cells, run_matrix, run_transplant
 from repro.corpus import build_suite
 from repro.engine.session import Session
 from repro.perf import cache as perf_cache
@@ -119,15 +119,23 @@ def _analysis_pass(suite):
     join_usage(suite)
 
 
+def _plain_and_translated(suites, **kwargs):
+    """The plain and translated matrices from one ``run_cells`` campaign, so
+    each translated donor cell is served by its plain sibling."""
+    cells = [CellKey(name, host, translate) for translate in (False, True) for name in suites for host in DEFAULT_HOSTS]
+    matrices = (TransplantMatrix(), TransplantMatrix())
+    for cell, result in zip(cells, run_cells(suites, cells, **kwargs)):
+        matrices[cell.translate].add(result)
+    return matrices
+
+
 def _campaign(suite, workers):
     """Analyses + plain matrix + translated matrix for one suite."""
     _analysis_pass(suite)
-    suites = {suite.name: suite}
-    plain = run_matrix(suites, workers=workers)
-    translated = run_matrix(suites, workers=workers, translate_dialect=True, reuse_donor_runs_from=plain)
+    matrices = _plain_and_translated({suite.name: suite}, workers=workers)
     # post-execution drivers (compliance and predicate tables) re-scan the suite
     _analysis_pass(suite)
-    return plain, translated
+    return matrices
 
 
 def _matrix_counts(matrix):
@@ -376,9 +384,7 @@ def _store_campaign(store):
         suites[name] = build_suite(
             name, file_count=file_count, records_per_file=records_per_file, seed=STORE_CAMPAIGN_SEED, store=store
         )
-    plain = run_matrix(suites, store=store)
-    translated = run_matrix(suites, translate_dialect=True, reuse_donor_runs_from=plain, store=store)
-    return plain, translated
+    return _plain_and_translated(suites, store=store)
 
 
 def _matrix_result_bytes(matrices):

@@ -24,11 +24,6 @@ class ExecutionStatus(enum.Enum):
     CRASH = "crash"
     HANG = "hang"
 
-    @property
-    def is_abnormal(self) -> bool:
-        """Crashes and hangs are never expected outcomes (Section 9)."""
-        return self in (ExecutionStatus.CRASH, ExecutionStatus.HANG)
-
 
 @dataclass
 class ExecutionOutcome:
@@ -82,10 +77,6 @@ class ExecutionOutcome:
     @property
     def is_query_result(self) -> bool:
         return self.ok and bool(self.columns)
-
-    def flat_values(self) -> list[str]:
-        """All rendered values in row-major order (SLT value-wise comparison)."""
-        return [value for row in self.rendered for value in row]
 
 
 class DBMSAdapter(ABC):

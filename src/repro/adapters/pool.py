@@ -145,7 +145,8 @@ class AdapterPool:
             detail = self.breaker.quarantine_detail(key)
             raise AdapterQuarantinedError(
                 f"adapter {key[0]!r} is quarantined after repeated infrastructure failures"
-                + (f": {detail}" if detail else "")
+                + (f": {detail}" if detail else ""),
+                detail=detail,
             )
         with self._lock:
             if self._closed:
@@ -210,7 +211,7 @@ class AdapterPool:
         """Tear down every idle adapter; leased ones are torn down on release.
 
         Best-effort, never raises: close() runs from ``finally`` blocks
-        (``run_matrix``, ``ExperimentContext.close``) where a teardown error
+        (``run_cells``, ``ExperimentContext.close``) where a teardown error
         would mask the in-flight failure that actually matters.  Per-adapter
         isolation means one bad teardown (e.g. a thread-affine sqlite3
         connection closed from another thread) cannot leak the rest; anything

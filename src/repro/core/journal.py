@@ -4,25 +4,26 @@ A campaign that dies mid-flight (SIGKILL, OOM, power loss) loses every piece
 of in-memory coordination state.  The journal makes campaign progress durable: an
 append-only JSONL file, one fsync'd line per event, recording which matrix
 cells started and finished (and which per-file artifacts they produced).
-Replaying the journal after a crash reconstructs exactly where the campaign
-stood, and a resumed ``run_matrix(journal=...)`` re-enters only the cells
-the journal does not show as complete — the per-file ``file-results``
-artifacts the dead process already persisted make that re-entry cost only
-the files that were genuinely in flight.
+:func:`repro.core.transplant.run_cells` — the one campaign loop, under both
+``run_matrix`` and the experiments' streaming pass — writes it.  Replaying
+the journal after a crash reconstructs exactly where the campaign stood, and
+a resumed campaign replays its warm cells from the store: the per-file
+``file-results`` artifacts the dead process already persisted make that
+re-entry cost only the files that were genuinely in flight.
 
 Identity and placement:
 
 * A campaign is identified by :func:`campaign_id` — the SHA-256 of the
-  canonical matrix spec (suite content hashes, hosts, tolerance, translation
-  switch, record cap) plus the store's code fingerprint.  Two processes
-  running the same campaign against the same store derive the same id; a
-  code change or a different matrix derives a different one, and opening a
-  journal whose recorded id does not match raises
+  canonical cell spec (suite content hashes, hosts, tolerance, translation
+  switch) plus the store's code fingerprint.  Two processes running the
+  same campaign against the same store derive the same id; a code change or
+  a different set of cells derives a different one, and opening a journal
+  whose recorded id does not match raises
   :class:`~repro.errors.JournalMismatchError` instead of mixing campaigns.
 * By default journals live under the store (``<store root>/journals/``),
   one file per campaign id, so ``--resume-from <dir>`` can point at the
-  directory and each campaign of a multi-matrix run (plain + translated)
-  finds its own journal.
+  directory and each campaign of a run (plain and translated cells) finds
+  its own journal.
 
 Durability and torn tails:
 
@@ -69,9 +70,8 @@ def campaign_spec(
     hosts: tuple[str, ...],
     float_tolerance: float = 0.0,
     translate_dialect: bool = False,
-    max_records_per_file: int | None = None,
 ) -> dict:
-    """The canonical description of one ``run_matrix`` campaign.
+    """The canonical description of one campaign of cells (see ``run_cells``).
 
     Suites join by *content hash*, not by name alone: a campaign over a
     regenerated-but-identical corpus is the same campaign (and may resume a
@@ -84,7 +84,6 @@ def campaign_spec(
         "hosts": list(hosts),
         "float_tolerance": float_tolerance,
         "translate": bool(translate_dialect),
-        "max_records_per_file": max_records_per_file,
     }
 
 

@@ -26,7 +26,7 @@ Adapters inside workers come from a per-process :class:`AdapterPool`
 (:func:`worker_adapter_pool`), not from bare registry calls: within one worker
 process, consecutive shards — and, when a campaign shares a persistent
 :class:`WorkerPool` across its transplants (see
-:func:`repro.core.transplant.run_matrix`) — consecutive *suites* reuse the
+:func:`repro.core.transplant.run_cells`) — consecutive *suites* reuse the
 same live adapter instead of rebuilding it.  Reset-on-acquire keeps every
 shard starting from a pristine database.
 
@@ -157,16 +157,6 @@ def close_dead_worker_adapter_pools() -> None:
             # here is infra misconfiguration worth surfacing in debug logs
             # rather than swallowing silently
             logger.debug("closing adapter pool of dead worker %s failed: %s", thread.name, error)
-
-
-def _reset_worker_adapter_pool() -> None:
-    """Drop the calling thread's pool (test hook; idle adapters are torn down)."""
-    pool = getattr(_WORKER_POOL_LOCAL, "pool", None)
-    if pool is not None:
-        pool.close()
-        _WORKER_POOL_LOCAL.pool = None
-        with _WORKER_POOL_REGISTRY_LOCK:
-            _WORKER_POOL_REGISTRY[:] = [entry for entry in _WORKER_POOL_REGISTRY if entry[1] is not pool]
 
 
 @dataclass(frozen=True)
@@ -316,6 +306,22 @@ def _stats_delta(before: dict[str, dict], after: dict[str, dict]) -> dict[str, d
     return delta
 
 
+def _quarantined_file_result(
+    host_name: str, test_file: TestFile, adapter_name: str, detail: str, attempts: int = 1
+) -> tuple[FileResult, InfraFailure]:
+    """``(stand-in FileResult, InfraFailure)`` for a file a quarantined adapter would not run."""
+    failure = InfraFailure(
+        kind="adapter-quarantined",
+        suite=test_file.suite,
+        host=host_name,
+        path=test_file.path,
+        detail=detail,
+        attempts=attempts,
+    )
+    reason = f"adapter {adapter_name!r} quarantined"
+    return _synthesize_file_result(host_name, test_file, RecordOutcome.SKIP, reason), failure
+
+
 def _execute_shard_file(
     spec: RunnerSpec,
     test_file: TestFile,
@@ -342,16 +348,10 @@ def _execute_shard_file(
     while True:
         attempt += 1
         if breaker.is_quarantined(breaker_key):
-            reason = f"adapter {breaker_key[0]!r} quarantined"
-            failure = InfraFailure(
-                kind="adapter-quarantined",
-                suite=test_file.suite,
-                host=spec.host_name,
-                path=test_file.path,
-                detail=breaker.quarantine_detail(breaker_key),
-                attempts=max(1, attempt - 1),
+            file_result, failure = _quarantined_file_result(
+                spec.host_name, test_file, breaker_key[0], breaker.quarantine_detail(breaker_key), max(1, attempt - 1)
             )
-            return _synthesize_file_result(spec.host_name, test_file, RecordOutcome.SKIP, reason), False, failure
+            return file_result, False, failure
         try:
             runner = ensure_runner()
             if policy.watchdog_seconds is not None:
@@ -556,7 +556,7 @@ def _shards(suite: TestSuite, workers: int) -> list[list[tuple[int, TestFile]]]:
 class WorkerPool:
     """A persistent worker pool shared across the suites of one campaign.
 
-    ``run_matrix`` creates one of these and threads it through every
+    ``run_cells`` creates one of these and threads it through every
     ``run_transplant``: the executor (and therefore each worker process, and
     each worker's adapter pool) survives from one suite to the next, which is
     what makes per-worker adapter reuse span a whole campaign instead of a
@@ -876,10 +876,15 @@ def assemble_suite_result(
     Misses are executed on ``runner`` serially, or sharded across
     ``workers`` when there is more than one (with ``probe_store=False``:
     every file was already probed — and its miss counted — here, so workers
-    only execute and persist).  ``prepare_runner`` is invoked once before the
-    first serial execution: it is where the caller acquires the runner's
-    adapter, so a cell served wholly from the store (or by the workers)
-    never leases or connects one.
+    only execute and persist).  ``prepare_runner(local)`` is invoked once,
+    after the probe and before the first miss runs, on either branch
+    (``local`` is True when the misses run on ``runner`` here): it is where
+    the caller consults the circuit breaker and acquires the runner's
+    adapter, so a cell served wholly from the store never consults the one
+    nor leases the other.  When it raises
+    :class:`~repro.errors.AdapterQuarantinedError`, every loaded file is
+    kept and each miss becomes a SKIP stand-in with its own
+    ``adapter-quarantined`` record.
     """
     spec = runner_spec_for(runner)
     if spec is None:
@@ -895,7 +900,18 @@ def assemble_suite_result(
                 assembled[index] = file_result
                 continue
         missing.append((index, test_file))
-    if spec is not None and workers > 1 and len(missing) > 1:
+    sharded = spec is not None and workers > 1 and len(missing) > 1
+    if missing and prepare_runner is not None and not shutdown.draining():
+        try:
+            prepare_runner(not sharded)
+        except AdapterQuarantinedError as error:
+            for index, test_file in missing:
+                assembled[index], failure = _quarantined_file_result(
+                    runner.host_name, test_file, runner.host_name, error.detail
+                )
+                infra_failures.append(failure)
+            missing = []
+    if sharded and missing:
         partial = TestSuite(name=suite.name, files=[test_file for _, test_file in missing])
         # probe_store=False: every file of ``partial`` was just probed
         # (and counted) above; workers only execute and persist
@@ -907,7 +923,6 @@ def assemble_suite_result(
             assembled[index] = file_result
         infra_failures.extend(report.infra_failures)
     else:
-        prepared = False
         for index, test_file in missing:
             if shutdown.draining():
                 # finish nothing new: the remaining misses degrade to
@@ -915,10 +930,6 @@ def assemble_suite_result(
                 assembled[index], failure = _drained_file_result(runner.host_name, test_file)
                 infra_failures.append(failure)
                 continue
-            if not prepared:
-                prepared = True
-                if prepare_runner is not None:
-                    prepare_runner()
             assembled[index] = runner.run_file(test_file)
             if store is not None:
                 _save_file_result(store, keys[index], assembled[index], test_file)

@@ -146,10 +146,6 @@ class ControlRecord(Record):
     def record_type(self) -> RecordType:
         return RecordType.CONTROL
 
-    @property
-    def argument_text(self) -> str:
-        return " ".join(self.arguments)
-
 
 @dataclass
 class TestFile:

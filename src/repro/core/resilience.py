@@ -147,24 +147,6 @@ class RetryPolicy:
             delay += delay * self.jitter * fraction
         return delay
 
-    def run(self, operation: Callable[[], Any], token: str = "", on_retry: Callable[[BaseException, int], None] | None = None) -> Any:
-        """Run ``operation`` under this policy; re-raises the final error.
-
-        ``on_retry(error, attempt)`` is invoked before each backoff — callers
-        use it to discard a suspect adapter before the fresh attempt.
-        """
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                return operation()
-            except Exception as error:
-                if not self.should_retry(error, attempt):
-                    raise
-                if on_retry is not None:
-                    on_retry(error, attempt)
-                time.sleep(self.delay_for(attempt, token))
-
 
 def run_with_deadline(operation: Callable[[], Any], deadline_seconds: float, label: str = "operation") -> Any:
     """Run ``operation`` with a watchdog deadline.

@@ -4,11 +4,10 @@ A campaign that dies to bare SIGINT/SIGTERM default handling loses its
 in-flight files and leaves leased adapters stranded.  This module gives the
 process one coordinated reaction instead:
 
-* The **drain latch** is a process-global flag the execution layers poll at
-  their natural unit boundaries — between matrix cells
-  (:func:`repro.core.transplant.run_matrix`), between files inside a shard
-  (:mod:`repro.core.parallel`), and between files of serial suite execution.
-  Once the latch is set, in-flight files *finish* (their results flush to
+* The **drain latch** is a process-global flag the execution layers poll
+  between files — inside a shard and in serial cell assembly
+  (:mod:`repro.core.parallel`), and in serial suite execution.  Once the
+  latch is set, in-flight files *finish* (their results flush to
   store and journal) and everything not yet started degrades to a partial
   result carrying an :class:`~repro.core.resilience.InfraFailure` of kind
   ``"shutdown-drain"`` — so the campaign exits through the existing
@@ -115,15 +114,6 @@ class ShutdownState:
     def drained(self) -> bool:
         """True when a signal requested a drain inside the guarded block."""
         return self.signum is not None
-
-    @property
-    def signal_name(self) -> str:
-        if self.signum is None:
-            return ""
-        try:
-            return signal.Signals(self.signum).name
-        except ValueError:  # pragma: no cover - unknown signal number
-            return str(self.signum)
 
 
 @contextmanager

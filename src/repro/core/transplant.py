@@ -2,8 +2,10 @@
 
 The paper's RQ3 executes each suite on its *donor* (the DBMS it was written
 for) and RQ4 executes each suite on every *host*.  :func:`run_transplant`
-produces one :class:`TransplantResult` per (suite, host) pair, and
-:func:`run_matrix` produces the full matrix behind Figure 4 / Tables 4 and 6.
+produces one :class:`TransplantResult` per (suite, host) pair,
+:func:`run_cells` is the one campaign loop over an ordered list of
+:class:`CellKey` cells, and :func:`run_matrix` wraps it to produce the full
+matrix behind Figure 4 / Tables 4 and 6.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from repro.adapters.base import DBMSAdapter
 from repro.adapters.faults import FaultReport, FaultSummary
 from repro.adapters.pool import AdapterPool, adapter_breaker, pool_key
 from repro.adapters.registry import create_adapter
-from repro.core import shutdown
 from repro.core.journal import CampaignJournal, campaign_spec, open_campaign_journal
 from repro.core.parallel import assemble_suite_result, runner_spec_for
 from repro.core.records import TestSuite
@@ -53,6 +55,33 @@ DEFAULT_EXTENSIONS = {
     "duckdb": {"json", "parquet"},
     "mysql": set(),
 }
+
+
+@dataclass(frozen=True, order=True)
+class CellKey:
+    """Identity of one campaign-matrix cell: run ``suite`` on ``host``."""
+
+    suite: str
+    host: str
+    translate: bool = False
+
+    @property
+    def is_donor_run(self) -> bool:
+        return DONOR_OF_SUITE.get(self.suite, self.suite) == self.host
+
+
+def plain_alias(cell: CellKey) -> CellKey:
+    """The cell whose result serves ``cell``: the one aliasing rule of a campaign.
+
+    Translation is the identity when donor == host (the runner skips it), so
+    a translated donor-on-donor cell is served by its plain sibling.  The
+    aliasing is part of the cache layer and honours the global cache switch
+    (:func:`repro.perf.cache.caching_enabled`): with caching off every cell
+    stands for itself and executes.
+    """
+    if cell.translate and cell.is_donor_run and perf_cache.caching_enabled():
+        return CellKey(cell.suite, cell.host)
+    return cell
 
 
 @dataclass
@@ -97,8 +126,6 @@ def run_transplant(
     adapter: DBMSAdapter | None = None,
     float_tolerance: float = 0.0,
     translate_dialect: bool = False,
-    available_extensions: set[str] | None = None,
-    max_records_per_file: int | None = None,
     workers: int = 1,
     executor: str = "auto",
     pool: AdapterPool | None = None,
@@ -133,26 +160,29 @@ def run_transplant(
     path's host adapter from a reusable lease instead of a fresh build, and
     ``worker_pool`` (a :class:`repro.core.parallel.WorkerPool`) keeps sharded
     workers — and their per-worker adapters — alive across the transplants of
-    one campaign; ``run_matrix`` wires up both.  The host adapter is acquired
-    when the first file must execute in this process — a fully warm cell
-    neither leases nor connects one — and released on every exit.
+    one campaign; :func:`run_cells` wires up both.  The host adapter is
+    acquired when the first file must execute in this process — a fully warm
+    cell neither leases nor connects one — and released on every exit.
 
     ``resilience`` (defaulting to :func:`repro.core.resilience.default_policy`)
     arms the campaign resilience layer: transient infrastructure failures of
     the serial path retry the whole cell on a **rebuilt** adapter (with
     backoff and deterministic jitter), sharded execution retries per file
-    inside the workers, and a configuration the circuit breaker quarantined —
-    or a cell that exhausted its retries / hit its watchdog deadline — becomes
-    a *partial* cell: every record reports SKIP (or HANG for watchdog cuts),
-    the fault is recorded in ``TransplantResult.infra_failures``, and the
-    stand-in files are never persisted, so a later run re-enters them.
+    inside the workers, and a cell that exhausted its retries or hit its
+    watchdog deadline becomes a *partial* cell: every record reports SKIP (or
+    HANG for watchdog cuts), the fault is recorded in
+    ``TransplantResult.infra_failures``, and the stand-in files are never
+    persisted, so a later run re-enters them.  The circuit breaker is
+    consulted only where the adapter is acquired, once the cell has a file to
+    execute: a quarantined host keeps every file the store serves, and each
+    miss becomes a SKIP stand-in with its own ``adapter-quarantined`` record.
     Recovered faults leave no trace in the result, keeping recovered
     campaigns byte-identical to fault-free ones.  Caller-provided ``adapter``
     instances opt out of cell-level retry (no rebuild is possible on a
     foreign instance).
 
     ``journal`` (a :class:`~repro.core.journal.CampaignJournal`, normally
-    wired by :func:`run_matrix`) records this cell's start and finish as
+    wired by :func:`run_cells`) records this cell's start and finish as
     durable write-ahead events: ``cell-start`` lands before any execution
     (including a warm store hit), ``cell-finish`` — with the cell's per-file
     artifact digests — after its files persisted.  A process killed between
@@ -162,11 +192,12 @@ def run_transplant(
     donor = DONOR_OF_SUITE.get(suite.name, suite.name)
     if donor == host:
         translate_dialect = False
-    if available_extensions is None:
-        available_extensions = DEFAULT_EXTENSIONS.get(host, set()) if donor == host else set()
+    available_extensions = DEFAULT_EXTENSIONS.get(host, set()) if donor == host else set()
     backing = artifact_store.active_store(store) if adapter is None else None
     sharded = workers > 1 and len(suite.files) > 1
     policy = resilience if resilience is not None else default_policy()
+    breaker = pool.breaker if pool is not None else adapter_breaker()
+    breaker_key = pool_key(host, {})
 
     def _runner() -> TestRunner:
         # the adapter stays unconnected: it describes the runner spec (and
@@ -178,22 +209,28 @@ def run_transplant(
             float_tolerance=float_tolerance,
             translate_dialect=translate_dialect,
             donor_dialect=donor,
-            max_records_per_file=max_records_per_file,
         )
 
     def _execute_cell() -> SuiteResult:
         """One attempt at the cell: load what the store holds, execute the rest.
 
-        The attempt acquires its adapter once, when the first file must run
-        on this process — a pool lease when a pool is passed, otherwise its
-        own build's ``setup()`` — and releases it on every exit: a lease goes
-        back to the pool (or is discarded when the attempt raised, so no
-        consumer inherits a failed instance) and a build is torn down.
+        Assembly calls ``_acquire`` once the store probe left a file to
+        execute.  It consults the circuit breaker, and when the misses run on
+        this process it acquires the adapter — a pool lease when a pool is
+        passed, otherwise its own build's ``setup()``.  The adapter is
+        released on every exit: a lease goes back to the pool (or is
+        discarded when the attempt raised, so no consumer inherits a failed
+        instance) and a build is torn down.
         """
         runner = _runner()
         acquired: list[DBMSAdapter] = []
 
-        def _acquire() -> None:
+        def _acquire(local: bool) -> None:
+            if breaker.is_quarantined(breaker_key):
+                detail = breaker.quarantine_detail(breaker_key)
+                raise AdapterQuarantinedError(f"adapter {host!r} is quarantined", detail=detail)
+            if not local:
+                return
             if pool is not None:
                 runner.adapter = pool.acquire(host)
                 acquired.append(runner.adapter)
@@ -238,8 +275,6 @@ def run_transplant(
         # lifecycle, so no rebuild (and hence no cell-level retry) is possible
         suite_result = _execute_cell()
     else:
-        breaker = pool.breaker if pool is not None else adapter_breaker()
-        breaker_key = pool_key(host, {})
         cell_token = f"{suite.name}:{host}"
         deadline = None
         if policy.watchdog_seconds is not None and not sharded:
@@ -250,20 +285,6 @@ def run_transplant(
         suite_result = None
         while True:
             attempt += 1
-            if breaker.is_quarantined(breaker_key):
-                detail = breaker.quarantine_detail(breaker_key)
-                reason = f"adapter {host!r} quarantined" + (f": {detail}" if detail else "")
-                suite_result = _synthesize_suite_result(suite, host, RecordOutcome.SKIP, reason)
-                cell_failures.append(
-                    InfraFailure(
-                        kind="adapter-quarantined",
-                        suite=suite.name,
-                        host=host,
-                        detail=detail,
-                        attempts=max(1, attempt - 1),
-                    )
-                )
-                break
             try:
                 if deadline is not None:
                     suite_result = run_with_deadline(_execute_cell, deadline, label=cell_token)
@@ -278,8 +299,6 @@ def run_transplant(
                     InfraFailure(kind="watchdog-timeout", suite=suite.name, host=host, detail=str(error), attempts=attempt)
                 )
                 break
-            except AdapterQuarantinedError:
-                continue  # tripped between check and acquire: reported at the top of the loop
             except Exception as error:
                 detail = f"{type(error).__name__}: {error}"
                 breaker.record_failure(breaker_key, detail=detail, threshold=policy.quarantine_after)
@@ -293,7 +312,9 @@ def run_transplant(
                     )
                     time.sleep(delay)
                     continue
-                if breaker.is_quarantined(breaker_key):
+                if breaker.is_quarantined(breaker_key) and attempt <= policy.retry.attempts:
+                    # one last pass, which executes nothing: it keeps every
+                    # file the store serves and quarantines each miss
                     continue
                 suite_result = _synthesize_suite_result(suite, host, RecordOutcome.SKIP, f"infrastructure failure: {detail}")
                 cell_failures.append(
@@ -377,162 +398,131 @@ class TransplantMatrix:
         """True when no cell was degraded to a partial result."""
         return not any(entry.infra_failures for entry in self.entries.values())
 
-    def is_full_grid(self, suites, hosts) -> bool:
-        """True when every (suite, host) pair of the given grid has a cell."""
-        return all((suite, host) in self.entries for suite in suites for host in hosts)
+
+def run_cells(
+    suites: dict[str, TestSuite],
+    cells: Iterable[CellKey],
+    workers: int = 1,
+    executor: str = "auto",
+    adapter_pool: AdapterPool | None = None,
+    worker_pool=None,
+    store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
+    resilience: ResiliencePolicy | None = None,
+    journal: "str | os.PathLike | bool | None" = None,
+) -> Iterator[TransplantResult]:
+    """Run ``cells`` in order, yielding one :class:`TransplantResult` per cell.
+
+    The one campaign loop: :func:`run_matrix` and the experiments' streaming
+    pass (:mod:`repro.experiments.stream`) both drive their cells through it.
+    ``suites`` maps each cell's ``suite`` name to its corpus.  Every cell runs
+    through :func:`run_transplant` against one resolved store, with one
+    :class:`AdapterPool` and, for ``workers > 1``, one persistent
+    :class:`~repro.core.parallel.WorkerPool`; pools created here are closed
+    here.  A translated donor cell whose plain sibling ran earlier in the
+    same call is served from that result (see :func:`plain_alias`).
+
+    ``store`` lets a repeated campaign replay from the artifact store's
+    per-file ``file-results``: only files no earlier run persisted execute,
+    so an edited suite re-executes only its changed files, and a campaign
+    degraded by infrastructure faults re-enters only the gaps.
+
+    ``journal`` keeps a durable write-ahead journal (see
+    :mod:`repro.core.journal`): ``True`` places it under the store
+    (``<store root>/journals/``), a directory keeps it there, and a
+    ``.jsonl`` path (or existing file) names the file outright.  Plain and
+    translated cells are distinct campaigns with one journal each, whose
+    spec names the cells' sorted suites and hosts.  Every cell's start and
+    finish is fsync'd before the campaign moves on, so a killed campaign
+    re-run with the same arguments replays its warm cells from the store and
+    re-executes only the work that was in flight.  A journal whose campaign
+    differs raises :class:`~repro.errors.JournalMismatchError`; journaling
+    without a store raises :class:`ValueError`, because the campaign id
+    embeds the store's fingerprint.
+
+    A drain requested through :mod:`repro.core.shutdown` needs no check
+    here: assembly and the shards turn every file not yet started into a
+    ``shutdown-drain`` stand-in, so the campaign flows out through the
+    ordinary partial-results path (exit code 2, resumable).
+    """
+    from repro.core.parallel import WorkerPool
+
+    cells = list(cells)
+    store = artifact_store.active_store(store)
+    if journal is not None and store is None:
+        raise ValueError("run_cells(journal=...) requires an artifact store (the campaign id embeds its fingerprint)")
+    journals: dict[bool, CampaignJournal] = {}
+    owns_adapter_pool = adapter_pool is None
+    if adapter_pool is None:
+        adapter_pool = AdapterPool()
+    owns_worker_pool = worker_pool is None and workers > 1
+    if owns_worker_pool:
+        worker_pool = WorkerPool(workers, executor)
+    try:
+        if journal is not None:
+            for translate in sorted({cell.translate for cell in cells}):
+                names = sorted({cell.suite for cell in cells if cell.translate == translate})
+                hosts = tuple(sorted({cell.host for cell in cells if cell.translate == translate}))
+                spec = campaign_spec({name: suites[name] for name in names}, hosts, translate_dialect=translate)
+                journals[translate] = opened = open_campaign_journal(journal, store, spec)
+                if opened.replay.incomplete_cells():
+                    logger.info(
+                        "journal %s: resuming campaign %s... — %d cell(s) in flight at last exit",
+                        opened.path, opened.campaign[:16], len(opened.replay.incomplete_cells()),
+                    )
+        served: dict[CellKey, TransplantResult] = {}
+        for cell in cells:
+            alias = plain_alias(cell)
+            if alias not in served:
+                served[alias] = run_transplant(
+                    suites[cell.suite],
+                    cell.host,
+                    translate_dialect=cell.translate,
+                    workers=workers,
+                    executor=executor,
+                    pool=adapter_pool,
+                    worker_pool=worker_pool,
+                    store=store,
+                    resilience=resilience,
+                    journal=journals.get(cell.translate),
+                )
+            yield served[alias]
+    finally:
+        for opened in journals.values():
+            opened.close()
+        if owns_worker_pool:
+            worker_pool.shutdown()
+        if owns_adapter_pool:
+            adapter_pool.close()
 
 
 def run_matrix(
     suites: dict[str, TestSuite],
     hosts: tuple[str, ...] = DEFAULT_HOSTS,
-    float_tolerance: float = 0.0,
     translate_dialect: bool = False,
-    max_records_per_file: int | None = None,
     workers: int = 1,
     executor: str = "auto",
-    reuse_donor_runs_from: TransplantMatrix | None = None,
     adapter_pool: AdapterPool | None = None,
     worker_pool=None,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
     resilience: ResiliencePolicy | None = None,
-    journal: "CampaignJournal | str | os.PathLike | bool | None" = None,
+    journal: "str | os.PathLike | bool | None" = None,
 ) -> TransplantMatrix:
-    """Run every suite on every host (the Figure 4 campaign).
+    """Run every suite on every host (the Figure 4 campaign), suites outer.
 
-    Adapters are reused across the campaign instead of rebuilt per transplant:
-    the serial path leases each host's adapter from one :class:`AdapterPool`,
-    and the sharded path keeps one persistent
-    :class:`~repro.core.parallel.WorkerPool` whose workers pool their own
-    adapters across suites.  Callers may pass either pool to extend the reuse
-    beyond a single matrix (see :class:`~repro.experiments.context.ExperimentContext`);
-    pools created here are closed here.
-
-    ``reuse_donor_runs_from`` lets a translated campaign reuse the donor-on-
-    donor entries of an already-computed plain matrix: translation is the
-    identity when donor == host (the runner skips it outright), so those runs
-    are exactly equal and re-executing them is pure redundancy.  The reuse is
-    part of the cache layer and honours the global cache switch.  Entries are
-    copied as-is — the donor matrix must have been computed with the same
-    ``float_tolerance`` / ``max_records_per_file`` as this campaign (as
-    :class:`~repro.experiments.context.ExperimentContext` guarantees), or the
-    reused cells reflect the old parameters.
-
-    ``store`` extends that reuse across processes: *every* cell — donor runs
-    and cross-host transplants alike — is assembled from the persistent
-    artifact store's per-file ``file-results`` (see :func:`run_transplant`),
-    so a repeated campaign with all files persisted replays the whole matrix
-    without executing anything, and a campaign over an *edited* suite
-    re-executes only the changed files of every cell.
-
-    ``resilience`` is threaded into every cell (see :func:`run_transplant`).
-    Degraded cells persist none of their stand-in files, so re-running the
-    same campaign against the same store after a fault re-executes **only the
-    gaps** — every file that did persist loads.
-
-    ``journal`` extends that recovery across *process death*: pass ``True``
-    to keep a durable write-ahead journal under the store
-    (``<store root>/journals/``), a directory to keep it there, a ``.jsonl``
-    path (or existing file) to name the file outright, or an already-open
-    :class:`~repro.core.journal.CampaignJournal`.  Every cell's start and
-    finish is fsync'd before the campaign moves on, so a SIGKILL'd campaign
-    can be re-run with the same arguments: the journal validates that it is
-    the same campaign (same suites/hosts/parameters/store fingerprint — a
-    mismatch raises :class:`~repro.errors.JournalMismatchError`), warm cells
-    replay from the store, and only work that was genuinely in flight
-    re-executes.  Journals a path resolved here are closed here.
-
-    When a drain has been requested (:mod:`repro.core.shutdown` — typically
-    by SIGINT/SIGTERM under ``signal_aware_shutdown``), cells not yet started
-    degrade to SKIP partials carrying an ``InfraFailure`` of kind
-    ``"shutdown-drain"`` instead of executing, so the campaign flows out
-    through the ordinary partial-results path (exit code 2, resumable).
+    A thin loop over :func:`run_cells`, which documents every parameter.
     """
-    from repro.core.parallel import WorkerPool
-
-    # resolve once so every transplant of the campaign hits the same store
-    store = artifact_store.active_store(store)
-    owned_journal = None
-    if journal is False:
-        journal = None
-    elif journal is not None and not isinstance(journal, CampaignJournal):
-        if store is None:
-            raise ValueError("run_matrix(journal=...) requires an artifact store (the campaign id embeds its fingerprint)")
-        spec = campaign_spec(
-            suites,
-            tuple(hosts),
-            float_tolerance=float_tolerance,
-            translate_dialect=translate_dialect,
-            max_records_per_file=max_records_per_file,
-        )
-        journal = owned_journal = open_campaign_journal(journal, store, spec)
-    if journal is not None and journal.replay.incomplete_cells():
-        logger.info(
-            "journal %s: resuming campaign %s... — %d cell(s) in flight at last exit",
-            journal.path, journal.campaign[:16], len(journal.replay.incomplete_cells()),
-        )
-
-    owns_adapter_pool = adapter_pool is None
-    if adapter_pool is None:
-        adapter_pool = AdapterPool()
-    owns_worker_pool = worker_pool is None and workers > 1
-    if worker_pool is None and workers > 1:
-        worker_pool = WorkerPool(workers, executor)
-
+    cells = [CellKey(name, host, translate_dialect) for name in suites for host in hosts]
     matrix = TransplantMatrix()
-    try:
-        for suite in suites.values():
-            for host in hosts:
-                donor = DONOR_OF_SUITE.get(suite.name, suite.name)
-                if shutdown.draining():
-                    # a drained cell never starts (and is never journaled as
-                    # started): it degrades to a SKIP partial so the campaign
-                    # reports incomplete and a resume re-enters exactly here
-                    reason = shutdown.drain_reason() or "shutdown drain"
-                    suite_result = _synthesize_suite_result(
-                        suite, host, RecordOutcome.SKIP, f"shutdown drain: {reason}"
-                    )
-                    failure = InfraFailure(
-                        kind=shutdown.SHUTDOWN_DRAIN_KIND, suite=suite.name, host=host, detail=reason
-                    )
-                    suite_result.infra_failures = [failure]
-                    matrix.add(
-                        TransplantResult(
-                            suite=suite.name, host=host, donor=donor, result=suite_result, infra_failures=[failure]
-                        )
-                    )
-                    continue
-                if reuse_donor_runs_from is not None and perf_cache.caching_enabled():
-                    if donor == host and (suite.name, host) in reuse_donor_runs_from.entries:
-                        carried = reuse_donor_runs_from.get(suite.name, host)
-                        matrix.add(carried)
-                        if (
-                            journal is not None
-                            and not carried.infra_failures
-                            and not journal.is_cell_complete(suite.name, host)
-                        ):
-                            journal.cell_finished(suite.name, host, complete=True)
-                        continue
-                matrix.add(
-                    run_transplant(
-                        suite,
-                        host,
-                        float_tolerance=float_tolerance,
-                        translate_dialect=translate_dialect,
-                        max_records_per_file=max_records_per_file,
-                        workers=workers,
-                        executor=executor,
-                        pool=adapter_pool,
-                        worker_pool=worker_pool,
-                        store=store,
-                        resilience=resilience,
-                        journal=journal,
-                    )
-                )
-    finally:
-        if owns_worker_pool and worker_pool is not None:
-            worker_pool.shutdown()
-        if owns_adapter_pool:
-            adapter_pool.close()
-        if owned_journal is not None:
-            owned_journal.close()
+    for result in run_cells(
+        suites,
+        cells,
+        workers=workers,
+        executor=executor,
+        adapter_pool=adapter_pool,
+        worker_pool=worker_pool,
+        store=store,
+        resilience=resilience,
+        journal=journal,
+    ):
+        matrix.add(result)
     return matrix

@@ -29,7 +29,7 @@ from typing import Any
 from repro.adapters.base import ExecutionStatus
 from repro.adapters.registry import create_adapter
 from repro.core.comparison import normalize_value
-from repro.core.records import TestFile, TestSuite
+from repro.core.records import TestSuite
 from repro.core.suite import parse_test_text
 from repro.store import artifacts as artifact_store
 from repro.store.keys import FILE_DONOR_NAMESPACE, donor_file_key
@@ -39,13 +39,12 @@ from repro.corpus.datagen import (
     constant_expression,
     division_expression,
     like_pattern,
-    literal_for,
     make_table,
     render_create_table,
     render_insert,
     render_predicate,
 )
-from repro.corpus.profiles import DEFAULT_SCALE, PAPER_PROFILES, SuiteProfile
+from repro.corpus.profiles import PAPER_PROFILES, SuiteProfile
 
 #: Records per generated file (scaled-down versions of the paper's averages,
 #: chosen so the full cross-execution matrix runs in minutes).
@@ -857,9 +856,8 @@ def generate_corpus(
 ) -> list[GeneratedFile]:
     """Generate native-format test files for ``suite`` (``slt``/``postgres``/...).
 
-    Generation is expensive (every statement is recorded on the donor), so it
-    is persisted at two granularities: the whole corpus (``corpus-files``,
-    the fast path) and each file's donor recording (``file-donor``, keyed by
+    Generation is expensive (every statement is recorded on the donor), so
+    each file's donor recording is persisted (``file-donor``, keyed by
     ``(suite, records_per_file, seed, index)`` — deliberately *not* by
     ``file_count``, so growing a corpus reuses every already-recorded file).
     Later calls — in *any* process — load instead of regenerating, and only
@@ -874,11 +872,6 @@ def generate_corpus(
     count = file_count if file_count is not None else DEFAULT_FILE_COUNT[suite]
     per_file = records_per_file if records_per_file is not None else DEFAULT_RECORDS_PER_FILE[suite]
     backing = artifact_store.active_store(store)
-    key = _corpus_key(suite, count, per_file, seed)
-    if backing is not None:
-        cached = backing.load("corpus-files", key)
-        if cached is not None:
-            return [GeneratedFile(**entry) for entry in cached]
     payloads: dict[int, dict] = {}
     missing: list[int] = []
     for index in range(count):
@@ -913,17 +906,7 @@ def generate_corpus(
             payloads[index] = payload
             if backing is not None:
                 backing.save(FILE_DONOR_NAMESPACE, donor_file_key(suite, per_file, seed, index), payload)
-    generated = [GeneratedFile(**payloads[index]) for index in range(count)]
-    if backing is not None:
-        backing.save(
-            "corpus-files",
-            key,
-            [
-                {"name": item.name, "primary_text": item.primary_text, "expected_text": item.expected_text}
-                for item in generated
-            ],
-        )
-    return generated
+    return [GeneratedFile(**payloads[index]) for index in range(count)]
 
 
 def build_suite(
@@ -941,8 +924,8 @@ def build_suite(
     The parsed :class:`TestSuite` is itself persisted in the artifact store
     (namespace ``corpus-suites``), so a warm process skips both generation and
     re-parsing; a store miss falls through to :func:`generate_corpus`, whose
-    own ``corpus-files``/``file-donor`` namespaces may still satisfy the
-    generation half (wholly or file by file).  ``workers``/``worker_pool``
+    ``file-donor`` namespace may still satisfy the generation half file by
+    file.  ``workers``/``worker_pool``
     shard donor recording of any files that do need generating.
     """
     backing = artifact_store.active_store(store)

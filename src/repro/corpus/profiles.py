@@ -124,12 +124,6 @@ class SuiteProfile:
     #: share of generated guarded records carrying skipif/onlyif conditions.
     guard_rate: float = 0.0
 
-    def scaled_file_count(self, scale: float) -> int:
-        return max(3, int(round(self.file_count * scale)))
-
-    def scaled_records_per_file(self, scale: float) -> int:
-        return max(8, int(round(self.records_per_file * min(1.0, scale * 4))))
-
 
 #: Statement-mix weights approximate Figure 2 (share of each statement type in
 #: each suite).  Kinds prefixed with the suite name are dialect-specific

@@ -11,7 +11,7 @@ ordering, and the known crash/hang signatures used for fault emulation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ReproError
 
@@ -149,11 +149,6 @@ def get_dialect(name: str) -> DialectProfile:
         return _REGISTRY[name.lower()]
     except KeyError:
         raise ReproError(f"unknown dialect: {name!r}; known: {sorted(_REGISTRY)}") from None
-
-
-def registered_dialects() -> dict[str, DialectProfile]:
-    """Return a copy of the dialect registry."""
-    return dict(_REGISTRY)
 
 
 #: Functions shared by (nearly) every SQL implementation; dialect modules build

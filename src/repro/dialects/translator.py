@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.dialects.base import DialectProfile, DivisionSemantics
 from repro.perf import cache as perf_cache
-from repro.sqlparser.tokenizer import Token, TokenType, tokenize
+from repro.sqlparser.tokenizer import TokenType, tokenize
 
 #: Function-name equivalences: maps (donor function, host dialect) -> host function.
 _FUNCTION_EQUIVALENTS: dict[tuple[str, str], str] = {

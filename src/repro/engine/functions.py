@@ -28,9 +28,6 @@ class FunctionRegistry:
 
     # -- scalar ----------------------------------------------------------------
 
-    def is_scalar(self, name: str) -> bool:
-        return name in self._scalar
-
     def call_scalar(self, name: str, args: list[Any]) -> Any:
         """Invoke scalar function ``name`` with already-evaluated ``args``."""
         if not self.dialect.supports_function(name):

@@ -21,7 +21,7 @@ from repro.engine.expressions import ExpressionEvaluator, RowContext, _predicate
 from repro.engine.functions import FunctionRegistry
 from repro.engine.parser import parse_sql
 from repro.engine.storage import Column, Database, Index, Table, View
-from repro.engine.values import coerce_to_declared, render_value
+from repro.engine.values import coerce_to_declared
 from repro.perf import cache as perf_cache
 from repro.perf import vectorize
 from repro.errors import (
@@ -56,10 +56,6 @@ class QueryResult:
         if self.rows and self.rows[0]:
             return self.rows[0][0]
         return None
-
-    def rendered_rows(self, style: str = "python") -> list[list[str]]:
-        """Rows rendered to strings the way the Python connectors present them."""
-        return [[render_value(value, style) for value in row] for row in self.rows]
 
 
 #: Prepared-plan cache: SQL text -> parsed statement (or the syntax error it
@@ -208,12 +204,6 @@ class Session:
             return payload
         # raise a fresh instance so concurrent workers never share tracebacks
         raise type(payload)(*payload.args)
-
-    def execute_script(self, sql: str) -> list[QueryResult]:
-        """Execute a multi-statement script, stopping at the first error."""
-        from repro.sqlparser.statements import split_statements
-
-        return [self.execute(statement) for statement in split_statements(sql)]
 
     # -- dispatch ---------------------------------------------------------------------
 

@@ -132,10 +132,6 @@ class Table:
                 return position
         raise CatalogError(f"no such column: {self.name}.{name}")
 
-    def has_column(self, name: str) -> bool:
-        lowered = name.lower()
-        return any(column.name.lower() == lowered for column in self.columns)
-
     def insert_row(self, values: list[Any], strict_types: bool, boolean_accepts_integers: bool = True) -> None:
         """Insert one row after applying column coercion and constraints."""
         if len(values) != len(self.columns):
@@ -341,9 +337,6 @@ class Database:
             return self.tables[name.lower()]
         except KeyError:
             raise CatalogError(f"no such table: {name}") from None
-
-    def has_table(self, name: str) -> bool:
-        return name.lower() in self.tables
 
     def rename_table(self, old: str, new: str) -> None:
         table = self.get_table(old)

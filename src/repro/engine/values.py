@@ -141,11 +141,6 @@ def sql_type_of(value: Any) -> SQLType:
     raise ConversionError(f"unsupported Python value of type {type(value).__name__}")
 
 
-def is_numeric(value: Any) -> bool:
-    """True for INTEGER/FLOAT/BOOLEAN values (booleans act as 0/1 in arithmetic)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) or isinstance(value, bool)
-
-
 def to_number(value: Any, strict: bool = True) -> int | float | None:
     """Convert ``value`` to a number.
 

@@ -46,10 +46,6 @@ class SQLSyntaxError(ReproError):
     """The SQL text could not be tokenized or parsed."""
 
 
-class TranslationError(ReproError):
-    """A statement could not be translated between SQL dialects."""
-
-
 # ---------------------------------------------------------------------------
 # Engine/adapter errors, mirroring the RQ4 failure taxonomy
 # ---------------------------------------------------------------------------
@@ -190,6 +186,11 @@ class JournalMismatchError(JournalError):
 class AdapterQuarantinedError(RunnerError):
     """The requested adapter configuration is quarantined by the circuit
     breaker (:class:`repro.adapters.pool.CircuitBreaker`) after repeated
-    consecutive infrastructure failures.  Campaigns treat the affected cells
-    as partial results instead of retrying a known-bad adapter forever.
+    consecutive infrastructure failures.  Campaigns turn the files that would
+    have run on it into partial results instead of retrying a known-bad
+    adapter forever.  ``detail`` is the failure that tripped the breaker.
     """
+
+    def __init__(self, message: str, detail: str = ""):
+        super().__init__(message)
+        self.detail = detail

@@ -50,7 +50,7 @@ def run(context: ExperimentContext) -> ExperimentResult:
 def _build(experiment: BugsExperiment) -> ExperimentResult:
     # fault summary over the declared cells in declaration order — the same
     # suite-outer/host-inner order run_matrix inserts, so the report matches
-    # the batch path's matrix.fault_summary() byte for byte
+    # a matrix's fault_summary() byte for byte
     summary = FaultSummary()
     for _key, transplant in experiment.iter_cells():
         for report in transplant.crashes:

@@ -11,7 +11,7 @@ from repro.adapters.pool import AdapterPool
 from repro.core.journal import JOURNAL_DIRNAME
 from repro.core.records import TestSuite
 from repro.core.resilience import ResiliencePolicy, set_default_timeout
-from repro.core.transplant import DEFAULT_HOSTS, TransplantMatrix, run_matrix
+from repro.core.transplant import DEFAULT_HOSTS, CellKey, TransplantResult
 from repro.corpus import build_all_suites, build_suite
 from repro.store import ArtifactStore
 from repro.store import artifacts as artifact_store
@@ -51,7 +51,7 @@ class ExperimentContext:
     :func:`repro.core.resilience.set_default_timeout`); ``resilience``
     overrides the whole campaign resilience policy, which is threaded into
     every matrix cell.  :meth:`infra_failures` reports the unrecovered
-    infrastructure faults of every matrix computed so far — the CLI maps a
+    infrastructure faults of every cell computed so far — the CLI maps a
     non-empty list to its "partial results" exit code.
     """
 
@@ -77,11 +77,11 @@ class ExperimentContext:
         #: campaign resilience policy; None means every cell resolves
         #: :func:`repro.core.resilience.default_policy` at execution time
         self.resilience = resilience
-        #: write-ahead journal setting threaded into every campaign
-        #: (see :func:`repro.core.transplant.run_matrix`): ``True`` journals
-        #: under the store, a path journals there, ``None`` disables.  The
-        #: plain and translated matrices are distinct campaigns and keep
-        #: distinct journal files.
+        #: write-ahead journal setting threaded into every streaming pass
+        #: (see :func:`repro.core.transplant.run_cells`): ``True`` journals
+        #: under the store, a path journals there, ``None`` disables.  Plain
+        #: and translated cells are distinct campaigns and keep distinct
+        #: journal files.
         self.journal = journal
         #: resolved artifact-store argument threaded through every corpus
         #: build and campaign: an explicit store, the process default
@@ -94,23 +94,20 @@ class ExperimentContext:
         else:
             self.store = artifact_store.DEFAULT
         #: worker-pool width used for every cross-execution campaign; all
-        #: table/figure drivers inherit it through the shared matrices
+        #: table/figure drivers inherit it through the shared cells
         self.workers = workers
         self.executor = executor
         self._suites: dict[str, TestSuite] | None = None
         self._mysql_suite: TestSuite | None = None
-        self._matrix: TransplantMatrix | None = None
-        self._translated_matrix: TransplantMatrix | None = None
-        #: campaign-lifetime adapter pool: the plain and translated matrices
-        #: (and any driver-level transplants routed through the context) share
-        #: leased adapters instead of rebuilding them per transplant
+        #: campaign-lifetime adapter pool: every cell of every streaming pass
+        #: shares leased adapters instead of rebuilding them per transplant
         self.adapter_pool = AdapterPool()
         self._worker_pool = None
         self._analysis = None
-        #: cells resolved by streaming passes (:mod:`repro.experiments.stream`)
-        #: that are not part of a full adopted matrix; keyed by
-        #: :class:`~repro.experiments.base.CellKey`
-        self._stream_cells: dict = {}
+        #: the one cell cache: every cell a streaming pass
+        #: (:mod:`repro.experiments.stream`) executed, so a later pass on this
+        #: context serves it without re-running anything
+        self.cells: dict[CellKey, TransplantResult] = {}
 
     @property
     def worker_pool(self):
@@ -211,46 +208,6 @@ class ExperimentContext:
 
     # -- execution results -----------------------------------------------------------
 
-    @property
-    def matrix(self) -> TransplantMatrix:
-        """The full cross-execution matrix (every suite on every host)."""
-        if self._matrix is None:
-            self._matrix = run_matrix(
-                self.suites,
-                hosts=self.hosts,
-                workers=self.workers,
-                executor=self.executor,
-                adapter_pool=self.adapter_pool,
-                worker_pool=self.worker_pool,
-                store=self.store,
-                resilience=self.resilience,
-                journal=self.journal,
-            )
-        return self._matrix
-
-    @property
-    def translated_matrix(self) -> TransplantMatrix:
-        """The same matrix with the cross-dialect translator enabled (ablation)."""
-        if self._translated_matrix is None:
-            self._translated_matrix = run_matrix(
-                self.suites,
-                hosts=self.hosts,
-                translate_dialect=True,
-                workers=self.workers,
-                executor=self.executor,
-                # donor-on-donor runs are translation no-ops: reuse them from
-                # the plain matrix when it has already been computed
-                reuse_donor_runs_from=self._matrix,
-                # both matrices share the context's pools: host adapters and
-                # sharded workers survive from the plain campaign into this one
-                adapter_pool=self.adapter_pool,
-                worker_pool=self.worker_pool,
-                store=self.store,
-                resilience=self.resilience,
-                journal=self.journal,
-            )
-        return self._translated_matrix
-
     def journal_location(self) -> str | None:
         """Where this context's campaign journals live, or None when off.
 
@@ -267,77 +224,14 @@ class ExperimentContext:
             return str(Path(store.root) / JOURNAL_DIRNAME)
         return str(self.journal)
 
-    def donor_result(self, suite: str):
-        """The donor-on-donor transplant result for one suite."""
-        from repro.core.transplant import DONOR_OF_SUITE
-
-        return self.matrix.get(suite, DONOR_OF_SUITE[suite])
-
-    def suite_names(self) -> tuple[str, ...]:
-        """The executable suite names in corpus (and campaign) order."""
-        return tuple(self.suites)
-
-    def built_suite_names(self) -> tuple[str, ...]:
-        """Suite names if the corpora are already built, else () — never builds."""
-        return tuple(self._suites) if self._suites is not None else ()
-
-    # -- streaming-pass cell cache ---------------------------------------------------
-
-    def peek_cell(self, key):
-        """The already-computed result for one matrix cell, or None.
-
-        Consulted by the streaming engine before executing a cell: earlier
-        streaming passes and already-computed full matrices both count, so a
-        warm context resolves cells without re-running anything.  Never
-        triggers a campaign.
-        """
-        result = self._stream_cells.get(key)
-        if result is not None:
-            return result
-        matrix = self._translated_matrix if key.translate else self._matrix
-        if matrix is not None:
-            return matrix.entries.get((key.suite, key.host))
-        return None
-
-    def note_stream_cell(self, key, result) -> None:
-        """Record one cell executed by a streaming pass (see :meth:`peek_cell`)."""
-        self._stream_cells[key] = result
-
-    def adopt_matrix(self, matrix: TransplantMatrix, translated: bool = False) -> None:
-        """Install a full-grid matrix assembled by a streaming pass.
-
-        Later reads of :attr:`matrix` / :attr:`translated_matrix` (and
-        :meth:`donor_result`) then resolve from the pass instead of launching
-        a fresh campaign.  A matrix the context already computed wins — the
-        pass drew its cells from it anyway.
-        """
-        names = self.built_suite_names()
-        if not names or not matrix.is_full_grid(names, self.hosts):
-            return
-        if translated:
-            if self._translated_matrix is None:
-                self._translated_matrix = matrix
-        elif self._matrix is None:
-            self._matrix = matrix
+    def note_stream_cell(self, key: CellKey, result: TransplantResult) -> None:
+        """Record one cell a streaming pass executed in :attr:`cells`."""
+        self.cells[key] = result
 
     def infra_failures(self) -> list:
-        """Unrecovered infrastructure faults across every computed matrix.
+        """Unrecovered infrastructure faults of every cell computed so far.
 
-        Streaming passes contribute the cells they executed; fault reports
-        shared between a matrix and the stream cache (adopted matrices,
-        donor-cell reuse) are counted once.  Only work that already happened
-        is consulted — asking for failures must not trigger a campaign.
+        Only work that already happened is consulted — asking for failures
+        must not trigger a campaign.
         """
-        failures: list = []
-        seen: set[int] = set()
-        for matrix in (self._matrix, self._translated_matrix):
-            if matrix is not None:
-                for failure in matrix.infra_failures():
-                    seen.add(id(failure))
-                    failures.append(failure)
-        for result in self._stream_cells.values():
-            for failure in result.infra_failures:
-                if id(failure) not in seen:
-                    seen.add(id(failure))
-                    failures.append(failure)
-        return failures
+        return [failure for result in self.cells.values() for failure in result.infra_failures]

@@ -5,16 +5,17 @@ One pass over the campaign matrix feeds *every* selected experiment:
 1. **Plan** — union the :class:`~repro.experiments.base.ExperimentNeeds` of
    the selected registry entries into a deduplicated cell list in campaign
    order (plain cells before translated, suites outer, hosts inner — the same
-   nesting :func:`repro.core.transplant.run_matrix` uses, so store and pool
-   behaviour match the batch path).  Translated donor-on-donor cells are
-   aliases of their plain siblings (translation is the identity there) and are
-   normalised away whenever caching is enabled, mirroring
-   ``run_matrix(reuse_donor_runs_from=...)``.
+   nesting :func:`repro.core.transplant.run_matrix` uses).  Translated
+   donor-on-donor cells are aliases of their plain siblings (translation is
+   the identity there) and are collapsed by
+   :func:`repro.core.transplant.plain_alias`, the campaign's one aliasing
+   rule.
 2. **Execute** — each unique cell runs exactly once per pass, in plan
-   order, via :func:`repro.core.transplant.run_transplant` with the
-   context's store, pools, and resilience policy: store-warm cells resolve
-   instantly, ``workers > 1`` shards each cell's files exactly as the batch
-   path does, and degraded cells surface through
+   order: the context's cell cache serves cells an earlier pass ran, and
+   the rest come from one :func:`repro.core.transplant.run_cells` generator
+   with the context's store, pools, journal setting and resilience policy.
+   Store-warm cells resolve instantly, ``workers > 1`` shards each cell's
+   files, and degraded cells surface through
    :meth:`ExperimentContext.infra_failures`.
 3. **Fan out** — every completed cell is delivered to each subscribed
    experiment's :meth:`~repro.experiments.base.Experiment.consume`, and an
@@ -30,16 +31,11 @@ order.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-from repro.core.journal import campaign_spec, open_campaign_journal
-from repro.core.transplant import DONOR_OF_SUITE, TransplantMatrix, run_transplant
-from repro.experiments.base import CellKey, ExperimentEntry, get_experiment_entry
+from repro.core.transplant import CellKey, TransplantResult, plain_alias, run_cells
+from repro.experiments.base import ExperimentEntry, get_experiment_entry
 from repro.experiments.context import ExperimentContext, ExperimentResult
-from repro.perf import cache as perf_cache
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.transplant import TransplantResult
 
 #: corpora the context can build (the three executable suites plus mysql)
 _EXECUTABLE_SUITES = ("slt", "postgres", "duckdb")
@@ -52,9 +48,6 @@ def _resolve_entries(experiment_ids) -> list[ExperimentEntry]:
     near-miss suggestions before anything executes; duplicates collapse to
     their first occurrence (one pass produces one result per experiment).
     """
-    # importing the registry module registers every built-in driver
-    from repro.experiments import registry as _registry  # noqa: F401
-
     if experiment_ids is None:
         from repro.experiments.base import experiment_entries
 
@@ -69,29 +62,15 @@ def _resolve_entries(experiment_ids) -> list[ExperimentEntry]:
     return entries
 
 
-def _normalize(key: CellKey) -> CellKey:
-    """Collapse translated donor-on-donor cells onto their plain siblings.
-
-    Translation is the identity when donor == host (the runner skips it), so
-    the plain cell's result *is* the translated cell's result — the same reuse
-    ``run_matrix(reuse_donor_runs_from=...)`` applies, honouring the same
-    global cache switch.
-    """
-    if key.translate and DONOR_OF_SUITE.get(key.suite, key.suite) == key.host and perf_cache.caching_enabled():
-        return CellKey(key.suite, key.host, False)
-    return key
-
-
 def _plan_cells(entries: list[ExperimentEntry], context: ExperimentContext) -> list[CellKey]:
     """The deduplicated union of every entry's cells, in campaign order.
 
     Plain cells come before translated ones, and within each group cells
     follow suite-then-host nesting (suites in corpus order, hosts in the
-    context's host order) — exactly how the batch path's two ``run_matrix``
-    calls walk the grid, so adapters and store entries are touched in the
-    same sequence.
+    context's host order) — the order a plain ``run_matrix`` followed by a
+    translated one walks the grid.
     """
-    needed = {_normalize(key) for entry in entries for key in entry.needs.cells}
+    needed = {plain_alias(key) for entry in entries for key in entry.needs.cells}
     suite_order = {name: index for index, name in enumerate(_EXECUTABLE_SUITES)}
     host_order = {name: index for index, name in enumerate(context.hosts)}
     return sorted(
@@ -121,63 +100,6 @@ def _warm_corpora(entries: list[ExperimentEntry], plan: list[CellKey], context: 
         context.mysql_suite
 
 
-def _open_pass_journals(context: ExperimentContext, plan: list[CellKey]) -> dict:
-    """Open this pass's write-ahead journals, one per translate variant.
-
-    The streaming pass is a campaign like any other: when the context has
-    journaling enabled (``ExperimentContext(journal=...)`` / CLI
-    ``--journal``), each cell's start/finish — and its per-file artifact
-    keys — land in a durable journal so a killed pass resumes with
-    ``--resume-from`` exactly like ``run_matrix`` does.  Plain and
-    translated cells are distinct campaigns (the translate switch is part
-    of campaign identity), so a mixed plan opens up to two journals; their
-    specs are derived from the plan's own suites and hosts, which makes the
-    identity stable across reruns of the same experiment selection.
-    """
-    if context.journal is None or context.journal is False:
-        return {}
-    from repro.store import artifacts as artifact_store
-
-    store = artifact_store.active_store(context.store)
-    if store is None:
-        return {}
-    journals: dict = {}
-    for translate in (False, True):
-        keys = [key for key in plan if key.translate == translate]
-        if not keys:
-            continue
-        suites = {name: context.suites[name] for name in sorted({key.suite for key in keys})}
-        hosts = tuple(sorted({key.host for key in keys}))
-        spec = campaign_spec(suites, hosts, translate_dialect=translate)
-        journals[translate] = open_campaign_journal(context.journal, store, spec)
-    return journals
-
-
-def _execute_transplant(context: ExperimentContext, key: CellKey, journal) -> "TransplantResult":
-    """Run one matrix cell with the context's store, pools, and policy."""
-    return run_transplant(
-        context.suites[key.suite],
-        key.host,
-        translate_dialect=key.translate,
-        workers=context.workers,
-        executor=context.executor,
-        pool=context.adapter_pool,
-        worker_pool=context.worker_pool,
-        store=context.store,
-        resilience=context.resilience,
-        journal=journal,
-    )
-
-
-def _resolve_cell(context: ExperimentContext, key: CellKey, journal) -> "TransplantResult":
-    cached = context.peek_cell(key)
-    if cached is not None:
-        return cached
-    result = _execute_transplant(context, key, journal)
-    context.note_stream_cell(key, result)
-    return result
-
-
 class _Subscription:
     """One experiment's place in the pass: pending cells and requested keys."""
 
@@ -188,10 +110,10 @@ class _Subscription:
         #: delivered under the key the experiment declared, not the one that ran)
         self.requested: dict[CellKey, list[CellKey]] = {}
         for declared in entry.needs.cells:
-            self.requested.setdefault(_normalize(declared), []).append(declared)
+            self.requested.setdefault(plain_alias(declared), []).append(declared)
         self.pending: set[CellKey] = set(self.requested)
 
-    def deliver(self, key: CellKey, result: "TransplantResult") -> bool:
+    def deliver(self, key: CellKey, result: TransplantResult) -> bool:
         """Feed one completed cell; True when the experiment became ready."""
         if key not in self.pending:
             return False
@@ -199,34 +121,6 @@ class _Subscription:
             self.experiment.consume(declared, result)
         self.pending.discard(key)
         return not self.pending
-
-
-def _adopt_matrices(context: ExperimentContext, resolved: dict[CellKey, "TransplantResult"]) -> None:
-    """Install full-grid matrices assembled from this pass into the context.
-
-    Only complete grids are adopted (a subset pass must not masquerade as a
-    full campaign); entries are inserted in ``run_matrix``'s suite-then-host
-    order so ``fault_summary`` and friends iterate identically.
-    """
-    suite_names = context.built_suite_names()
-    if not suite_names:
-        return
-    for translate in (False, True):
-        cells = []
-        for suite in suite_names:
-            for host in context.hosts:
-                result = resolved.get(_normalize(CellKey(suite, host, translate)))
-                if result is None:
-                    break
-                cells.append(result)
-            else:
-                continue
-            break
-        else:
-            matrix = TransplantMatrix()
-            for result in cells:
-                matrix.add(result)
-            context.adopt_matrix(matrix, translated=translate)
 
 
 def stream_experiments(experiment_ids=None, context: ExperimentContext | None = None) -> Iterator[ExperimentResult]:
@@ -258,20 +152,28 @@ def stream_experiments(experiment_ids=None, context: ExperimentContext | None = 
     if not plan:
         return
 
-    resolved: dict[CellKey, "TransplantResult"] = {}
-    journals = _open_pass_journals(shared, plan)
+    fresh = run_cells(
+        shared.suites,
+        [key for key in plan if key not in shared.cells],
+        workers=shared.workers,
+        executor=shared.executor,
+        adapter_pool=shared.adapter_pool,
+        worker_pool=shared.worker_pool,
+        store=shared.store,
+        resilience=shared.resilience,
+        journal=shared.journal,
+    )
     try:
         for key in plan:
-            result = _resolve_cell(shared, key, journals.get(key.translate))
-            resolved[key] = result
+            result = shared.cells.get(key)
+            if result is None:
+                result = next(fresh)
+                shared.note_stream_cell(key, result)
             for subscription in subscribers.get(key, ()):
                 if subscription.deliver(key, result):
                     yield subscription.experiment.finalize()
     finally:
-        for journal in journals.values():
-            journal.close()
-
-    _adopt_matrices(shared, resolved)
+        fresh.close()
 
 
 def run_batch(experiment_ids=None, context: ExperimentContext | None = None) -> list[ExperimentResult]:

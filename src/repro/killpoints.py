@@ -78,14 +78,6 @@ def _schedule() -> dict[str, int]:
     return _SCHEDULE
 
 
-def reset_kill_points() -> None:
-    """Re-read the environment and rewind call counters (test hook)."""
-    global _SCHEDULE
-    with _LOCK:
-        _SCHEDULE = None
-        _CALLS.clear()
-
-
 def kill_point(op: str) -> None:
     """SIGKILL this process if the environment scheduled a kill here.
 

@@ -32,6 +32,7 @@ from test_differential import assert_equivalent
 
 from repro.adapters.pool import AdapterPool, adapter_breaker, pool_key
 from repro.core.parallel import close_dead_worker_adapter_pools
+from repro.core.records import TestSuite
 from repro.core.resilience import (
     InfraFailure,
     ResiliencePolicy,
@@ -42,6 +43,7 @@ from repro.core.resilience import (
     run_with_deadline,
     set_default_timeout,
 )
+from repro.core.runner import RecordOutcome
 from repro.core.transplant import run_matrix, run_transplant
 from repro.corpus import build_suite
 from repro.errors import AdapterQuarantinedError, WatchdogTimeout
@@ -206,6 +208,60 @@ class TestWatchdog:
         assert result.result.hang_cases >= 1
         # the other files of the suite still executed normally
         assert result.result.passed_cases > 0
+
+
+class TestQuarantineServesStoredFiles:
+    """A quarantined host keeps every file the store serves; only misses degrade."""
+
+    #: run_transplant keyword arguments per execution mode (built per test so
+    #: each run gets its own pool)
+    MODES = {
+        "serial": lambda: {},
+        "adapter-pool": lambda: {"pool": AdapterPool()},
+        "workers-2": lambda: {"workers": 2, "executor": "thread"},
+    }
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        return build_suite("slt", file_count=3, records_per_file=10, seed=29, store=None)
+
+    @staticmethod
+    def _quarantine_duckdb():
+        for _ in range(FAST_POLICY.quarantine_after):
+            adapter_breaker().record_failure(pool_key("duckdb", {}), detail="chaos", threshold=FAST_POLICY.quarantine_after)
+        assert adapter_breaker().is_quarantined(pool_key("duckdb", {}))
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_fully_warm_cell_is_served_while_quarantined(self, suite, tmp_path, mode):
+        store = ArtifactStore(root=tmp_path / "store", fingerprint="quarantine-fp")
+        cold = run_transplant(suite, "duckdb", store=store, resilience=FAST_POLICY, **self.MODES[mode]())
+        self._quarantine_duckdb()
+        results = assert_equivalent(
+            {
+                "cold": cold,
+                "warm-quarantined": lambda: run_transplant(
+                    suite, "duckdb", store=store, resilience=FAST_POLICY, **self.MODES[mode]()
+                ),
+            }
+        )
+        assert results["warm-quarantined"].infra_failures == []
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_only_the_missing_file_degrades(self, suite, tmp_path, mode):
+        store = ArtifactStore(root=tmp_path / "store", fingerprint="quarantine-fp")
+        stored = TestSuite(name=suite.name, files=suite.files[:2])
+        run_transplant(stored, "duckdb", store=store, resilience=FAST_POLICY, **self.MODES[mode]())
+        reference = run_transplant(suite, "duckdb", store=None)
+        self._quarantine_duckdb()
+
+        partial = run_transplant(suite, "duckdb", store=store, resilience=FAST_POLICY, **self.MODES[mode]())
+        assert_equivalent({"stored": reference.result.files[:2], "served": partial.result.files[:2]})
+        missing = partial.result.files[2]
+        assert missing.results and all(result.outcome is RecordOutcome.SKIP for result in missing.results)
+        assert [(failure.kind, failure.path) for failure in partial.infra_failures] == [
+            ("adapter-quarantined", suite.files[2].path)
+        ]
+        assert adapter_breaker().is_quarantined(pool_key("duckdb", {}))
 
 
 class TestResume:

@@ -1,7 +1,5 @@
 """Failure classification (RQ3/RQ4 taxonomies) and delta-debugging reduction."""
 
-import pytest
-
 from repro.adapters.minidb_adapter import MiniDBAdapter
 from repro.core.classification import (
     DependencyCategory,

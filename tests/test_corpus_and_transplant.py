@@ -4,11 +4,9 @@ import pytest
 
 from repro.core.classification import DependencyCategory, category_histogram, classify_failures
 from repro.core.coverage import CoverageReport, combine_reports, feature_universe, measure_coverage
-from repro.core.records import ControlRecord, QueryRecord
 from repro.core.report import format_heatmap, format_percentage, format_table
-from repro.core.runner import RecordOutcome
 from repro.core.transplant import DONOR_OF_SUITE, run_matrix, run_transplant
-from repro.corpus import PAPER_PROFILES, build_suite, generate_corpus
+from repro.corpus import PAPER_PROFILES, generate_corpus
 from repro.corpus.datagen import SchemaState, make_table, render_create_table, render_insert, render_predicate
 from repro.sqlparser.analyzer import predicate_bucket, where_token_count
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.commands import CommandEffect, RunnerState, apply_control_record
+from repro.core.commands import RunnerState, apply_control_record
 from repro.core.records import Condition, ControlRecord, QueryRecord, StatementRecord, TestFile, TestSuite
 from repro.core.report import format_distribution, format_table
 from repro.engine.session import Session

@@ -278,7 +278,7 @@ class TestIncrementalCorpus:
         from repro.store import donor_file_key
 
         generate_corpus("slt", file_count=2, records_per_file=10, seed=76, store=store)
-        _wipe(store, "corpus-files", "corpus-suites")
+        _wipe(store, "corpus-suites")
         # a recording-shaped dict with an extra key must also be rejected:
         # GeneratedFile(**entry) would crash on the unknown field
         store.save(
@@ -296,7 +296,7 @@ class TestIncrementalCorpus:
     def test_corrupt_per_file_recording_regenerates_only_that_file(self, store):
         reference = generate_corpus("slt", file_count=3, records_per_file=10, seed=75, store=store)
         # drop the whole-corpus entries so the per-file path is exercised
-        _wipe(store, "corpus-files", "corpus-suites")
+        _wipe(store, "corpus-suites")
         victim = sorted((store.root / "file-donor").rglob("*.pkl"))[0]
         victim.write_bytes(b"corrupt")
         store.stats.reset()

@@ -25,7 +25,7 @@ from repro.core.parallel import (
     runner_spec_for,
 )
 from repro.core.runner import TestRunner
-from repro.core.transplant import run_matrix, run_transplant
+from repro.core.transplant import CellKey, run_cells, run_transplant
 from repro.corpus import build_suite
 from repro.perf import cache as perf_cache
 
@@ -160,26 +160,23 @@ class TestMatrixDonorReuse:
     def test_translated_matrix_reuses_donor_entries_when_cached(self):
         suite = build_suite("slt", file_count=2, records_per_file=15, seed=6)
         suites = {"slt": suite}
-        plain = run_matrix(suites, hosts=("sqlite", "duckdb"))
-        translated = run_matrix(
-            suites, hosts=("sqlite", "duckdb"), translate_dialect=True, reuse_donor_runs_from=plain
-        )
+        cells = [CellKey("slt", host, translate) for translate in (False, True) for host in ("sqlite", "duckdb")]
+        plain_donor, plain_duckdb, translated_donor, translated_duckdb = run_cells(suites, cells)
         # donor == sqlite for the slt suite: the entry is reused by reference
-        assert translated.get("slt", "sqlite") is plain.get("slt", "sqlite")
-        assert translated.get("slt", "duckdb") is not plain.get("slt", "duckdb")
+        assert translated_donor is plain_donor
+        assert translated_duckdb is not plain_duckdb
 
     def test_donor_reuse_is_disabled_with_caching_off(self):
         suite = build_suite("slt", file_count=2, records_per_file=15, seed=6)
         suites = {"slt": suite}
         with perf_cache.caching_disabled():
-            plain = run_matrix(suites, hosts=("sqlite",))
-            translated = run_matrix(suites, hosts=("sqlite",), translate_dialect=True, reuse_donor_runs_from=plain)
-            assert translated.get("slt", "sqlite") is not plain.get("slt", "sqlite")
+            plain, translated = run_cells(suites, [CellKey("slt", "sqlite"), CellKey("slt", "sqlite", translate=True)])
+            assert translated is not plain
             # and the recomputed donor run is still identical
             assert_equivalent(
                 {
-                    "plain-donor-run": plain.get("slt", "sqlite").result,
-                    "recomputed-donor-run": translated.get("slt", "sqlite").result,
+                    "plain-donor-run": plain.result,
+                    "recomputed-donor-run": translated.result,
                 }
             )
 

@@ -22,7 +22,7 @@ import threading
 import pytest
 
 from repro.core.records import TestSuite
-from repro.core.transplant import run_matrix, run_transplant
+from repro.core.transplant import CellKey, run_cells, run_matrix, run_transplant
 from repro.corpus import build_suite
 from repro.store import (
     ArtifactStore,
@@ -371,13 +371,15 @@ class TestDonorRunStore:
 
     def test_warm_translated_matrix_reuses_stored_donor_runs(self, store, suite):
         suites = {suite.name: suite}
-        plain = run_matrix(suites, hosts=("sqlite",), store=store)
+        cells = run_cells(suites, [CellKey(suite.name, "sqlite"), CellKey(suite.name, "sqlite", translate=True)], store=store)
+        plain = next(cells)
         hits_before = store.stats.hits
-        translated = run_matrix(suites, hosts=("sqlite",), translate_dialect=True, reuse_donor_runs_from=plain, store=store)
-        # donor cells of the translated campaign come from the in-memory
-        # matrix, not the store; the store hit count is unchanged
+        translated = next(cells)
+        # the translated donor cell is served by its plain sibling in the
+        # same campaign, not the store; the store hit count is unchanged
         assert store.stats.hits == hits_before
-        assert translated.get(suite.name, "sqlite").result.total_cases == plain.get(suite.name, "sqlite").result.total_cases
+        assert translated.result.total_cases == plain.result.total_cases
+        assert list(cells) == []
 
 
 # -- the store CLI -----------------------------------------------------------------

@@ -128,11 +128,12 @@ class TestStreamEngine:
     def fake_executor(self, monkeypatch):
         calls = []
 
-        def _fake_execute(context, key, journal):
-            calls.append(key)
-            return f"cell({key.suite}->{key.host})"
+        def _fake_run_cells(suites, cells, **kwargs):
+            for key in cells:
+                calls.append(key)
+                yield f"cell({key.suite}->{key.host})"
 
-        monkeypatch.setattr(stream_module, "_execute_transplant", _fake_execute)
+        monkeypatch.setattr(stream_module, "run_cells", _fake_run_cells)
         return calls
 
     def test_shared_cells_execute_exactly_once(self, fake_executor):
@@ -214,28 +215,21 @@ class TestRealCampaignDedup:
     """On real experiments the planner's dedup is visible in executed cells."""
 
     def test_run_all_executes_each_unique_cell_once(self, monkeypatch):
+        from repro.core import transplant
+
         executed = []
-        real_execute = stream_module._execute_transplant
+        real_run_transplant = transplant.run_transplant
 
-        def spy(context, key, journal):
-            executed.append(key)
-            return real_execute(context, key, journal)
+        def spy(suite, host, **kwargs):
+            executed.append((suite.name, host, kwargs["translate_dialect"]))
+            return real_run_transplant(suite, host, **kwargs)
 
-        monkeypatch.setattr(stream_module, "_execute_transplant", spy)
+        monkeypatch.setattr(transplant, "run_transplant", spy)
         run_all(_tiny_context())
         assert len(executed) == len(set(executed)), "a matrix cell executed twice in one pass"
         # the union: 12 plain grid cells + 9 translated off-diagonal cells
         # (translated donors alias to plain; table6/7 subsets overlap the grid)
         assert len(executed) == 21
-
-    def test_adopted_matrices_serve_late_matrix_reads(self):
-        context = _tiny_context()
-        run_all(context)
-        # the pass covered the full grid, so matrix reads resolve without a
-        # second campaign — and donor_result comes from the adopted matrix
-        assert context._matrix is not None
-        assert context._translated_matrix is not None
-        assert context.donor_result("slt").suite == "slt"
 
 
 class TestStreamCli:

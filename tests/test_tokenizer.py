@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SQLSyntaxError
-from repro.sqlparser.tokenizer import Token, TokenType, strip_comments, tokenize
+from repro.sqlparser.tokenizer import TokenType, strip_comments, tokenize
 
 
 def kinds(sql):
