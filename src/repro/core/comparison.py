@@ -82,8 +82,8 @@ def _actual_values(outcome: ExecutionOutcome, type_string: str) -> list[list[str
     default_code = type_string[-1] if type_string else "T"
     typed = len(type_string)
     if "rows" not in state:
-        # codec v2 backing state: normalise whole columns (one type code per
-        # column) and only then zip into rows — no row reassembly beforehand
+        # the codec's columnar backing state: normalise whole columns (one
+        # type code per column), then zip into rows — no reassembly before
         count = state.get("_row_count")
         if count is not None:
             columns = state.get("_row_columns")

@@ -149,7 +149,14 @@ class ControlRecord(Record):
 
 @dataclass
 class TestFile:
-    """All records parsed from one native-format test file."""
+    """All records parsed from one native-format test file.
+
+    A parsed file is immutable: this package's format parsers record a
+    digest of the parse inputs in ``_source_digest``, and
+    :func:`repro.store.keys.content_hash` keys the file by that digest, so an
+    edit after parsing would still address the artifacts of the source.
+    Hand-built files carry no digest and are hashed by their records.
+    """
 
     # not a pytest test class, despite the name
     __test__ = False
@@ -158,6 +165,8 @@ class TestFile:
     suite: str                       # donor suite: "slt" | "duckdb" | "postgres" | "mysql"
     records: list[Record] = field(default_factory=list)
     source_lines: int = 0
+    # private: neither ``==`` nor ``canonical_bytes`` sees it
+    _source_digest: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def sql_records(self) -> list[Record]:
         """Statement and query records, in order."""

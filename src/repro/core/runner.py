@@ -68,6 +68,11 @@ class FileResult:
     append-to-able list.  Replacing ``results`` wholesale (any length) and
     truncation are detected; only in-place element *overwrites* (which no
     caller performs) would go unnoticed.
+
+    A result loaded from the store (:func:`repro.store.codec.decode_file_result`)
+    starts without ``results``: its ``_frame`` answers the counters,
+    :attr:`total` and :meth:`select` from the frame head, and ``results`` is
+    built on first access.
     """
 
     path: str
@@ -80,7 +85,21 @@ class FileResult:
     # would make a replacement list silently pass for the counted one
     _counted_list: list | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __getattr__(self, name: str):
+        # Lazy materialisation, the ExecutionOutcome idiom: the frame builds
+        # every RecordResult once and is then dropped.  It is plain data, so
+        # a lazy result pickles and stays lazy on the other side.
+        state = self.__dict__
+        if name == "results" and "_frame" in state:
+            results = state["results"] = state["_frame"].results()
+            state.pop("_frame", None)
+            return results
+        raise AttributeError(name)
+
     def _refresh_counts(self) -> dict:
+        frame = self.__dict__.get("_frame")
+        if frame is not None:
+            return frame.counts
         results = self.results
         if self._counted > len(results) or self._counted_list is not results:
             # results was truncated or the list object replaced: recount
@@ -99,8 +118,14 @@ class FileResult:
         return self._refresh_counts().get(outcome, 0)
 
     @property
+    def total(self) -> int:
+        """Number of record results."""
+        frame = self.__dict__.get("_frame")
+        return frame.total if frame is not None else len(self.results)
+
+    @property
     def executed(self) -> int:
-        return len(self.results) - self.count(RecordOutcome.SKIP)
+        return self.total - self.count(RecordOutcome.SKIP)
 
     @property
     def passed(self) -> int:
@@ -122,8 +147,15 @@ class FileResult:
     def hangs(self) -> int:
         return self.count(RecordOutcome.HANG)
 
+    def select(self, *outcomes: RecordOutcome) -> list[RecordResult]:
+        """The results whose outcome is one of ``outcomes``, in record order."""
+        frame = self.__dict__.get("_frame")
+        if frame is not None:
+            return frame.select(outcomes)
+        return [result for result in self.results if result.outcome in outcomes]
+
     def failures(self) -> list[RecordResult]:
-        return [result for result in self.results if result.outcome is RecordOutcome.FAIL]
+        return self.select(RecordOutcome.FAIL)
 
 
 @dataclass
@@ -146,7 +178,7 @@ class SuiteResult:
 
     @property
     def total_cases(self) -> int:
-        return sum(len(file_result.results) for file_result in self.files)
+        return sum(file_result.total for file_result in self.files)
 
     @property
     def executed_cases(self) -> int:

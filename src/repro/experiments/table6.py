@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.core.classification import IncompatibilityCategory, category_histogram, classify_failures, sample_failures
 from repro.core.report import format_table
-from repro.core.runner import RecordOutcome
 from repro.experiments.base import CellKey, Experiment, ExperimentNeeds, register_experiment
 from repro.experiments.context import ExperimentContext, ExperimentResult
 
@@ -70,11 +69,9 @@ def _build(experiment: Table6Experiment) -> ExperimentResult:
         else:
             analysed = sample_failures(failures, sample_size=100, seed=context.seed)
         histogram = category_histogram(classify_failures(analysed, scheme="incompatibility"))
-        crash_count = sum(1 for file_result in transplant.result.files for record in file_result.results if record.outcome is RecordOutcome.CRASH)
-        hang_count = sum(1 for file_result in transplant.result.files for record in file_result.results if record.outcome is RecordOutcome.HANG)
         column = {category.value: histogram.get(category, 0) for category in _CATEGORY_ORDER}
-        column["Timeout"] = hang_count
-        column["Crash"] = crash_count
+        column["Timeout"] = transplant.result.hang_cases
+        column["Crash"] = transplant.result.crash_cases
         column["analysed"] = len(analysed)
         columns.append(((suite, host), column))
         data[f"{suite}->{host}"] = column

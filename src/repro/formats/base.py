@@ -21,6 +21,7 @@ implement :meth:`parse_text` (and optionally :meth:`sniff`), and decorate with
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 from abc import ABC, abstractmethod
@@ -77,6 +78,19 @@ MTR_COMMAND_WORDS = {
     "exit",
     "die",
 }
+
+
+def _source_digest(*parts: str | None) -> bytes:
+    """SHA-256 over ``parts``, each length-prefixed; ``None`` has its own marker."""
+    digest = hashlib.sha256()
+    for part in parts:
+        if part is None:
+            digest.update(b"n")
+            continue
+        data = part.encode("utf-8", "surrogatepass")
+        digest.update(b"s" + len(data).to_bytes(8, "big"))
+        digest.update(data)
+    return digest.digest()
 
 
 class FormatParser(ABC):
@@ -207,9 +221,17 @@ class FormatParser(ABC):
             arguments=words[1:],
         )
 
-    def new_test_file(self, text: str, path: str, suite: str | None) -> TestFile:
-        """A :class:`TestFile` shell with the format's default suite name."""
-        return TestFile(path=path, suite=suite or self.name, source_lines=len(text.splitlines()))
+    def new_test_file(self, text: str, path: str, suite: str | None, companion: str | None = None) -> TestFile:
+        """A :class:`TestFile` shell with the format's default suite name.
+
+        Only parsers of the ``repro`` package stamp it with a digest of the
+        parse inputs (see :class:`TestFile`): the code fingerprint in every
+        store key covers no other parser code.
+        """
+        test_file = TestFile(path=path, suite=suite or self.name, source_lines=len(text.splitlines()))
+        if type(self).__module__.startswith("repro."):
+            test_file._source_digest = _source_digest(self.name, path, test_file.suite, text, companion)
+        return test_file
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<FormatParser {self.name} extensions={self.extensions}>"

@@ -51,7 +51,7 @@ class DuckDBFormat(SLTFormat):
         path: str = "<memory>",
         suite: str | None = None,
     ) -> TestFile:
-        test_file = self.new_test_file(text, path, suite)
+        test_file = self.new_test_file(text, path, suite, companion)
         raw_records: list[Record] = []
         for start_line, lines in self.iter_blocks(text):
             raw_records.extend(self.parse_block(lines, start_line, path))

@@ -83,7 +83,7 @@ class MySQLFormat(FormatParser):
         path: str = "<memory>",
         suite: str | None = None,
     ) -> TestFile:
-        test_file = self.new_test_file(text, path, suite)
+        test_file = self.new_test_file(text, path, suite, companion)
         expectations = _parse_result_file(companion) if companion else {}
 
         expecting_error: str | None = None

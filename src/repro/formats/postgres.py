@@ -58,7 +58,7 @@ class PostgresFormat(FormatParser):
         path: str = "<memory>",
         suite: str | None = None,
     ) -> TestFile:
-        test_file = self.new_test_file(text, path, suite)
+        test_file = self.new_test_file(text, path, suite, companion)
         expectations = _parse_out_file(companion) if companion else {}
 
         statement_index = 0

@@ -60,7 +60,7 @@ class SLTFormat(FormatParser):
         path: str = "<memory>",
         suite: str | None = None,
     ) -> TestFile:
-        test_file = self.new_test_file(text, path, suite)
+        test_file = self.new_test_file(text, path, suite, companion)
         for start_line, lines in self.iter_blocks(text):
             test_file.records.extend(self.parse_block(lines, start_line, path))
         return test_file

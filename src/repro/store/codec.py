@@ -1,13 +1,9 @@
 """Compact, versioned result codec for store payloads.
 
-PR 3 persisted donor runs by pickling whole ``TransplantResult`` object
-graphs.  That worked, but each cell dragged its full per-record payload —
-every :class:`~repro.core.records.Record` (raw text, expectations), every
-:class:`~repro.adapters.base.ExecutionOutcome` (rows *and* their rendered
-strings), every :class:`~repro.core.comparison.ComparisonResult` — through
-pickle, which made off-diagonal matrix cells too fat to persist at all.
-
-This codec replaces those pickles with a **column-oriented** wire format:
+Pickling whole ``TransplantResult`` graphs drags every record, execution and
+comparison of a cell through pickle, which makes off-diagonal matrix cells
+too fat to persist.  This codec stores results in a **column-oriented** wire
+format instead:
 
 * per-record fields are stored as parallel arrays over all records of a file
   (one outcome character each, record indexes, interned reason / error-class
@@ -18,22 +14,24 @@ This codec replaces those pickles with a **column-oriented** wire format:
   (:func:`~repro.store.keys.file_result_key`), so the file a caller decodes
   against is guaranteed content-identical to the one that produced the
   results,
-* every string (SQL text, error messages, rendered values, previews) goes
-  through one per-payload intern table, so repeated text is stored once,
-* the JSON document is zlib-compressed inside a small framed envelope —
-  magic, codec version, and a payload digest that is verified on every read
-  (a flipped bit anywhere in any section reads as a miss), and
-* each file section additionally carries a digest over its own columns —
-  record indexes, outcomes, and the rendered-value references included —
-  re-checked with ``verify=True`` on the decode functions (the roundtrip
-  tests' and debuggers' tool; routine reads lean on the frame digest, which
-  already covers the same bytes).  Decode fidelity itself (decoded ==
-  encoded, canonical byte for byte) is pinned by the roundtrip property
-  tests.
+* a ``file`` frame holds two documents, each with its own string intern
+  table.  The **head** carries everything a warm campaign reads: the
+  per-record columns, the comparisons and the executions of non-PASS
+  records.  The **body** carries the executions of PASS records, which hold
+  almost all result rows.  Loading parses only the head; the body is parsed
+  when ``FileResult.results`` is first read,
+* the documents are zlib-compressed inside a small framed envelope — magic,
+  codec version, and a digest over both documents that is verified on every
+  load (a flipped bit anywhere reads as a miss), and
+* the head also carries a digest over the head and body columns, re-checked
+  only with ``verify=True`` (the roundtrip tests' and debuggers' tool).
+  Decode fidelity itself (decoded == encoded, canonical byte for byte, built
+  lazily or not) is pinned by the roundtrip property tests.
 
 Any mismatch — wrong magic, old codec version, corrupt zlib stream, digest
-mismatch, a file whose shape no longer matches — raises :class:`CodecError`;
-store clients treat that as a miss and recompute, never as data.
+mismatch, a head whose shape does not fit the file — raises
+:class:`CodecError`; store clients treat that as a miss and recompute, never
+as data.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ MAGIC = b"RRC"
 
 #: Wire-format version; bump on any incompatible layout change.  Old blobs
 #: then decode as :class:`CodecError` (a miss), never as garbage.
-CODEC_VERSION = 2
+CODEC_VERSION = 3
 
 #: zlib level 6 is the sweet spot for these payloads (mostly repeated SQL
 #: text and small integer arrays); 9 buys <2% for ~2x the CPU.
@@ -79,6 +77,7 @@ _OUTCOME_TO_CHAR = {
     RecordOutcome.HANG: "H",
 }
 _CHAR_TO_OUTCOME = {char: outcome for outcome, char in _OUTCOME_TO_CHAR.items()}
+_OUTCOME_CHARS = frozenset(_CHAR_TO_OUTCOME)
 
 _STATUS_TO_CHAR = {
     ExecutionStatus.OK: "o",
@@ -136,14 +135,14 @@ def _encode_value(value: Any, intern: _Interner) -> Any:
 
 
 def _encode_rows(execution: Any, intern: _Interner) -> Any:
-    """Query rows, column-major when rectangular (codec v2).
+    """Query rows, column-major when rectangular.
 
     Rectangular results — every query result the engine produces — encode as
     ``{"n": row_count, "c": [per-column value arrays]}``; the decoder keeps
     that layout and hands it to the executor/comparison columnar paths without
     reassembling row lists.  Zero-width rows keep only the count; ragged rows
-    (never produced by the engine, but representable) fall back to the v1
-    row-major list-of-lists.  Outcomes decoded from a v2 frame and never
+    (never produced by the engine, but representable) fall back to a
+    row-major list-of-lists.  Outcomes decoded from a frame and never
     materialised re-encode straight from their columnar backing state.
     """
     state = execution.__dict__
@@ -196,36 +195,44 @@ def _decode_value(payload: Any, strings: list[str]) -> Any:
     raise CodecError(f"unknown value encoding: {payload!r}")
 
 
-# -- file sections ----------------------------------------------------------------
+# -- file frames ------------------------------------------------------------------
+
+#: the head columns the section digest covers, in digest order
+_HEAD_COLUMNS = ("path", "suite", "host", "ri", "oc", "rs", "er", "et", "cmp", "exe")
 
 
-def _section_digest(section: dict) -> str:
-    """Digest of one file section's columns (record indexes, outcomes,
-    rendered-value/preview intern references, execution rows).
+def _section_digest(head: dict, body: dict) -> str:
+    """Digest of one file's head and body columns, over their compact rendering.
 
-    Computed over the compact column rendering — *not* the expanded object
-    graph, which would make every warm read pay a full canonical
-    serialization.  Store reads do not re-verify it: the frame digest
-    (:func:`_unframe`) already covers every section byte, so a second hash
-    per section would only re-prove the same bytes.  ``verify=True`` on the
-    decode functions turns the re-check on — the roundtrip tests use it to
-    pin encode/decode symmetry, and it is the first thing to reach for when
-    debugging a suspected codec bug.
+    Only ``verify=True`` re-checks it: routine loads rely on the frame digest
+    (:func:`_payload`), which covers every byte of both documents.
     """
     payload = json.dumps(
-        {key: value for key, value in section.items() if key != "digest"},
-        ensure_ascii=False,
-        sort_keys=True,
-        separators=(",", ":"),
+        [[head.get(name) for name in _HEAD_COLUMNS], body["exe"]], ensure_ascii=False, separators=(",", ":")
     ).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _encode_file_section(file_result: FileResult, test_file: TestFile, intern: _Interner) -> dict:
+def _encode_execution(position: int, execution: ExecutionOutcome, intern: _Interner) -> list:
+    return [
+        position,
+        _STATUS_TO_CHAR[execution.status],
+        [intern(column) for column in execution.columns],
+        _encode_rows(execution, intern),
+        _encode_rendered(execution, intern),
+        intern(execution.error),
+        intern(execution.error_type),
+        intern(execution.statement),
+    ]
+
+
+def encode_file_result(file_result: FileResult, test_file: TestFile) -> bytes:
+    """Serialize one :class:`FileResult` against its source ``test_file``."""
     records = test_file.records
+    results = file_result.results
     record_indexes: list[int] = []
     cursor = 0
-    for record_result in file_result.results:
+    for record_result in results:
         record = record_result.record
         index = None
         # results are appended in record order, so a forward scan finds each
@@ -245,13 +252,16 @@ def _encode_file_section(file_result: FileResult, test_file: TestFile, intern: _
         cursor = index + 1
         record_indexes.append(index)
 
+    intern = _Interner()
+    body_intern = _Interner()
     outcomes: list[str] = []
     reasons: list[int] = []
     errors: list[int] = []
     error_types: list[int] = []
     comparisons: list[list] = []
     executions: list[list] = []
-    for position, record_result in enumerate(file_result.results):
+    body_executions: list[list] = []
+    for position, record_result in enumerate(results):
         outcomes.append(_OUTCOME_TO_CHAR[record_result.outcome])
         reasons.append(intern(record_result.reason))
         errors.append(intern(record_result.error))
@@ -270,20 +280,13 @@ def _encode_file_section(file_result: FileResult, test_file: TestFile, intern: _
             )
         execution = record_result.execution
         if execution is not None:
-            executions.append(
-                [
-                    position,
-                    _STATUS_TO_CHAR[execution.status],
-                    [intern(column) for column in execution.columns],
-                    _encode_rows(execution, intern),
-                    _encode_rendered(execution, intern),
-                    intern(execution.error),
-                    intern(execution.error_type),
-                    intern(execution.statement),
-                ]
-            )
+            if record_result.outcome is RecordOutcome.PASS:
+                body_executions.append(_encode_execution(position, execution, body_intern))
+            else:
+                executions.append(_encode_execution(position, execution, intern))
 
-    section = {
+    head = {
+        "k": "file",
         "path": intern(file_result.path),
         "suite": intern(file_result.suite),
         "host": intern(file_result.host),
@@ -295,48 +298,112 @@ def _encode_file_section(file_result: FileResult, test_file: TestFile, intern: _
         "cmp": comparisons,
         "exe": executions,
     }
-    section["digest"] = _section_digest(section)
-    return section
+    body = {"exe": body_executions}
+    head["digest"] = _section_digest(head, body)
+    return _frame(_document(head, intern), _document(body, body_intern))
 
 
-def _decode_file_section(section: dict, test_file: TestFile, strings: list[str], verify: bool = False) -> FileResult:
-    if verify and (not isinstance(section, dict) or _section_digest(section) != section.get("digest")):
-        raise CodecError("file section does not match its stored digest")
+def _check_positions(entries: list, size: int, what: str) -> None:
+    """``entries`` (``[position, ...]`` lists) sit at ascending positions below ``size``."""
+    previous = -1
+    for entry in entries:
+        position = entry[0]
+        if not previous < position < size:
+            raise CodecError(f"file {what} positions are out of range or order")
+        previous = position
+
+
+def _parse_body(data: bytes) -> dict:
     try:
-        records = test_file.records
-        file_result = FileResult(
-            path=strings[section["path"]],
-            suite=strings[section["suite"]],
-            host=strings[section["host"]],
-        )
-        # hot loop: the sparse comparison/execution columns are written in
-        # position order, so a pointer walk replaces two dict lookups per
-        # record; dataclasses are built around __init__ (plain __dict__
-        # instances are field-for-field identical — same equality, canonical
-        # bytes, and pickle — at a fraction of the per-record constructor
-        # cost); every per-record global is bound to a local
-        comparisons = section["cmp"]
-        executions = section["exe"]
-        outcomes = section["oc"]
-        reasons = section["rs"]
-        errors = section["er"]
-        error_types = section["et"]
-        append = file_result.results.append
-        char_to_outcome = _CHAR_TO_OUTCOME
-        char_to_status = _CHAR_TO_STATUS
-        decode_value = _decode_value
-        new_comparison = ComparisonResult.__new__
-        new_execution = ExecutionOutcome.__new__
-        new_record_result = RecordResult.__new__
-        cmp_cursor = exe_cursor = 0
-        cmp_count = len(comparisons)
-        exe_count = len(executions)
-        for position, record_index in enumerate(section["ri"]):
+        body = json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        raise CodecError(f"corrupt file body: {error}") from error
+    if not isinstance(body, dict) or not isinstance(body.get("strs"), list) or not isinstance(body.get("exe"), list):
+        raise CodecError("file body has no string table or executions")
+    return body
+
+
+class _FileFrame:
+    """The lazy state of a loaded ``file`` frame, parked in ``FileResult._frame``.
+
+    The constructor runs the head's shape checks, so a malformed head is a
+    miss at load, and decodes the head's executions: as parsed JSON, a row
+    value costs far more memory than decoded, so the frame keeps no parsed
+    JSON document.  Records are built on demand — non-PASS ones from the
+    head alone — and kept, so materialising ``results`` reuses them.  The
+    frame digest covers the body, so a body that fails to build can only
+    come from an encoder bug; it raises :class:`CodecError` when it is built.
+    """
+
+    def __init__(self, head: dict, strings: list[str], body: bytes | dict, records: list) -> None:
+        try:
+            outcomes = head["oc"]
+            indexes = head["ri"]
+            size = len(outcomes)
+            if type(outcomes) is not str or not (
+                len(indexes) == len(head["rs"]) == len(head["er"]) == len(head["et"]) == size
+            ):
+                raise CodecError("file head columns differ in length")
+            if indexes and (min(indexes) < 0 or max(indexes) >= len(records)):
+                raise CodecError("file head references records outside the test file")
+            if not _OUTCOME_CHARS.issuperset(outcomes):
+                raise CodecError("file head has unknown outcome characters")
+            _check_positions(head["cmp"], size, "comparison")
+            _check_positions(head["exe"], size, "execution")
+            if any(outcomes[entry[0]] == "P" for entry in head["exe"]):
+                raise CodecError("file head holds the execution of a PASS record")
+            self.identity = {name: strings[head[name]] for name in ("path", "suite", "host")}
+            #: position -> ExecutionOutcome; PASS records' join with the body
+            self.executions = {entry[0]: _decode_execution(entry, strings) for entry in head["exe"]}
+        except (IndexError, KeyError, TypeError, ValueError) as error:
+            raise CodecError(f"malformed file head: {type(error).__name__}: {error}") from error
+        self.columns = (indexes, outcomes, head["rs"], head["er"], head["et"])
+        self.comparisons = {entry[0]: entry for entry in head["cmp"]}
+        self.strings = strings
+        self.body: bytes | dict | None = body  # None once joined
+        self.records = records
+        self.total = size
+        self.counts = {outcome: outcomes.count(char) for outcome, char in _OUTCOME_TO_CHAR.items()}
+        self.built: dict[int, RecordResult] = {}
+
+    def _join_body(self) -> None:
+        if self.body is None:
+            return
+        body = self.body if type(self.body) is dict else _parse_body(self.body)
+        try:
+            _check_positions(body["exe"], self.total, "body execution")
+            if any(self.columns[1][entry[0]] != "P" for entry in body["exe"]):
+                raise CodecError("file body holds the execution of a non-PASS record")
+            strings = body["strs"]
+            self.executions.update((entry[0], _decode_execution(entry, strings)) for entry in body["exe"])
+        except (IndexError, KeyError, TypeError, ValueError) as error:
+            raise CodecError(f"malformed file body: {type(error).__name__}: {error}") from error
+        self.body = None
+
+    def select(self, outcomes: tuple) -> list[RecordResult]:
+        wanted = {_OUTCOME_TO_CHAR[outcome] for outcome in outcomes}
+        column = self.columns[1]
+        if not any(char in column for char in wanted):
+            return []
+        if "P" in wanted:
+            self._join_body()
+        return [self._build(position) for position, char in enumerate(column) if char in wanted]
+
+    def results(self) -> list[RecordResult]:
+        self._join_body()
+        return [self._build(position) for position in range(self.total)]
+
+    def _build(self, position: int) -> RecordResult:
+        record_result = self.built.get(position)
+        if record_result is not None:
+            return record_result
+        indexes, outcomes, reasons, errors, error_types = self.columns
+        strings = self.strings
+        try:
             comparison = None
-            if cmp_cursor < cmp_count and comparisons[cmp_cursor][0] == position:
-                entry = comparisons[cmp_cursor]
-                cmp_cursor += 1
-                comparison = new_comparison(ComparisonResult)
+            entry = self.comparisons.get(position)
+            if entry is not None:
+                comparison = ComparisonResult.__new__(ComparisonResult)
                 comparison.__dict__ = {
                     "matches": bool(entry[1]),
                     "reason": strings[entry[2]],
@@ -344,88 +411,71 @@ def _decode_file_section(section: dict, test_file: TestFile, strings: list[str],
                     "actual_preview": [strings[index] for index in entry[5]],
                     "mismatch_kind": strings[entry[3]],
                 }
-            execution = None
-            if exe_cursor < exe_count and executions[exe_cursor][0] == position:
-                entry = executions[exe_cursor]
-                exe_cursor += 1
-                execution = new_execution(ExecutionOutcome)
-                state = {
-                    "status": char_to_status[entry[1]],
-                    "columns": [strings[index] for index in entry[2]],
-                    "error": strings[entry[5]],
-                    "error_type": strings[entry[6]],
-                    "statement": strings[entry[7]],
-                }
-                raw_rows = entry[3]
-                if type(raw_rows) is dict:
-                    # column-major (v2): keep the columnar layout; ``rows``
-                    # materialises lazily (ExecutionOutcome.__getattr__) and
-                    # comparison consumes the columns directly
-                    state["_row_count"] = raw_rows["n"]
-                    raw_columns = raw_rows.get("c")
-                    if raw_columns is not None:
-                        state["_row_columns"] = [
-                            [decode_value(value, strings) for value in column] for column in raw_columns
-                        ]
-                else:
-                    state["rows"] = [[decode_value(value, strings) for value in row] for row in raw_rows]
-                raw_rendered = entry[4]
-                if type(raw_rendered) is dict:
-                    state["_render_style"] = strings[raw_rendered["y"]]
-                else:
-                    state["rendered"] = [[strings[index] for index in row] for row in raw_rendered]
-                execution.__dict__ = state
-            record_result = new_record_result(RecordResult)
+            # dataclasses are built around __init__: plain __dict__ instances
+            # are field-for-field identical (same equality, canonical bytes
+            # and pickle) at a fraction of the constructor cost
+            record_result = RecordResult.__new__(RecordResult)
             record_result.__dict__ = {
-                "record": records[record_index],
-                "outcome": char_to_outcome[outcomes[position]],
+                "record": self.records[indexes[position]],
+                "outcome": _CHAR_TO_OUTCOME[outcomes[position]],
                 "reason": strings[reasons[position]],
                 "error": strings[errors[position]],
                 "error_type": strings[error_types[position]],
                 "comparison": comparison,
-                "execution": execution,
+                "execution": self.executions.get(position),
             }
-            append(record_result)
-        if cmp_cursor != cmp_count or exe_cursor != exe_count:
-            raise CodecError("file section has comparison/execution entries for unknown positions")
-    except CodecError:
-        raise
-    except (IndexError, KeyError, TypeError, ValueError) as error:
-        raise CodecError(f"malformed file section: {type(error).__name__}: {error}") from error
-    return file_result
+        except (IndexError, KeyError, TypeError) as error:
+            raise CodecError(f"malformed file frame: {type(error).__name__}: {error}") from error
+        self.built[position] = record_result
+        return record_result
+
+
+def _decode_execution(entry: list, strings: list[str]) -> ExecutionOutcome:
+    state = {
+        "status": _CHAR_TO_STATUS[entry[1]],
+        "columns": [strings[index] for index in entry[2]],
+        "error": strings[entry[5]],
+        "error_type": strings[entry[6]],
+        "statement": strings[entry[7]],
+    }
+    raw_rows = entry[3]
+    if type(raw_rows) is dict:
+        # column-major: keep the columnar layout; ``rows`` materialises
+        # lazily (ExecutionOutcome.__getattr__) and comparison consumes the
+        # columns directly
+        state["_row_count"] = raw_rows["n"]
+        raw_columns = raw_rows.get("c")
+        if raw_columns is not None:
+            state["_row_columns"] = [[_decode_value(value, strings) for value in column] for column in raw_columns]
+    else:
+        state["rows"] = [[_decode_value(value, strings) for value in row] for row in raw_rows]
+    raw_rendered = entry[4]
+    if type(raw_rendered) is dict:
+        state["_render_style"] = strings[raw_rendered["y"]]
+    else:
+        state["rendered"] = [[strings[index] for index in row] for row in raw_rendered]
+    execution = ExecutionOutcome.__new__(ExecutionOutcome)
+    execution.__dict__ = state
+    return execution
 
 
 # -- framing ----------------------------------------------------------------------
 
 
-def _frame(document: dict, intern: _Interner) -> bytes:
+def _document(document: dict, intern: _Interner) -> bytes:
+    """One compact JSON document with its string table; never holds a raw newline."""
     document["strs"] = intern.strings
-    payload = json.dumps(document, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    return json.dumps(document, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+
+
+def _frame(*documents: bytes) -> bytes:
+    payload = b"\n".join(documents)
     digest = hashlib.sha256(payload).digest()[:8]
     return MAGIC + bytes([CODEC_VERSION]) + digest + zlib.compress(payload, _ZLIB_LEVEL)
 
 
-def frame_intact(blob: Any) -> bool:
-    """Whether ``blob`` is a structurally sound codec frame (digest verified).
-
-    The store's :meth:`~repro.store.artifacts.ArtifactStore.audit` uses this
-    to digest-verify persisted frames without the live suite a full decode
-    would need to reattach records from.
-    """
-    if not isinstance(blob, (bytes, bytearray)):
-        return False
-    blob = bytes(blob)
-    if len(blob) < len(MAGIC) + 9 or blob[: len(MAGIC)] != MAGIC or blob[len(MAGIC)] != CODEC_VERSION:
-        return False
-    digest = blob[len(MAGIC) + 1 : len(MAGIC) + 9]
-    try:
-        payload = zlib.decompress(blob[len(MAGIC) + 9 :])
-    except zlib.error:
-        return False
-    return hashlib.sha256(payload).digest()[:8] == digest
-
-
-def _unframe(blob: Any, expected_kind: str) -> tuple[dict, list[str]]:
+def _payload(blob: Any) -> bytes:
+    """The digest-verified payload of a frame."""
     if not isinstance(blob, (bytes, bytearray)):
         raise CodecError(f"expected codec bytes, got {type(blob).__name__}")
     blob = bytes(blob)
@@ -443,36 +493,64 @@ def _unframe(blob: Any, expected_kind: str) -> tuple[dict, list[str]]:
         raise CodecError(f"corrupt codec payload: {error}") from error
     if hashlib.sha256(payload).digest()[:8] != digest:
         raise CodecError("codec payload digest mismatch")
+    return payload
+
+
+def frame_intact(blob: Any) -> bool:
+    """Whether ``blob`` is a structurally sound codec frame (digest verified).
+
+    The store's :meth:`~repro.store.artifacts.ArtifactStore.audit` uses this
+    to digest-verify persisted frames without the live suite a full decode
+    would need to reattach records from.
+    """
     try:
-        document = json.loads(payload)
-    except json.JSONDecodeError as error:
+        _payload(blob)
+    except CodecError:
+        return False
+    return True
+
+
+def _unframe(blob: Any, expected_kind: str) -> tuple[dict, list[str], bytes | None]:
+    """(first document, its string table, the second document's bytes or None)."""
+    first, separator, rest = _payload(blob).partition(b"\n")
+    try:
+        document = json.loads(first)
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
         raise CodecError(f"corrupt codec document: {error}") from error
     if not isinstance(document, dict) or document.get("k") != expected_kind:
         raise CodecError(f"codec document is not a {expected_kind!r} payload")
     strings = document.get("strs")
     if not isinstance(strings, list):
         raise CodecError("codec document has no string table")
-    return document, strings
+    return document, strings, rest if separator else None
 
 
 # -- public API -------------------------------------------------------------------
 
 
-def encode_file_result(file_result: FileResult, test_file: TestFile) -> bytes:
-    """Serialize one :class:`FileResult` against its source ``test_file``."""
-    intern = _Interner()
-    return _frame({"k": "file", "f": _encode_file_section(file_result, test_file, intern)}, intern)
-
-
 def decode_file_result(blob: bytes, test_file: TestFile, verify: bool = False) -> FileResult:
-    """Rebuild a :class:`FileResult`, reattaching records from ``test_file``.
+    """Load a :class:`FileResult`, reattaching records from ``test_file``.
 
-    ``verify=True`` re-checks the per-section column digest on top of the
-    frame digest (debugging / test aid; the frame digest already covers the
+    Only the frame head is parsed: the result answers its counters,
+    ``total``, ``failures()`` and ``select()`` from the head, and builds
+    ``results`` from the body on first access.  ``verify=True`` builds
+    ``results`` at once and re-checks the section digest over the head and
+    body columns (debugging / test aid; the frame digest already covers the
     same bytes).
     """
-    document, strings = _unframe(blob, "file")
-    return _decode_file_section(document["f"], test_file, strings, verify=verify)
+    head, strings, body = _unframe(blob, "file")
+    if body is None:
+        raise CodecError("file frame has no body document")
+    if verify:
+        body = _parse_body(body)
+        if _section_digest(head, body) != head.get("digest"):
+            raise CodecError("file section does not match its stored digest")
+    frame = _FileFrame(head, strings, body, test_file.records)
+    file_result = FileResult.__new__(FileResult)
+    file_result.__dict__ = {**frame.identity, "_outcome_counts": {}, "_counted": 0, "_counted_list": None, "_frame": frame}
+    if verify:
+        file_result.results  # noqa: B018 - build every record now
+    return file_result
 
 
 def encode_analysis_partial(pass_id: str, partial: dict) -> bytes:
@@ -486,7 +564,7 @@ def encode_analysis_partial(pass_id: str, partial: dict) -> bytes:
     """
     if not isinstance(partial, dict):
         raise CodecError(f"analysis partial must be a dict, got {type(partial).__name__}")
-    return _frame({"k": "analysis", "p": pass_id, "d": partial}, _Interner())
+    return _frame(_document({"k": "analysis", "p": pass_id, "d": partial}, _Interner()))
 
 
 def decode_analysis_partial(blob: bytes, pass_id: str) -> dict:
@@ -496,7 +574,7 @@ def decode_analysis_partial(blob: bytes, pass_id: str) -> dict:
     route there) or whose document is not a dict raises :class:`CodecError`
     — a miss, never a wrong answer.
     """
-    document, _strings = _unframe(blob, "analysis")
+    document, _strings, _body = _unframe(blob, "analysis")
     if document.get("p") != pass_id:
         raise CodecError(f"analysis frame belongs to pass {document.get('p')!r}, not {pass_id!r}")
     partial = document.get("d")
@@ -509,18 +587,17 @@ def fault_reports_for(result: SuiteResult, host: str) -> tuple[list[FaultReport]
     """(crashes, hangs) extracted from a suite result, as ``run_transplant`` does.
 
     Fault reports are pure projections of the per-record results, so the codec
-    never stores them — decoding recomputes them, bit-for-bit.
+    never stores them — decoding recomputes them, bit-for-bit, from the frame
+    heads alone.
     """
     crashes: list[FaultReport] = []
     hangs: list[FaultReport] = []
     for file_result in result.files:
-        for record_result in file_result.results:
-            if record_result.outcome is RecordOutcome.CRASH:
-                crashes.append(
-                    FaultReport(dbms=host, kind="crash", statement=record_result.sql, message=record_result.error)
+        for record_result in file_result.select(RecordOutcome.CRASH, RecordOutcome.HANG):
+            crash = record_result.outcome is RecordOutcome.CRASH
+            (crashes if crash else hangs).append(
+                FaultReport(
+                    dbms=host, kind="crash" if crash else "hang", statement=record_result.sql, message=record_result.error
                 )
-            elif record_result.outcome is RecordOutcome.HANG:
-                hangs.append(
-                    FaultReport(dbms=host, kind="hang", statement=record_result.sql, message=record_result.error)
-                )
+            )
     return crashes, hangs

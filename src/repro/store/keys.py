@@ -1,8 +1,9 @@
 """Canonical serialization for store keys and result-identity checks.
 
 Artifacts are addressed by the SHA-256 of a *canonical* rendering of their
-key, and suites are identified by the canonical rendering of their parsed
-records — not by ``pickle`` bytes, whose layout can vary with incidental
+key.  Parsed test files are identified by a digest of their source bytes
+(:func:`content_hash`); anything else by the canonical rendering of its
+fields — not by ``pickle`` bytes, whose layout can vary with incidental
 object state (memo tables, lazily-populated counters).  The canonical form
 walks dataclasses field by field, skips private (``_``-prefixed) fields,
 renders enums by value, and emits sorted-key JSON, so two structurally equal
@@ -15,7 +16,6 @@ import dataclasses
 import enum
 import hashlib
 import json
-import weakref
 from typing import Any
 
 
@@ -58,41 +58,17 @@ def key_digest(namespace: str, key: Any, fingerprint: str) -> str:
     return digest.hexdigest()
 
 
-#: Per-object memo for :func:`content_hash`: a campaign hashes each suite
-#: once per *cell* (suites x hosts x {plain, translated}) and each test file
-#: once per sharded run, and the canonical walk is the single most expensive
-#: part of a warm lookup.  Keyed by ``id`` because the record containers
-#: (eq-bearing dataclasses) are unhashable; the stored weakref both guards
-#: against id reuse and evicts the entry when the object is collected.
-_CONTENT_HASH_MEMO: dict[int, tuple["weakref.ref", str]] = {}
-
-
 def content_hash(value: Any) -> str:
     """Stable content hash of a (possibly nested dataclass) value.
 
-    The hash is memoized per *object* (suites and test files are immutable
-    once built; callers that mutate one after hashing it would address stale
-    artifacts, so don't).
+    A parsed :class:`~repro.core.records.TestFile` is hashed by the digest
+    of its source bytes, domain-separated, without walking its records;
+    everything else, hand-built files included, by the canonical walk.
     """
-    memo_key = id(value)
-    entry = _CONTENT_HASH_MEMO.get(memo_key)
-    if entry is not None:
-        ref, digest = entry
-        if ref() is value:
-            return digest
-    digest = hashlib.sha256(canonical_bytes(value)).hexdigest()
-    try:
-        ref = weakref.ref(value, lambda _ref, _key=memo_key: _CONTENT_HASH_MEMO.pop(_key, None))
-    except TypeError:
-        return digest  # unweakrefable stand-ins (tests): skip the memo
-    _CONTENT_HASH_MEMO[memo_key] = (ref, digest)
-    return digest
-
-
-#: Per-object memo for :func:`suite_content_hash` (separate from the generic
-#: :func:`content_hash` memo: the two functions hash the same object to
-#: different digests, so they must not share entries).
-_SUITE_HASH_MEMO: dict[int, tuple["weakref.ref", str]] = {}
+    source = getattr(value, "_source_digest", None)
+    if source is not None:
+        return hashlib.sha256(b"repro.test-file-source\0" + source).hexdigest()
+    return hashlib.sha256(canonical_bytes(value)).hexdigest()
 
 
 def suite_content_hash(suite: Any) -> str:
@@ -105,24 +81,10 @@ def suite_content_hash(suite: Any) -> str:
 
     The digest is derived from the suite's name and its files' *per-file*
     content hashes — the same hashes that key the ``file-results`` assembly
-    artifacts — rather than one canonical walk over every record.  Editing
-    one file of a campaign's suite therefore re-hashes only that file (the
-    others are served from the per-object memo).
+    artifacts — rather than one canonical walk over every record.
     """
-    memo_key = id(suite)
-    entry = _SUITE_HASH_MEMO.get(memo_key)
-    if entry is not None:
-        ref, digest = entry
-        if ref() is suite:
-            return digest
     payload = canonical_bytes({"name": suite.name, "files": [content_hash(test_file) for test_file in suite.files]})
-    digest = hashlib.sha256(payload).hexdigest()
-    try:
-        ref = weakref.ref(suite, lambda _ref, _key=memo_key: _SUITE_HASH_MEMO.pop(_key, None))
-    except TypeError:
-        return digest  # unweakrefable stand-ins (tests): skip the memo
-    _SUITE_HASH_MEMO[memo_key] = (ref, digest)
-    return digest
+    return hashlib.sha256(payload).hexdigest()
 
 
 # -- assembly namespaces and keys -------------------------------------------------
@@ -156,9 +118,7 @@ def file_result_key(spec: Any, test_file: Any) -> dict:
     file — the unit of incremental assembly.  ``spec`` is a
     :class:`~repro.core.parallel.RunnerSpec` (or an equivalent mapping); it
     joins the key because the same file produces different results under a
-    different host, tolerance, or translation setting.  ``content_hash``
-    memoizes per file object, so repeat runs in one process hash each file
-    once.
+    different host, tolerance, or translation setting.
     """
     if dataclasses.is_dataclass(spec) and not isinstance(spec, type):
         spec_payload: Any = dataclasses.asdict(spec)

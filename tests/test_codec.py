@@ -12,6 +12,8 @@ Pinned invariants:
 * **Warm-cell parity** — a warm full matrix equals a storeless run byte for
   byte with ``workers=1`` and ``workers=4``, and store-aware workers serve
   per-file results without executing.
+* **Lazy loads** — a load parses only the frame head; a warm campaign
+  answers every experiment from the heads and builds no record result.
 * **Compactness** — a cell's per-file codec frames undercut the PR 3
   whole-object pickle by the documented margin (>=5x) on a representative
   cell.
@@ -121,10 +123,10 @@ class TestRoundtrip:
         test_file = suite.files[0]
         blob = encode_file_result(result.result.files[0], test_file)
         header_len = len(codec_module.MAGIC) + 1 + 8
-        document = json.loads(zlib.decompress(blob[header_len:]))
-        section = document["f"]
-        section["oc"] = ("P" if section["oc"][0] != "P" else "F") + section["oc"][1:]
-        payload = json.dumps(document, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+        head_bytes, body_bytes = zlib.decompress(blob[header_len:]).split(b"\n")
+        head = json.loads(head_bytes)
+        head["oc"] = ("P" if head["oc"][0] != "P" else "F") + head["oc"][1:]
+        payload = json.dumps(head, ensure_ascii=False, separators=(",", ":")).encode("utf-8") + b"\n" + body_bytes
         reframed = (
             codec_module.MAGIC
             + bytes([codec_module.CODEC_VERSION])
@@ -257,3 +259,27 @@ class TestWarmCellParity:
         worker_side = _worker_store(spec)
         assert worker_side.fingerprint == store.fingerprint
         assert str(worker_side.root) == str(store.root)
+
+    def test_warm_replay_reads_only_heads(self, tmp_path):
+        """A warm campaign answers every experiment from the frame heads: no
+        cell's file result builds its records, and the output still equals
+        the storeless run's."""
+        from repro.experiments import ExperimentContext
+        from repro.experiments.stream import run_batch
+
+        def batch(**kwargs):
+            context = ExperimentContext(scale=0.06, seed=7, **kwargs)
+            return run_batch(None, context), context
+
+        reference, _ = batch(use_store=False)
+        store_dir = str(tmp_path / "store")
+        batch(use_store=True, store_dir=store_dir)
+        warm, context = batch(use_store=True, store_dir=store_dir)
+        built = [
+            (key, file_result.path)
+            for key, cell in context.cells.items()
+            for file_result in cell.result.files
+            if "results" in file_result.__dict__
+        ]
+        assert context.cells and built == []
+        assert canonical_bytes(warm) == canonical_bytes(reference)

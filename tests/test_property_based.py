@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core invariants."""
 
+import pickle
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -490,19 +491,41 @@ class TestVectorizedScalarEquivalence:
         assert columnar_features == scalar_features
 
 
+def _assert_lazy_matches(decoded: FileResult, source: FileResult) -> None:
+    """A decoded result answers from its frame head exactly as its source
+    does, stays lazy while doing so, and equals the source once built —
+    also after pickling it unbuilt."""
+    from repro.store.codec import fault_reports_for
+
+    if "results" not in decoded.__dict__:
+        for outcome in RecordOutcome:
+            assert decoded.count(outcome) == source.count(outcome)
+        assert (decoded.total, decoded.executed) == (source.total, source.executed)
+        assert canonical_bytes(decoded.failures()) == canonical_bytes(source.failures())
+        faults = fault_reports_for(SuiteResult(suite=source.suite, host=source.host, files=[decoded]), source.host)
+        expected = fault_reports_for(SuiteResult(suite=source.suite, host=source.host, files=[source]), source.host)
+        assert canonical_bytes(faults) == canonical_bytes(expected)
+        assert "results" not in decoded.__dict__, "head answers must not build the records"
+        unpickled = pickle.loads(pickle.dumps(decoded))
+        assert "results" not in unpickled.__dict__
+        assert canonical_bytes(unpickled) == canonical_bytes(source)
+    assert canonical_bytes(decoded) == canonical_bytes(source)
+
+
 class TestCodecProperties:
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_file_result_roundtrip_on_random_suites(self, seed):
+    def test_file_result_roundtrip_on_random_suites(self, seed, verify):
         rng = random.Random(seed)
         test_file, file_result = _fuzz_file(rng)
         blob = encode_file_result(file_result, test_file)
-        decoded = decode_file_result(blob, test_file, verify=True)
-        assert canonical_bytes(decoded) == canonical_bytes(file_result)
+        decoded = decode_file_result(blob, test_file, verify=verify)
+        assert ("results" in decoded.__dict__) is verify
+        _assert_lazy_matches(decoded, file_result)
 
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
     @settings(max_examples=15, deadline=None)
-    def test_suite_result_roundtrip_on_random_suites(self, seed):
+    def test_suite_result_roundtrip_on_random_suites(self, seed, verify):
         rng = random.Random(seed)
         suite_name = rng.choice(_FUZZ_DIALECTS)
         suite = TestSuite(name=suite_name)
@@ -514,16 +537,20 @@ class TestCodecProperties:
         # a suite result persists as one frame per file (file-results)
         decoded = SuiteResult(suite=result.suite, host=result.host)
         for file_result, test_file in zip(result.files, suite.files):
-            decoded.files.append(decode_file_result(encode_file_result(file_result, test_file), test_file, verify=True))
+            decoded.files.append(decode_file_result(encode_file_result(file_result, test_file), test_file, verify=verify))
+        for decoded_file, file_result in zip(decoded.files, result.files):
+            assert ("results" in decoded_file.__dict__) is verify
+            _assert_lazy_matches(decoded_file, file_result)
         assert canonical_bytes(decoded) == canonical_bytes(result)
 
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
     @settings(max_examples=30, deadline=None)
-    def test_any_single_byte_corruption_reads_as_codec_error(self, seed):
+    def test_any_single_byte_corruption_reads_as_codec_error(self, seed, verify):
         """Every frame byte is covered by magic/version checks or the payload
-        digest: flipping any one of them must surface as a miss, never as
-        plausible results (the invariant incremental assembly's corrupted-blob
-        fallback relies on)."""
+        digest: flipping any one of them must surface as a miss at load —
+        without ``verify`` too, since a lazy load parses only the head —
+        never as plausible results (the invariant incremental assembly's
+        corrupted-blob fallback relies on)."""
         import pytest
 
         rng = random.Random(seed)
@@ -531,4 +558,4 @@ class TestCodecProperties:
         blob = bytearray(encode_file_result(file_result, test_file))
         blob[rng.randrange(len(blob))] ^= 0xFF
         with pytest.raises(CodecError):
-            decode_file_result(bytes(blob), test_file, verify=True)
+            decode_file_result(bytes(blob), test_file, verify=verify)

@@ -15,22 +15,34 @@ leave on by default:
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import os
 import pickle
+import subprocess
+import sys
 import threading
 
 import pytest
 
 from repro.core.records import TestSuite
 from repro.core.transplant import CellKey, run_cells, run_matrix, run_transplant
-from repro.corpus import build_suite
+from repro.corpus import build_all_suites, build_suite
+from repro.formats import parse_test_text
 from repro.store import (
     ArtifactStore,
     canonical_bytes,
+    content_hash,
     store_disabled,
     suite_content_hash,
 )
 from repro.store.artifacts import STORE_FORMAT_VERSION
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+#: a PostgreSQL regression script and its expected-output companion
+_PG_TEXT = "CREATE TABLE t (a int);\nINSERT INTO t VALUES (1);\nSELECT a FROM t;\n"
+_PG_OUT = "CREATE TABLE t (a int);\nINSERT INTO t VALUES (1);\nSELECT a FROM t;\n a \n---\n 1\n(1 row)\n\n"
 
 
 @pytest.fixture
@@ -249,12 +261,110 @@ class TestCanonicalBytes:
         assert suite_content_hash(first) != suite_content_hash(second)
 
     def test_private_fields_do_not_change_identity(self):
-        from repro.core.runner import FileResult
+        from repro.core.records import StatementRecord
+        from repro.core.runner import FileResult, RecordOutcome, RecordResult
+        from repro.store import decode_file_result, encode_file_result
 
+        record = StatementRecord(line=1, sql="SELECT 1")
         untouched = FileResult(path="p", suite="slt", host="sqlite")
         counted = FileResult(path="p", suite="slt", host="sqlite")
-        counted.count  # noqa: B018 - populate the lazy counter state
+        for file_result in (untouched, counted):
+            file_result.results.append(RecordResult(record=record, outcome=RecordOutcome.PASS))
+        assert counted.passed == 1  # populates the private counter state
+        assert counted._outcome_counts and not untouched._outcome_counts
         assert canonical_bytes(untouched) == canonical_bytes(counted)
+
+        # a decoded result that has not built its records yet carries only
+        # lazy state besides its public fields: identity ignores it too
+        suite = build_suite("slt", file_count=1, records_per_file=15, seed=11, store=None)
+        eager = run_transplant(suite, "duckdb", store=None).result.files[0]
+        lazy = decode_file_result(encode_file_result(eager, suite.files[0]), suite.files[0])
+        assert "results" not in lazy.__dict__
+        assert canonical_bytes(lazy) == canonical_bytes(eager)
+
+    def test_parsed_file_hash_survives_pickle(self):
+        test_file = build_suite("postgres", file_count=1, records_per_file=15, seed=11, store=None).files[0]
+        assert test_file._source_digest is not None
+        clone = pickle.loads(pickle.dumps(test_file))
+        assert clone is not test_file
+        assert content_hash(clone) == content_hash(test_file)
+
+    def test_parsed_file_hash_is_stable_across_hash_seeds(self):
+        script = (
+            "from repro.formats import parse_test_text\n"
+            "from repro.store import content_hash\n"
+            f"print(content_hash(parse_test_text({_PG_TEXT!r}, 'postgres', path='a.sql', out_text={_PG_OUT!r})))\n"
+        )
+        expected = content_hash(parse_test_text(_PG_TEXT, "postgres", path="a.sql", out_text=_PG_OUT))
+        for hash_seed in ("1", "2"):
+            environment = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=_SRC)
+            output = subprocess.run(
+                [sys.executable, "-c", script], env=environment, capture_output=True, text=True, check=True
+            )
+            assert output.stdout.strip() == expected
+
+    def test_every_source_input_changes_the_hash(self):
+        def digest(text=_PG_TEXT, companion=_PG_OUT, path="a.sql", suite=None, suite_format="postgres"):
+            return content_hash(parse_test_text(text, suite_format, path=path, companion=companion, suite=suite))
+
+        baseline = digest()
+        variants = [
+            digest(text=_PG_TEXT + "\n"),
+            digest(companion=_PG_OUT + "\n"),
+            digest(companion=None),
+            digest(path="b.sql"),
+            digest(suite="postgres-copy"),
+            digest(suite_format="mysql", suite="postgres"),
+        ]
+        assert baseline not in variants
+        assert len(set(variants)) == len(variants)
+
+    def test_hand_built_files_keep_the_canonical_walk(self):
+        from repro.core.records import Condition, QueryRecord, StatementRecord, TestFile
+
+        hand_built = TestFile(
+            path="hand.test",
+            suite="slt",
+            records=[
+                StatementRecord(line=1, raw="statement ok\nCREATE TABLE t(a INTEGER)", sql="CREATE TABLE t(a INTEGER)"),
+                QueryRecord(
+                    line=4,
+                    raw="query I\nSELECT a FROM t",
+                    sql="SELECT a FROM t",
+                    type_string="I",
+                    expected_values=["1"],
+                    conditions=[Condition("skipif", "mysql")],
+                ),
+            ],
+            source_lines=7,
+        )
+        assert hand_built._source_digest is None
+        assert content_hash(hand_built) == hashlib.sha256(canonical_bytes(hand_built)).hexdigest()
+        # the value content_hash gave this file before parsed files had digests
+        assert content_hash(hand_built) == "9830e10b225d8e42cb4cb7ce1dcddfec19002d15e1ca7b73779844f458e17fbb"
+
+    def test_parser_outside_repro_keeps_the_walk(self):
+        from repro.formats.slt import SLTFormat
+
+        class OutsideSLT(SLTFormat):
+            name = "slt"
+
+        text = "statement ok\nCREATE TABLE t(a INTEGER)\n\nquery I\nSELECT a FROM t\n----\n"
+        outside = OutsideSLT().parse_text(text, path="x.test")
+        shipped = parse_test_text(text, "slt", path="x.test")
+        assert outside == shipped
+        assert outside._source_digest is None and shipped._source_digest is not None
+        assert content_hash(outside) == hashlib.sha256(canonical_bytes(outside)).hexdigest()
+
+    def test_no_two_distinct_corpus_files_share_a_hash(self):
+        by_hash: dict[str, bytes] = {}
+        for seed in (0, 1):
+            suites = build_all_suites(seed=seed, scale=0.25, include_mysql=True, store=None)
+            assert sorted(suites) == ["duckdb", "mysql", "postgres", "slt"]
+            for suite in suites.values():
+                for test_file in suite.files:
+                    identity = canonical_bytes(test_file)
+                    assert by_hash.setdefault(content_hash(test_file), identity) == identity
 
     def test_floats_are_exact(self):
         assert canonical_bytes(0.1) != canonical_bytes(0.1 + 1e-17) or (0.1 == 0.1 + 1e-17)
