@@ -49,18 +49,25 @@ tier1: lint
 	fi
 
 ## ci: what the hosted workflow runs per Python version — lint + full tests
-## (coverage-gated when pytest-cov is installed, exactly as the workflow
+## (coverage-gated when pytest-cov is installed, and under the workflow's
+## hard per-test timeout when pytest-timeout is, exactly as the workflow
 ## enforces) + the pipeline benchmark, without the machine-local baseline
 ## comparison.  The bench step is non-blocking, exactly like the workflow's
 ## continue-on-error (wall-clock assertions are too noisy to gate on
 ## arbitrary machines).
 COV_FAIL_UNDER ?= 75
 ci: lint
-	@if $(PYTHON) -c "import pytest_cov" 2>/dev/null; then \
-		$(PYTHON) -m pytest -q --cov=repro --cov-report=term --cov-report=xml:coverage.xml --cov-fail-under=$(COV_FAIL_UNDER); \
+	@timeout_flags=""; \
+	if $(PYTHON) -c "import pytest_timeout" 2>/dev/null; then \
+		timeout_flags="--timeout=300 --timeout-method=thread"; \
+	else \
+		echo "ci: pytest-timeout not installed; running tests without the per-test timeout"; \
+	fi; \
+	if $(PYTHON) -c "import pytest_cov" 2>/dev/null; then \
+		$(PYTHON) -m pytest -q --cov=repro --cov-report=term --cov-report=xml:coverage.xml --cov-fail-under=$(COV_FAIL_UNDER) $$timeout_flags; \
 	else \
 		echo "ci: pytest-cov not installed; running tests without the coverage gate"; \
-		$(PYTHON) -m pytest -q; \
+		$(PYTHON) -m pytest -q $$timeout_flags; \
 	fi
 	@$(PYTHON) -m pytest benchmarks/bench_pipeline.py -q \
 		|| echo "ci: bench step failed (non-blocking, mirrors hosted CI)"

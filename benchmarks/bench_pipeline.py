@@ -895,7 +895,7 @@ def test_pipeline_analysis_warm(benchmark, tmp_path):
         warm_wall = min(warm_wall, time.perf_counter() - started)
 
     serial_reference = SuiteAnalyzer(store=None).full_report(edited)
-    sharded_reference = SuiteAnalyzer(store=None, workers=CAMPAIGN_WORKERS, executor="thread").full_report(edited)
+    sharded_reference = SuiteAnalyzer(store=None, workers=CAMPAIGN_WORKERS).full_report(edited)
 
     reference = canonical_bytes(cold_result)
     assert canonical_bytes(warm_result) == reference, (

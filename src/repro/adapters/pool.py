@@ -12,14 +12,15 @@ Reset-on-acquire is the pool's state-leak guarantee: a leased adapter always
 starts from a pristine database, whatever the previous lease did (committed
 tables, dangling transactions, settings, even an emulated crash —
 ``MiniDBAdapter.reset`` reconnects a crashed session).  The only state that
-survives a reuse is the session RNG, the same caveat the sharded executor
+survives a reuse is the session RNG, the same caveat the per-file executor
 documents; the generated corpora never invoke nondeterministic SQL.
 
 The pool is thread-safe: concurrent ``acquire`` calls receive distinct
 instances (a new one is built when no idle adapter of that key is available).
-Worker processes of the sharded executor each hold their own module-level
-pool (see :func:`repro.core.parallel.worker_adapter_pool`), which is what
-turns "one adapter per shard" into "one adapter per worker per campaign".
+A campaign's serial cells all lease from its one pool, and each worker
+process of a sharded campaign keeps one pool for its lifetime (see
+:func:`repro.core.parallel.execute_files`), so an adapter is built once per
+configuration per process, not once per cell.
 """
 
 from __future__ import annotations
@@ -49,20 +50,21 @@ def pool_key(name: str, kwargs: dict) -> PoolKey:
 class CircuitBreaker:
     """Quarantine adapter configurations that keep failing.
 
-    The resilience layer (:mod:`repro.core.resilience` consumers) records one
-    failure per failed execution attempt and one success per cleanly finished
-    unit of work, keyed by the same canonical :func:`pool_key` the pool uses.
-    ``threshold`` *consecutive* failures quarantine the key: subsequent
-    :meth:`AdapterPool.acquire` calls raise
-    :class:`~repro.errors.AdapterQuarantinedError` instead of handing out an
-    adapter that demonstrably cannot do work, and campaigns convert the
-    affected cells into partial results.  Any success resets the streak, so
-    a one-off transient fault never trips the breaker.
+    The per-file executor (:func:`repro.core.parallel.execute_files`) records
+    one failure per failed execution attempt and one success per cleanly
+    finished file under the adapter's canonical name, ``pool_key(name, {})``,
+    whatever the configuration, and checks that key before every file.
+    ``threshold`` *consecutive* failures quarantine the key: campaigns turn
+    every file they have not executed yet into a partial (SKIP) result
+    instead of handing work to an adapter that demonstrably cannot do it.
+    :meth:`AdapterPool.acquire` refuses, with
+    :class:`~repro.errors.AdapterQuarantinedError`, a configuration whose own
+    :func:`pool_key` is quarantined.  Any success resets the streak, so a
+    one-off transient fault never trips the breaker.
 
     Thread-safe; one process-global instance (:func:`adapter_breaker`) is
-    shared by every pool by default — worker threads of one campaign each
-    hold their own :class:`AdapterPool`, and a broken adapter configuration
-    is broken for all of them.
+    shared by every pool by default, so a broken adapter configuration is
+    broken for every pool of the process.
     """
 
     def __init__(self, threshold: int = 3) -> None:

@@ -79,7 +79,6 @@ def suite_partials(
     pass_id: str,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
     workers: int = 1,
-    executor: str = "auto",
     worker_pool=None,
 ) -> list[dict]:
     """Per-file partials of ``pass_id`` over ``suite``, in file order.
@@ -107,13 +106,13 @@ def suite_partials(
     if missing:
         tasks = [(pass_id, test_file) for _, test_file in missing]
         if workers > 1 and len(missing) > 1:
-            from repro.core.parallel import WorkerPool, map_over_pool
+            from repro.core.parallel import WorkerPool
 
             owns_pool = worker_pool is None
             if worker_pool is None:
-                worker_pool = WorkerPool(min(workers, len(missing)), executor)
+                worker_pool = WorkerPool(min(workers, len(missing)))
             try:
-                produced = map_over_pool(worker_pool, _scan_file, tasks)
+                produced = worker_pool.map_tasks(_scan_file, tasks)
             finally:
                 if owns_pool:
                     worker_pool.shutdown()
@@ -149,20 +148,16 @@ class SuiteAnalyzer:
         self,
         store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
         workers: int = 1,
-        executor: str = "auto",
         worker_pool=None,
     ):
         self.store = store
         self.workers = workers
-        self.executor = executor
         self.worker_pool = worker_pool
 
     def partials(self, suite: TestSuite, pass_id: str) -> list[dict]:
         """Per-file partials of one pass (see :func:`suite_partials`)."""
         pool = self.worker_pool() if callable(self.worker_pool) else self.worker_pool
-        return suite_partials(
-            suite, pass_id, store=self.store, workers=self.workers, executor=self.executor, worker_pool=pool
-        )
+        return suite_partials(suite, pass_id, store=self.store, workers=self.workers, worker_pool=pool)
 
     # -- features (Table 2) --------------------------------------------------------
 

@@ -78,7 +78,6 @@ _MISSING_OBJECT = re.compile(r"no such (table|column|view|index)|does not exist|
 _SYNTAX_ERROR = re.compile(r"syntax error|unrecognized token|parse error|near \"", re.IGNORECASE)
 _FUNCTION_ERROR = re.compile(r"no such function|function .* (is|are) (recognised|not)|unknown function|not a function", re.IGNORECASE)
 _TYPE_ERROR = re.compile(r"unknown data type|could not convert|invalid .*type|requires a length|cannot cast|invalid boolean", re.IGNORECASE)
-_OPERATOR_ERROR = re.compile(r"operator|:: cast|DIV operator", re.IGNORECASE)
 _CONFIG_ERROR = re.compile(r"unrecognized configuration|unrecognized pragma|does not support (SET|PRAGMA|SHOW)|unknown system", re.IGNORECASE)
 _STATEMENT_ERROR = re.compile(r"does not support .* statements|not implemented|unsupported statement|must not appear within a subquery", re.IGNORECASE)
 
@@ -161,9 +160,6 @@ def classify_incompatibility(result: RecordResult) -> IncompatibilityCategory:
         # genuinely unsupported statements
         if uses_cast_operator(sql) or " div " in sql.lower() or "||" in sql:
             return IncompatibilityCategory.OPERATORS
-        stype = statement_type(sql)
-        if not is_standard_statement(stype):
-            return IncompatibilityCategory.STATEMENTS
         return IncompatibilityCategory.STATEMENTS
     if error_type in ("CatalogError",) or _MISSING_OBJECT.search(error):
         # a table/function created by an earlier, dialect-specific statement is

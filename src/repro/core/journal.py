@@ -76,8 +76,8 @@ def campaign_spec(
     Suites join by *content hash*, not by name alone: a campaign over a
     regenerated-but-identical corpus is the same campaign (and may resume a
     journal the previous process wrote), while an edited corpus is a new
-    one.  ``workers``/``executor`` are deliberately absent — sharding cannot
-    change a campaign's results, so it must not change its identity.
+    one.  ``workers`` is deliberately absent — sharding cannot change a
+    campaign's results, so it must not change its identity.
     """
     return {
         "suites": {name: suite_content_hash(suite) for name, suite in suites.items()},

@@ -185,8 +185,8 @@ class InfraFailure:
     ``"adapter-quarantined"`` (the circuit breaker refused the adapter), or
     ``"shutdown-drain"`` (a signal-requested drain prevented the work from
     starting; see :mod:`repro.core.shutdown` — these cells re-enter on
-    resume).  ``path`` is the affected test file, or ``""`` for whole-cell
-    failures.
+    resume).  ``path`` is the affected test file: every fault degrades only
+    the files it hit, one record per file.
     Only *unrecovered* faults become records — recovered retries leave the
     results byte-identical to a fault-free run.
     """
@@ -201,7 +201,7 @@ class InfraFailure:
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """The resilience knobs campaigns thread through shard/cell execution.
+    """The resilience knobs campaigns thread through per-file execution.
 
     ``watchdog_seconds`` is the per-file deadline (None disarms the
     watchdog); ``quarantine_after`` is the circuit breaker's consecutive-

@@ -12,20 +12,17 @@ from __future__ import annotations
 
 import logging
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.adapters.base import DBMSAdapter
 from repro.adapters.faults import FaultReport, FaultSummary
-from repro.adapters.pool import AdapterPool, adapter_breaker, pool_key
+from repro.adapters.pool import AdapterPool
 from repro.adapters.registry import create_adapter
 from repro.core.journal import CampaignJournal, campaign_spec, open_campaign_journal
-from repro.core.parallel import assemble_suite_result, runner_spec_for
+from repro.core.parallel import RunnerSpec, WorkerPool, assemble_suite_result, runner_spec_for
 from repro.core.records import TestSuite
-from repro.core.resilience import InfraFailure, ResiliencePolicy, default_policy, run_with_deadline
-from repro.core.runner import RecordOutcome, SuiteResult, TestRunner, _synthesize_file_result
-from repro.errors import AdapterQuarantinedError, WatchdogTimeout
+from repro.core.resilience import ResiliencePolicy, default_policy
+from repro.core.runner import SuiteResult, TestRunner
 from repro.killpoints import kill_point
 from repro.perf import cache as perf_cache
 from repro.store import artifacts as artifact_store
@@ -113,21 +110,12 @@ class TransplantResult:
         return self.result.success_rate
 
 
-def _synthesize_suite_result(suite: TestSuite, host: str, outcome: "RecordOutcome", reason: str) -> SuiteResult:
-    """A stand-in :class:`SuiteResult` for a cell infrastructure would not run."""
-    suite_result = SuiteResult(suite=suite.name, host=host)
-    suite_result.files = [_synthesize_file_result(host, test_file, outcome, reason) for test_file in suite.files]
-    return suite_result
-
-
 def run_transplant(
     suite: TestSuite,
     host: str,
-    adapter: DBMSAdapter | None = None,
     float_tolerance: float = 0.0,
     translate_dialect: bool = False,
     workers: int = 1,
-    executor: str = "auto",
     pool: AdapterPool | None = None,
     worker_pool=None,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
@@ -137,49 +125,46 @@ def run_transplant(
     """Run ``suite`` on ``host`` and collect results plus crash/hang reports.
 
     Every cell takes one path, :func:`repro.core.parallel.assemble_suite_result`:
-    with an artifact store active (and no caller-built ``adapter``), each file
-    is served from the ``file-results`` namespace when any earlier run — this
-    process or another one — persisted it, and only the misses execute and
-    persist.  Payloads are compact codec frames (:mod:`repro.store.codec`)
-    keyed by file content plus runner configuration, and records are
-    reattached from the live suite on load, so a warm campaign replays the
-    full matrix without touching an adapter and editing one file of an
-    N-file suite costs ~1/N of a cold run.  ``store=None`` or
-    :func:`repro.store.store_disabled` makes every file a miss and persists
-    nothing.
+    with an artifact store active, each file is served from the
+    ``file-results`` namespace when any earlier run — this process or another
+    one — persisted it, and only the misses execute and persist.  Payloads
+    are compact codec frames (:mod:`repro.store.codec`) keyed by file content
+    plus runner configuration, and records are reattached from the live
+    suite on load, so a warm campaign replays the full matrix without
+    touching an adapter and editing one file of an N-file suite costs ~1/N
+    of a cold run.  ``store=None`` or :func:`repro.store.store_disabled`
+    makes every file a miss and persists nothing.  An adapter the registry
+    cannot rebuild from its ``fork_config`` (a third-party registration, say)
+    runs in this process, storeless and unsharded: no key can name its
+    results.
 
     Translation is the identity when donor == host (the runner returns the
     SQL unchanged), so ``translate_dialect`` is treated as off there: a
     translated donor cell gets the plain cell's runner spec, and therefore
     loads the plain cell's files.
 
-    ``workers > 1`` shards the misses across a worker pool (see
-    :mod:`repro.core.parallel`); the merged result is identical to the serial
-    run.  ``executor`` selects the pool flavour (``"process"``, ``"thread"``,
-    or ``"auto"``).  ``pool`` (an :class:`AdapterPool`) serves the serial
-    path's host adapter from a reusable lease instead of a fresh build, and
-    ``worker_pool`` (a :class:`repro.core.parallel.WorkerPool`) keeps sharded
-    workers — and their per-worker adapters — alive across the transplants of
-    one campaign; :func:`run_cells` wires up both.  The host adapter is
-    acquired when the first file must execute in this process — a fully warm
-    cell neither leases nor connects one — and released on every exit.
+    The misses run through :func:`repro.core.parallel.execute_files`: in
+    this process on ``pool`` (an :class:`AdapterPool`; a private one when
+    None), whose adapter is leased when the first file must execute — a
+    fully warm cell neither leases nor connects one — or, with ``workers >
+    1``, in the process shards of ``worker_pool`` (a
+    :class:`repro.core.parallel.WorkerPool`, which keeps workers and their
+    adapters alive across the transplants of one campaign); the merged
+    result is identical to the serial run.  :func:`run_cells` wires up both
+    pools.
 
     ``resilience`` (defaulting to :func:`repro.core.resilience.default_policy`)
-    arms the campaign resilience layer: transient infrastructure failures of
-    the serial path retry the whole cell on a **rebuilt** adapter (with
-    backoff and deterministic jitter), sharded execution retries per file
-    inside the workers, and a cell that exhausted its retries or hit its
-    watchdog deadline becomes a *partial* cell: every record reports SKIP (or
-    HANG for watchdog cuts), the fault is recorded in
-    ``TransplantResult.infra_failures``, and the stand-in files are never
-    persisted, so a later run re-enters them.  The circuit breaker is
-    consulted only where the adapter is acquired, once the cell has a file to
-    execute: a quarantined host keeps every file the store serves, and each
+    arms the campaign resilience layer per file: a transient infrastructure
+    failure retries the file on a **rebuilt** adapter (with backoff and
+    deterministic jitter), and a file that exhausted its retries or hit its
+    watchdog deadline becomes a stand-in whose records report SKIP (or HANG
+    for watchdog cuts), with its own record in
+    ``TransplantResult.infra_failures``.  The cell's other files keep their
+    real results, and stand-ins are never persisted, so a later run re-enters
+    them.  A quarantined host keeps every file the store serves, and each
     miss becomes a SKIP stand-in with its own ``adapter-quarantined`` record.
     Recovered faults leave no trace in the result, keeping recovered
-    campaigns byte-identical to fault-free ones.  Caller-provided ``adapter``
-    instances opt out of cell-level retry (no rebuild is possible on a
-    foreign instance).
+    campaigns byte-identical to fault-free ones.
 
     ``journal`` (a :class:`~repro.core.journal.CampaignJournal`, normally
     wired by :func:`run_cells`) records this cell's start and finish as
@@ -193,140 +178,34 @@ def run_transplant(
     if donor == host:
         translate_dialect = False
     available_extensions = DEFAULT_EXTENSIONS.get(host, set()) if donor == host else set()
-    backing = artifact_store.active_store(store) if adapter is None else None
-    sharded = workers > 1 and len(suite.files) > 1
+    # the adapter stays unconnected: it only names the recipe (fork_config)
+    # every worker and store key rebuilds the runner from
+    runner = TestRunner(
+        create_adapter(host),
+        host_name=host,
+        available_extensions=available_extensions,
+        float_tolerance=float_tolerance,
+        translate_dialect=translate_dialect,
+        donor_dialect=donor,
+    )
+    spec = runner_spec_for(runner)
+    backing = artifact_store.active_store(store)
+    if spec is None:
+        spec = RunnerSpec.of(runner, host, {})
+        backing, workers = None, 1
     policy = resilience if resilience is not None else default_policy()
-    breaker = pool.breaker if pool is not None else adapter_breaker()
-    breaker_key = pool_key(host, {})
-
-    def _runner() -> TestRunner:
-        # the adapter stays unconnected: it describes the runner spec (and
-        # with it every store key) until a file must execute here
-        return TestRunner(
-            adapter if adapter is not None else create_adapter(host),
-            host_name=host,
-            available_extensions=available_extensions,
-            float_tolerance=float_tolerance,
-            translate_dialect=translate_dialect,
-            donor_dialect=donor,
-        )
-
-    def _execute_cell() -> SuiteResult:
-        """One attempt at the cell: load what the store holds, execute the rest.
-
-        Assembly calls ``_acquire`` once the store probe left a file to
-        execute.  It consults the circuit breaker, and when the misses run on
-        this process it acquires the adapter — a pool lease when a pool is
-        passed, otherwise its own build's ``setup()``.  The adapter is
-        released on every exit: a lease goes back to the pool (or is
-        discarded when the attempt raised, so no consumer inherits a failed
-        instance) and a build is torn down.
-        """
-        runner = _runner()
-        acquired: list[DBMSAdapter] = []
-
-        def _acquire(local: bool) -> None:
-            if breaker.is_quarantined(breaker_key):
-                detail = breaker.quarantine_detail(breaker_key)
-                raise AdapterQuarantinedError(f"adapter {host!r} is quarantined", detail=detail)
-            if not local:
-                return
-            if pool is not None:
-                runner.adapter = pool.acquire(host)
-                acquired.append(runner.adapter)
-            else:
-                acquired.append(runner.adapter)
-                runner.adapter.setup()
-
-        succeeded = False
-        try:
-            suite_result = assemble_suite_result(
-                suite,
-                runner,
-                backing,
-                workers=workers,
-                executor=executor,
-                worker_pool=worker_pool,
-                prepare_runner=_acquire if adapter is None else None,
-                policy=policy,
-            )
-            succeeded = True
-            return suite_result
-        finally:
-            for live in acquired:
-                if pool is None:
-                    try:
-                        live.teardown()
-                    except Exception:
-                        # best effort: a failed close must not fail (or
-                        # retry) a cell whose results are already in hand
-                        logger.debug("teardown of the %s adapter failed", host, exc_info=True)
-                elif succeeded:
-                    pool.release(live)
-                else:
-                    pool.discard(live)
 
     if journal is not None:
         journal.cell_started(suite.name, host)
         kill_point("cell-start")
-    cell_failures: list[InfraFailure] = []
-    if adapter is not None:
-        # caller-managed adapter: single attempt — the caller owns the
-        # lifecycle, so no rebuild (and hence no cell-level retry) is possible
-        suite_result = _execute_cell()
-    else:
-        cell_token = f"{suite.name}:{host}"
-        deadline = None
-        if policy.watchdog_seconds is not None and not sharded:
-            # sharded execution arms a per-file watchdog inside the workers;
-            # the serial cell gets one deadline scaled to the suite's size
-            deadline = policy.watchdog_seconds * max(1, len(suite.files))
-        attempt = 0
-        suite_result = None
-        while True:
-            attempt += 1
-            try:
-                if deadline is not None:
-                    suite_result = run_with_deadline(_execute_cell, deadline, label=cell_token)
-                else:
-                    suite_result = _execute_cell()
-            except WatchdogTimeout as error:
-                # a wedged execution would wedge again: no retry, the cell
-                # degrades to a HANG-shaped partial result immediately
-                breaker.record_failure(breaker_key, detail=str(error), threshold=policy.quarantine_after)
-                suite_result = _synthesize_suite_result(suite, host, RecordOutcome.HANG, str(error))
-                cell_failures.append(
-                    InfraFailure(kind="watchdog-timeout", suite=suite.name, host=host, detail=str(error), attempts=attempt)
-                )
-                break
-            except Exception as error:
-                detail = f"{type(error).__name__}: {error}"
-                breaker.record_failure(breaker_key, detail=detail, threshold=policy.quarantine_after)
-                if not policy.retry.retryable(error):
-                    raise
-                if policy.retry.should_retry(error, attempt) and not breaker.is_quarantined(breaker_key):
-                    delay = policy.retry.delay_for(attempt, token=cell_token)
-                    logger.warning(
-                        "transient infrastructure failure on cell %s (attempt %d/%d): %s; retrying in %.3fs",
-                        cell_token, attempt, policy.retry.attempts, detail, delay,
-                    )
-                    time.sleep(delay)
-                    continue
-                if breaker.is_quarantined(breaker_key) and attempt <= policy.retry.attempts:
-                    # one last pass, which executes nothing: it keeps every
-                    # file the store serves and quarantines each miss
-                    continue
-                suite_result = _synthesize_suite_result(suite, host, RecordOutcome.SKIP, f"infrastructure failure: {detail}")
-                cell_failures.append(
-                    InfraFailure(kind="retry-exhausted", suite=suite.name, host=host, detail=detail, attempts=attempt)
-                )
-                break
-            else:
-                breaker.record_success(breaker_key)
-                break
-
-    if cell_failures:
-        suite_result.infra_failures = list(suite_result.infra_failures) + cell_failures
+    adapters = pool if pool is not None else AdapterPool()
+    try:
+        suite_result = assemble_suite_result(
+            suite, spec, backing, policy, adapters, workers=workers, worker_pool=worker_pool
+        )
+    finally:
+        if pool is None:
+            adapters.close()
 
     crashes, hangs = result_codec.fault_reports_for(suite_result, host)
     transplant_result = TransplantResult(
@@ -341,8 +220,7 @@ def run_transplant(
     if journal is not None:
         clean = not transplant_result.infra_failures
         files = None
-        spec = runner_spec_for(_runner()) if (backing is not None and clean) else None
-        if spec is not None:
+        if backing is not None and clean:
             # the artifact digests assembly (or its workers) really wrote
             files = [
                 {
@@ -403,7 +281,6 @@ def run_cells(
     suites: dict[str, TestSuite],
     cells: Iterable[CellKey],
     workers: int = 1,
-    executor: str = "auto",
     adapter_pool: AdapterPool | None = None,
     worker_pool=None,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
@@ -440,12 +317,10 @@ def run_cells(
     embeds the store's fingerprint.
 
     A drain requested through :mod:`repro.core.shutdown` needs no check
-    here: assembly and the shards turn every file not yet started into a
-    ``shutdown-drain`` stand-in, so the campaign flows out through the
+    here: :func:`repro.core.parallel.execute_files` turns every file not yet
+    started into a ``shutdown-drain`` stand-in, so the campaign flows out through the
     ordinary partial-results path (exit code 2, resumable).
     """
-    from repro.core.parallel import WorkerPool
-
     cells = list(cells)
     store = artifact_store.active_store(store)
     if journal is not None and store is None:
@@ -456,7 +331,7 @@ def run_cells(
         adapter_pool = AdapterPool()
     owns_worker_pool = worker_pool is None and workers > 1
     if owns_worker_pool:
-        worker_pool = WorkerPool(workers, executor)
+        worker_pool = WorkerPool(workers)
     try:
         if journal is not None:
             for translate in sorted({cell.translate for cell in cells}):
@@ -478,7 +353,6 @@ def run_cells(
                     cell.host,
                     translate_dialect=cell.translate,
                     workers=workers,
-                    executor=executor,
                     pool=adapter_pool,
                     worker_pool=worker_pool,
                     store=store,
@@ -500,7 +374,6 @@ def run_matrix(
     hosts: tuple[str, ...] = DEFAULT_HOSTS,
     translate_dialect: bool = False,
     workers: int = 1,
-    executor: str = "auto",
     adapter_pool: AdapterPool | None = None,
     worker_pool=None,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
@@ -517,7 +390,6 @@ def run_matrix(
         suites,
         cells,
         workers=workers,
-        executor=executor,
         adapter_pool=adapter_pool,
         worker_pool=worker_pool,
         store=store,

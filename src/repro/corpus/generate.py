@@ -851,7 +851,6 @@ def generate_corpus(
     seed: int = 0,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
     workers: int = 1,
-    executor: str = "auto",
     worker_pool=None,
 ) -> list[GeneratedFile]:
     """Generate native-format test files for ``suite`` (``slt``/``postgres``/...).
@@ -864,9 +863,9 @@ def generate_corpus(
     the files with no usable recording are generated.  ``store=None`` (or the
     global :func:`repro.store.store_disabled` switch) forces regeneration.
 
-    ``workers > 1`` shards the missing files' donor recording over a worker
-    pool (:func:`repro.core.parallel.map_over_pool`) the way suite execution
-    is sharded; per-file seeding keeps the output byte-identical to a serial
+    ``workers > 1`` shards the missing files' donor recording over a
+    :class:`repro.core.parallel.WorkerPool` the way suite execution is
+    sharded; per-file seeding keeps the output byte-identical to a serial
     build.  ``worker_pool`` reuses a campaign's persistent pool.
     """
     count = file_count if file_count is not None else DEFAULT_FILE_COUNT[suite]
@@ -890,13 +889,13 @@ def generate_corpus(
     if missing:
         tasks = [(suite, per_file, seed, index) for index in missing]
         if workers > 1 and len(missing) > 1:
-            from repro.core.parallel import WorkerPool, map_over_pool
+            from repro.core.parallel import WorkerPool
 
             owns_pool = worker_pool is None
             if worker_pool is None:
-                worker_pool = WorkerPool(min(workers, len(missing)), executor)
+                worker_pool = WorkerPool(min(workers, len(missing)))
             try:
-                produced = map_over_pool(worker_pool, _generate_file, tasks)
+                produced = worker_pool.map_tasks(_generate_file, tasks)
             finally:
                 if owns_pool:
                     worker_pool.shutdown()
@@ -916,7 +915,6 @@ def build_suite(
     seed: int = 0,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
     workers: int = 1,
-    executor: str = "auto",
     worker_pool=None,
 ) -> TestSuite:
     """Generate a corpus and parse it back through the native-format parsers.
@@ -943,7 +941,6 @@ def build_suite(
         seed=seed,
         store=backing,
         workers=workers,
-        executor=executor,
         worker_pool=worker_pool,
     )
     test_suite = TestSuite(name=suite)
@@ -968,7 +965,6 @@ def build_all_suites(
     include_mysql: bool = False,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
     workers: int = 1,
-    executor: str = "auto",
     worker_pool=None,
 ) -> dict[str, TestSuite]:
     """Build the executable suites of RQ2-RQ4 (plus MySQL for RQ1 if asked).
@@ -984,7 +980,7 @@ def build_all_suites(
     for name in names:
         file_count = max(3, int(round(DEFAULT_FILE_COUNT[name] * scale)))
         suites[name] = build_suite(
-            name, file_count=file_count, seed=seed, store=store, workers=workers, executor=executor, worker_pool=worker_pool
+            name, file_count=file_count, seed=seed, store=store, workers=workers, worker_pool=worker_pool
         )
     return suites
 

@@ -258,12 +258,3 @@ PAPER_PROFILES: dict[str, SuiteProfile] = {
         guard_rate=0.0,
     ),
 }
-
-#: Default scale factor used by experiments/benchmarks: the generated corpora
-#: contain file_count*scale files so the full matrix runs in minutes on a laptop.
-DEFAULT_SCALE = {
-    "slt": 0.05,       # ~31 files
-    "postgres": 0.18,  # ~38 files
-    "duckdb": 0.02,    # ~50 files
-    "mysql": 0.02,     # ~28 files
-}

@@ -18,41 +18,6 @@ from repro.sqlparser.tokenizer import Token, TokenType, tokenize
 
 _COMPOUND_OPERATORS = {"UNION", "INTERSECT", "EXCEPT"}
 
-#: Keywords that may start a new clause and therefore terminate expressions.
-_CLAUSE_KEYWORDS = {
-    "FROM",
-    "WHERE",
-    "GROUP",
-    "HAVING",
-    "ORDER",
-    "LIMIT",
-    "OFFSET",
-    "UNION",
-    "INTERSECT",
-    "EXCEPT",
-    "ON",
-    "USING",
-    "JOIN",
-    "INNER",
-    "LEFT",
-    "RIGHT",
-    "FULL",
-    "CROSS",
-    "WHEN",
-    "THEN",
-    "ELSE",
-    "END",
-    "AS",
-    "SET",
-    "VALUES",
-    "RETURNING",
-    "FETCH",
-    "WINDOW",
-    "ASC",
-    "DESC",
-    "NULLS",
-}
-
 
 class Parser:
     """Parses a single SQL statement into an AST node."""

@@ -130,16 +130,17 @@ class ShardExecutionError(RunnerError):
 
     Distinguishes in-shard failures from worker-pool *infrastructure*
     failures (broken fork, pickling, sandboxed semaphores): infrastructure
-    failures degrade the run to the threaded pool, while this error
-    propagates to the caller instead of silently re-executing the suite.
+    failures make the pool finish its tasks in the submitting process, while
+    this error propagates to the caller instead of silently re-executing the
+    shard.
     """
 
 
 class WatchdogTimeout(RunnerError):
     """A unit of work exceeded its watchdog deadline (wedged adapter).
 
-    Raised by :func:`repro.core.resilience.run_with_deadline` when a per-file
-    or per-cell execution does not finish within its deadline.  The campaign
+    Raised by :func:`repro.core.resilience.run_with_deadline` when one
+    file's execution does not finish within its deadline.  The campaign
     layer converts it into a HANG outcome plus an
     :class:`~repro.core.resilience.InfraFailure` record instead of letting a
     wedged adapter block its worker forever.

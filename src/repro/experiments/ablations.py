@@ -56,7 +56,6 @@ def _build(experiment: AblationsExperiment) -> ExperimentResult:
         "duckdb",
         float_tolerance=0.01,
         workers=context.workers,
-        executor=context.executor,
         pool=context.adapter_pool,
         worker_pool=context.worker_pool,
         store=context.store,

@@ -61,7 +61,6 @@ class ExperimentContext:
         seed: int = 0,
         hosts: tuple[str, ...] = DEFAULT_HOSTS,
         workers: int = 1,
-        executor: str = "auto",
         store_dir: str | None = None,
         use_store: bool = True,
         timeout_seconds: float | None = None,
@@ -96,7 +95,6 @@ class ExperimentContext:
         #: worker-pool width used for every cross-execution campaign; all
         #: table/figure drivers inherit it through the shared cells
         self.workers = workers
-        self.executor = executor
         self._suites: dict[str, TestSuite] | None = None
         self._mysql_suite: TestSuite | None = None
         #: campaign-lifetime adapter pool: every cell of every streaming pass
@@ -115,7 +113,7 @@ class ExperimentContext:
         if self.workers > 1 and self._worker_pool is None:
             from repro.core.parallel import WorkerPool
 
-            self._worker_pool = WorkerPool(self.workers, self.executor)
+            self._worker_pool = WorkerPool(self.workers)
         return self._worker_pool
 
     @property
@@ -137,7 +135,6 @@ class ExperimentContext:
             self._analysis = SuiteAnalyzer(
                 store=self.store,
                 workers=self.workers,
-                executor=self.executor,
                 # resolved per call: analysis shares the campaign's persistent
                 # pool, including one created after the analyzer was built
                 worker_pool=lambda: self.worker_pool,
@@ -178,7 +175,6 @@ class ExperimentContext:
                 scale=self.scale,
                 store=self.store,
                 workers=self.workers,
-                executor=self.executor,
                 worker_pool=self.worker_pool,
             )
         return self._suites
@@ -196,7 +192,6 @@ class ExperimentContext:
                 seed=self.seed,
                 store=self.store,
                 workers=self.workers,
-                executor=self.executor,
                 worker_pool=self.worker_pool,
             )
         return self._mysql_suite

@@ -156,7 +156,6 @@ def stream_experiments(experiment_ids=None, context: ExperimentContext | None = 
         shared.suites,
         [key for key in plan if key not in shared.cells],
         workers=shared.workers,
-        executor=shared.executor,
         adapter_pool=shared.adapter_pool,
         worker_pool=shared.worker_pool,
         store=shared.store,

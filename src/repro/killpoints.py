@@ -28,7 +28,7 @@ Instrumented operations (grep for ``kill_point(`` to confirm the list):
 ``journal-append``        after a journal line is written and fsync'd
 ``cell-start``            a campaign cell is about to execute
 ``cell-finish``           a campaign cell's files persisted and it is journaled
-``file-finish``           a shard/assembly worker persisted one file's results
+``file-finish``           the per-file executor finished (and persisted) one file
 ========================  ==========================================================
 
 This module deliberately imports nothing from :mod:`repro` — it is called

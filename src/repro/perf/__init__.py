@@ -2,7 +2,7 @@
 
 See :mod:`repro.perf.cache` for the memoization layer shared by the tokenizer,
 the dialect translator, and the MiniDB engine, and
-:mod:`repro.core.parallel` for the sharded suite executor built on top of it.
+:mod:`repro.core.parallel` for the per-file suite executor built on top of it.
 """
 
 from repro.perf.cache import (
@@ -11,7 +11,6 @@ from repro.perf.cache import (
     caching_disabled,
     caching_enabled,
     clear_caches,
-    merge_stats,
     set_caching,
 )
 
@@ -21,6 +20,5 @@ __all__ = [
     "caching_disabled",
     "caching_enabled",
     "clear_caches",
-    "merge_stats",
     "set_caching",
 ]

@@ -7,9 +7,10 @@ work thousands of times.  This module provides the shared infrastructure those
 stages memoize through:
 
 * :class:`LRUCache` — a small, thread-safe LRU map with hit/miss statistics.
-  Thread safety matters because the sharded suite executor
-  (:mod:`repro.core.parallel`) runs worker threads against the same global
-  caches.
+  Thread safety matters because the watchdog
+  (:func:`repro.core.resilience.run_with_deadline`) runs each guarded file on
+  a helper thread, and a wedged one it abandoned keeps using the same global
+  caches while the next file executes.
 * a process-wide registry so benchmarks can report hit rates
   (:func:`cache_stats`) and reset state between measurements
   (:func:`clear_caches`).
@@ -36,7 +37,6 @@ __all__ = [
     "caching_disabled",
     "caching_enabled",
     "clear_caches",
-    "merge_stats",
     "registered_caches",
     "set_caching",
 ]
@@ -197,7 +197,7 @@ def absorb_stats(snapshot: dict[str, dict[str, Any]]) -> None:
 
     Process-pool workers accumulate cache activity in their own address
     space; absorbing their deltas keeps :func:`cache_stats` in the parent an
-    accurate account of total pipeline activity regardless of executor.
+    accurate account of total pipeline activity, sharded or not.
     """
     caches = registered_caches()
     for name, stats in snapshot.items():
@@ -207,18 +207,3 @@ def absorb_stats(snapshot: dict[str, dict[str, Any]]) -> None:
         cache.stats.hits += stats.get("hits", 0)
         cache.stats.misses += stats.get("misses", 0)
         cache.stats.evictions += stats.get("evictions", 0)
-
-
-def merge_stats(*snapshots: dict[str, dict[str, Any]]) -> dict[str, dict[str, Any]]:
-    """Merge several :func:`cache_stats` snapshots (e.g. from pool workers)."""
-    merged: dict[str, dict[str, Any]] = {}
-    for snapshot in snapshots:
-        for name, stats in snapshot.items():
-            bucket = merged.setdefault(name, {"hits": 0, "misses": 0, "evictions": 0})
-            bucket["hits"] += stats.get("hits", 0)
-            bucket["misses"] += stats.get("misses", 0)
-            bucket["evictions"] += stats.get("evictions", 0)
-    for bucket in merged.values():
-        lookups = bucket["hits"] + bucket["misses"]
-        bucket["hit_rate"] = round(bucket["hits"] / lookups, 4) if lookups else 0.0
-    return merged

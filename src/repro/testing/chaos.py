@@ -9,9 +9,9 @@ guards:
 * **Adapters** — :func:`inject_adapter` re-registers an adapter name with a
   factory that wraps every built instance in a :class:`ChaosAdapter`, which
   consults a shared :class:`FaultSchedule` before each lifecycle/execute call.
-  Because the registry indirection is also how sharded workers rebuild
+  Because the registry indirection is also how the per-file executor builds
   adapters (``fork_config`` → ``create_adapter``), the same injection reaches
-  worker-thread adapters with no extra plumbing.
+  every adapter a campaign leases with no extra plumbing.
 * **The artifact store** — :class:`ChaosStore` overrides the store's
   ``_read``/``_write`` I/O hooks to raise ``EIO`` per schedule, driving the
   graceful-degradation path (:meth:`repro.store.artifacts.ArtifactStore._record_io_error`).
@@ -21,10 +21,11 @@ operation (optionally every call from K onward), counted under a lock, with
 no wall-clock or RNG involvement beyond the seed recorded for reporting.  A
 failing chaos test therefore reproduces exactly from its printed seed.
 
-Process-pool caveat: chaos wrappers live in this process's registry; worker
-*processes* re-import a pristine registry, so chaos campaigns must use the
-thread executor (``executor="thread"``), where injection and breaker state
-are shared.
+Process-pool caveat: a worker *process* forked inside an injection block
+inherits the chaos factory, but with its own copy of the schedule's counters
+and of the circuit breaker, and neither travels back to this process.  Run
+chaos campaigns at ``workers=1``, where every file executes in this process
+and ``at`` counts calls campaign-wide.
 
 Beyond in-process faults, :func:`run_crash_campaign` is the **kill-point
 crash harness**: it runs a real journaled campaign in a subprocess
@@ -98,9 +99,9 @@ class FaultSpec:
 class FaultSchedule:
     """Thread-safe per-operation call counters driving a set of faults.
 
-    One schedule is shared by every chaos wrapper of a campaign (serial
-    adapter, worker-thread adapters, the store), so ``at`` counts calls
-    campaign-wide in arrival order.  ``injected`` records every fault that
+    One schedule is shared by every chaos wrapper of a campaign (each adapter
+    a cell leases, each one rebuilt for a retry, the store), so ``at`` counts
+    calls campaign-wide in arrival order.  ``injected`` records every fault that
     actually fired, for assertions and failure reports.
     """
 
@@ -146,7 +147,7 @@ class ChaosAdapter(DBMSAdapter):
     resilience layer guards; ``teardown``/``close`` stay clean so failure
     paths can always clean up.  ``fork_config`` delegates to the inner
     adapter: the returned registry name resolves through the chaos-injected
-    registry entry, so worker-built clones are chaos-wrapped too (sharing
+    registry entry, so clones rebuilt from it are chaos-wrapped too (sharing
     this adapter's schedule through the factory closure).
     """
 

@@ -19,8 +19,8 @@ statement sleeps), widening the window in which the parent can land a
 SIGTERM mid-campaign for the graceful-drain scenario; ``--ready-file`` is
 touched at the first slowed statement so the parent signals neither too
 early (nothing in flight) nor too late (campaign finished).  Slow wrappers
-live in this process's registry only, so drain scenarios use the serial or
-thread executor.
+are registered in this process after nothing has forked, so drain scenarios
+run at ``--workers 1``, where every file executes in this process.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--hosts", default="sqlite", help="comma-separated host list")
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--executor", default="auto")
     parser.add_argument("--slow", type=float, default=0.0, help="seconds each statement sleeps (widens signal windows)")
     parser.add_argument("--ready-file", default=None, help="touched at the first slowed statement")
     arguments = parser.parse_args(argv)
@@ -93,14 +92,12 @@ def main(argv: "list[str] | None" = None) -> int:
                 seed=arguments.seed,
                 store=store,
                 workers=arguments.workers,
-                executor=arguments.executor,
             )
         }
         matrix = run_matrix(
             suites,
             hosts=hosts,
             workers=arguments.workers,
-            executor=arguments.executor,
             store=store,
             journal=True,
         )

@@ -166,21 +166,10 @@ class TestCampaignReuse:
     def test_sharded_matrix_with_pools_matches_serial(self):
         suites = {"slt": build_suite("slt", file_count=4, records_per_file=15, seed=23)}
         serial = run_matrix(suites, hosts=("sqlite", "duckdb"))
-        sharded = run_matrix(suites, hosts=("sqlite", "duckdb"), workers=3, executor="thread")
+        sharded = run_matrix(suites, hosts=("sqlite", "duckdb"), workers=3)
         for key, entry in serial.entries.items():
             assert sharded.entries[key].result.passed_cases == entry.result.passed_cases
             assert sharded.entries[key].result.failed_cases == entry.result.failed_cases
-
-    def test_worker_pool_shutdown_reclaims_dead_thread_pools(self):
-        from repro.core import parallel
-
-        suite = build_suite("slt", file_count=3, records_per_file=10, seed=24)
-        run_matrix({"slt": suite}, hosts=("duckdb",), workers=3, executor="thread")
-        # run_matrix shut its WorkerPool down: the executor threads are dead
-        # and their adapter pools must have been closed and deregistered
-        with parallel._WORKER_POOL_REGISTRY_LOCK:
-            leftovers = [t for t, _ in parallel._WORKER_POOL_REGISTRY if not t.is_alive()]
-        assert leftovers == []
 
 
 class TestThreadSafety:
@@ -342,39 +331,14 @@ class TestFailureTeardown:
         try:
             with inject_adapter("duckdb", schedule):
                 result = run_transplant(suite, "duckdb", pool=pool, store=None, resilience=policy)
-            # the broken adapter was discarded, not parked for the next lease
+            # each file's broken adapter was discarded, not parked for the
+            # next lease: one build per failed file, nothing left behind
             assert pool.idle_count == 0
             assert pool.leased_count == 0
-            assert pool.created == 1
-            assert [failure.kind for failure in result.infra_failures] == ["retry-exhausted"]
+            assert pool.created == len(suite.files)
+            assert [(failure.kind, failure.path) for failure in result.infra_failures] == [
+                ("retry-exhausted", test_file.path) for test_file in suite.files
+            ]
         finally:
             pool.close()
-            adapter_breaker().reset()
-
-    def test_failing_shard_discards_its_worker_lease(self):
-        from repro.adapters.pool import adapter_breaker
-        from repro.core import parallel
-        from repro.core.resilience import ResiliencePolicy, RetryPolicy
-        from repro.testing.chaos import FaultSchedule, FaultSpec, inject_adapter
-
-        suite = build_suite("slt", file_count=2, records_per_file=10, seed=32, store=None)
-        spec = parallel.RunnerSpec(adapter_name="duckdb", host_name="duckdb", donor_dialect="slt")
-        policy = ResiliencePolicy(
-            retry=RetryPolicy(attempts=1, base_delay=0.001, jitter=0.0), quarantine_after=10
-        )
-        worker_pool = parallel.worker_adapter_pool()
-        idle_before, leased_before = worker_pool.idle_count, worker_pool.leased_count
-        schedule = FaultSchedule([FaultSpec(op="execute", at=1, every=True)])
-        try:
-            with inject_adapter("duckdb", schedule):
-                results, _, failures = parallel._run_shard(
-                    spec, [(0, suite.files[0])], collect_stats=False, policy=policy
-                )
-            assert [failure.kind for failure in failures] == ["retry-exhausted"]
-            assert len(results) == 1
-            # the chaos adapter the shard leased was discarded on failure:
-            # nothing new parked idle, nothing left leased
-            assert worker_pool.idle_count == idle_before
-            assert worker_pool.leased_count == leased_before
-        finally:
             adapter_breaker().reset()

@@ -15,8 +15,9 @@ gates of the resilience layer live here:
 * re-running a degraded campaign against its store re-executes only the
   degraded cells' files.
 
-Chaos campaigns use the thread executor: worker *processes* re-import a
-pristine registry and would not see the injected chaos factories.
+Chaos campaigns run at ``workers=1`` unless a test says otherwise: a forked
+worker process inherits the injected chaos factories but counts faults on
+its own copy of the schedule, which the parent never sees.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import pytest
 from test_differential import assert_equivalent
 
 from repro.adapters.pool import AdapterPool, adapter_breaker, pool_key
-from repro.core.parallel import close_dead_worker_adapter_pools
 from repro.core.records import TestSuite
 from repro.core.resilience import (
     InfraFailure,
@@ -48,7 +48,7 @@ from repro.core.transplant import run_matrix, run_transplant
 from repro.corpus import build_suite
 from repro.errors import AdapterQuarantinedError, WatchdogTimeout
 from repro.store import ArtifactStore
-from repro.testing.chaos import ChaosError, ChaosStore, FaultSchedule, FaultSpec, inject_adapter
+from repro.testing.chaos import ChaosAdapter, ChaosError, ChaosStore, FaultSchedule, FaultSpec, inject_adapter
 
 #: export REPRO_CHAOS_SEED=<n> to replay a CI failure exactly
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -66,7 +66,6 @@ def _resilience_hygiene():
     yield
     adapter_breaker().reset()
     set_default_timeout(None)
-    close_dead_worker_adapter_pools()
 
 
 @pytest.fixture(scope="module")
@@ -82,14 +81,29 @@ def postgres_suite():
 class TestRecoverableFaults:
     """Transient faults retry to byte-identical results (the equivalence gate)."""
 
-    def test_transient_execute_fault_is_invisible_serial_and_sharded(self, slt_suite):
+    def test_transient_execute_fault_is_invisible_serial_and_sharded(self, slt_suite, tmp_path, monkeypatch):
+        # worker processes fire faults on their own copy of the schedule, so
+        # every fired fault also leaves a line in a file the parent can read
+        witness = tmp_path / "injected"
+        tick = FaultSchedule.tick
+
+        def witnessed_tick(schedule, op):
+            fault = tick(schedule, op)
+            if fault is not None:
+                with open(witness, "a", encoding="utf-8") as handle:
+                    handle.write(f"{os.getpid()} {op}\n")
+            return fault
+
+        monkeypatch.setattr(FaultSchedule, "tick", witnessed_tick)
+
         def chaos_run(**kwargs):
             schedule = FaultSchedule([FaultSpec(op="execute", at=7)], seed=CHAOS_SEED)
 
             def invoke():
+                witness.unlink(missing_ok=True)
                 with inject_adapter("duckdb", schedule):
                     result = run_transplant(slt_suite, "duckdb", store=None, resilience=FAST_POLICY, **kwargs)
-                assert schedule.injected, "the scheduled fault never fired"
+                assert witness.exists(), "the scheduled fault never fired"
                 assert not result.infra_failures, "a recovered fault must leave no failure record"
                 return result
 
@@ -99,7 +113,7 @@ class TestRecoverableFaults:
             {
                 "fault-free-serial": lambda: run_transplant(slt_suite, "duckdb", store=None),
                 "chaos-serial": chaos_run(),
-                "chaos-workers-4": chaos_run(workers=4, executor="thread"),
+                "chaos-workers-4": chaos_run(workers=4),
             }
         )
 
@@ -152,6 +166,28 @@ class TestUnrecoverableFaults:
         clean = matrix.get("slt", "mysql")
         assert clean.is_complete and clean.result.total_cases > 0
 
+    def test_unrecovered_fault_degrades_only_its_file(self):
+        suite = build_suite("slt", file_count=3, records_per_file=10, seed=31, store=None)
+        policy = ResiliencePolicy(retry=RetryPolicy(attempts=1, base_delay=0.001, jitter=0.0, seed=CHAOS_SEED))
+        # reset runs once per file: the second call is the second file's
+        schedule = FaultSchedule([FaultSpec(op="reset", at=2)], seed=CHAOS_SEED)
+        fault_free = run_transplant(suite, "duckdb", store=None)
+        with inject_adapter("duckdb", schedule):
+            degraded = run_transplant(suite, "duckdb", store=None, resilience=policy)
+        assert [(failure.kind, failure.path) for failure in degraded.infra_failures] == [
+            ("retry-exhausted", suite.files[1].path)
+        ]
+        hit = degraded.result.files[1]
+        assert hit.results and all(result.outcome is RecordOutcome.SKIP for result in hit.results)
+        # the fault's neighbours keep their real results
+        kept = [0, 2]
+        assert_equivalent(
+            {
+                "fault-free": [fault_free.result.files[index] for index in kept],
+                "degraded": [degraded.result.files[index] for index in kept],
+            }
+        )
+
     def test_quarantined_acquire_raises(self):
         breaker = adapter_breaker()
         key = pool_key("duckdb", {})
@@ -161,24 +197,23 @@ class TestUnrecoverableFaults:
         with pytest.raises(AdapterQuarantinedError):
             pool.acquire("duckdb")
 
-    def test_non_transient_errors_propagate_immediately(self, slt_suite):
+    def test_non_transient_errors_propagate_immediately(self, slt_suite, monkeypatch):
         class _Bug(RuntimeError):
             pass
 
         schedule = FaultSchedule([FaultSpec(op="execute", at=1)], seed=CHAOS_SEED)
 
-        def raise_bug(op):
-            fault = schedule.tick(op)
+        def raise_bug(adapter, op):
+            fault = adapter.schedule.tick(op)
             if fault is not None:
                 raise _Bug("programming error, not infrastructure")
 
+        # make the injected fault non-transient
+        monkeypatch.setattr(ChaosAdapter, "_maybe_fault", raise_bug)
         with inject_adapter("duckdb", schedule):
-            from repro.adapters.registry import create_adapter
-
-            adapter = create_adapter("duckdb")
-            adapter._maybe_fault = raise_bug  # make the injected fault non-transient
             with pytest.raises(_Bug):
-                run_transplant(slt_suite, "duckdb", adapter=adapter, store=None, resilience=FAST_POLICY)
+                run_transplant(slt_suite, "duckdb", store=None, resilience=FAST_POLICY)
+        assert schedule.calls("execute") == 1, "a non-transient error must not be retried"
 
 
 class TestWatchdog:
@@ -191,22 +226,55 @@ class TestWatchdog:
         with inject_adapter("duckdb", schedule):
             result = run_transplant(slt_suite, "duckdb", store=None, resilience=policy)
         assert time.monotonic() - started < 2.0, "the watchdog must not wait out the wedge"
-        assert [failure.kind for failure in result.infra_failures] == ["watchdog-timeout"]
+        # the watchdog is per file: the record names the wedged file
+        assert [(failure.kind, failure.path) for failure in result.infra_failures] == [
+            ("watchdog-timeout", slt_suite.files[0].path)
+        ]
         assert result.result.hang_cases >= 1
         assert result.hangs, "the watchdog HANG must surface as a fault report"
+        # the other files of the suite still executed normally
+        fault_free = run_transplant(slt_suite, "duckdb", store=None)
+        assert_equivalent({"fault-free": fault_free.result.files[1:], "after-the-wedge": result.result.files[1:]})
+        assert result.result.passed_cases > 0
 
-    def test_sharded_wedge_degrades_one_file(self, slt_suite):
+    def test_sharded_wedge_degrades_one_file(self, slt_suite, tmp_path, monkeypatch):
+        # every worker process counts on its own copy of the schedule and
+        # would wedge its own 5th statement: the first to create the claim
+        # file takes the wedge, every other worker's fault is dropped
+        claim = tmp_path / "wedged"
+        tick = FaultSchedule.tick
+
+        def tick_once(schedule, op):
+            fault = tick(schedule, op)
+            if fault is None:
+                return None
+            try:
+                os.close(os.open(claim, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                return None
+            return fault
+
+        monkeypatch.setattr(FaultSchedule, "tick", tick_once)
         schedule = FaultSchedule([FaultSpec(op="execute", at=5, kind="hang", seconds=2.0)], seed=CHAOS_SEED)
         policy = ResiliencePolicy(retry=FAST_RETRY, watchdog_seconds=0.2)
         with inject_adapter("duckdb", schedule):
-            result = run_transplant(
-                slt_suite, "duckdb", store=None, workers=4, executor="thread", resilience=policy
-            )
+            result = run_transplant(slt_suite, "duckdb", store=None, workers=4, resilience=policy)
+        assert claim.exists(), "the scheduled wedge never fired"
         kinds = [failure.kind for failure in result.infra_failures]
         assert kinds == ["watchdog-timeout"]
-        assert result.infra_failures[0].path, "sharded watchdog failures are per-file"
+        wedged = result.infra_failures[0].path
+        assert wedged, "sharded watchdog failures are per-file"
         assert result.result.hang_cases >= 1
         # the other files of the suite still executed normally
+        fault_free = run_transplant(slt_suite, "duckdb", store=None)
+        others = [index for index, test_file in enumerate(slt_suite.files) if test_file.path != wedged]
+        assert len(others) == len(slt_suite.files) - 1
+        assert_equivalent(
+            {
+                "fault-free": [fault_free.result.files[index] for index in others],
+                "after-the-wedge": [result.result.files[index] for index in others],
+            }
+        )
         assert result.result.passed_cases > 0
 
 
@@ -218,7 +286,7 @@ class TestQuarantineServesStoredFiles:
     MODES = {
         "serial": lambda: {},
         "adapter-pool": lambda: {"pool": AdapterPool()},
-        "workers-2": lambda: {"workers": 2, "executor": "thread"},
+        "workers-2": lambda: {"workers": 2},
     }
 
     @pytest.fixture(scope="class")

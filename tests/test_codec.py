@@ -234,7 +234,7 @@ class TestWarmCellParity:
                 "storeless": reference,
                 "cold": lambda: run_matrix(suites, store=store),
                 "warm-serial": lambda: run_matrix(suites, store=store),
-                "warm-workers-4": lambda: run_matrix(suites, store=store, workers=4, executor="thread"),
+                "warm-workers-4": lambda: run_matrix(suites, store=store, workers=4),
             }
         )
         assert store.stats.hits >= len(results["storeless"].entries), (
@@ -243,11 +243,11 @@ class TestWarmCellParity:
 
     def test_store_aware_workers_persist_and_reuse_file_results(self, store):
         suite = build_suite("slt", file_count=4, records_per_file=20, seed=32, store=None)
-        cold = run_transplant(suite, "duckdb", workers=4, executor="thread", store=store)
+        cold = run_transplant(suite, "duckdb", workers=4, store=store)
         file_entries = list((store.root / "file-results").rglob("*.pkl"))
         assert len(file_entries) == len(suite.files), "every shard file must persist its results"
         # the warm sharded run avoids execution by serving per-file results
-        warm = run_transplant(suite, "duckdb", workers=4, executor="thread", store=store)
+        warm = run_transplant(suite, "duckdb", workers=4, store=store)
         assert canonical_bytes(warm) == canonical_bytes(cold)
 
     def test_workers_see_the_fingerprint_of_the_submitting_store(self, store):

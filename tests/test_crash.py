@@ -13,7 +13,7 @@ Three layers of proof that a campaign survives violent death:
   command; the resumed campaign is byte-identical to the reference.
 * **Worker-crash containment** — SIGKILL of a process-pool *worker* costs
   exactly the tasks that never returned: the pool rebuilds once and
-  re-dispatches only those, without degrading the campaign.
+  re-dispatches only those; a pool that breaks again finishes in-process.
 
 Every subprocess scenario shares one small campaign shape (suite/files/
 records/seed below) so a single clean reference digest anchors all the
@@ -123,7 +123,7 @@ class TestGracefulDrain:
         ready = tmp_path / "ready"
         drained = run_crash_campaign(
             store_dir,
-            child_args=CHILD_ARGS + ("--slow", "0.05", "--ready-file", str(ready), "--executor", "thread"),
+            child_args=CHILD_ARGS + ("--slow", "0.05", "--ready-file", str(ready)),
             send_signal=signal.SIGTERM,
             ready_file=ready,
         )
@@ -143,7 +143,7 @@ class TestGracefulDrain:
         ready = tmp_path / "ready"
         drained = run_crash_campaign(
             store_dir,
-            child_args=CHILD_ARGS + ("--slow", "0.05", "--ready-file", str(ready), "--executor", "thread"),
+            child_args=CHILD_ARGS + ("--slow", "0.05", "--ready-file", str(ready)),
             send_signal=signal.SIGINT,
             ready_file=ready,
         )
@@ -176,28 +176,28 @@ class TestWorkerCrashContainment:
     def test_killed_worker_costs_only_unfinished_tasks(self, tmp_path):
         """SIGKILL of one worker: pool rebuilds, every task still completes."""
         marker = str(tmp_path / "kill-once")
-        pool = WorkerPool(2, "process")
+        pool = WorkerPool(2)
         try:
             tasks = [(index, (marker,) if index == 2 else ()) for index in range(6)]
             results = pool.map_tasks(_killable_task, tasks)
             assert results == [index * 2 for index in range(6)]
-            # containment rebuilt the process pool rather than degrading the
-            # whole campaign to threads
-            assert pool.flavour == "process"
+            # containment rebuilt the process pool rather than moving the
+            # whole campaign in-process
+            assert not pool.in_process
         finally:
             pool.shutdown()
 
-    def test_second_break_degrades_to_threads(self, tmp_path):
-        """A pool that keeps breaking degrades sticky instead of looping."""
+    def test_second_break_finishes_in_process(self, tmp_path):
+        """A pool that keeps breaking moves in-process, sticky, instead of looping."""
         # two markers on one task: it kills the original pool, is re-dispatched
         # on the rebuilt pool and kills that too, so the pool must fall back —
-        # and the thread-lane retry finally completes it (markers exhausted)
+        # and the in-process run finally completes it (markers exhausted)
         markers = (str(tmp_path / "kill-0"), str(tmp_path / "kill-1"))
-        pool = WorkerPool(2, "process")
+        pool = WorkerPool(2)
         try:
             tasks = [(index, markers if index == 1 else ()) for index in range(4)]
             results = pool.map_tasks(_killable_task, tasks)
             assert results == [index * 2 for index in range(4)]
-            assert pool.flavour == "thread"
+            assert pool.in_process
         finally:
             pool.shutdown()

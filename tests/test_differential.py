@@ -90,15 +90,15 @@ class TestCampaignVariants:
         variants = assert_equivalent(
             {
                 "storeless-serial": run(store=None),
-                "storeless-workers-4": run(store=None, workers=4, executor="thread"),
+                "storeless-workers-4": run(store=None, workers=4),
                 "scalar-serial": scalar(run(store=None)),
-                "scalar-workers-4": scalar(run(store=None, workers=4, executor="thread")),
+                "scalar-workers-4": scalar(run(store=None, workers=4)),
                 # cold runs execute and persist every file (serially, or
                 # inside the workers); warm ones assemble from those files
                 "incremental-cold": run(store=store),
-                "sharded-cold": run(store=sharded_store, workers=4, executor="thread"),
+                "sharded-cold": run(store=sharded_store, workers=4),
                 "warm-replay": run(store=store),
-                "warm-workers-4": run(store=store, workers=4, executor="thread"),
+                "warm-workers-4": run(store=store, workers=4),
                 "warm-from-sharded": run(store=sharded_store),
             }
         )
@@ -121,7 +121,7 @@ class TestCampaignVariants:
             {
                 "storeless-serial": lambda: run_transplant(edited, host, translate_dialect=translate, store=None),
                 "storeless-workers-4": lambda: run_transplant(
-                    edited, host, translate_dialect=translate, store=None, workers=4, executor="thread"
+                    edited, host, translate_dialect=translate, store=None, workers=4
                 ),
                 "incremental-rebuild": lambda: run_transplant(edited, host, translate_dialect=translate, store=store),
             }
@@ -156,10 +156,10 @@ class TestAnalysisVariants:
             {
                 "direct-scan": lambda: direct_report(suite),
                 "storeless-serial": lambda: SuiteAnalyzer(store=None).full_report(suite),
-                "storeless-workers-4": lambda: SuiteAnalyzer(store=None, workers=4, executor="thread").full_report(suite),
+                "storeless-workers-4": lambda: SuiteAnalyzer(store=None, workers=4).full_report(suite),
                 "assembled-cold": assembled(),
                 "assembled-warm": assembled(),
-                "assembled-warm-workers-4": assembled(workers=4, executor="thread"),
+                "assembled-warm-workers-4": assembled(workers=4),
             }
         )
         # the cold pass wrote one partial per (file, pass); both warm replays
@@ -294,7 +294,7 @@ class TestTable8Variants:
                 "store-cold": counted("store-cold", self._table8(use_store=True, store_dir=store_dir)),
                 "store-warm": counted("store-warm", self._table8(use_store=True, store_dir=store_dir)),
                 "process-workers-2": self._table8(
-                    use_store=True, store_dir=str(tmp_path / "sharded-store"), workers=2, executor="process"
+                    use_store=True, store_dir=str(tmp_path / "sharded-store"), workers=2
                 ),
             }
         )
@@ -389,7 +389,7 @@ class TestStreamingCampaignParity:
             {
                 "batch-serial-storeless": batch(),
                 "stream-serial-storeless": stream(),
-                "stream-workers-4": stream(workers=4, executor="thread"),
+                "stream-workers-4": stream(workers=4),
                 "scalar-stream-serial": scalar_stream,
                 "cacheless-stream-serial": cacheless_stream,
                 "batch-store-cold": batch(use_store=True, store_dir=store_dir),

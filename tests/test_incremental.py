@@ -23,6 +23,7 @@ import pytest
 
 from test_differential import assert_equivalent
 
+from repro.core.parallel import WorkerPool
 from repro.core.records import TestSuite
 from repro.core.transplant import run_transplant
 from repro.corpus import build_suite
@@ -98,7 +99,7 @@ class TestAssembly:
         """Per-file artifacts written by sharded workers serve the serial
         assembly path and vice versa (same keys, same namespace)."""
         suite = build_suite("slt", file_count=4, records_per_file=15, seed=63, store=None)
-        sharded_cold = run_transplant(suite, "duckdb", workers=4, executor="thread", store=store)
+        sharded_cold = run_transplant(suite, "duckdb", workers=4, store=store)
         store.stats.reset()
         serial_warm = run_transplant(suite, "duckdb", store=store)
         assert store.stats.by_namespace["file-results"] == {"hits": 4, "misses": 0}
@@ -142,9 +143,9 @@ class TestAssembly:
         base = build_suite("slt", file_count=4, records_per_file=15, seed=66, store=None)
         donor = build_suite("slt", file_count=4, records_per_file=15, seed=67, store=None)
         edited = _edit_file(_edit_file(base, donor, 1), donor, 3)
-        run_transplant(base, "duckdb", workers=4, executor="thread", store=store)
+        run_transplant(base, "duckdb", workers=4, store=store)
         store.stats.reset()
-        incremental = run_transplant(edited, "duckdb", workers=4, executor="thread", store=store)
+        incremental = run_transplant(edited, "duckdb", workers=4, store=store)
         assert store.stats.by_namespace["file-results"] == {"hits": 2, "misses": 2}
         with store_disabled():
             reference = run_transplant(edited, "duckdb", store=store)
@@ -156,12 +157,12 @@ class TestAssembly:
         serially or inside sharded workers — and writes nothing else; the
         warm replay is served from those files alone."""
         suite = build_suite("slt", file_count=3, records_per_file=15, seed=65, store=None)
-        cold = run_transplant(suite, "duckdb", store=store, workers=workers, executor="thread")
+        cold = run_transplant(suite, "duckdb", store=store, workers=workers)
         assert store.stats.by_namespace == {"file-results": {"hits": 0, "misses": 3}}
         written = [path.relative_to(store.root).parts[0] for path in store.root.rglob("*.pkl")]
         assert written == ["file-results"] * 3
         store.stats.reset()
-        warm = run_transplant(suite, "duckdb", store=store, workers=workers, executor="thread")
+        warm = run_transplant(suite, "duckdb", store=store, workers=workers)
         assert store.stats.by_namespace == {"file-results": {"hits": 3, "misses": 0}}
         assert canonical_bytes(warm) == canonical_bytes(cold)
 
@@ -245,16 +246,24 @@ class TestIncrementalCorpus:
     def test_sharded_generation_matches_serial(self):
         serial = generate_corpus("postgres", file_count=4, records_per_file=12, seed=71, store=None)
         sharded = generate_corpus(
-            "postgres", file_count=4, records_per_file=12, seed=71, store=None, workers=3, executor="thread"
+            "postgres", file_count=4, records_per_file=12, seed=71, store=None, workers=3
         )
         assert_equivalent({"serial": serial, "workers-3": sharded})
 
-    @pytest.mark.parametrize("executor", ["process", "auto"])
-    def test_process_pool_generation_matches_serial(self, executor):
+    # "process" hands in a campaign's persistent pool; "auto" lets the call
+    # start a one-shot pool of its own
+    @pytest.mark.parametrize("lane", ["process", "auto"])
+    def test_process_pool_generation_matches_serial(self, lane):
         serial = generate_corpus("slt", file_count=3, records_per_file=10, seed=72, store=None)
-        sharded = generate_corpus(
-            "slt", file_count=3, records_per_file=10, seed=72, store=None, workers=2, executor=executor
-        )
+        pool = WorkerPool(2) if lane == "process" else None
+        try:
+            sharded = generate_corpus(
+                "slt", file_count=3, records_per_file=10, seed=72, store=None, workers=2, worker_pool=pool
+            )
+            assert pool is None or not pool.in_process
+        finally:
+            if pool is not None:
+                pool.shutdown()
         assert_equivalent({"serial": serial, "workers-2": sharded})
 
     def test_per_file_recordings_make_corpus_growth_incremental(self, store):
@@ -266,7 +275,7 @@ class TestIncrementalCorpus:
         assert_equivalent({"grown-incrementally": grown, "storeless": reference})
 
     def test_build_suite_threads_workers_through(self, store):
-        sharded = build_suite("slt", file_count=4, records_per_file=10, seed=74, store=store, workers=3, executor="thread")
+        sharded = build_suite("slt", file_count=4, records_per_file=10, seed=74, store=store, workers=3)
         reference = build_suite("slt", file_count=4, records_per_file=10, seed=74, store=None)
         assert canonical_bytes(sharded) == canonical_bytes(reference)
         # every file's donor recording was persisted individually

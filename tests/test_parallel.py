@@ -5,7 +5,7 @@ byte-identical results — canonical serialization, not just matching
 aggregates — on an SLT→duckdb and a postgres→mysql transplant.  The
 comparison itself is the shared differential harness
 (:func:`test_differential.assert_equivalent`); this file covers the
-shard/merge machinery, fallbacks, and worker bookkeeping around it.
+shard/merge machinery, fallbacks, and worker-pool bookkeeping around it.
 """
 
 from __future__ import annotations
@@ -17,13 +17,11 @@ import pytest
 from test_differential import assert_equivalent
 
 from repro.adapters.base import DBMSAdapter, ExecutionOutcome, ExecutionStatus
-from repro.core.parallel import (
-    RunnerSpec,
-    WorkerPool,
-    _is_pool_infra_error,
-    run_suite_sharded,
-    runner_spec_for,
-)
+from repro.adapters import registry
+from repro.adapters.pool import AdapterPool
+from repro.core import parallel
+from repro.core.parallel import WorkerPool, _is_pool_infra_error, runner_spec_for
+from repro.core.resilience import ResiliencePolicy
 from repro.core.runner import TestRunner
 from repro.core.transplant import CellKey, run_cells, run_transplant
 from repro.corpus import build_suite
@@ -41,17 +39,30 @@ class TestShardedParity:
     # store=None throughout: a persisted matrix cell would serve the second
     # run wholesale and the shard/merge machinery under test would never run
 
-    @pytest.mark.parametrize("executor", ["thread", "process", "auto"])
-    def test_slt_on_duckdb_workers_4_matches_serial(self, executor):
+    # how the workers=4 run meets its process pool: "process" hands in a
+    # campaign's persistent pool, "auto" lets the call start a one-shot pool,
+    # and "thread" arms the per-file watchdog on that one-shot pool, so every
+    # file executes on a watchdog helper thread inside its worker
+    @pytest.mark.parametrize("lane", ["thread", "process", "auto"])
+    def test_slt_on_duckdb_workers_4_matches_serial(self, lane):
         suite = build_suite("slt", file_count=4, records_per_file=30, seed=11)
         with perf_cache.caching_disabled():
             serial = run_transplant(suite, "duckdb", store=None)
-        assert_equivalent(
-            {
-                "serial-uncached": serial,
-                "workers-4": lambda: run_transplant(suite, "duckdb", workers=4, executor=executor, store=None),
-            }
-        )
+        pool = WorkerPool(4) if lane == "process" else None
+        resilience = ResiliencePolicy(watchdog_seconds=60.0) if lane == "thread" else None
+        try:
+            assert_equivalent(
+                {
+                    "serial-uncached": serial,
+                    "workers-4": lambda: run_transplant(
+                        suite, "duckdb", workers=4, worker_pool=pool, store=None, resilience=resilience
+                    ),
+                }
+            )
+            assert pool is None or not pool.in_process
+        finally:
+            if pool is not None:
+                pool.shutdown()
 
     def test_postgres_suite_on_mysql_with_translation(self):
         suite = build_suite("postgres", file_count=4, records_per_file=30, seed=5)
@@ -66,7 +77,7 @@ class TestShardedParity:
 
     def test_per_file_ordering_is_preserved(self):
         suite = build_suite("slt", file_count=5, records_per_file=20, seed=3)
-        parallel = run_transplant(suite, "duckdb", workers=3, executor="thread", store=None)
+        parallel = run_transplant(suite, "duckdb", workers=3, store=None)
         assert [f.path for f in parallel.result.files] == [tf.path for tf in suite.files]
 
     def test_more_workers_than_files(self):
@@ -74,41 +85,25 @@ class TestShardedParity:
         assert_equivalent(
             {
                 "serial": lambda: run_transplant(suite, "duckdb", store=None),
-                "workers-8": lambda: run_transplant(suite, "duckdb", workers=8, executor="thread", store=None),
+                "workers-8": lambda: run_transplant(suite, "duckdb", workers=8, store=None),
             }
         )
 
 
 class TestShardedRunReport:
-    def test_workers_1_runs_serially(self):
-        """One worker runs the whole suite as a single shard, file after file."""
-        suite = build_suite("slt", file_count=2, records_per_file=10, seed=1)
-        spec = RunnerSpec(adapter_name="duckdb", host_name="duckdb", donor_dialect="slt")
-        report = run_suite_sharded(suite, spec, workers=1, executor="thread")
-        assert report.workers == 1
-        assert [file_result.path for file_result in report.result.files] == [test_file.path for test_file in suite.files]
-        assert report.result.total_cases == suite.total_records - sum(
-            len(tf.control_records()) for tf in suite.files
-        )
-
-    def test_thread_pool_reports_cache_stats(self):
-        suite = build_suite("slt", file_count=3, records_per_file=15, seed=2)
-        spec = RunnerSpec(adapter_name="duckdb", host_name="duckdb", donor_dialect="slt")
-        report = run_suite_sharded(suite, spec, workers=3, executor="thread")
-        assert report.executor == "thread"
-        assert "plan" in report.cache_stats
-        assert report.cache_stats["plan"]["misses"] > 0
-
     def test_process_pool_worker_stats_are_absorbed_by_parent(self):
         suite = build_suite("slt", file_count=3, records_per_file=15, seed=2)
-        spec = RunnerSpec(adapter_name="duckdb", host_name="duckdb", donor_dialect="slt")
-        report = run_suite_sharded(suite, spec, workers=3, executor="process")
+        perf_cache.clear_caches()  # drop what building the corpus counted here
+        pool = WorkerPool(3)
+        try:
+            run_transplant(suite, "duckdb", workers=3, worker_pool=pool, store=None)
+            assert not pool.in_process
+        finally:
+            pool.shutdown()
+        # the shards ran in worker processes, whose cache activity must be
+        # visible in the parent's stats
         parent = perf_cache.cache_stats()
-        if report.executor == "process":
-            # worker-side cache activity must be visible in the parent's stats
-            assert parent["plan"]["hits"] + parent["plan"]["misses"] > 0
-        else:  # pool bootstrap degraded (sandboxed env): thread stats are global anyway
-            assert parent["plan"]["misses"] > 0
+        assert parent["plan"]["hits"] + parent["plan"]["misses"] > 0
 
 
 class _UnforkableAdapter(DBMSAdapter):
@@ -138,14 +133,22 @@ class _UnforkableAdapter(DBMSAdapter):
 
 
 class TestFallbacks:
-    def test_unforkable_adapter_falls_back_to_serial(self):
-        suite = build_suite("slt", file_count=2, records_per_file=10, seed=4)
-        adapter = _UnforkableAdapter()
-        assert runner_spec_for(TestRunner(adapter, host_name="sqlite")) is None
-        # no worker can rebuild the adapter: the cell runs serially on it
-        result = run_transplant(suite, "sqlite", adapter=adapter, workers=4).result
+    def test_unforkable_adapter_falls_back_to_serial(self, monkeypatch, tmp_path):
+        from repro.store import ArtifactStore
+
+        monkeypatch.setattr(registry, "_ENTRIES", dict(registry._ENTRIES))
+        monkeypatch.setattr(registry, "_NAMES", dict(registry._NAMES))
+        registry.register_adapter("unforkable", _UnforkableAdapter)
+        suite = build_suite("slt", file_count=2, records_per_file=10, seed=4, store=None)
+        assert runner_spec_for(TestRunner(_UnforkableAdapter(), host_name="sqlite")) is None
+        store = ArtifactStore(root=tmp_path / "store", fingerprint="unforkable-fp")
+        # no worker can rebuild the adapter and no key can name its results:
+        # the cell runs in this process, storeless
+        result = run_transplant(suite, "unforkable", workers=4, store=store).result
         assert len(result.files) == len(suite.files)
         assert result.total_cases > 0
+        assert store.stats.lookups == 0
+        assert not (store.root / "file-results").exists()
 
     def test_unregistered_adapter_name_falls_back_to_serial(self):
         class Named(_UnforkableAdapter):
@@ -186,23 +189,56 @@ def _raise_eio(value):
 
 
 class TestPoolInfraClassification:
-    """Only pool-infrastructure OSErrors may trigger the thread fallback."""
+    """Only pool-infrastructure OSErrors may send the pool's work in-process."""
 
     def test_user_code_oserror_is_reported_not_retried_as_infra(self):
         # a genuine I/O failure raised *by the task* must propagate with its
-        # errno intact — and must not degrade the pool, which would silently
-        # re-run the failing work on threads
-        pool = WorkerPool(2, "process")
+        # errno intact — and must not move the pool in-process, which would
+        # silently re-run the failing work here
+        pool = WorkerPool(2)
         try:
             with pytest.raises(OSError) as excinfo:
                 pool.map_tasks(_raise_eio, [(1,), (2,)])
             assert excinfo.value.errno == errno.EIO
-            assert pool.flavour == "process"
+            assert not pool.in_process
         finally:
             pool.shutdown()
 
+    def test_pool_that_cannot_start_finishes_in_process(self, monkeypatch):
+        def no_semaphores(*args, **kwargs):
+            raise OSError(errno.ENOSYS, "sem_open unavailable")
+
+        suite = build_suite("slt", file_count=3, records_per_file=10, seed=12)
+        serial = run_transplant(suite, "duckdb", store=None)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_semaphores)
+        live: list[DBMSAdapter] = []
+        setup, teardown = DBMSAdapter.setup, DBMSAdapter.teardown
+        monkeypatch.setattr(DBMSAdapter, "setup", lambda adapter: (setup(adapter), live.append(adapter)))
+        monkeypatch.setattr(DBMSAdapter, "teardown", lambda adapter: (teardown(adapter), live.remove(adapter)))
+        pool = WorkerPool(2)
+        adapters = AdapterPool()
+        try:
+            assert_equivalent(
+                {
+                    "serial": serial,
+                    "unstartable-pool": lambda: run_transplant(suite, "duckdb", workers=2, worker_pool=pool, store=None),
+                    "in-process-pool": lambda: run_transplant(
+                        suite, "duckdb", workers=2, worker_pool=pool, pool=adapters, store=None
+                    ),
+                }
+            )
+            assert pool.in_process
+            # the shards finished here left no live adapter behind, and a
+            # later cell ran its misses on the campaign's own adapter pool
+            assert adapters.created == 1 and len(live) == 1
+            adapters.close()
+            assert live == []
+        finally:
+            adapters.close()
+            pool.shutdown()
+
     def test_errno_whitelist_is_narrow(self):
-        # bootstrap breakage in sandboxes: recoverable by degrading
+        # bootstrap breakage in sandboxes: recoverable by finishing in-process
         assert _is_pool_infra_error(OSError(errno.ENOSYS, "sem_open unavailable"))
         assert _is_pool_infra_error(OSError(errno.EPERM, "fork forbidden"))
         # real-world I/O failures: genuine errors, never infra

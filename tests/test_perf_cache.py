@@ -65,14 +65,6 @@ class TestLRUCache:
             assert not perf_cache.caching_enabled()
         assert perf_cache.caching_enabled()
 
-    def test_merge_stats(self):
-        merged = perf_cache.merge_stats(
-            {"plan": {"hits": 3, "misses": 1, "evictions": 0}},
-            {"plan": {"hits": 1, "misses": 1, "evictions": 2}, "tokenize": {"hits": 0, "misses": 4, "evictions": 0}},
-        )
-        assert merged["plan"] == {"hits": 4, "misses": 2, "evictions": 2, "hit_rate": round(4 / 6, 4)}
-        assert merged["tokenize"]["hit_rate"] == 0.0
-
 
 class TestTokenizeCache:
     def test_cached_stream_matches_uncached(self):

@@ -455,17 +455,6 @@ class TestDonorRunStore:
         assert canonical_bytes(warm_plain) == canonical_bytes(plain)
         assert canonical_bytes(warm_translated) == canonical_bytes(translated)
 
-    def test_explicit_adapter_bypasses_store(self, store, suite):
-        from repro.adapters.registry import create_adapter
-
-        adapter = create_adapter("sqlite")
-        adapter.setup()
-        try:
-            run_transplant(suite, "sqlite", adapter=adapter, store=store)
-        finally:
-            adapter.teardown()
-        assert store.stats.lookups == 0
-
     def test_warm_matrix_byte_identical_to_storeless(self, store, suite):
         suites = {suite.name: suite}
         with store_disabled():
