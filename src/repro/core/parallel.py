@@ -77,7 +77,7 @@ FileOutcome = tuple[int, FileResult, InfraFailure | None]
 #: registered after it forked is an infrastructure gap this process (whose
 #: registry has it) recovers from.  Bare ``OSError`` is deliberately *not* in
 #: this tuple: classifying every OSError as pool breakage would swallow
-#: genuine store/journal I/O bugs from user task code (``map_tasks`` runs
+#: genuine store I/O bugs from user task code (``map_tasks`` runs
 #: arbitrary callables, not just :func:`_run_shard`'s wrapped work) — only the
 #: errnos pool bootstrap actually produces count (see
 #: :func:`_is_pool_infra_error`).

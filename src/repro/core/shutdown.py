@@ -7,12 +7,12 @@ process one coordinated reaction instead:
 * The **drain latch** is a process-global flag the execution layers poll
   between files — inside a shard and in serial cell assembly
   (:mod:`repro.core.parallel`), and in serial suite execution.  Once the
-  latch is set, in-flight files *finish* (their results flush to
-  store and journal) and everything not yet started degrades to a partial
-  result carrying an :class:`~repro.core.resilience.InfraFailure` of kind
+  latch is set, in-flight files *finish* (their results persist to the
+  store) and everything not yet started degrades to a partial result
+  carrying an :class:`~repro.core.resilience.InfraFailure` of kind
   ``"shutdown-drain"`` — so the campaign exits through the existing
-  partial-results path (CLI exit code 2) and a later run re-enters exactly
-  the drained cells.
+  partial-results path (CLI exit code 2), and re-running the same command
+  loads the finished files from the store and executes only the rest.
 * :func:`signal_aware_shutdown` installs SIGINT/SIGTERM handlers around a
   campaign: the **first** signal requests a drain and arms a force-exit
   timer (``REPRO_DRAIN_SECONDS``, default 30 — a wedged drain must not hang
@@ -124,11 +124,13 @@ def signal_aware_shutdown(
 ) -> Iterator[ShutdownState]:
     """Guard a campaign with drain-on-first-signal, die-on-second semantics.
 
-    ``resume_command`` (when known) is printed with the drain notice so an
-    operator knows exactly how to pick the campaign back up.  The force-exit
-    timer uses ``drain_seconds`` (default :func:`configured_drain_seconds`)
-    and exits ``128 + signum``, the same status an unhandled signal would
-    have produced — a drain that wedges must look like the kill it is.
+    ``resume_command`` is printed with the drain notice so an operator knows
+    exactly how to pick the campaign back up; pass it only when a store
+    holds the finished files (a storeless campaign has nothing to resume).
+    The force-exit timer uses ``drain_seconds`` (default
+    :func:`configured_drain_seconds`) and exits ``128 + signum``, the same
+    status an unhandled signal would have produced — a drain that wedges
+    must look like the kill it is.
 
     On exit the latch, handlers, and timer are restored/cancelled, so nested
     or sequential campaigns start clean.
@@ -155,10 +157,11 @@ def signal_aware_shutdown(
         timer.start()
         holder["timer"] = timer
         lines = [
-            f"received {signal.Signals(signum).name}: draining — in-flight files finish, "
-            f"remaining work is journaled for resume (deadline {deadline:.0f}s; signal again to exit now)"
+            f"received {signal.Signals(signum).name}: draining — in-flight files finish "
+            f"(deadline {deadline:.0f}s; signal again to exit now)"
         ]
         if resume_command:
+            lines.append("finished files are in the store; re-running the same command resumes from there")
             lines.append(f"resume with: {resume_command}")
         print("\n".join(lines), file=sys.stderr, flush=True)
 

@@ -10,15 +10,12 @@ matrix behind Figure 4 / Tables 4 and 6.
 
 from __future__ import annotations
 
-import logging
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.adapters.faults import FaultReport, FaultSummary
 from repro.adapters.pool import AdapterPool
 from repro.adapters.registry import create_adapter
-from repro.core.journal import CampaignJournal, campaign_spec, open_campaign_journal
 from repro.core.parallel import RunnerSpec, WorkerPool, assemble_suite_result, runner_spec_for
 from repro.core.records import TestSuite
 from repro.core.resilience import ResiliencePolicy, default_policy
@@ -27,9 +24,6 @@ from repro.killpoints import kill_point
 from repro.perf import cache as perf_cache
 from repro.store import artifacts as artifact_store
 from repro.store import codec as result_codec
-from repro.store.keys import FILE_RESULTS_NAMESPACE, file_result_key, key_digest
-
-logger = logging.getLogger(__name__)
 
 #: Host names used throughout the experiments, in the paper's column order.
 DEFAULT_HOSTS = ("sqlite", "postgres", "duckdb", "mysql")
@@ -120,7 +114,6 @@ def run_transplant(
     worker_pool=None,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
     resilience: ResiliencePolicy | None = None,
-    journal: CampaignJournal | None = None,
 ) -> TransplantResult:
     """Run ``suite`` on ``host`` and collect results plus crash/hang reports.
 
@@ -165,14 +158,6 @@ def run_transplant(
     miss becomes a SKIP stand-in with its own ``adapter-quarantined`` record.
     Recovered faults leave no trace in the result, keeping recovered
     campaigns byte-identical to fault-free ones.
-
-    ``journal`` (a :class:`~repro.core.journal.CampaignJournal`, normally
-    wired by :func:`run_cells`) records this cell's start and finish as
-    durable write-ahead events: ``cell-start`` lands before any execution
-    (including a warm store hit), ``cell-finish`` — with the cell's per-file
-    artifact digests — after its files persisted.  A process killed between
-    the two leaves the cell visibly in flight, which is exactly what a
-    crash-resume re-enters.
     """
     donor = DONOR_OF_SUITE.get(suite.name, suite.name)
     if donor == host:
@@ -195,9 +180,7 @@ def run_transplant(
         backing, workers = None, 1
     policy = resilience if resilience is not None else default_policy()
 
-    if journal is not None:
-        journal.cell_started(suite.name, host)
-        kill_point("cell-start")
+    kill_point("cell-start")
     adapters = pool if pool is not None else AdapterPool()
     try:
         suite_result = assemble_suite_result(
@@ -207,8 +190,9 @@ def run_transplant(
         if pool is None:
             adapters.close()
 
+    kill_point("cell-finish")
     crashes, hangs = result_codec.fault_reports_for(suite_result, host)
-    transplant_result = TransplantResult(
+    return TransplantResult(
         suite=suite.name,
         host=host,
         donor=donor,
@@ -217,21 +201,6 @@ def run_transplant(
         hangs=hangs,
         infra_failures=list(suite_result.infra_failures),
     )
-    if journal is not None:
-        clean = not transplant_result.infra_failures
-        files = None
-        if backing is not None and clean:
-            # the artifact digests assembly (or its workers) really wrote
-            files = [
-                {
-                    "path": test_file.path,
-                    "artifact": key_digest(FILE_RESULTS_NAMESPACE, file_result_key(spec, test_file), backing.fingerprint),
-                }
-                for test_file in suite.files
-            ]
-        journal.cell_finished(suite.name, host, complete=clean, files=files)
-        kill_point("cell-finish")
-    return transplant_result
 
 
 @dataclass
@@ -285,7 +254,6 @@ def run_cells(
     worker_pool=None,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
     resilience: ResiliencePolicy | None = None,
-    journal: "str | os.PathLike | bool | None" = None,
 ) -> Iterator[TransplantResult]:
     """Run ``cells`` in order, yielding one :class:`TransplantResult` per cell.
 
@@ -301,20 +269,10 @@ def run_cells(
     ``store`` lets a repeated campaign replay from the artifact store's
     per-file ``file-results``: only files no earlier run persisted execute,
     so an edited suite re-executes only its changed files, and a campaign
-    degraded by infrastructure faults re-enters only the gaps.
-
-    ``journal`` keeps a durable write-ahead journal (see
-    :mod:`repro.core.journal`): ``True`` places it under the store
-    (``<store root>/journals/``), a directory keeps it there, and a
-    ``.jsonl`` path (or existing file) names the file outright.  Plain and
-    translated cells are distinct campaigns with one journal each, whose
-    spec names the cells' sorted suites and hosts.  Every cell's start and
-    finish is fsync'd before the campaign moves on, so a killed campaign
-    re-run with the same arguments replays its warm cells from the store and
-    re-executes only the work that was in flight.  A journal whose campaign
-    differs raises :class:`~repro.errors.JournalMismatchError`; journaling
-    without a store raises :class:`ValueError`, because the campaign id
-    embeds the store's fingerprint.
+    degraded by infrastructure faults re-enters only the gaps.  The store is
+    also the resume record: every file persists the moment it finishes, so a
+    killed campaign re-run with the same arguments loads what persisted and
+    re-executes only the work that was in flight.
 
     A drain requested through :mod:`repro.core.shutdown` needs no check
     here: :func:`repro.core.parallel.execute_files` turns every file not yet
@@ -323,9 +281,6 @@ def run_cells(
     """
     cells = list(cells)
     store = artifact_store.active_store(store)
-    if journal is not None and store is None:
-        raise ValueError("run_cells(journal=...) requires an artifact store (the campaign id embeds its fingerprint)")
-    journals: dict[bool, CampaignJournal] = {}
     owns_adapter_pool = adapter_pool is None
     if adapter_pool is None:
         adapter_pool = AdapterPool()
@@ -333,17 +288,6 @@ def run_cells(
     if owns_worker_pool:
         worker_pool = WorkerPool(workers)
     try:
-        if journal is not None:
-            for translate in sorted({cell.translate for cell in cells}):
-                names = sorted({cell.suite for cell in cells if cell.translate == translate})
-                hosts = tuple(sorted({cell.host for cell in cells if cell.translate == translate}))
-                spec = campaign_spec({name: suites[name] for name in names}, hosts, translate_dialect=translate)
-                journals[translate] = opened = open_campaign_journal(journal, store, spec)
-                if opened.replay.incomplete_cells():
-                    logger.info(
-                        "journal %s: resuming campaign %s... — %d cell(s) in flight at last exit",
-                        opened.path, opened.campaign[:16], len(opened.replay.incomplete_cells()),
-                    )
         served: dict[CellKey, TransplantResult] = {}
         for cell in cells:
             alias = plain_alias(cell)
@@ -357,12 +301,9 @@ def run_cells(
                     worker_pool=worker_pool,
                     store=store,
                     resilience=resilience,
-                    journal=journals.get(cell.translate),
                 )
             yield served[alias]
     finally:
-        for opened in journals.values():
-            opened.close()
         if owns_worker_pool:
             worker_pool.shutdown()
         if owns_adapter_pool:
@@ -378,7 +319,6 @@ def run_matrix(
     worker_pool=None,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
     resilience: ResiliencePolicy | None = None,
-    journal: "str | os.PathLike | bool | None" = None,
 ) -> TransplantMatrix:
     """Run every suite on every host (the Figure 4 campaign), suites outer.
 
@@ -394,7 +334,6 @@ def run_matrix(
         worker_pool=worker_pool,
         store=store,
         resilience=resilience,
-        journal=journal,
     ):
         matrix.add(result)
     return matrix

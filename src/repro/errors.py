@@ -164,26 +164,6 @@ class UnknownExperimentError(ReproError, KeyError):
         return str(self.args[0]) if self.args else ""
 
 
-class JournalError(ReproError):
-    """A campaign write-ahead journal could not be read or written.
-
-    Raised for *genuine* corruption — garbage before the final line, a
-    missing or malformed header — never for a torn final line, which is the
-    expected signature of a crash mid-append and is tolerated by replay
-    (:func:`repro.core.journal.replay_journal`).
-    """
-
-
-class JournalMismatchError(JournalError):
-    """The journal on disk belongs to a different campaign.
-
-    A resume pointed at a journal whose recorded campaign id (derived from
-    the matrix spec + store code fingerprint) does not match the campaign
-    being run: resuming would silently mix two campaigns' progress, so the
-    mismatch is refused instead.
-    """
-
-
 class AdapterQuarantinedError(RunnerError):
     """The requested adapter configuration is quarantined by the circuit
     breaker (:class:`repro.adapters.pool.CircuitBreaker`) after repeated

@@ -7,16 +7,17 @@ blindly.
 
 Campaigns run under signal-aware shutdown: the first SIGINT/SIGTERM drains —
 in-flight files finish and flush, remaining work degrades to resumable
-partial results (exit code 2) — and a second signal exits immediately.  With
-``--journal`` (or ``--resume-from``) progress is additionally journaled to a
-durable write-ahead log, so even a SIGKILL'd campaign resumes with only its
-in-flight work re-executed.
+partial results (exit code 2) — and a second signal exits immediately.
+Every executed file persists to the store as it finishes, so re-running the
+same command resumes any stopped campaign, drained or SIGKILLed, and
+re-executes only the files that never persisted.  Usage errors exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 
 from repro.core.shutdown import signal_aware_shutdown
@@ -24,23 +25,15 @@ from repro.errors import UnknownExperimentError
 from repro.experiments.context import ExperimentContext
 from repro.experiments.registry import EXPERIMENTS, experiment_entries, get_experiment_entry
 from repro.experiments.stream import run_batch, stream_experiments
+from repro.store import store_enabled
 
 
-def _resume_command(argv: list[str], location: str) -> str:
-    """The exact command that resumes this campaign from its journal."""
-    cleaned: list[str] = []
-    skip_value = False
-    for token in argv:
-        if skip_value:
-            skip_value = False
-            continue
-        if token in ("--journal", "--resume-from"):
-            skip_value = token == "--resume-from"
-            continue
-        if token.startswith("--resume-from="):
-            continue
-        cleaned.append(token)
-    return "python -m repro.experiments " + " ".join(cleaned + ["--resume-from", location])
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1: exit 2 means "campaign degraded, resume possible"."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _print_formats() -> None:
@@ -87,7 +80,7 @@ def store_main(argv: list[str]) -> int:
     """``python -m repro.experiments store {stats,gc,audit,clear}``."""
     from repro.store import ArtifactStore, get_default_store
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="python -m repro.experiments store",
         description="Inspect and maintain the persistent artifact store (see docs/STORE.md)",
     )
@@ -159,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "store":
         return store_main(argv[1:])
-    parser = argparse.ArgumentParser(description="Run SQuaLity reproduction experiments (tables and figures)")
+    parser = _ArgumentParser(description="Run SQuaLity reproduction experiments (tables and figures)")
     parser.add_argument("experiments", nargs="*", default=[], help="experiment ids (default: all); e.g. table4 figure2 bugs")
     parser.add_argument("--scale", type=float, default=1.0, help="corpus scale factor (default 1.0)")
     parser.add_argument("--seed", type=int, default=0, help="corpus generation seed (default 0)")
@@ -182,20 +175,6 @@ def main(argv: list[str] | None = None) -> int:
         "--no-store",
         action="store_true",
         help="disable the persistent artifact store (regenerate corpora and re-execute every cell)",
-    )
-    parser.add_argument(
-        "--journal",
-        action="store_true",
-        help="keep a durable write-ahead journal of campaign progress under the store "
-        "(<store>/journals/), so a killed campaign can be resumed with --resume-from",
-    )
-    parser.add_argument(
-        "--resume-from",
-        default=None,
-        metavar="PATH",
-        help="resume a journaled campaign: PATH is the journal file or the journals directory "
-        "a previous run wrote (implies --journal there); warm cells replay from the store, "
-        "only in-flight work re-executes",
     )
     parser.add_argument(
         "--stream",
@@ -229,20 +208,22 @@ def main(argv: list[str] | None = None) -> int:
 
     if arguments.timeout is not None and arguments.timeout <= 0:
         parser.error("--timeout must be positive")
-    if (arguments.journal or arguments.resume_from) and arguments.no_store:
-        parser.error("--journal/--resume-from need the store (the campaign id embeds its fingerprint)")
 
     try:
         for experiment_id in arguments.experiments:
             get_experiment_entry(experiment_id)
     except UnknownExperimentError as error:
-        # exit code 1 (usage error), NOT parser.error's 2 — 2 means "campaign
-        # finished but degraded" here
+        # exit code 1 (usage error), like every parser error: 2 means
+        # "campaign finished but degraded" here
         print(f"error: {error}", file=sys.stderr)
         return 1
 
     selected = arguments.experiments or None
-    journal = arguments.resume_from if arguments.resume_from else (True if arguments.journal else None)
+    # the store is the resume record: re-running the same command loads every
+    # file that persisted, so a storeless campaign offers no resume
+    resume_command = None
+    if not arguments.no_store and store_enabled():
+        resume_command = "python -m repro.experiments " + shlex.join(argv)
     with ExperimentContext(
         scale=arguments.scale,
         seed=arguments.seed,
@@ -250,13 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         store_dir=arguments.store_dir,
         use_store=not arguments.no_store,
         timeout_seconds=arguments.timeout,
-        journal=journal,
     ) as context:
-        resume_command = None
-        if journal is not None:
-            location = context.journal_location()
-            if location is not None:
-                resume_command = _resume_command(argv, location)
         # first SIGINT/SIGTERM drains (in-flight files finish and flush, the
         # rest degrades to resumable partials), a second one exits immediately
         with signal_aware_shutdown(resume_command=resume_command):

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 from repro.adapters.pool import AdapterPool
-from repro.core.journal import JOURNAL_DIRNAME
 from repro.core.records import TestSuite
 from repro.core.resilience import ResiliencePolicy, set_default_timeout
 from repro.core.transplant import DEFAULT_HOSTS, CellKey, TransplantResult
@@ -65,7 +62,6 @@ class ExperimentContext:
         use_store: bool = True,
         timeout_seconds: float | None = None,
         resilience: ResiliencePolicy | None = None,
-        journal: "bool | str | os.PathLike | None" = None,
     ):
         self.scale = scale
         self.seed = seed
@@ -76,12 +72,6 @@ class ExperimentContext:
         #: campaign resilience policy; None means every cell resolves
         #: :func:`repro.core.resilience.default_policy` at execution time
         self.resilience = resilience
-        #: write-ahead journal setting threaded into every streaming pass
-        #: (see :func:`repro.core.transplant.run_cells`): ``True`` journals
-        #: under the store, a path journals there, ``None`` disables.  Plain
-        #: and translated cells are distinct campaigns and keep distinct
-        #: journal files.
-        self.journal = journal
         #: resolved artifact-store argument threaded through every corpus
         #: build and campaign: an explicit store, the process default
         #: (``DEFAULT``), or ``None`` for storeless
@@ -202,22 +192,6 @@ class ExperimentContext:
         return suites
 
     # -- execution results -----------------------------------------------------------
-
-    def journal_location(self) -> str | None:
-        """Where this context's campaign journals live, or None when off.
-
-        ``journal=True`` resolves to the store's ``journals/`` directory;
-        a path setting is returned as given.  Used by the CLI to print the
-        exact ``--resume-from`` target on degraded exits.
-        """
-        if self.journal is None or self.journal is False:
-            return None
-        if self.journal is True:
-            store = artifact_store.active_store(self.store)
-            if store is None:
-                return None
-            return str(Path(store.root) / JOURNAL_DIRNAME)
-        return str(self.journal)
 
     def note_stream_cell(self, key: CellKey, result: TransplantResult) -> None:
         """Record one cell a streaming pass executed in :attr:`cells`."""

@@ -13,7 +13,7 @@ One pass over the campaign matrix feeds *every* selected experiment:
 2. **Execute** — each unique cell runs exactly once per pass, in plan
    order: the context's cell cache serves cells an earlier pass ran, and
    the rest come from one :func:`repro.core.transplant.run_cells` generator
-   with the context's store, pools, journal setting and resilience policy.
+   with the context's store, pools and resilience policy.
    Store-warm cells resolve instantly, ``workers > 1`` shards each cell's
    files, and degraded cells surface through
    :meth:`ExperimentContext.infra_failures`.
@@ -160,7 +160,6 @@ def stream_experiments(experiment_ids=None, context: ExperimentContext | None = 
         worker_pool=shared.worker_pool,
         store=shared.store,
         resilience=shared.resilience,
-        journal=shared.journal,
     )
     try:
         for key in plan:

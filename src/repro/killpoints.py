@@ -25,15 +25,14 @@ Instrumented operations (grep for ``kill_point(`` to confirm the list):
 ``store-tmp``             after an artifact's temp file is written, before the
                           atomic rename (a crash here leaks a ``.tmp-`` file)
 ``store-write``           after the atomic rename (the artifact is durable)
-``journal-append``        after a journal line is written and fsync'd
-``cell-start``            a campaign cell is about to execute
-``cell-finish``           a campaign cell's files persisted and it is journaled
+``cell-start``            a campaign cell is about to assemble
+``cell-finish``           a campaign cell assembled and its files persisted
 ``file-finish``           the per-file executor finished (and persisted) one file
 ========================  ==========================================================
 
 This module deliberately imports nothing from :mod:`repro` — it is called
-from the store's write path and the journal's append path, and must never be
-able to create an import cycle.  When no kill schedule is configured, a call
+from the store's write path and every campaign cell, and must never be able
+to create an import cycle.  When no kill schedule is configured, a call
 costs one dict lookup.
 """
 

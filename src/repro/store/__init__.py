@@ -44,7 +44,6 @@ from repro.store.keys import (
     donor_file_key,
     file_result_key,
     key_digest,
-    suite_content_hash,
 )
 
 __all__ = [
@@ -76,5 +75,4 @@ __all__ = [
     "set_store_enabled",
     "store_disabled",
     "store_enabled",
-    "suite_content_hash",
 ]

@@ -71,22 +71,6 @@ def content_hash(value: Any) -> str:
     return hashlib.sha256(canonical_bytes(value)).hexdigest()
 
 
-def suite_content_hash(suite: Any) -> str:
-    """Stable content hash of a parsed :class:`~repro.core.records.TestSuite`.
-
-    Two suites generated from the same profile/seed/scale in different
-    processes hash identically, which is what lets a campaign journal written
-    by one process be resumed by the next (see
-    :func:`repro.core.journal.campaign_spec`).
-
-    The digest is derived from the suite's name and its files' *per-file*
-    content hashes — the same hashes that key the ``file-results`` assembly
-    artifacts — rather than one canonical walk over every record.
-    """
-    payload = canonical_bytes({"name": suite.name, "files": [content_hash(test_file) for test_file in suite.files]})
-    return hashlib.sha256(payload).hexdigest()
-
-
 # -- assembly namespaces and keys -------------------------------------------------
 #
 # Campaigns assemble every suite-level answer from file-level artifacts, so

@@ -7,7 +7,7 @@ seeded fault schedules injected at the adapter and store boundaries, so
 byte-identical to fault-free runs and unrecoverable ones degrade gracefully.
 It also hosts the kill-point crash harness (:func:`~repro.testing.chaos.run_crash_campaign`
 + :mod:`repro.testing.crash_child`): real campaigns in killable subprocesses,
-proving the journal/store crash-safety invariants in ``tests/test_crash.py``.
+proving the store's crash-safety invariants in ``tests/test_crash.py``.
 """
 
 from repro.testing.chaos import (

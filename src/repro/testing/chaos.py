@@ -28,14 +28,14 @@ chaos campaigns at ``workers=1``, where every file executes in this process
 and ``at`` counts calls campaign-wide.
 
 Beyond in-process faults, :func:`run_crash_campaign` is the **kill-point
-crash harness**: it runs a real journaled campaign in a subprocess
+crash harness**: it runs a real store-backed campaign in a subprocess
 (:mod:`repro.testing.crash_child`) and either lets ``REPRO_KILL_POINTS``
-SIGKILL it from the inside — at a store write, a journal append, a cell
-boundary — or lands a SIGINT/SIGTERM from the outside to exercise the
-graceful drain.  ``tests/test_crash.py`` uses it to assert the crash-safety
-invariants: the store audits clean after any kill, the journal replays, and
-re-running the same campaign converges to a byte-identical result with only
-in-flight work re-executed.
+SIGKILL it from the inside — at a store write, a cell boundary, a finished
+file — or lands a SIGINT/SIGTERM from the outside to exercise the graceful
+drain.  ``tests/test_crash.py`` uses it to assert the crash-safety
+invariants: the store audits clean after any kill, and re-running the same
+campaign converges to a byte-identical result with only in-flight work
+re-executed.
 """
 
 from __future__ import annotations

@@ -1,18 +1,19 @@
-"""Crash-harness child: one real journaled campaign in a disposable process.
+"""Crash-harness child: one real store-backed campaign in a disposable process.
 
 ``python -m repro.testing.crash_child --store-dir DIR ...`` builds a small
-corpus, runs a journaled ``run_matrix`` campaign against a persistent store,
-and prints a one-line JSON summary (prefixed ``CRASH-CHILD-SUMMARY``) with a
+corpus, runs a ``run_matrix`` campaign against a persistent store, and
+prints a one-line JSON summary (prefixed ``CRASH-CHILD-SUMMARY``) with a
 canonical-bytes digest of every cell's results plus the store's counters.
 
 The point of being a *process* is being killable: the parent harness
 (:func:`repro.testing.chaos.run_crash_campaign`) sets ``REPRO_KILL_POINTS``
-so this process SIGKILLs itself inside a store write, a journal append, or a
-cell boundary — and then runs it again with the same arguments to prove the
-campaign resumes to a byte-identical result.  The digest is deliberately
-computed from the canonical serialization (:mod:`repro.store.keys`), the
-same identity notion the differential tests use, so "byte-identical" means
-exactly what ``assert_equivalent`` would have asserted in-process.
+so this process SIGKILLs itself inside a store write, at a cell boundary or
+after a finished file — and then runs it again with the same arguments to
+prove the campaign resumes from the store to a byte-identical result.  The
+digest is deliberately computed from the canonical serialization
+(:mod:`repro.store.keys`), the same identity notion the differential tests
+use, so "byte-identical" means exactly what ``assert_equivalent`` would have
+asserted in-process.
 
 ``--slow`` registers a delaying wrapper around each host adapter (every
 statement sleeps), widening the window in which the parent can land a
@@ -60,7 +61,7 @@ def _install_slow_adapters(hosts: tuple[str, ...], delay: float, ready_file: str
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.testing.crash_child")
-    parser.add_argument("--store-dir", required=True, help="artifact store root (journals live under it)")
+    parser.add_argument("--store-dir", required=True, help="artifact store root")
     parser.add_argument("--suite", default="slt")
     parser.add_argument("--files", type=int, default=3)
     parser.add_argument("--records", type=int, default=4)
@@ -99,7 +100,6 @@ def main(argv: "list[str] | None" = None) -> int:
             hosts=hosts,
             workers=arguments.workers,
             store=store,
-            journal=True,
         )
 
     digest = hashlib.sha256()
@@ -117,7 +117,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "failure_kinds": sorted({failure.kind for failure in failures}),
         "drained": state.drained,
         "store": store.snapshot(),
-        "journals": sorted(path.name for path in (Path(store.root) / "journals").glob("*.jsonl")),
     }
     print(SUMMARY_MARKER + " " + json.dumps(summary, sort_keys=True), flush=True)
     return 2 if failures else 0

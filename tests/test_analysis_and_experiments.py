@@ -133,6 +133,15 @@ class TestExperiments:
         assert result.text
         assert result.data
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_figure1_claims_at_quarter_scale(self, seed):
+        # the note's claims are computed from the table; at this scale MySQL,
+        # not DuckDB, has the smallest median file (seed 1 is the golden run)
+        with ExperimentContext(scale=0.25, seed=seed, use_store=False) as context:
+            result = run_experiment("figure1", context)
+        assert result.data["claims"] == {"slt_largest_10x": True, "duckdb_smallest": False}
+        assert "DuckDB files are the smallest: does not hold here (mysql files are the smallest)" in result.text
+
     def test_figure4_shape(self, tiny_context):
         result = run_experiment("figure4", tiny_context)
         measured = result.data["measured"]

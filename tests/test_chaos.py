@@ -507,6 +507,17 @@ class TestCliExitCodes:
         assert cli.main(["table4"]) == 2
         stderr = capsys.readouterr().err
         assert "adapter-quarantined" in stderr and "slt->duckdb" in stderr
+        # the store is the resume record: re-running the same command resumes
+        assert "resume with: python -m repro.experiments table4" in stderr
+
+    def test_degraded_storeless_campaign_offers_no_resume(self, monkeypatch, capsys):
+        failure = InfraFailure(kind="shutdown-drain", suite="slt", host="duckdb", detail="drain", attempts=0)
+        cli, _ = self._fake_cli(monkeypatch, [failure])
+        assert cli.main(["table4", "--no-store"]) == 2
+        stderr = capsys.readouterr().err
+        assert "shutdown-drain" in stderr
+        # nothing persisted, so there is nothing to resume from
+        assert "resume with:" not in stderr
 
     def test_timeout_flag_reaches_context(self, monkeypatch, capsys):
         cli, created = self._fake_cli(monkeypatch, [])
@@ -514,6 +525,14 @@ class TestCliExitCodes:
         assert created["timeout_seconds"] == 2.5
 
     def test_timeout_flag_must_be_positive(self, monkeypatch, capsys):
+        # every usage error exits 1; 2 would read as "campaign degraded"
         cli, _ = self._fake_cli(monkeypatch, [])
-        with pytest.raises(SystemExit):
-            cli.main(["table4", "--timeout", "0"])
+        for argv in (
+            ["table4", "--timeout", "0"],
+            ["table4", "--resume-from", "x"],
+            ["store", "gc", "--max-bytes", "0"],
+        ):
+            with pytest.raises(SystemExit) as exited:
+                cli.main(argv)
+            assert exited.value.code == 1, argv
+            assert "error:" in capsys.readouterr().err

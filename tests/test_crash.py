@@ -2,12 +2,12 @@
 
 Three layers of proof that a campaign survives violent death:
 
-* **Kill-point chaos** — a real journaled campaign runs in a subprocess that
-  SIGKILLs *itself* at injected operation points (mid store write, right
-  after a journal append, between cells).  After every kill the store must
-  audit clean, the journal must replay, and re-running the same campaign
-  must converge to a result byte-identical to a never-killed reference —
-  with only the work that was genuinely in flight re-executed.
+* **Kill-point chaos** — a real store-backed campaign runs in a subprocess
+  that SIGKILLs *itself* at injected operation points (mid store write,
+  between cells, after a finished file).  After every kill the store must
+  audit clean, and re-running the same campaign must converge to a result
+  byte-identical to a never-killed reference — with only the work that was
+  genuinely in flight re-executed.
 * **Graceful drain** — SIGTERM against a live campaign finishes in-flight
   files, flushes, exits with the degraded code 2 and prints the exact resume
   command; the resumed campaign is byte-identical to the reference.
@@ -27,7 +27,6 @@ import signal
 
 import pytest
 
-from repro.core.journal import replay_journal
 from repro.core.parallel import WorkerPool
 from repro.store.artifacts import ArtifactStore
 from repro.testing import run_crash_campaign
@@ -49,12 +48,10 @@ def reference_digest(tmp_path_factory):
 
 class TestKillPointResume:
     #: operation points covering every durability seam: the store's tmp file,
-    #: the store's publish rename, the journal fsync, and both cell edges
+    #: the store's publish rename, both cell edges and a finished file
     KILL_POINTS = [
         "store-tmp:1",
         "store-write:2",
-        "journal-append:1",
-        "journal-append:2",
         "cell-start:1",
         "cell-finish:1",
         "file-finish:2",
@@ -79,20 +76,11 @@ class TestKillPointResume:
         audit = ArtifactStore(root=store_dir).audit()
         assert audit["corrupt"] == 0, audit
 
-        # invariant 2: the journal replays — a torn tail is tolerated, and
-        # the state it folds to is usable for resume
-        journals = list((store_dir / "journals").glob("*.jsonl"))
-        for journal in journals:
-            replay_journal(journal)  # must not raise
-
-        # invariant 3: the resumed campaign converges to the reference result
+        # invariant 2: the resumed campaign converges to the reference result
         resumed = run_crash_campaign(store_dir, child_args=CHILD_ARGS)
         assert resumed.returncode == 0, resumed.stderr
         assert resumed.summary["complete"]
         assert resumed.summary["digest"] == reference_digest
-        # and the journal now records the campaign complete
-        final = replay_journal(max((store_dir / "journals").glob("*.jsonl")))
-        assert final.incomplete_cells() == []
 
     def test_kill_after_files_persisted_reexecutes_only_in_flight(self, tmp_path, reference_digest):
         """A kill after N files are persisted re-executes at most FILES - N."""

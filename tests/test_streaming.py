@@ -253,25 +253,3 @@ class TestStreamCli:
         assert main(["figure2", "table8", "--stream", "--scale", "0.05", "--seed", "11", "--no-store"]) == 0
         output = capsys.readouterr().out
         assert "Figure 2" in output and "Table 8" in output
-
-
-class TestStreamJournaling:
-    """A journaled streaming pass records its cells like run_matrix does."""
-
-    def test_pass_journals_cells_and_replay_shows_complete(self, tmp_path):
-        from repro.core.journal import replay_journal
-
-        context = _tiny_context(use_store=True, store_dir=tmp_path / "store", journal=True)
-        with context:
-            results = list(stream_experiments(["table4"], context))
-        assert results
-        journals = sorted((tmp_path / "store" / "journals").glob("*.jsonl"))
-        assert journals, "journaled pass wrote no journal"
-        completed = set()
-        for journal in journals:
-            replay = replay_journal(journal)
-            assert replay.incomplete_cells() == []
-            completed |= replay.completed
-        # every executed cell of the pass finished and was journaled complete
-        assert completed
-        assert all(suite and host for suite, host in completed)
