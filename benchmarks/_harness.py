@@ -6,6 +6,8 @@ import json
 from datetime import datetime, timezone
 from pathlib import Path
 
+from repro.experiments.registry import run_experiment
+
 #: Where the machine-readable pipeline benchmark report is written.
 BENCH_DIR = Path(__file__).resolve().parent
 PIPELINE_REPORT_PATH = BENCH_DIR / "BENCH_pipeline.json"
@@ -16,7 +18,9 @@ PIPELINE_REPORT_SCHEMA = 1
 
 def run_and_report(benchmark, context, experiment_module):
     """Benchmark one experiment driver and print its regenerated table."""
-    result = benchmark.pedantic(lambda: experiment_module.run(context), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: run_experiment(experiment_module.EXPERIMENT_ID, context), rounds=1, iterations=1
+    )
     print()
     print(result.text)
     return result

@@ -5,9 +5,9 @@ corpus (plan + donor recording + serialization + re-parsing), executing suites
 with the unified runner, and — the headline measurement — the full
 cross-execution campaign (suite analyses + plain matrix + translated matrix)
 run once down the serial seed-equivalent path (caches and vectorization
-disabled, ``workers=1``) and once down the parallel, cache-aware, vectorized
-path (``workers=4``), plus an engine-only micro-benchmark of the columnar
-executor against its scalar fallback.
+disabled, no worker pool) and once down the parallel, cache-aware, vectorized
+path (a four-worker pool), plus an engine-only micro-benchmark of the
+columnar executor against its scalar fallback.
 
 The campaign benchmark asserts that both paths produce identical
 ``SuiteResult`` aggregates and writes a machine-readable report to
@@ -21,18 +21,20 @@ import os
 import pickle
 import random
 import time
+from contextlib import nullcontext
 
 from _harness import update_pipeline_report
 
 from repro.analysis.predicates import join_usage, predicate_distribution
 from repro.analysis.statements import standard_compliance, statement_type_distribution
+from repro.core.parallel import WorkerPool
 from repro.core.records import TestSuite
 from repro.core.transplant import DEFAULT_HOSTS, CellKey, TransplantMatrix, run_cells, run_matrix, run_transplant
 from repro.corpus import build_suite
 from repro.engine.session import Session
 from repro.perf import cache as perf_cache
 from repro.perf import vectorize
-from repro.store import FILE_RESULTS_NAMESPACE, ArtifactStore, canonical_bytes, store_disabled
+from repro.store import FILE_RESULTS_NAMESPACE, ArtifactStore, canonical_bytes
 
 #: Campaign workload: one suite, analysed and cross-executed on every host,
 #: plain and with the dialect translator (the tables 1-6 / figure 4 pipeline).
@@ -119,6 +121,14 @@ def _analysis_pass(suite):
     join_usage(suite)
 
 
+def _pooled(workers, call, *args, **kwargs):
+    """``call(*args, **kwargs)`` on a ``WorkerPool(workers)`` of its own when
+    ``workers > 1``, else in this process: each timed campaign pays its own
+    pool start-up and shutdown."""
+    with WorkerPool(workers) if workers > 1 else nullcontext() as pool:
+        return call(*args, worker_pool=pool, **kwargs)
+
+
 def _plain_and_translated(suites, **kwargs):
     """The plain and translated matrices from one ``run_cells`` campaign, so
     each translated donor cell is served by its plain sibling."""
@@ -130,9 +140,9 @@ def _plain_and_translated(suites, **kwargs):
 
 
 def _campaign(suite, workers):
-    """Analyses + plain matrix + translated matrix for one suite."""
+    """Analyses + plain matrix + translated matrix for one suite, storeless."""
     _analysis_pass(suite)
-    matrices = _plain_and_translated({suite.name: suite}, workers=workers)
+    matrices = _pooled(workers, _plain_and_translated, {suite.name: suite}, store=None)
     # post-execution drivers (compliance and predicate tables) re-scan the suite
     _analysis_pass(suite)
     return matrices
@@ -191,52 +201,52 @@ def test_cross_execution_postgres_suite_on_mysql(benchmark):
 
 
 def test_pipeline_campaign_parallel_speedup(benchmark):
-    """workers=4 + caches + vectorization vs the serial seed path, same suite.
+    """A four-worker pool + caches + vectorization vs the serial seed path, same suite.
 
-    The artifact store is disabled for both paths: this benchmark measures
+    Both paths run storeless (``store=None``): this benchmark measures
     parallelism + in-process caches + the columnar executor against the seed
     pipeline, and a stored donor run would let the "serial seed" side skip
     execution entirely.  The store's own contribution is measured by
     :func:`test_pipeline_store_warm_vs_cold`; the engine-only share of the
     win by :func:`test_engine_executor`.
     """
-    with store_disabled():
-        suite = build_suite(
-            CAMPAIGN_SUITE,
-            file_count=CAMPAIGN_FILES,
-            records_per_file=CAMPAIGN_RECORDS_PER_FILE,
-            seed=CAMPAIGN_SEED,
-        )
+    suite = build_suite(
+        CAMPAIGN_SUITE,
+        file_count=CAMPAIGN_FILES,
+        records_per_file=CAMPAIGN_RECORDS_PER_FILE,
+        seed=CAMPAIGN_SEED,
+        store=None,
+    )
 
-        # serial seed path: caches off, vectorization off, workers=1 — the
-        # seed pipeline end to end, row-at-a-time evaluation included
-        perf_cache.clear_caches()
-        with perf_cache.caching_disabled(), vectorize.vectorize_disabled():
-            serial_wall, serial_result = _timed_min_of(2, lambda: _campaign(suite, workers=1))
+    # serial seed path: caches off, vectorization off, no worker pool — the
+    # seed pipeline end to end, row-at-a-time evaluation included
+    perf_cache.clear_caches()
+    with perf_cache.caching_disabled(), vectorize.vectorize_disabled():
+        serial_wall, serial_result = _timed_min_of(2, lambda: _campaign(suite, workers=1))
 
-        # parallel, cache-aware path (benchmark.pedantic may only run once, so
-        # the first round goes through it and the best-of-two is timed manually)
-        perf_cache.clear_caches()
+    # parallel, cache-aware path (benchmark.pedantic may only run once, so
+    # the first round goes through it and the best-of-two is timed manually)
+    perf_cache.clear_caches()
 
-        def parallel_campaign():
-            return _campaign(suite, workers=CAMPAIGN_WORKERS)
+    def parallel_campaign():
+        return _campaign(suite, workers=CAMPAIGN_WORKERS)
 
-        started = time.perf_counter()
-        parallel_result = benchmark.pedantic(parallel_campaign, rounds=1, iterations=1)
-        first_wall = time.perf_counter() - started
-        second_wall, parallel_result = _timed_min_of(1, parallel_campaign)
-        parallel_wall = min(first_wall, second_wall)
+    started = time.perf_counter()
+    parallel_result = benchmark.pedantic(parallel_campaign, rounds=1, iterations=1)
+    first_wall = time.perf_counter() - started
+    second_wall, parallel_result = _timed_min_of(1, parallel_campaign)
+    parallel_wall = min(first_wall, second_wall)
 
-        # the throughput floor is an absolute number on shared hardware:
-        # grant extra best-of rounds only when a window lands below it, so
-        # one scheduler hiccup doesn't fail a run that the very next round
-        # measures comfortably above the floor
-        records = _total_records(parallel_result)
-        for _ in range(3):
-            if parallel_wall and records / parallel_wall >= MIN_RECORDS_PER_SEC:
-                break
-            retry_wall, parallel_result = _timed_min_of(1, parallel_campaign)
-            parallel_wall = min(parallel_wall, retry_wall)
+    # the throughput floor is an absolute number on shared hardware:
+    # grant extra best-of rounds only when a window lands below it, so
+    # one scheduler hiccup doesn't fail a run that the very next round
+    # measures comfortably above the floor
+    records = _total_records(parallel_result)
+    for _ in range(3):
+        if parallel_wall and records / parallel_wall >= MIN_RECORDS_PER_SEC:
+            break
+        retry_wall, parallel_result = _timed_min_of(1, parallel_campaign)
+        parallel_wall = min(parallel_wall, retry_wall)
 
     assert _campaign_counts(serial_result) == _campaign_counts(parallel_result), (
         "sharded, cached campaign must reproduce the serial seed results exactly"
@@ -426,8 +436,7 @@ def test_pipeline_store_warm_vs_cold(benchmark, tmp_path):
     perf_cache.clear_caches()
     warm_cold_caches_wall, _ = _timed_min_of(1, lambda: _store_campaign(store))
 
-    with store_disabled():
-        storeless_result = _store_campaign(store=None)
+    storeless_result = _store_campaign(store=None)
 
     assert _matrix_result_bytes(warm_result) == _matrix_result_bytes(storeless_result), (
         "warm-store campaign must reproduce the storeless results byte-for-byte"
@@ -471,7 +480,7 @@ def test_pipeline_matrix_warm_full_matrix(benchmark, tmp_path):
     * codec payloads undercut whole-object pickles of the same cells by
       >= ``MIN_CODEC_COMPRESSION``,
     * warm results are byte-identical (canonical serialization) to storeless
-      runs with ``workers=1`` and ``workers=4``.
+      runs without a worker pool and on a four-worker pool.
     """
     store = ArtifactStore(root=tmp_path / "repro-store")
     suites = {
@@ -479,9 +488,9 @@ def test_pipeline_matrix_warm_full_matrix(benchmark, tmp_path):
         for name, file_count, records in STORE_CAMPAIGN_SUITES
     }
 
-    def full_matrix(workers=1):
-        plain = run_matrix(suites, store=store, workers=workers)
-        translated = run_matrix(suites, store=store, translate_dialect=True, workers=workers)
+    def full_matrix(workers=1, store=store):
+        plain = _pooled(workers, run_matrix, suites, store=store)
+        translated = _pooled(workers, run_matrix, suites, store=store, translate_dialect=True)
         return plain, translated
 
     perf_cache.clear_caches()
@@ -494,15 +503,14 @@ def test_pipeline_matrix_warm_full_matrix(benchmark, tmp_path):
 
     warm_sharded_wall, warm_sharded_result = _timed_min_of(1, lambda: full_matrix(workers=CAMPAIGN_WORKERS))
 
-    with store_disabled():
-        storeless_result = full_matrix()
+    storeless_result = full_matrix(store=None)
 
     reference = _matrix_result_bytes(storeless_result)
     assert _matrix_result_bytes(warm_result) == reference, (
-        "warm full-matrix replay (workers=1) must be byte-identical to the storeless run"
+        "warm full-matrix replay (no worker pool) must be byte-identical to the storeless run"
     )
     assert _matrix_result_bytes(warm_sharded_result) == reference, (
-        f"warm full-matrix replay (workers={CAMPAIGN_WORKERS}) must be byte-identical to the storeless run"
+        f"warm full-matrix replay ({CAMPAIGN_WORKERS} workers) must be byte-identical to the storeless run"
     )
     assert _campaign_counts(cold_result) == _campaign_counts(warm_result)
 
@@ -671,8 +679,8 @@ def test_pipeline_incremental_single_file_edit(benchmark, tmp_path):
     few tens of milliseconds, where a single scheduler gap on a shared
     single-core runner can halve the wall ratio without any code running
     slower — both walls are still reported), a 7-hit/1-miss ``file-results``
-    lookup profile, and byte-identical results against storeless serial runs
-    at ``workers=1`` and ``workers=4``.
+    lookup profile, and byte-identical results against storeless runs without
+    a worker pool and on a four-worker pool.
     """
     store = ArtifactStore(root=tmp_path / "repro-store")
     base = build_suite(
@@ -737,9 +745,8 @@ def test_pipeline_incremental_single_file_edit(benchmark, tmp_path):
         warm_cpu = min(warm_cpu, time.process_time() - started_cpu)
         warm_wall = min(warm_wall, time.perf_counter() - started)
 
-    with store_disabled():
-        serial_reference = transplant(store=None)
-        sharded_reference = transplant(store=None, workers=CAMPAIGN_WORKERS)
+    serial_reference = transplant(store=None)
+    sharded_reference = _pooled(CAMPAIGN_WORKERS, transplant, store=None)
 
     reference = canonical_bytes(serial_reference)
     assert canonical_bytes(warm_result) == reference, (
@@ -747,7 +754,7 @@ def test_pipeline_incremental_single_file_edit(benchmark, tmp_path):
     )
     assert canonical_bytes(cold_result) == reference
     assert canonical_bytes(sharded_reference) == reference, (
-        f"storeless workers={CAMPAIGN_WORKERS} run must be byte-identical to serial"
+        f"storeless {CAMPAIGN_WORKERS}-worker run must be byte-identical to serial"
     )
     assert file_lookups == {"hits": INCREMENTAL_FILES - 1, "misses": 1}, (
         f"the rebuild must load {INCREMENTAL_FILES - 1} files and execute 1, got {file_lookups}"
@@ -808,7 +815,8 @@ def test_pipeline_analysis_warm(benchmark, tmp_path):
     (the warm side's wall is single-digit milliseconds, where one scheduler
     gap on a shared runner swamps the ratio; both walls are still reported),
     a 7-hit/1-miss-per-pass ``file-analysis`` profile, and byte-identical
-    reports against the storeless scan at ``workers=1`` and ``workers=4``.
+    reports against the storeless scan without a worker pool and on a
+    four-worker pool.
     """
     from repro.analysis.incremental import ANALYSIS_PASSES, SuiteAnalyzer, direct_report
 
@@ -895,7 +903,8 @@ def test_pipeline_analysis_warm(benchmark, tmp_path):
         warm_wall = min(warm_wall, time.perf_counter() - started)
 
     serial_reference = SuiteAnalyzer(store=None).full_report(edited)
-    sharded_reference = SuiteAnalyzer(store=None, workers=CAMPAIGN_WORKERS).full_report(edited)
+    with WorkerPool(CAMPAIGN_WORKERS) as pool:
+        sharded_reference = SuiteAnalyzer(store=None, worker_pool=pool).full_report(edited)
 
     reference = canonical_bytes(cold_result)
     assert canonical_bytes(warm_result) == reference, (
@@ -903,7 +912,7 @@ def test_pipeline_analysis_warm(benchmark, tmp_path):
     )
     assert canonical_bytes(serial_reference) == reference
     assert canonical_bytes(sharded_reference) == reference, (
-        f"storeless workers={CAMPAIGN_WORKERS} analysis must be byte-identical to serial"
+        f"storeless {CAMPAIGN_WORKERS}-worker analysis must be byte-identical to serial"
     )
     passes = len(ANALYSIS_PASSES)
     expected_lookups = {"hits": (INCREMENTAL_FILES - 1) * passes, "misses": passes}

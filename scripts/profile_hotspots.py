@@ -131,26 +131,24 @@ def main(argv: list[str] | None = None) -> int:
     arguments = parser.parse_args(argv)
 
     from repro.perf import cache as perf_cache
-    from repro.store import store_disabled
 
     campaign = build_workload(
         arguments.suite, arguments.host, arguments.files, arguments.records, arguments.seed, arguments.translate
     )
     # one warm-up pass keeps one-time costs (dispatch tables, regex caches,
     # interned feature strings) out of the per-row picture
-    with store_disabled():
-        campaign()
-        perf_cache.clear_caches()
-        profile = cProfile.Profile()
-        if arguments.no_caches:
-            with perf_cache.caching_disabled():
-                profile.enable()
-                result = campaign()
-                profile.disable()
-        else:
+    campaign()
+    perf_cache.clear_caches()
+    profile = cProfile.Profile()
+    if arguments.no_caches:
+        with perf_cache.caching_disabled():
             profile.enable()
             result = campaign()
             profile.disable()
+    else:
+        profile.enable()
+        result = campaign()
+        profile.disable()
 
     print(
         f"workload: {arguments.suite} -> {arguments.host}, {arguments.files} files x "

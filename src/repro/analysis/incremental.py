@@ -24,7 +24,7 @@ The store contract mirrors ``file-results``:
   store), and a storeless run degrades to scanning every file — the merge is
   the whole-suite scan, value-identical by construction.
 
-:class:`SuiteAnalyzer` binds a store/worker configuration once (an
+:class:`SuiteAnalyzer` binds a store and worker pool once (an
 :class:`~repro.experiments.context.ExperimentContext` holds one) and exposes
 the familiar scanner signatures.
 """
@@ -36,9 +36,11 @@ from typing import Callable
 
 from repro.analysis import features, filesize, predicates, statements
 from repro.core import coverage
+from repro.core.parallel import WorkerPool, fan_out
 from repro.core.records import TestFile, TestSuite
 from repro.store import artifacts as artifact_store
 from repro.store import codec as result_codec
+from repro.store.codec import load_checked, save_checked
 from repro.store.keys import FILE_ANALYSIS_NAMESPACE, analysis_file_key
 
 #: The analysis passes: pass id -> module-level per-file scan function.
@@ -55,20 +57,6 @@ ANALYSIS_PASSES: dict[str, Callable[[TestFile], dict]] = {
 }
 
 
-def _load_partial(store: "artifact_store.ArtifactStore", key: dict, pass_id: str):
-    """One partial from the store, or None — the ``file-results`` corrupt-blob
-    protocol: a frame the codec rejects is invalidated (deleted, its lookup
-    demoted to a miss) and reported as absent, never trusted."""
-    cached = store.load(FILE_ANALYSIS_NAMESPACE, key)
-    if cached is None:
-        return None
-    try:
-        return result_codec.decode_analysis_partial(cached, pass_id)
-    except result_codec.CodecError:
-        store.invalidate(FILE_ANALYSIS_NAMESPACE, key)
-        return None
-
-
 def _scan_file(pass_id: str, test_file: TestFile) -> dict:
     """Worker-side scan of one file (module-level so process pools can pickle it)."""
     return ANALYSIS_PASSES[pass_id](test_file)
@@ -78,17 +66,15 @@ def suite_partials(
     suite: TestSuite,
     pass_id: str,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
-    workers: int = 1,
-    worker_pool=None,
+    worker_pool: WorkerPool | None = None,
 ) -> list[dict]:
     """Per-file partials of ``pass_id`` over ``suite``, in file order.
 
     Every file is probed in the store first and only the misses are scanned
-    — serially, or over a worker pool when several files miss at once
-    (``worker_pool`` reuses a campaign's persistent pool; ``workers > 1``
-    without one shards over an ephemeral pool).  Fresh partials are
+    — in this process, or over ``worker_pool`` when several files miss at
+    once (see :func:`repro.core.parallel.fan_out`).  Fresh partials are
     persisted by the parent, so the next assembly — in any process — finds
-    them.  ``store=None`` (or the global store switch) scans every file.
+    them.  ``store=None`` scans every file.
     """
     scan = ANALYSIS_PASSES[pass_id]  # unknown pass ids fail here, before any I/O
     backing = artifact_store.active_store(store)
@@ -98,66 +84,40 @@ def suite_partials(
     partials: dict[int, dict] = {}
     missing: list[tuple[int, TestFile]] = []
     for index, test_file in enumerate(suite.files):
-        loaded = _load_partial(backing, keys[index], pass_id)
+        loaded = load_checked(backing, FILE_ANALYSIS_NAMESPACE, keys[index], result_codec.decode_analysis_partial, pass_id)
         if loaded is not None:
             partials[index] = loaded
             continue
         missing.append((index, test_file))
-    if missing:
-        tasks = [(pass_id, test_file) for _, test_file in missing]
-        if workers > 1 and len(missing) > 1:
-            from repro.core.parallel import WorkerPool
-
-            owns_pool = worker_pool is None
-            if worker_pool is None:
-                worker_pool = WorkerPool(min(workers, len(missing)))
-            try:
-                produced = worker_pool.map_tasks(_scan_file, tasks)
-            finally:
-                if owns_pool:
-                    worker_pool.shutdown()
-        else:
-            produced = [_scan_file(*task) for task in tasks]
-        for (index, _), partial in zip(missing, produced):
-            partials[index] = partial
-            try:
-                blob = result_codec.encode_analysis_partial(pass_id, partial)
-            except result_codec.CodecError:
-                continue  # unencodable partial: reuse simply does not extend to it
-            backing.save(FILE_ANALYSIS_NAMESPACE, keys[index], blob)
+    produced = fan_out(worker_pool, _scan_file, [(pass_id, test_file) for _, test_file in missing])
+    for (index, _), partial in zip(missing, produced):
+        partials[index] = partial
+        save_checked(backing, FILE_ANALYSIS_NAMESPACE, keys[index], result_codec.encode_analysis_partial, pass_id, partial)
     return [partials[index] for index in range(len(suite.files))]
 
 
 class SuiteAnalyzer:
     """Store-backed, incremental versions of the RQ1/RQ2 scanners and Table 8 coverage.
 
-    Binds the store/worker configuration once; every method probes the
+    Binds the store and worker pool once; every method probes the
     ``file-analysis`` namespace per file and assembles the suite-level
     answer from the partials — value-identical to the direct whole-suite
     scanners (partials merge in file order, reproducing the scan's counter
     insertion order exactly, on top of the canonical serialization's
     key-order independence).
-
-    ``worker_pool`` may be a live :class:`~repro.core.parallel.WorkerPool`
-    or a zero-argument callable returning one (an
-    :class:`~repro.experiments.context.ExperimentContext` passes its lazy
-    pool property that way, so analysis alone never forces pool creation).
     """
 
     def __init__(
         self,
         store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
-        workers: int = 1,
-        worker_pool=None,
+        worker_pool: WorkerPool | None = None,
     ):
         self.store = store
-        self.workers = workers
         self.worker_pool = worker_pool
 
     def partials(self, suite: TestSuite, pass_id: str) -> list[dict]:
         """Per-file partials of one pass (see :func:`suite_partials`)."""
-        pool = self.worker_pool() if callable(self.worker_pool) else self.worker_pool
-        return suite_partials(suite, pass_id, store=self.store, workers=self.workers, worker_pool=pool)
+        return suite_partials(suite, pass_id, store=self.store, worker_pool=self.worker_pool)
 
     # -- features (Table 2) --------------------------------------------------------
 

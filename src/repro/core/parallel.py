@@ -9,11 +9,11 @@ same per-file ordering, same per-record outcomes.
 :func:`assemble_suite_result` is the one path every matrix cell takes: it
 probes the ``file-results`` store namespace per file and hands the misses to
 :func:`execute_files` — in this process, on the campaign's
-:class:`~repro.adapters.pool.AdapterPool`, when ``workers == 1``, and inside
-the process shards of a :class:`WorkerPool` otherwise.  :func:`execute_files`
-owns every per-file rule: retry of transient faults on a rebuilt adapter,
-the watchdog deadline, circuit-breaker accounting, the drain check and the
-persist of each executed file.
+:class:`~repro.adapters.pool.AdapterPool`, when there is no
+:class:`WorkerPool`, and inside its process shards otherwise.
+:func:`execute_files` owns every per-file rule: retry of transient faults on
+a rebuilt adapter, the watchdog deadline, circuit-breaker accounting, the
+drain check and the persist of each executed file.
 
 Worker processes rebuild the adapter from the registry (a
 :class:`RunnerSpec`), so nothing stateful is pickled: only the test files and
@@ -29,8 +29,8 @@ write are exactly what a later campaign loads.
 One determinism caveat: a MiniDB session's random() state persists across
 the files one adapter runs but is re-seeded in each worker's fresh adapter.
 The generated corpora never invoke nondeterministic SQL functions, so shard
-merges are byte-identical; suites that do use random() should run with
-``workers=1``.
+merges are byte-identical; suites that do use random() should run without
+a worker pool.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from repro.killpoints import kill_point
 from repro.perf import cache as perf_cache
 from repro.store import codec as result_codec
 from repro.store.artifacts import ArtifactStore
+from repro.store.codec import load_checked, save_checked
 from repro.store.keys import FILE_RESULTS_NAMESPACE, file_result_key
 
 logger = logging.getLogger(__name__)
@@ -138,32 +139,6 @@ def _worker_store(spec: StoreSpec | None) -> ArtifactStore | None:
     if store is None:
         store = _WORKER_STORES[spec] = ArtifactStore(root=spec.root, max_bytes=spec.max_bytes, fingerprint=spec.fingerprint)
     return store
-
-
-def _load_file_result(store: "ArtifactStore", key: dict, test_file: TestFile) -> FileResult | None:
-    """The :class:`FileResult` of a ``file-results`` entry, or None on miss.
-
-    The one corrupt-blob protocol both readers (assembly and re-dispatched
-    shards) share: a frame the codec rejects is invalidated — deleted, its
-    lookup demoted to a miss — and reported as absent, never trusted.
-    """
-    cached = store.load(FILE_RESULTS_NAMESPACE, key)
-    if cached is None:
-        return None
-    try:
-        return result_codec.decode_file_result(cached, test_file)
-    except result_codec.CodecError:
-        store.invalidate(FILE_RESULTS_NAMESPACE, key)
-        return None
-
-
-def _save_file_result(store: "ArtifactStore", key: dict, file_result: FileResult, test_file: TestFile) -> None:
-    """Persist one executed file under ``key`` (the write side of :func:`execute_files`)."""
-    try:
-        blob = result_codec.encode_file_result(file_result, test_file)
-    except result_codec.CodecError:
-        return  # unencodable file result: reuse simply does not extend to it
-    store.save(FILE_RESULTS_NAMESPACE, key, blob)
 
 
 @dataclass(frozen=True)
@@ -365,7 +340,7 @@ def execute_files(
                 continue
             key = file_result_key(spec, test_file) if store is not None else None
             if key is not None and probe_store:
-                loaded = _load_file_result(store, key, test_file)
+                loaded = load_checked(store, FILE_RESULTS_NAMESPACE, key, result_codec.decode_file_result, test_file)
                 if loaded is not None:
                     outcomes.append((index, loaded, None))
                     continue
@@ -373,7 +348,7 @@ def execute_files(
                 spec, test_file, policy, _ensure_runner, _drop_adapter, adapters.breaker, breaker_key
             )
             if key is not None and persistable:
-                _save_file_result(store, key, file_result, test_file)
+                save_checked(store, FILE_RESULTS_NAMESPACE, key, result_codec.encode_file_result, file_result, test_file)
             outcomes.append((index, file_result, failure))
             kill_point("file-finish")
     except BaseException:
@@ -448,22 +423,33 @@ def _run_shard(
 class WorkerPool:
     """A persistent process pool shared across the suites of one campaign.
 
-    ``run_cells`` creates one of these and threads it through every
-    ``run_transplant``: the executor (and therefore each worker process, and
-    each worker's adapter pool) survives from one suite to the next, which is
-    what makes per-worker adapter reuse span a whole campaign instead of a
-    single sharded run.  A pool that cannot start, or that breaks again after
-    its one rebuild, sets :attr:`in_process`: it finishes its tasks in this
-    process and stays there, so a campaign does not re-probe a broken fork on
-    every suite.
+    A campaign's owner (:class:`~repro.experiments.context.ExperimentContext`,
+    a test, a benchmark) creates one of these and threads it through corpus
+    generation, analysis and every ``run_transplant``: the executor (and
+    therefore each worker process, and each worker's adapter pool) survives
+    from one suite to the next, which is what makes per-worker adapter reuse
+    span a whole campaign instead of a single sharded run.  Creating the pool
+    starts no process; the first :meth:`map_tasks` does, and :meth:`shutdown`
+    (or leaving a ``with`` block) stops them — the pool stays usable and
+    starts afresh on its next batch.  A pool that cannot start, or that
+    breaks again after its one rebuild, sets :attr:`in_process`: it finishes
+    its tasks in this process and stays there, so a campaign does not
+    re-probe a broken fork on every suite.
     """
 
-    def __init__(self, workers: int):
-        self.workers = max(1, workers)
+    def __init__(self, max_workers: int):
+        #: the pool's width: worker processes, and shards per sharded cell
+        self.workers = max(1, max_workers)
         #: sticky: True once the process pool failed for good, after which
         #: every task runs in this process
         self.in_process = False
         self._pool: ProcessPoolExecutor | None = None
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
 
     def map_tasks(self, fn, tasks, retry_tasks=None):
         """Run ``fn(*task)`` for every argument tuple; results in task order.
@@ -541,21 +527,28 @@ class WorkerPool:
             self._pool = None
 
 
+def fan_out(worker_pool: WorkerPool | None, fn, tasks: list) -> list:
+    """``fn(*task)`` for every task, in task order: fanned out over ``worker_pool``
+    when there is one and at least two tasks, run in this process otherwise.
+
+    The one "fan the misses out or run them inline" rule of corpus
+    generation and analysis; ``fn`` must be module-level when a pool may
+    receive it.
+    """
+    if worker_pool is not None and len(tasks) > 1:
+        return worker_pool.map_tasks(fn, tasks)
+    return [fn(*task) for task in tasks]
+
+
 def _execute_sharded(
     spec: RunnerSpec,
     missing: list[tuple[int, TestFile]],
     store: "ArtifactStore | None",
     policy: ResiliencePolicy,
-    workers: int,
-    worker_pool: WorkerPool | None,
+    worker_pool: WorkerPool,
 ) -> list[FileOutcome]:
-    """Run ``missing`` as round-robin shards through :func:`_run_shard`."""
-    owns_pool = worker_pool is None
-    if worker_pool is None:
-        # a one-shot pool serves exactly these files: never start more
-        # workers than there are files (campaign pools stay full-width)
-        worker_pool = WorkerPool(min(workers, len(missing)))
-    width = min(workers, worker_pool.workers)
+    """Run ``missing`` through :func:`_run_shard` as round-robin shards, one per worker."""
+    width = worker_pool.workers
     shards = [shard for shard in (missing[offset::width] for offset in range(width)) if shard]
     caching = perf_cache.caching_enabled()
     store_spec = store_spec_for(store)
@@ -564,13 +557,8 @@ def _execute_sharded(
     # after a worker crash, whose persisted files must load, not re-execute
     tasks = [(spec, shard, caching, store_spec, False, policy) for shard in shards]
     retry_tasks = [(spec, shard, caching, store_spec, True, policy) for shard in shards] if store is not None else None
-    try:
-        shard_outcomes = worker_pool.map_tasks(_run_shard, tasks, retry_tasks=retry_tasks)
-    finally:
-        if owns_pool:
-            worker_pool.shutdown()
     outcomes: list[FileOutcome] = []
-    for shard_outcome, stats in shard_outcomes:
+    for shard_outcome, stats in worker_pool.map_tasks(_run_shard, tasks, retry_tasks=retry_tasks):
         # worker processes counted cache activity in their own address
         # space; fold it into this process's counters
         perf_cache.absorb_stats(stats)
@@ -584,7 +572,6 @@ def assemble_suite_result(
     store: "ArtifactStore | None",
     policy: ResiliencePolicy,
     adapters: AdapterPool,
-    workers: int = 1,
     worker_pool: WorkerPool | None = None,
 ) -> SuiteResult:
     """Assemble a suite result file by file — the one path every matrix cell takes.
@@ -603,18 +590,19 @@ def assemble_suite_result(
     ``pool_key(spec.adapter_name, {})``: a quarantined adapter keeps every
     loaded file, and each miss becomes a SKIP stand-in with its own
     ``adapter-quarantined`` record.  Otherwise the misses run through
-    :func:`execute_files` — in this process on ``adapters`` when ``workers
-    == 1``, a single file missed or ``worker_pool`` already runs in-process,
-    else as round-robin shards on ``worker_pool`` (a one-shot
-    :class:`WorkerPool` when None).  An unrecovered fault degrades only the
-    files it hit: ``SuiteResult.infra_failures`` holds one record per such
-    file, in file order.
+    :func:`execute_files` — in this process on ``adapters`` when there is
+    no ``worker_pool``, a single file missed or the pool already runs
+    in-process, else as round-robin shards on ``worker_pool``.  An
+    unrecovered fault degrades only the files it hit:
+    ``SuiteResult.infra_failures`` holds one record per such file, in file
+    order.
     """
     outcomes: list[FileOutcome] = []
     missing: list[tuple[int, TestFile]] = []
     for index, test_file in enumerate(suite.files):
         if store is not None:
-            file_result = _load_file_result(store, file_result_key(spec, test_file), test_file)
+            key = file_result_key(spec, test_file)
+            file_result = load_checked(store, FILE_RESULTS_NAMESPACE, key, result_codec.decode_file_result, test_file)
             if file_result is not None:
                 outcomes.append((index, file_result, None))
                 continue
@@ -625,8 +613,8 @@ def assemble_suite_result(
         for index, test_file in missing:
             outcomes.append((index, *_quarantined_file_result(spec.host_name, test_file, breaker_key[0], detail)))
         missing = []
-    if workers > 1 and len(missing) > 1 and not (worker_pool is not None and worker_pool.in_process):
-        outcomes.extend(_execute_sharded(spec, missing, store, policy, workers, worker_pool))
+    if worker_pool is not None and len(missing) > 1 and not worker_pool.in_process:
+        outcomes.extend(_execute_sharded(spec, missing, store, policy, worker_pool))
     else:
         outcomes.extend(execute_files(spec, missing, store, policy, adapters))
     outcomes.sort(key=lambda outcome: outcome[0])

@@ -60,8 +60,10 @@ def set_default_timeout(seconds: float | None) -> float | None:
     """Set the process-wide timeout override; returns the previous override.
 
     ``None`` clears the override (the environment variable, then the built-in
-    default, apply again).  The experiments CLI's ``--timeout`` also exports
-    :data:`TIMEOUT_ENV_VAR` so process-pool workers inherit the value.
+    default, apply again).  Process-pool workers never read the override:
+    the watchdog deadline reaches them inside the pickled
+    :class:`ResiliencePolicy`, and SQLite's statement timeout inside the
+    ``RunnerSpec.adapter_kwargs`` the adapter resolved at construction.
     """
     global _TIMEOUT_OVERRIDE
     previous = _TIMEOUT_OVERRIDE

@@ -109,9 +109,8 @@ def run_transplant(
     host: str,
     float_tolerance: float = 0.0,
     translate_dialect: bool = False,
-    workers: int = 1,
     pool: AdapterPool | None = None,
-    worker_pool=None,
+    worker_pool: WorkerPool | None = None,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
     resilience: ResiliencePolicy | None = None,
 ) -> TransplantResult:
@@ -125,11 +124,10 @@ def run_transplant(
     plus runner configuration, and records are reattached from the live
     suite on load, so a warm campaign replays the full matrix without
     touching an adapter and editing one file of an N-file suite costs ~1/N
-    of a cold run.  ``store=None`` or :func:`repro.store.store_disabled`
-    makes every file a miss and persists nothing.  An adapter the registry
-    cannot rebuild from its ``fork_config`` (a third-party registration, say)
-    runs in this process, storeless and unsharded: no key can name its
-    results.
+    of a cold run.  ``store=None`` makes every file a miss and persists
+    nothing.  An adapter the registry cannot rebuild from its
+    ``fork_config`` (a third-party registration, say) runs in this process,
+    storeless and unsharded: no key can name its results.
 
     Translation is the identity when donor == host (the runner returns the
     SQL unchanged), so ``translate_dialect`` is treated as off there: a
@@ -139,12 +137,11 @@ def run_transplant(
     The misses run through :func:`repro.core.parallel.execute_files`: in
     this process on ``pool`` (an :class:`AdapterPool`; a private one when
     None), whose adapter is leased when the first file must execute — a
-    fully warm cell neither leases nor connects one — or, with ``workers >
-    1``, in the process shards of ``worker_pool`` (a
-    :class:`repro.core.parallel.WorkerPool`, which keeps workers and their
-    adapters alive across the transplants of one campaign); the merged
-    result is identical to the serial run.  :func:`run_cells` wires up both
-    pools.
+    fully warm cell neither leases nor connects one — or, given a
+    ``worker_pool`` (a :class:`repro.core.parallel.WorkerPool`, which keeps
+    workers and their adapters alive across the transplants of one
+    campaign), in its process shards; the merged result is identical to the
+    serial run.
 
     ``resilience`` (defaulting to :func:`repro.core.resilience.default_policy`)
     arms the campaign resilience layer per file: a transient infrastructure
@@ -177,15 +174,13 @@ def run_transplant(
     backing = artifact_store.active_store(store)
     if spec is None:
         spec = RunnerSpec.of(runner, host, {})
-        backing, workers = None, 1
+        backing, worker_pool = None, None
     policy = resilience if resilience is not None else default_policy()
 
     kill_point("cell-start")
     adapters = pool if pool is not None else AdapterPool()
     try:
-        suite_result = assemble_suite_result(
-            suite, spec, backing, policy, adapters, workers=workers, worker_pool=worker_pool
-        )
+        suite_result = assemble_suite_result(suite, spec, backing, policy, adapters, worker_pool=worker_pool)
     finally:
         if pool is None:
             adapters.close()
@@ -249,9 +244,8 @@ class TransplantMatrix:
 def run_cells(
     suites: dict[str, TestSuite],
     cells: Iterable[CellKey],
-    workers: int = 1,
     adapter_pool: AdapterPool | None = None,
-    worker_pool=None,
+    worker_pool: WorkerPool | None = None,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
     resilience: ResiliencePolicy | None = None,
 ) -> Iterator[TransplantResult]:
@@ -261,10 +255,10 @@ def run_cells(
     pass (:mod:`repro.experiments.stream`) both drive their cells through it.
     ``suites`` maps each cell's ``suite`` name to its corpus.  Every cell runs
     through :func:`run_transplant` against one resolved store, with one
-    :class:`AdapterPool` and, for ``workers > 1``, one persistent
-    :class:`~repro.core.parallel.WorkerPool`; pools created here are closed
-    here.  A translated donor cell whose plain sibling ran earlier in the
-    same call is served from that result (see :func:`plain_alias`).
+    :class:`AdapterPool` (created and closed here when None) and the
+    caller's ``worker_pool`` (None runs every miss in this process).  A
+    translated donor cell whose plain sibling ran earlier in the same call
+    is served from that result (see :func:`plain_alias`).
 
     ``store`` lets a repeated campaign replay from the artifact store's
     per-file ``file-results``: only files no earlier run persisted execute,
@@ -284,9 +278,6 @@ def run_cells(
     owns_adapter_pool = adapter_pool is None
     if adapter_pool is None:
         adapter_pool = AdapterPool()
-    owns_worker_pool = worker_pool is None and workers > 1
-    if owns_worker_pool:
-        worker_pool = WorkerPool(workers)
     try:
         served: dict[CellKey, TransplantResult] = {}
         for cell in cells:
@@ -296,7 +287,6 @@ def run_cells(
                     suites[cell.suite],
                     cell.host,
                     translate_dialect=cell.translate,
-                    workers=workers,
                     pool=adapter_pool,
                     worker_pool=worker_pool,
                     store=store,
@@ -304,8 +294,6 @@ def run_cells(
                 )
             yield served[alias]
     finally:
-        if owns_worker_pool:
-            worker_pool.shutdown()
         if owns_adapter_pool:
             adapter_pool.close()
 
@@ -314,9 +302,8 @@ def run_matrix(
     suites: dict[str, TestSuite],
     hosts: tuple[str, ...] = DEFAULT_HOSTS,
     translate_dialect: bool = False,
-    workers: int = 1,
     adapter_pool: AdapterPool | None = None,
-    worker_pool=None,
+    worker_pool: WorkerPool | None = None,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
     resilience: ResiliencePolicy | None = None,
 ) -> TransplantMatrix:
@@ -329,7 +316,6 @@ def run_matrix(
     for result in run_cells(
         suites,
         cells,
-        workers=workers,
         adapter_pool=adapter_pool,
         worker_pool=worker_pool,
         store=store,

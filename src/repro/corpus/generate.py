@@ -29,9 +29,11 @@ from typing import Any
 from repro.adapters.base import ExecutionStatus
 from repro.adapters.registry import create_adapter
 from repro.core.comparison import normalize_value
+from repro.core.parallel import WorkerPool, fan_out
 from repro.core.records import TestSuite
 from repro.core.suite import parse_test_text
 from repro.store import artifacts as artifact_store
+from repro.store.codec import CodecError, load_checked
 from repro.store.keys import FILE_DONOR_NAMESPACE, donor_file_key
 from repro.corpus.datagen import (
     SchemaState,
@@ -844,14 +846,25 @@ def _generate_file(suite: str, records_per_file: int, seed: int, index: int) -> 
 _GENERATED_FIELDS = frozenset(("name", "primary_text", "expected_text"))
 
 
+def _recording(entry: Any) -> dict:
+    """A stored ``file-donor`` entry, if it has the exact recording shape.
+
+    Anything else at a donor key (a foreign payload; extra keys would blow
+    up ``GeneratedFile(**entry)``) raises :class:`CodecError`, so
+    :func:`repro.store.codec.load_checked` discards it like any corrupt blob.
+    """
+    if isinstance(entry, dict) and entry.keys() == _GENERATED_FIELDS:
+        return entry
+    raise CodecError("file-donor entry is not a recording")
+
+
 def generate_corpus(
     suite: str,
     file_count: int | None = None,
     records_per_file: int | None = None,
     seed: int = 0,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
-    workers: int = 1,
-    worker_pool=None,
+    worker_pool: WorkerPool | None = None,
 ) -> list[GeneratedFile]:
     """Generate native-format test files for ``suite`` (``slt``/``postgres``/...).
 
@@ -860,13 +873,12 @@ def generate_corpus(
     ``(suite, records_per_file, seed, index)`` — deliberately *not* by
     ``file_count``, so growing a corpus reuses every already-recorded file).
     Later calls — in *any* process — load instead of regenerating, and only
-    the files with no usable recording are generated.  ``store=None`` (or the
-    global :func:`repro.store.store_disabled` switch) forces regeneration.
+    the files with no usable recording are generated.  ``store=None`` forces
+    regeneration.
 
-    ``workers > 1`` shards the missing files' donor recording over a
-    :class:`repro.core.parallel.WorkerPool` the way suite execution is
-    sharded; per-file seeding keeps the output byte-identical to a serial
-    build.  ``worker_pool`` reuses a campaign's persistent pool.
+    The missing files' donor recording fans out over ``worker_pool`` (see
+    :func:`repro.core.parallel.fan_out`) the way suite execution is sharded;
+    per-file seeding keeps the output byte-identical to a serial build.
     """
     count = file_count if file_count is not None else DEFAULT_FILE_COUNT[suite]
     per_file = records_per_file if records_per_file is not None else DEFAULT_RECORDS_PER_FILE[suite]
@@ -875,36 +887,16 @@ def generate_corpus(
     missing: list[int] = []
     for index in range(count):
         if backing is not None:
-            file_key = donor_file_key(suite, per_file, seed, index)
-            entry = backing.load(FILE_DONOR_NAMESPACE, file_key)
-            # exact shape only: extra keys would blow up GeneratedFile(**entry)
-            if isinstance(entry, dict) and entry.keys() == _GENERATED_FIELDS:
+            entry = load_checked(backing, FILE_DONOR_NAMESPACE, donor_file_key(suite, per_file, seed, index), _recording)
+            if entry is not None:
                 payloads[index] = entry
                 continue
-            if entry is not None:
-                # loadable but not a recording (foreign payload shape at this
-                # key): discard and demote the hit, like any corrupt blob
-                backing.invalidate(FILE_DONOR_NAMESPACE, file_key)
         missing.append(index)
-    if missing:
-        tasks = [(suite, per_file, seed, index) for index in missing]
-        if workers > 1 and len(missing) > 1:
-            from repro.core.parallel import WorkerPool
-
-            owns_pool = worker_pool is None
-            if worker_pool is None:
-                worker_pool = WorkerPool(min(workers, len(missing)))
-            try:
-                produced = worker_pool.map_tasks(_generate_file, tasks)
-            finally:
-                if owns_pool:
-                    worker_pool.shutdown()
-        else:
-            produced = [_generate_file(*task) for task in tasks]
-        for index, payload in zip(missing, produced):
-            payloads[index] = payload
-            if backing is not None:
-                backing.save(FILE_DONOR_NAMESPACE, donor_file_key(suite, per_file, seed, index), payload)
+    produced = fan_out(worker_pool, _generate_file, [(suite, per_file, seed, index) for index in missing])
+    for index, payload in zip(missing, produced):
+        payloads[index] = payload
+        if backing is not None:
+            backing.save(FILE_DONOR_NAMESPACE, donor_file_key(suite, per_file, seed, index), payload)
     return [GeneratedFile(**payloads[index]) for index in range(count)]
 
 
@@ -914,8 +906,7 @@ def build_suite(
     records_per_file: int | None = None,
     seed: int = 0,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
-    workers: int = 1,
-    worker_pool=None,
+    worker_pool: WorkerPool | None = None,
 ) -> TestSuite:
     """Generate a corpus and parse it back through the native-format parsers.
 
@@ -923,8 +914,8 @@ def build_suite(
     (namespace ``corpus-suites``), so a warm process skips both generation and
     re-parsing; a store miss falls through to :func:`generate_corpus`, whose
     ``file-donor`` namespace may still satisfy the generation half file by
-    file.  ``workers``/``worker_pool``
-    shard donor recording of any files that do need generating.
+    file.  ``worker_pool`` shards donor recording of any files that do need
+    generating.
     """
     backing = artifact_store.active_store(store)
     count = file_count if file_count is not None else DEFAULT_FILE_COUNT[suite]
@@ -940,7 +931,6 @@ def build_suite(
         records_per_file=records_per_file,
         seed=seed,
         store=backing,
-        workers=workers,
         worker_pool=worker_pool,
     )
     test_suite = TestSuite(name=suite)
@@ -964,24 +954,21 @@ def build_all_suites(
     scale: float = 1.0,
     include_mysql: bool = False,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
-    workers: int = 1,
-    worker_pool=None,
+    worker_pool: WorkerPool | None = None,
 ) -> dict[str, TestSuite]:
     """Build the executable suites of RQ2-RQ4 (plus MySQL for RQ1 if asked).
 
     ``scale`` multiplies the default file counts (1.0 ≈ a few thousand test
     cases across the three suites — enough for the distributions to be stable
     while the full cross-execution matrix stays laptop-sized).
-    ``workers``/``worker_pool`` shard each suite's donor recording (see
+    ``worker_pool`` shards each suite's donor recording (see
     :func:`generate_corpus`).
     """
     suites: dict[str, TestSuite] = {}
     names = ["slt", "postgres", "duckdb"] + (["mysql"] if include_mysql else [])
     for name in names:
         file_count = max(3, int(round(DEFAULT_FILE_COUNT[name] * scale)))
-        suites[name] = build_suite(
-            name, file_count=file_count, seed=seed, store=store, workers=workers, worker_pool=worker_pool
-        )
+        suites[name] = build_suite(name, file_count=file_count, seed=seed, store=store, worker_pool=worker_pool)
     return suites
 
 

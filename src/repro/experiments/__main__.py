@@ -25,7 +25,6 @@ from repro.errors import UnknownExperimentError
 from repro.experiments.context import ExperimentContext
 from repro.experiments.registry import EXPERIMENTS, experiment_entries, get_experiment_entry
 from repro.experiments.stream import run_batch, stream_experiments
-from repro.store import store_enabled
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -208,6 +207,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if arguments.timeout is not None and arguments.timeout <= 0:
         parser.error("--timeout must be positive")
+    if arguments.workers < 1:
+        parser.error("--workers must be at least 1")
+    if arguments.scale <= 0:
+        parser.error("--scale must be positive")
 
     try:
         for experiment_id in arguments.experiments:
@@ -222,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     # the store is the resume record: re-running the same command loads every
     # file that persisted, so a storeless campaign offers no resume
     resume_command = None
-    if not arguments.no_store and store_enabled():
+    if not arguments.no_store:
         resume_command = "python -m repro.experiments " + shlex.join(argv)
     with ExperimentContext(
         scale=arguments.scale,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.core.report import format_percentage, format_table
 from repro.core.transplant import DONOR_OF_SUITE, run_transplant
 from repro.experiments.base import Experiment, ExperimentNeeds, donor_cells, matrix_cells, register_experiment
-from repro.experiments.context import ExperimentContext, ExperimentResult
+from repro.experiments.context import ExperimentResult
 
 EXPERIMENT_ID = "ablations"
 TITLE = "Ablations: float-tolerance comparison and cross-dialect translation"
@@ -39,13 +39,6 @@ class AblationsExperiment(Experiment):
         return _build(self)
 
 
-def run(context: ExperimentContext) -> ExperimentResult:
-    """Back-compat module entry point (see :func:`repro.experiments.registry.run_experiment`)."""
-    from repro.experiments.registry import run_experiment
-
-    return run_experiment(EXPERIMENT_ID, context)
-
-
 def _build(experiment: AblationsExperiment) -> ExperimentResult:
     context = experiment.context
     # -- float tolerance (DuckDB donor run, exact vs 1%) ---------------------------
@@ -55,7 +48,6 @@ def _build(experiment: AblationsExperiment) -> ExperimentResult:
         duckdb_suite,
         "duckdb",
         float_tolerance=0.01,
-        workers=context.workers,
         pool=context.adapter_pool,
         worker_pool=context.worker_pool,
         store=context.store,

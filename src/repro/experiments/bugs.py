@@ -17,7 +17,7 @@ from repro.adapters.base import ExecutionStatus
 from repro.core.report import format_table
 from repro.core.reducer import make_crash_predicate, reduce_statements
 from repro.experiments.base import Experiment, ExperimentNeeds, matrix_cells, register_experiment
-from repro.experiments.context import ExperimentContext, ExperimentResult
+from repro.experiments.context import ExperimentResult
 
 EXPERIMENT_ID = "bugs"
 TITLE = "RQ4 findings: crashes and hangs discovered by reusing test suites"
@@ -38,13 +38,6 @@ _SERIES_OVERFLOW = "SELECT count(*) FROM generate_series(9223372036854775807, 92
 class BugsExperiment(Experiment):
     def finalize(self) -> ExperimentResult:
         return _build(self)
-
-
-def run(context: ExperimentContext) -> ExperimentResult:
-    """Back-compat module entry point (see :func:`repro.experiments.registry.run_experiment`)."""
-    from repro.experiments.registry import run_experiment
-
-    return run_experiment(EXPERIMENT_ID, context)
 
 
 def _build(experiment: BugsExperiment) -> ExperimentResult:

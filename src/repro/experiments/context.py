@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.adapters.pool import AdapterPool
+from repro.analysis.incremental import SuiteAnalyzer
+from repro.core.parallel import WorkerPool
 from repro.core.records import TestSuite
 from repro.core.resilience import ResiliencePolicy, set_default_timeout
 from repro.core.transplant import DEFAULT_HOSTS, CellKey, TransplantResult
@@ -42,6 +44,11 @@ class ExperimentContext:
     already produced them, and every matrix cell assembles file by file: a
     cell whose suite changed re-executes only the changed files and loads
     the rest from the ``file-results`` namespace.
+
+    ``workers`` (the CLI's ``--workers``) above 1 gives the context one
+    :class:`~repro.core.parallel.WorkerPool` of that width, which donor
+    recording, analysis and every campaign share; it starts its processes
+    at the first batch it fans out and stops them in :meth:`close`.
 
     ``timeout_seconds`` (the CLI's ``--timeout``) sets the process-wide
     statement/watchdog timeout (see
@@ -82,64 +89,35 @@ class ExperimentContext:
             self.store = ArtifactStore(root=store_dir)
         else:
             self.store = artifact_store.DEFAULT
-        #: worker-pool width used for every cross-execution campaign; all
-        #: table/figure drivers inherit it through the shared cells
-        self.workers = workers
+        #: the context's one process pool (None: everything runs in this
+        #: process); every table/figure driver inherits it through the
+        #: shared corpora, analysis and cells
+        self.worker_pool = WorkerPool(workers) if workers > 1 else None
         self._suites: dict[str, TestSuite] | None = None
         self._mysql_suite: TestSuite | None = None
         #: campaign-lifetime adapter pool: every cell of every streaming pass
         #: shares leased adapters instead of rebuilding them per transplant
         self.adapter_pool = AdapterPool()
-        self._worker_pool = None
-        self._analysis = None
+        #: the campaign's incremental analyzer: every analysis-driven
+        #: experiment (tables 2-3 and 8, figures 1-3) reads suites through it
+        #: instead of re-scanning or re-executing whole suites — per-file
+        #: partials are served from the store's ``file-analysis`` namespace,
+        #: only changed files are re-analyzed, fanned over the worker pool,
+        #: and a storeless context analyzes every file (value-identical)
+        self.analysis = SuiteAnalyzer(store=self.store, worker_pool=self.worker_pool)
         #: the one cell cache: every cell a streaming pass
         #: (:mod:`repro.experiments.stream`) executed, so a later pass on this
         #: context serves it without re-running anything
         self.cells: dict[CellKey, TransplantResult] = {}
 
-    @property
-    def worker_pool(self):
-        """The context's persistent sharded-execution pool (``workers > 1``)."""
-        if self.workers > 1 and self._worker_pool is None:
-            from repro.core.parallel import WorkerPool
-
-            self._worker_pool = WorkerPool(self.workers)
-        return self._worker_pool
-
-    @property
-    def analysis(self):
-        """The campaign's incremental analyzer (store- and pool-backed).
-
-        Every analysis-driven experiment (tables 2-3 and 8, figures 1-3)
-        reads suites through this
-        :class:`~repro.analysis.incremental.SuiteAnalyzer` instead of
-        re-scanning or re-executing whole suites: per-file partials are
-        served from the store's ``file-analysis`` namespace and only changed
-        files are re-analyzed, fanned over the same worker pool the
-        campaigns execute on.  Storeless contexts (``use_store=False``)
-        analyze every file — value-identical either way.
-        """
-        if self._analysis is None:
-            from repro.analysis.incremental import SuiteAnalyzer
-
-            self._analysis = SuiteAnalyzer(
-                store=self.store,
-                workers=self.workers,
-                # resolved per call: analysis shares the campaign's persistent
-                # pool, including one created after the analyzer was built
-                worker_pool=lambda: self.worker_pool,
-            )
-        return self._analysis
-
     def close(self) -> None:
         """Release pooled adapters and shut down campaign workers.
 
         The context stays usable afterwards: the next campaign simply starts
-        from an empty pool.
+        from an empty adapter pool and restarts the worker processes.
         """
-        if self._worker_pool is not None:
-            self._worker_pool.shutdown()
-            self._worker_pool = None
+        if self.worker_pool is not None:
+            self.worker_pool.shutdown()
         self.adapter_pool.close()
         self.adapter_pool = AdapterPool()
 
@@ -156,16 +134,11 @@ class ExperimentContext:
         """The three executable suites (SLT, PostgreSQL, DuckDB).
 
         Donor recording of any files the store cannot serve is sharded over
-        the context's persistent worker pool (``workers > 1``), the same pool
-        the campaigns execute on.
+        the context's worker pool, the same pool the campaigns execute on.
         """
         if self._suites is None:
             self._suites = build_all_suites(
-                seed=self.seed,
-                scale=self.scale,
-                store=self.store,
-                workers=self.workers,
-                worker_pool=self.worker_pool,
+                seed=self.seed, scale=self.scale, store=self.store, worker_pool=self.worker_pool
             )
         return self._suites
 
@@ -181,7 +154,6 @@ class ExperimentContext:
                 file_count=file_count,
                 seed=self.seed,
                 store=self.store,
-                workers=self.workers,
                 worker_pool=self.worker_pool,
             )
         return self._mysql_suite

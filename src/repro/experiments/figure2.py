@@ -24,13 +24,6 @@ class Figure2Experiment(Experiment):
         return _build(self.context)
 
 
-def run(context: ExperimentContext) -> ExperimentResult:
-    """Back-compat module entry point (see :func:`repro.experiments.registry.run_experiment`)."""
-    from repro.experiments.registry import run_experiment
-
-    return run_experiment(EXPERIMENT_ID, context)
-
-
 def _build(context: ExperimentContext) -> ExperimentResult:
     distributions = {name: context.analysis.statement_type_distribution(context.suites[name]) for name in _SUITES}
     rows = []

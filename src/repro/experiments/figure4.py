@@ -6,7 +6,7 @@ from repro.core.report import format_heatmap, format_table, format_percentage
 from repro.core.transplant import DONOR_OF_SUITE
 from repro.corpus.profiles import FIGURE4_SUCCESS_RATES
 from repro.experiments.base import Experiment, ExperimentNeeds, matrix_cells, register_experiment
-from repro.experiments.context import ExperimentContext, ExperimentResult
+from repro.experiments.context import ExperimentResult
 
 EXPERIMENT_ID = "figure4"
 TITLE = "Figure 4: share of SQL test cases that execute successfully across DBMSs"
@@ -24,13 +24,6 @@ _HOSTS = ("sqlite", "postgres", "duckdb", "mysql")
 class Figure4Experiment(Experiment):
     def finalize(self) -> ExperimentResult:
         return _build(self)
-
-
-def run(context: ExperimentContext) -> ExperimentResult:
-    """Back-compat module entry point (see :func:`repro.experiments.registry.run_experiment`)."""
-    from repro.experiments.registry import run_experiment
-
-    return run_experiment(EXPERIMENT_ID, context)
 
 
 def _build(experiment: Figure4Experiment) -> ExperimentResult:

@@ -14,8 +14,8 @@ One pass over the campaign matrix feeds *every* selected experiment:
    order: the context's cell cache serves cells an earlier pass ran, and
    the rest come from one :func:`repro.core.transplant.run_cells` generator
    with the context's store, pools and resilience policy.
-   Store-warm cells resolve instantly, ``workers > 1`` shards each cell's
-   files, and degraded cells surface through
+   Store-warm cells resolve instantly, the context's worker pool shards
+   each cell's files, and degraded cells surface through
    :meth:`ExperimentContext.infra_failures`.
 3. **Fan out** — every completed cell is delivered to each subscribed
    experiment's :meth:`~repro.experiments.base.Experiment.consume`, and an
@@ -155,7 +155,6 @@ def stream_experiments(experiment_ids=None, context: ExperimentContext | None = 
     fresh = run_cells(
         shared.suites,
         [key for key in plan if key not in shared.cells],
-        workers=shared.workers,
         adapter_pool=shared.adapter_pool,
         worker_pool=shared.worker_pool,
         store=shared.store,

@@ -28,13 +28,6 @@ class Table1Experiment(Experiment):
         return _build(self.context)
 
 
-def run(context: ExperimentContext) -> ExperimentResult:
-    """Back-compat module entry point (see :func:`repro.experiments.registry.run_experiment`)."""
-    from repro.experiments.registry import run_experiment
-
-    return run_experiment(EXPERIMENT_ID, context)
-
-
 def _build(context: ExperimentContext) -> ExperimentResult:
     suites = context.all_suites_with_mysql()
     suite_of_dbms = {"sqlite": "slt", "postgres": "postgres", "duckdb": "duckdb", "mysql": "mysql"}

@@ -26,13 +26,6 @@ class Table2Experiment(Experiment):
         return _build(self.context)
 
 
-def run(context: ExperimentContext) -> ExperimentResult:
-    """Back-compat module entry point (see :func:`repro.experiments.registry.run_experiment`)."""
-    from repro.experiments.registry import run_experiment
-
-    return run_experiment(EXPERIMENT_ID, context)
-
-
 def _build(context: ExperimentContext) -> ExperimentResult:
     suites = context.all_suites_with_mysql()
     rows = []

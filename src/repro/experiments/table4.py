@@ -6,7 +6,7 @@ from repro.core.records import ControlRecord
 from repro.core.report import format_table
 from repro.corpus.profiles import TABLE4_DONOR_EXECUTION
 from repro.experiments.base import Experiment, ExperimentNeeds, donor_cells, register_experiment
-from repro.experiments.context import ExperimentContext, ExperimentResult
+from repro.experiments.context import ExperimentResult
 
 EXPERIMENT_ID = "table4"
 TITLE = "Table 4: running donor test suites against the donor"
@@ -23,13 +23,6 @@ _SUITES = {"slt": "sqlite", "postgres": "postgres", "duckdb": "duckdb"}
 class Table4Experiment(Experiment):
     def finalize(self) -> ExperimentResult:
         return _build(self)
-
-
-def run(context: ExperimentContext) -> ExperimentResult:
-    """Back-compat module entry point (see :func:`repro.experiments.registry.run_experiment`)."""
-    from repro.experiments.registry import run_experiment
-
-    return run_experiment(EXPERIMENT_ID, context)
 
 
 def _build(experiment: Table4Experiment) -> ExperimentResult:

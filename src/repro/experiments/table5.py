@@ -6,7 +6,7 @@ from repro.core.classification import DependencyCategory, category_histogram, cl
 from repro.core.report import format_table
 from repro.corpus.profiles import TABLE5_DEPENDENCY_SAMPLE
 from repro.experiments.base import Experiment, ExperimentNeeds, donor_cells, register_experiment
-from repro.experiments.context import ExperimentContext, ExperimentResult
+from repro.experiments.context import ExperimentResult
 
 EXPERIMENT_ID = "table5"
 TITLE = "Table 5: dependency classification of 100 sampled donor-on-donor failures"
@@ -33,13 +33,6 @@ _ROW_ORDER = (
 class Table5Experiment(Experiment):
     def finalize(self) -> ExperimentResult:
         return _build(self)
-
-
-def run(context: ExperimentContext) -> ExperimentResult:
-    """Back-compat module entry point (see :func:`repro.experiments.registry.run_experiment`)."""
-    from repro.experiments.registry import run_experiment
-
-    return run_experiment(EXPERIMENT_ID, context)
 
 
 def _build(experiment: Table5Experiment) -> ExperimentResult:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.core.classification import IncompatibilityCategory, category_histogram, classify_failures, sample_failures
 from repro.core.report import format_table
 from repro.experiments.base import CellKey, Experiment, ExperimentNeeds, register_experiment
-from repro.experiments.context import ExperimentContext, ExperimentResult
+from repro.experiments.context import ExperimentResult
 
 EXPERIMENT_ID = "table6"
 TITLE = "Table 6: reasons for failed test cases when executing suites across DBMSs"
@@ -46,13 +46,6 @@ _CATEGORY_ORDER = (
 class Table6Experiment(Experiment):
     def finalize(self) -> ExperimentResult:
         return _build(self)
-
-
-def run(context: ExperimentContext) -> ExperimentResult:
-    """Back-compat module entry point (see :func:`repro.experiments.registry.run_experiment`)."""
-    from repro.experiments.registry import run_experiment
-
-    return run_experiment(EXPERIMENT_ID, context)
 
 
 def _build(experiment: Table6Experiment) -> ExperimentResult:

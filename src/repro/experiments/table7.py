@@ -8,7 +8,7 @@ from repro.core.classification import DifficultyCategory, classify_failures
 from repro.core.report import format_percentage, format_table
 from repro.corpus.profiles import TABLE7_DIFFICULTY
 from repro.experiments.base import Experiment, ExperimentNeeds, matrix_cells, register_experiment
-from repro.experiments.context import ExperimentContext, ExperimentResult
+from repro.experiments.context import ExperimentResult
 
 EXPERIMENT_ID = "table7"
 TITLE = "Table 7: share of failures due to dialect features / syntax / semantics"
@@ -30,13 +30,6 @@ _CATEGORIES = (DifficultyCategory.DIALECT_FEATURE, DifficultyCategory.SYNTAX, Di
 class Table7Experiment(Experiment):
     def finalize(self) -> ExperimentResult:
         return _build(self)
-
-
-def run(context: ExperimentContext) -> ExperimentResult:
-    """Back-compat module entry point (see :func:`repro.experiments.registry.run_experiment`)."""
-    from repro.experiments.registry import run_experiment
-
-    return run_experiment(EXPERIMENT_ID, context)
 
 
 def _build(experiment: Table7Experiment) -> ExperimentResult:

@@ -21,9 +21,6 @@ from repro.store.artifacts import (
     active_store,
     get_default_store,
     set_default_store,
-    set_store_enabled,
-    store_disabled,
-    store_enabled,
 )
 from repro.store.codec import (
     CODEC_VERSION,
@@ -72,7 +69,4 @@ __all__ = [
     "key_digest",
     "reset_fingerprint_cache",
     "set_default_store",
-    "set_store_enabled",
-    "store_disabled",
-    "store_enabled",
 ]

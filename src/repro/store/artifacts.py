@@ -22,9 +22,8 @@ per *machine*, not once per process:
 * **LRU/size eviction** — reads freshen an artifact's mtime; writes evict
   oldest-first once the store exceeds ``max_bytes``
   (``REPRO_STORE_MAX_BYTES``, default 1 GiB).
-* **Escape hatch** — :func:`store_disabled` (mirroring
-  ``perf.cache.caching_disabled``) routes every consumer down the storeless
-  path; ``--no-store`` on the experiments CLI does the same per run.
+* **Storeless path** — every consumer takes ``store=None`` to run without
+  the store; ``--no-store`` on the experiments CLI passes it for a run.
 
 Stats are surfaced like ``AdapterPool.stats`` so benchmarks can report hit
 rates (see ``benchmarks/bench_pipeline.py``).
@@ -38,9 +37,8 @@ import pickle
 import tempfile
 import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.killpoints import kill_point
 from repro.store.fingerprint import code_fingerprint
@@ -621,34 +619,10 @@ class ArtifactStore:
         return f"<ArtifactStore root={self.root} hits={stats.hits} misses={stats.misses} writes={stats.writes}>"
 
 
-# -- process default and global switch -------------------------------------------------
+# -- process default ---------------------------------------------------------------
 
-_ENABLED = os.environ.get("REPRO_STORE", "").lower() not in ("0", "off", "no", "disabled")
 _DEFAULT_STORE: ArtifactStore | None = None
 _DEFAULT_LOCK = threading.Lock()
-
-
-def store_enabled() -> bool:
-    """Whether store-backed reuse is active for this process."""
-    return _ENABLED
-
-
-def set_store_enabled(enabled: bool) -> bool:
-    """Set the global store switch; returns the previous value."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def store_disabled() -> Iterator[None]:
-    """Run a block down the storeless path (cf. ``perf.cache.caching_disabled``)."""
-    previous = set_store_enabled(False)
-    try:
-        yield
-    finally:
-        set_store_enabled(previous)
 
 
 def get_default_store() -> ArtifactStore:
@@ -673,18 +647,14 @@ def set_default_store(store: ArtifactStore | None) -> ArtifactStore | None:
 
 
 def active_store(store: "ArtifactStore | str | None" = DEFAULT) -> ArtifactStore | None:
-    """Resolve a consumer's ``store`` argument against the global switch.
+    """Resolve a consumer's ``store`` argument.
 
     ``DEFAULT`` → the process default store; ``None`` → storeless; an
-    :class:`ArtifactStore` instance → itself.  When the global switch is off
-    (:func:`store_disabled`), every form resolves to ``None`` — the switch is
-    the escape hatch of last resort and wins over explicit arguments.
+    :class:`ArtifactStore` instance → itself.
 
     Any other value raises: a path string must not silently fall back to the
     user-level default store (pass ``ArtifactStore(root=path)`` instead).
     """
-    if not _ENABLED:
-        return None
     if store is None:
         return None
     if isinstance(store, ArtifactStore):

@@ -39,13 +39,16 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
-from typing import Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.adapters.base import ExecutionOutcome, ExecutionStatus
 from repro.adapters.faults import FaultReport
 from repro.core.comparison import ComparisonResult
 from repro.core.records import TestFile
 from repro.core.runner import FileResult, RecordOutcome, RecordResult, SuiteResult
+
+if TYPE_CHECKING:
+    from repro.store.artifacts import ArtifactStore
 
 __all__ = [
     "CODEC_VERSION",
@@ -56,6 +59,8 @@ __all__ = [
     "encode_file_result",
     "fault_reports_for",
     "frame_intact",
+    "load_checked",
+    "save_checked",
 ]
 
 #: Frame magic; the byte after it is the codec version.
@@ -581,6 +586,37 @@ def decode_analysis_partial(blob: bytes, pass_id: str) -> dict:
     if not isinstance(partial, dict):
         raise CodecError("analysis frame has no partial document")
     return partial
+
+
+def load_checked(store: "ArtifactStore", namespace: str, key: dict, read: Callable, *args) -> Any:
+    """``read(stored value, *args)`` for the entry at ``key``, or None on a miss.
+
+    The one corrupt-frame protocol of every store client: a value ``read``
+    rejects with :class:`CodecError` is invalidated — deleted, its lookup
+    demoted to a miss — and reported as absent, never trusted.  Callers pass
+    the codec function as a module attribute looked up at the call, so a
+    rebinding of that attribute (a tracer's, a test's) reaches it.
+    """
+    value = store.load(namespace, key)
+    if value is None:
+        return None
+    try:
+        return read(value, *args)
+    except CodecError:
+        store.invalidate(namespace, key)
+        return None
+
+
+def save_checked(store: "ArtifactStore", namespace: str, key: dict, write: Callable, *args) -> None:
+    """Save ``write(*args)`` under ``key``; a value the codec rejects is not stored.
+
+    An unencodable value is no error: reuse simply does not extend to it.
+    """
+    try:
+        blob = write(*args)
+    except CodecError:
+        return
+    store.save(namespace, key, blob)
 
 
 def fault_reports_for(result: SuiteResult, host: str) -> tuple[list[FaultReport], list[FaultReport]]:

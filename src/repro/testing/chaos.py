@@ -24,8 +24,8 @@ failing chaos test therefore reproduces exactly from its printed seed.
 Process-pool caveat: a worker *process* forked inside an injection block
 inherits the chaos factory, but with its own copy of the schedule's counters
 and of the circuit breaker, and neither travels back to this process.  Run
-chaos campaigns at ``workers=1``, where every file executes in this process
-and ``at`` counts calls campaign-wide.
+chaos campaigns without a worker pool, where every file executes in this
+process and ``at`` counts calls campaign-wide.
 
 Beyond in-process faults, :func:`run_crash_campaign` is the **kill-point
 crash harness**: it runs a real store-backed campaign in a subprocess

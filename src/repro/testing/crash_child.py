@@ -31,6 +31,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 #: stdout marker the parent harness greps for (other output may precede it)
@@ -72,6 +73,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--ready-file", default=None, help="touched at the first slowed statement")
     arguments = parser.parse_args(argv)
 
+    from repro.core.parallel import WorkerPool
     from repro.core.shutdown import signal_aware_shutdown
     from repro.core.transplant import run_matrix
     from repro.corpus.generate import build_suite
@@ -83,8 +85,10 @@ def main(argv: "list[str] | None" = None) -> int:
         _install_slow_adapters(hosts, arguments.slow, arguments.ready_file)
 
     store = ArtifactStore(root=arguments.store_dir)
+    # one pool serves the corpus build and the matrix
+    worker_pool = WorkerPool(arguments.workers) if arguments.workers > 1 else None
     resume_command = "python -m repro.testing.crash_child " + " ".join(argv if argv is not None else sys.argv[1:])
-    with signal_aware_shutdown(resume_command=resume_command) as state:
+    with signal_aware_shutdown(resume_command=resume_command) as state, worker_pool or nullcontext():
         suites = {
             arguments.suite: build_suite(
                 arguments.suite,
@@ -92,15 +96,10 @@ def main(argv: "list[str] | None" = None) -> int:
                 records_per_file=arguments.records,
                 seed=arguments.seed,
                 store=store,
-                workers=arguments.workers,
+                worker_pool=worker_pool,
             )
         }
-        matrix = run_matrix(
-            suites,
-            hosts=hosts,
-            workers=arguments.workers,
-            store=store,
-        )
+        matrix = run_matrix(suites, hosts=hosts, worker_pool=worker_pool, store=store)
 
     digest = hashlib.sha256()
     for suite_name, host in sorted(matrix.entries):

@@ -12,6 +12,8 @@ import threading
 
 import pytest
 
+from test_differential import on_pool
+
 from repro.adapters import AdapterPool, DBMSAdapter, create_adapter
 from repro.adapters.base import ExecutionStatus
 from repro.core.transplant import run_matrix, run_transplant
@@ -166,7 +168,7 @@ class TestCampaignReuse:
     def test_sharded_matrix_with_pools_matches_serial(self):
         suites = {"slt": build_suite("slt", file_count=4, records_per_file=15, seed=23)}
         serial = run_matrix(suites, hosts=("sqlite", "duckdb"))
-        sharded = run_matrix(suites, hosts=("sqlite", "duckdb"), workers=3)
+        sharded = on_pool(3, run_matrix, suites, hosts=("sqlite", "duckdb"))
         for key, entry in serial.entries.items():
             assert sharded.entries[key].result.passed_cases == entry.result.passed_cases
             assert sharded.entries[key].result.failed_cases == entry.result.failed_cases

@@ -15,9 +15,9 @@ gates of the resilience layer live here:
 * re-running a degraded campaign against its store re-executes only the
   degraded cells' files.
 
-Chaos campaigns run at ``workers=1`` unless a test says otherwise: a forked
-worker process inherits the injected chaos factories but counts faults on
-its own copy of the schedule, which the parent never sees.
+Chaos campaigns run without a worker pool unless a test says otherwise: a
+forked worker process inherits the injected chaos factories but counts
+faults on its own copy of the schedule, which the parent never sees.
 """
 
 from __future__ import annotations
@@ -25,13 +25,15 @@ from __future__ import annotations
 import logging
 import os
 import time
+from contextlib import ExitStack, nullcontext
 from types import SimpleNamespace
 
 import pytest
 
-from test_differential import assert_equivalent
+from test_differential import assert_equivalent, on_pool
 
 from repro.adapters.pool import AdapterPool, adapter_breaker, pool_key
+from repro.core.parallel import WorkerPool
 from repro.core.records import TestSuite
 from repro.core.resilience import (
     InfraFailure,
@@ -96,13 +98,15 @@ class TestRecoverableFaults:
 
         monkeypatch.setattr(FaultSchedule, "tick", witnessed_tick)
 
-        def chaos_run(**kwargs):
+        def chaos_run(workers=None):
             schedule = FaultSchedule([FaultSpec(op="execute", at=7)], seed=CHAOS_SEED)
 
             def invoke():
                 witness.unlink(missing_ok=True)
-                with inject_adapter("duckdb", schedule):
-                    result = run_transplant(slt_suite, "duckdb", store=None, resilience=FAST_POLICY, **kwargs)
+                # the pool forks inside the injection block, so its workers
+                # inherit the chaos factory
+                with inject_adapter("duckdb", schedule), WorkerPool(workers) if workers else nullcontext() as pool:
+                    result = run_transplant(slt_suite, "duckdb", store=None, worker_pool=pool, resilience=FAST_POLICY)
                 assert witness.exists(), "the scheduled fault never fired"
                 assert not result.infra_failures, "a recovered fault must leave no failure record"
                 return result
@@ -258,7 +262,7 @@ class TestWatchdog:
         schedule = FaultSchedule([FaultSpec(op="execute", at=5, kind="hang", seconds=2.0)], seed=CHAOS_SEED)
         policy = ResiliencePolicy(retry=FAST_RETRY, watchdog_seconds=0.2)
         with inject_adapter("duckdb", schedule):
-            result = run_transplant(slt_suite, "duckdb", store=None, workers=4, resilience=policy)
+            result = on_pool(4, run_transplant, slt_suite, "duckdb", store=None, resilience=policy)
         assert claim.exists(), "the scheduled wedge never fired"
         kinds = [failure.kind for failure in result.infra_failures]
         assert kinds == ["watchdog-timeout"]
@@ -281,13 +285,19 @@ class TestWatchdog:
 class TestQuarantineServesStoredFiles:
     """A quarantined host keeps every file the store serves; only misses degrade."""
 
-    #: run_transplant keyword arguments per execution mode (built per test so
-    #: each run gets its own pool)
+    #: run_transplant pool arguments per execution mode (built per run so
+    #: each run gets its own pools)
     MODES = {
         "serial": lambda: {},
         "adapter-pool": lambda: {"pool": AdapterPool()},
-        "workers-2": lambda: {"workers": 2},
+        "workers-2": lambda: {"worker_pool": WorkerPool(2)},
     }
+
+    def _run(self, suite, store, mode):
+        """``run_transplant`` on ``mode``'s pools, closed when it returns."""
+        with ExitStack() as stack:
+            pools = {name: stack.enter_context(pool) for name, pool in self.MODES[mode]().items()}
+            return run_transplant(suite, "duckdb", store=store, resilience=FAST_POLICY, **pools)
 
     @pytest.fixture(scope="class")
     def suite(self):
@@ -302,27 +312,20 @@ class TestQuarantineServesStoredFiles:
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_fully_warm_cell_is_served_while_quarantined(self, suite, tmp_path, mode):
         store = ArtifactStore(root=tmp_path / "store", fingerprint="quarantine-fp")
-        cold = run_transplant(suite, "duckdb", store=store, resilience=FAST_POLICY, **self.MODES[mode]())
+        cold = self._run(suite, store, mode)
         self._quarantine_duckdb()
-        results = assert_equivalent(
-            {
-                "cold": cold,
-                "warm-quarantined": lambda: run_transplant(
-                    suite, "duckdb", store=store, resilience=FAST_POLICY, **self.MODES[mode]()
-                ),
-            }
-        )
+        results = assert_equivalent({"cold": cold, "warm-quarantined": lambda: self._run(suite, store, mode)})
         assert results["warm-quarantined"].infra_failures == []
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_only_the_missing_file_degrades(self, suite, tmp_path, mode):
         store = ArtifactStore(root=tmp_path / "store", fingerprint="quarantine-fp")
         stored = TestSuite(name=suite.name, files=suite.files[:2])
-        run_transplant(stored, "duckdb", store=store, resilience=FAST_POLICY, **self.MODES[mode]())
+        self._run(stored, store, mode)
         reference = run_transplant(suite, "duckdb", store=None)
         self._quarantine_duckdb()
 
-        partial = run_transplant(suite, "duckdb", store=store, resilience=FAST_POLICY, **self.MODES[mode]())
+        partial = self._run(suite, store, mode)
         assert_equivalent({"stored": reference.result.files[:2], "served": partial.result.files[:2]})
         missing = partial.result.files[2]
         assert missing.results and all(result.outcome is RecordOutcome.SKIP for result in missing.results)
@@ -529,6 +532,10 @@ class TestCliExitCodes:
         cli, _ = self._fake_cli(monkeypatch, [])
         for argv in (
             ["table4", "--timeout", "0"],
+            ["table4", "--workers", "0"],
+            ["table4", "--workers", "-3"],
+            ["table4", "--scale", "0"],
+            ["table4", "--scale", "-1"],
             ["table4", "--resume-from", "x"],
             ["store", "gc", "--max-bytes", "0"],
         ):

@@ -10,8 +10,8 @@ Pinned invariants:
   frame, flipped payload bytes, or a pre-codec pickle all read as a *miss*
   (``CodecError`` → recompute), never as plausible results.
 * **Warm-cell parity** — a warm full matrix equals a storeless run byte for
-  byte with ``workers=1`` and ``workers=4``, and store-aware workers serve
-  per-file results without executing.
+  byte without a worker pool and on a four-worker pool, and store-aware
+  workers serve per-file results without executing.
 * **Lazy loads** — a load parses only the frame head; a warm campaign
   answers every experiment from the heads and builds no record result.
 * **Compactness** — a cell's per-file codec frames undercut the PR 3
@@ -25,7 +25,7 @@ import pickle
 
 import pytest
 
-from test_differential import assert_equivalent
+from test_differential import assert_equivalent, on_pool
 
 from repro.core.runner import SuiteResult
 from repro.core.transplant import DONOR_OF_SUITE, TransplantResult, run_matrix, run_transplant
@@ -36,7 +36,6 @@ from repro.store import (
     canonical_bytes,
     decode_file_result,
     encode_file_result,
-    store_disabled,
 )
 from repro.store import codec as codec_module
 
@@ -227,14 +226,12 @@ class TestRejection:
 class TestWarmCellParity:
     def test_warm_matrix_matches_storeless_with_workers_1_and_4(self, store):
         suites = {"slt": build_suite("slt", file_count=4, records_per_file=25, seed=31, store=None)}
-        with store_disabled():
-            reference = run_matrix(suites, store=store)
         results = assert_equivalent(
             {
-                "storeless": reference,
+                "storeless": run_matrix(suites, store=None),
                 "cold": lambda: run_matrix(suites, store=store),
                 "warm-serial": lambda: run_matrix(suites, store=store),
-                "warm-workers-4": lambda: run_matrix(suites, store=store, workers=4),
+                "warm-workers-4": lambda: on_pool(4, run_matrix, suites, store=store),
             }
         )
         assert store.stats.hits >= len(results["storeless"].entries), (
@@ -243,11 +240,11 @@ class TestWarmCellParity:
 
     def test_store_aware_workers_persist_and_reuse_file_results(self, store):
         suite = build_suite("slt", file_count=4, records_per_file=20, seed=32, store=None)
-        cold = run_transplant(suite, "duckdb", workers=4, store=store)
+        cold = on_pool(4, run_transplant, suite, "duckdb", store=store)
         file_entries = list((store.root / "file-results").rglob("*.pkl"))
         assert len(file_entries) == len(suite.files), "every shard file must persist its results"
         # the warm sharded run avoids execution by serving per-file results
-        warm = run_transplant(suite, "duckdb", workers=4, store=store)
+        warm = on_pool(4, run_transplant, suite, "duckdb", store=store)
         assert canonical_bytes(warm) == canonical_bytes(cold)
 
     def test_workers_see_the_fingerprint_of_the_submitting_store(self, store):

@@ -18,6 +18,7 @@ import pytest
 from repro.analysis import ANALYSIS_PASSES
 from repro.analysis.incremental import SuiteAnalyzer, direct_report
 from repro.core import coverage
+from repro.core.parallel import WorkerPool
 from repro.core.records import TestSuite
 from repro.core.transplant import run_transplant
 from repro.corpus import build_suite
@@ -57,6 +58,17 @@ def assert_equivalent(campaign_variants):
     return results
 
 
+def on_pool(workers, call, *args, **kwargs):
+    """``call(*args, **kwargs)`` on a fresh ``WorkerPool(workers)``, shut down after.
+
+    Each call owns its pool the way a campaign does, so the workers fork
+    inside the caller's scopes (``vectorize_disabled``, say), which a pool
+    shared across variants would not see.
+    """
+    with WorkerPool(workers) as pool:
+        return call(*args, worker_pool=pool, **kwargs)
+
+
 #: The two transplant legs the parity satellites have always pinned: the SLT
 #: suite on DuckDB (plain) and the PostgreSQL suite on MySQL (translated).
 WORKLOADS = (
@@ -74,7 +86,9 @@ class TestCampaignVariants:
         store = ArtifactStore(root=tmp_path / "store", fingerprint="diff-fp")
         sharded_store = ArtifactStore(root=tmp_path / "sharded-store", fingerprint="diff-fp")
 
-        def run(**kwargs):
+        def run(workers=None, **kwargs):
+            if workers is not None:
+                return lambda: on_pool(workers, run_transplant, suite, host, translate_dialect=translate, **kwargs)
             return lambda: run_transplant(suite, host, translate_dialect=translate, **kwargs)
 
         def scalar(invoke):
@@ -120,8 +134,8 @@ class TestCampaignVariants:
         results = assert_equivalent(
             {
                 "storeless-serial": lambda: run_transplant(edited, host, translate_dialect=translate, store=None),
-                "storeless-workers-4": lambda: run_transplant(
-                    edited, host, translate_dialect=translate, store=None, workers=4
+                "storeless-workers-4": lambda: on_pool(
+                    4, run_transplant, edited, host, translate_dialect=translate, store=None
                 ),
                 "incremental-rebuild": lambda: run_transplant(edited, host, translate_dialect=translate, store=store),
             }
@@ -149,17 +163,17 @@ class TestAnalysisVariants:
         suite = build_suite(suite_name, file_count=4, records_per_file=20, seed=23, store=None)
         store = ArtifactStore(root=tmp_path / "store", fingerprint="diff-fp")
 
-        def assembled(**kwargs):
-            return lambda: SuiteAnalyzer(store=store, **kwargs).full_report(suite)
+        def report(worker_pool=None, store=store):
+            return SuiteAnalyzer(store=store, worker_pool=worker_pool).full_report(suite)
 
         assert_equivalent(
             {
                 "direct-scan": lambda: direct_report(suite),
-                "storeless-serial": lambda: SuiteAnalyzer(store=None).full_report(suite),
-                "storeless-workers-4": lambda: SuiteAnalyzer(store=None, workers=4).full_report(suite),
-                "assembled-cold": assembled(),
-                "assembled-warm": assembled(),
-                "assembled-warm-workers-4": assembled(workers=4),
+                "storeless-serial": lambda: report(store=None),
+                "storeless-workers-4": lambda: on_pool(4, report, store=None),
+                "assembled-cold": report,
+                "assembled-warm": report,
+                "assembled-warm-workers-4": lambda: on_pool(4, report),
             }
         )
         # the cold pass wrote one partial per (file, pass); both warm replays

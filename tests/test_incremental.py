@@ -21,14 +21,14 @@ import pickle
 
 import pytest
 
-from test_differential import assert_equivalent
+from test_differential import assert_equivalent, on_pool
 
 from repro.core.parallel import WorkerPool
 from repro.core.records import TestSuite
 from repro.core.transplant import run_transplant
 from repro.corpus import build_suite
 from repro.corpus.generate import generate_corpus
-from repro.store import ArtifactStore, canonical_bytes, store_disabled
+from repro.store import ArtifactStore, canonical_bytes
 
 
 @pytest.fixture
@@ -59,8 +59,7 @@ class TestAssembly:
         store.stats.reset()
         incremental = run_transplant(edited, "duckdb", store=store)
         assert store.stats.by_namespace["file-results"] == {"hits": 3, "misses": 1}
-        with store_disabled():
-            reference = run_transplant(edited, "duckdb", store=store)
+        reference = run_transplant(edited, "duckdb", store=None)
         assert canonical_bytes(incremental) == canonical_bytes(reference)
 
     def test_fully_warm_assembly_executes_nothing(self, store):
@@ -99,7 +98,7 @@ class TestAssembly:
         """Per-file artifacts written by sharded workers serve the serial
         assembly path and vice versa (same keys, same namespace)."""
         suite = build_suite("slt", file_count=4, records_per_file=15, seed=63, store=None)
-        sharded_cold = run_transplant(suite, "duckdb", workers=4, store=store)
+        sharded_cold = on_pool(4, run_transplant, suite, "duckdb", store=store)
         store.stats.reset()
         serial_warm = run_transplant(suite, "duckdb", store=store)
         assert store.stats.by_namespace["file-results"] == {"hits": 4, "misses": 0}
@@ -143,12 +142,11 @@ class TestAssembly:
         base = build_suite("slt", file_count=4, records_per_file=15, seed=66, store=None)
         donor = build_suite("slt", file_count=4, records_per_file=15, seed=67, store=None)
         edited = _edit_file(_edit_file(base, donor, 1), donor, 3)
-        run_transplant(base, "duckdb", workers=4, store=store)
+        on_pool(4, run_transplant, base, "duckdb", store=store)
         store.stats.reset()
-        incremental = run_transplant(edited, "duckdb", workers=4, store=store)
+        incremental = on_pool(4, run_transplant, edited, "duckdb", store=store)
         assert store.stats.by_namespace["file-results"] == {"hits": 2, "misses": 2}
-        with store_disabled():
-            reference = run_transplant(edited, "duckdb", store=store)
+        reference = run_transplant(edited, "duckdb", store=None)
         assert canonical_bytes(incremental) == canonical_bytes(reference)
 
     @pytest.mark.parametrize("workers", [1, 4])
@@ -157,12 +155,18 @@ class TestAssembly:
         serially or inside sharded workers — and writes nothing else; the
         warm replay is served from those files alone."""
         suite = build_suite("slt", file_count=3, records_per_file=15, seed=65, store=None)
-        cold = run_transplant(suite, "duckdb", store=store, workers=workers)
+
+        def cell():
+            if workers == 1:
+                return run_transplant(suite, "duckdb", store=store)
+            return on_pool(workers, run_transplant, suite, "duckdb", store=store)
+
+        cold = cell()
         assert store.stats.by_namespace == {"file-results": {"hits": 0, "misses": 3}}
         written = [path.relative_to(store.root).parts[0] for path in store.root.rglob("*.pkl")]
         assert written == ["file-results"] * 3
         store.stats.reset()
-        warm = run_transplant(suite, "duckdb", store=store, workers=workers)
+        warm = cell()
         assert store.stats.by_namespace == {"file-results": {"hits": 3, "misses": 0}}
         assert canonical_bytes(warm) == canonical_bytes(cold)
 
@@ -245,25 +249,16 @@ class TestIncrementalAnalysis:
 class TestIncrementalCorpus:
     def test_sharded_generation_matches_serial(self):
         serial = generate_corpus("postgres", file_count=4, records_per_file=12, seed=71, store=None)
-        sharded = generate_corpus(
-            "postgres", file_count=4, records_per_file=12, seed=71, store=None, workers=3
-        )
+        sharded = on_pool(3, generate_corpus, "postgres", file_count=4, records_per_file=12, seed=71, store=None)
         assert_equivalent({"serial": serial, "workers-3": sharded})
 
-    # "process" hands in a campaign's persistent pool; "auto" lets the call
-    # start a one-shot pool of its own
-    @pytest.mark.parametrize("lane", ["process", "auto"])
+    # "process" hands in a campaign's persistent pool
+    @pytest.mark.parametrize("lane", ["process"])
     def test_process_pool_generation_matches_serial(self, lane):
         serial = generate_corpus("slt", file_count=3, records_per_file=10, seed=72, store=None)
-        pool = WorkerPool(2) if lane == "process" else None
-        try:
-            sharded = generate_corpus(
-                "slt", file_count=3, records_per_file=10, seed=72, store=None, workers=2, worker_pool=pool
-            )
-            assert pool is None or not pool.in_process
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        with WorkerPool(2) as pool:
+            sharded = generate_corpus("slt", file_count=3, records_per_file=10, seed=72, store=None, worker_pool=pool)
+            assert not pool.in_process
         assert_equivalent({"serial": serial, "workers-2": sharded})
 
     def test_per_file_recordings_make_corpus_growth_incremental(self, store):
@@ -275,7 +270,7 @@ class TestIncrementalCorpus:
         assert_equivalent({"grown-incrementally": grown, "storeless": reference})
 
     def test_build_suite_threads_workers_through(self, store):
-        sharded = build_suite("slt", file_count=4, records_per_file=10, seed=74, store=store, workers=3)
+        sharded = on_pool(3, build_suite, "slt", file_count=4, records_per_file=10, seed=74, store=store)
         reference = build_suite("slt", file_count=4, records_per_file=10, seed=74, store=None)
         assert canonical_bytes(sharded) == canonical_bytes(reference)
         # every file's donor recording was persisted individually

@@ -1,30 +1,34 @@
 """Tests for sharded suite execution (repro.core.parallel).
 
-The satellite requirement: ``workers=1`` and ``workers=4`` must produce
-byte-identical results — canonical serialization, not just matching
-aggregates — on an SLT→duckdb and a postgres→mysql transplant.  The
-comparison itself is the shared differential harness
-(:func:`test_differential.assert_equivalent`); this file covers the
-shard/merge machinery, fallbacks, and worker-pool bookkeeping around it.
+The satellite requirement: a run without a worker pool and one on a
+four-worker pool must produce byte-identical results — canonical
+serialization, not just matching aggregates — on an SLT→duckdb and a
+postgres→mysql transplant.  The comparison itself is the shared
+differential harness (:func:`test_differential.assert_equivalent`); this
+file covers the shard/merge machinery, fallbacks, and worker-pool
+bookkeeping around it.
 """
 
 from __future__ import annotations
 
 import errno
+import os
 
 import pytest
 
-from test_differential import assert_equivalent
+from test_differential import assert_equivalent, on_pool
 
 from repro.adapters.base import DBMSAdapter, ExecutionOutcome, ExecutionStatus
 from repro.adapters import registry
 from repro.adapters.pool import AdapterPool
 from repro.core import parallel
-from repro.core.parallel import WorkerPool, _is_pool_infra_error, runner_spec_for
+from repro.core.parallel import WorkerPool, _is_pool_infra_error, fan_out, runner_spec_for
 from repro.core.resilience import ResiliencePolicy
 from repro.core.runner import TestRunner
 from repro.core.transplant import CellKey, run_cells, run_transplant
 from repro.corpus import build_suite
+from repro.experiments import ExperimentContext
+from repro.experiments.stream import run_batch
 from repro.perf import cache as perf_cache
 
 
@@ -39,30 +43,25 @@ class TestShardedParity:
     # store=None throughout: a persisted matrix cell would serve the second
     # run wholesale and the shard/merge machinery under test would never run
 
-    # how the workers=4 run meets its process pool: "process" hands in a
-    # campaign's persistent pool, "auto" lets the call start a one-shot pool,
-    # and "thread" arms the per-file watchdog on that one-shot pool, so every
-    # file executes on a watchdog helper thread inside its worker
-    @pytest.mark.parametrize("lane", ["thread", "process", "auto"])
+    # "process" shards over a four-worker pool; "thread" also arms the
+    # per-file watchdog, so every file executes on a watchdog helper thread
+    # inside its worker
+    @pytest.mark.parametrize("lane", ["thread", "process"])
     def test_slt_on_duckdb_workers_4_matches_serial(self, lane):
         suite = build_suite("slt", file_count=4, records_per_file=30, seed=11)
         with perf_cache.caching_disabled():
             serial = run_transplant(suite, "duckdb", store=None)
-        pool = WorkerPool(4) if lane == "process" else None
         resilience = ResiliencePolicy(watchdog_seconds=60.0) if lane == "thread" else None
-        try:
+        with WorkerPool(4) as pool:
             assert_equivalent(
                 {
                     "serial-uncached": serial,
                     "workers-4": lambda: run_transplant(
-                        suite, "duckdb", workers=4, worker_pool=pool, store=None, resilience=resilience
+                        suite, "duckdb", worker_pool=pool, store=None, resilience=resilience
                     ),
                 }
             )
-            assert pool is None or not pool.in_process
-        finally:
-            if pool is not None:
-                pool.shutdown()
+            assert not pool.in_process
 
     def test_postgres_suite_on_mysql_with_translation(self):
         suite = build_suite("postgres", file_count=4, records_per_file=30, seed=5)
@@ -71,13 +70,13 @@ class TestShardedParity:
         assert_equivalent(
             {
                 "serial-uncached": serial,
-                "workers-4": lambda: run_transplant(suite, "mysql", translate_dialect=True, workers=4, store=None),
+                "workers-4": lambda: on_pool(4, run_transplant, suite, "mysql", translate_dialect=True, store=None),
             }
         )
 
     def test_per_file_ordering_is_preserved(self):
         suite = build_suite("slt", file_count=5, records_per_file=20, seed=3)
-        parallel = run_transplant(suite, "duckdb", workers=3, store=None)
+        parallel = on_pool(3, run_transplant, suite, "duckdb", store=None)
         assert [f.path for f in parallel.result.files] == [tf.path for tf in suite.files]
 
     def test_more_workers_than_files(self):
@@ -85,7 +84,7 @@ class TestShardedParity:
         assert_equivalent(
             {
                 "serial": lambda: run_transplant(suite, "duckdb", store=None),
-                "workers-8": lambda: run_transplant(suite, "duckdb", workers=8, store=None),
+                "workers-8": lambda: on_pool(8, run_transplant, suite, "duckdb", store=None),
             }
         )
 
@@ -94,12 +93,9 @@ class TestShardedRunReport:
     def test_process_pool_worker_stats_are_absorbed_by_parent(self):
         suite = build_suite("slt", file_count=3, records_per_file=15, seed=2)
         perf_cache.clear_caches()  # drop what building the corpus counted here
-        pool = WorkerPool(3)
-        try:
-            run_transplant(suite, "duckdb", workers=3, worker_pool=pool, store=None)
+        with WorkerPool(3) as pool:
+            run_transplant(suite, "duckdb", worker_pool=pool, store=None)
             assert not pool.in_process
-        finally:
-            pool.shutdown()
         # the shards ran in worker processes, whose cache activity must be
         # visible in the parent's stats
         parent = perf_cache.cache_stats()
@@ -144,7 +140,7 @@ class TestFallbacks:
         store = ArtifactStore(root=tmp_path / "store", fingerprint="unforkable-fp")
         # no worker can rebuild the adapter and no key can name its results:
         # the cell runs in this process, storeless
-        result = run_transplant(suite, "unforkable", workers=4, store=store).result
+        result = on_pool(4, run_transplant, suite, "unforkable", store=store).result
         assert len(result.files) == len(suite.files)
         assert result.total_cases > 0
         assert store.stats.lookups == 0
@@ -221,9 +217,9 @@ class TestPoolInfraClassification:
             assert_equivalent(
                 {
                     "serial": serial,
-                    "unstartable-pool": lambda: run_transplant(suite, "duckdb", workers=2, worker_pool=pool, store=None),
+                    "unstartable-pool": lambda: run_transplant(suite, "duckdb", worker_pool=pool, store=None),
                     "in-process-pool": lambda: run_transplant(
-                        suite, "duckdb", workers=2, worker_pool=pool, pool=adapters, store=None
+                        suite, "duckdb", worker_pool=pool, pool=adapters, store=None
                     ),
                 }
             )
@@ -245,3 +241,54 @@ class TestPoolInfraClassification:
         assert not _is_pool_infra_error(OSError(errno.EIO, "disk failing"))
         assert not _is_pool_infra_error(OSError(errno.ENOSPC, "disk full"))
         assert not _is_pool_infra_error(OSError("no errno at all"))
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """Every ``ProcessPoolExecutor`` the worker pools build, in build order."""
+    built = []
+    real = parallel.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        executor = real(*args, **kwargs)
+        built.append(executor)
+        return executor
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", counting)
+    return built
+
+
+class TestOnePool:
+    """The worker pool is the one parallelism input, and it forks only to fan out."""
+
+    def test_fan_out_without_a_pool_or_with_one_task_runs_here(self, executors):
+        here = os.getpid()
+        assert fan_out(None, os.getpid, [(), (), ()]) == [here] * 3
+        with WorkerPool(2) as pool:
+            assert fan_out(pool, os.getpid, [()]) == [here]
+            assert fan_out(pool, os.getpid, []) == []
+        assert executors == []
+
+    def test_context_that_runs_nothing_starts_no_process(self, executors):
+        with ExperimentContext(scale=0.06, seed=7, workers=2, use_store=False) as context:
+            assert context.worker_pool.workers == 2
+        assert executors == []
+        with ExperimentContext(workers=1) as serial:
+            assert serial.worker_pool is None
+
+    def test_storeless_batch_shares_one_executor(self, executors, monkeypatch):
+        fanned = []
+        map_tasks = WorkerPool.map_tasks
+
+        def counting(pool, fn, tasks, retry_tasks=None):
+            fanned.append(fn.__name__)
+            return map_tasks(pool, fn, tasks, retry_tasks=retry_tasks)
+
+        monkeypatch.setattr(WorkerPool, "map_tasks", counting)
+        with ExperimentContext(scale=0.06, seed=7, workers=2, use_store=False) as context:
+            results = run_batch(["table2", "table4"], context)
+        assert [result.experiment_id for result in results] == ["table2", "table4"]
+        # donor recording and every cell's shards ran on the context's pool,
+        # which built its executor once
+        assert {"_generate_file", "_run_shard"} <= set(fanned)
+        assert len(executors) == 1

@@ -9,7 +9,7 @@ leave on by default:
 * concurrent writers cannot clobber each other (tmp + rename),
 * a warm ``run_matrix`` reproduces the storeless results byte-for-byte
   (canonical serialization), and
-* ``store_disabled()`` / ``store=None`` really do force the storeless path.
+* ``store=None`` really does force the storeless path.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.store import (
     ArtifactStore,
     canonical_bytes,
     content_hash,
-    store_disabled,
 )
 from repro.store.artifacts import STORE_FORMAT_VERSION
 
@@ -404,16 +403,8 @@ class TestCorpusStore:
         grown = build_suite("slt", file_count=3, records_per_file=20, seed=5, store=store)
         file_donor = store.stats.by_namespace["file-donor"]
         assert file_donor == {"hits": 2, "misses": 1}
-        with store_disabled():
-            reference = build_suite("slt", file_count=3, records_per_file=20, seed=5, store=store)
+        reference = build_suite("slt", file_count=3, records_per_file=20, seed=5, store=None)
         assert canonical_bytes(grown) == canonical_bytes(reference)
-
-    def test_store_disabled_bypasses(self, store):
-        build_suite("slt", file_count=2, records_per_file=20, seed=5, store=store)
-        lookups_before = store.stats.lookups
-        with store_disabled():
-            build_suite("slt", file_count=2, records_per_file=20, seed=5, store=store)
-        assert store.stats.lookups == lookups_before
 
     def test_corrupt_suite_artifact_regenerates(self, store):
         reference = build_suite("slt", file_count=2, records_per_file=20, seed=5, store=store)
@@ -462,8 +453,7 @@ class TestDonorRunStore:
 
     def test_warm_matrix_byte_identical_to_storeless(self, store, suite):
         suites = {suite.name: suite}
-        with store_disabled():
-            reference = run_matrix(suites, store=store)
+        reference = run_matrix(suites, store=None)
         cold = run_matrix(suites, store=store)
         warm = run_matrix(suites, store=store)
         assert store.stats.hits >= 1, "second campaign must hit the stored donor run"
