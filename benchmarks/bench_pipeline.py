@@ -586,7 +586,7 @@ def test_pipeline_streaming(benchmark, tmp_path):
     """
     from repro.corpus.generate import DEFAULT_FILE_COUNT, build_all_suites
     from repro.experiments.context import ExperimentContext
-    from repro.experiments.registry import EXPERIMENTS, run_experiment
+    from repro.experiments.registry import available_experiments, run_experiment
     from repro.experiments.stream import stream_experiments
 
     suites = build_all_suites(seed=STREAMING_SEED, scale=STREAMING_SCALE, store=None)
@@ -606,7 +606,7 @@ def test_pipeline_streaming(benchmark, tmp_path):
     def batch_campaign():
         store_dir = cold_store_dir()
         results = []
-        for experiment_id in EXPERIMENTS:
+        for experiment_id in available_experiments():
             perf_cache.clear_caches()
             with fresh_context(store_dir) as context:
                 results.append(run_experiment(experiment_id, context))
@@ -630,7 +630,7 @@ def test_pipeline_streaming(benchmark, tmp_path):
         retry_wall, streamed_result = _timed_min_of(1, streaming_campaign)
         streaming_wall = min(streaming_wall, retry_wall)
 
-    order = {experiment_id: index for index, experiment_id in enumerate(EXPERIMENTS)}
+    order = {experiment_id: index for index, experiment_id in enumerate(available_experiments())}
     streamed_ordered = sorted(streamed_result, key=lambda result: order[result.experiment_id])
     assert canonical_bytes(streamed_ordered) == canonical_bytes(batch_result), (
         "streamed results must be byte-identical to the serial batch (only yield order may differ)"

@@ -9,9 +9,11 @@ the registry-driven :mod:`repro.formats` subsystem.
 
 High-level entry points:
 
-* :func:`repro.core.suite.load_suite` / :func:`repro.core.suite.parse_test_file`
-  — turn native-format test files into the unified IR (auto-detecting the
-  format via :func:`repro.formats.detect_format` when none is named),
+* :func:`repro.core.suite.load_suite` — turn a directory of native-format
+  test files into the unified IR (auto-detecting each file's format via
+  :func:`repro.formats.detect_format` when none is named); single files and
+  in-memory text parse through :func:`repro.formats.parse_test_file` /
+  :func:`repro.formats.parse_test_text`,
 * :class:`repro.core.runner.TestRunner` — execute a test file / suite on an
   adapter,
 * :func:`repro.core.transplant.run_transplant` — the donor-on-host execution
@@ -33,7 +35,7 @@ from repro.core.records import (
 )
 from repro.core.resilience import InfraFailure, ResiliencePolicy, RetryPolicy, default_policy
 from repro.core.runner import RecordOutcome, RecordResult, FileResult, SuiteResult, TestRunner
-from repro.core.suite import load_suite, parse_test_file
+from repro.core.suite import load_suite
 
 __all__ = [
     "Condition",
@@ -55,5 +57,4 @@ __all__ = [
     "SuiteResult",
     "TestRunner",
     "load_suite",
-    "parse_test_file",
 ]

@@ -52,26 +52,20 @@ class Condition:
 
     def allows(self, host: str) -> bool:
         """Whether the guarded record should run on ``host``."""
-        same = _same_dbms(self.dbms, host)
+        same = canonical_dbms(self.dbms) == canonical_dbms(host)
         if self.kind == "skipif":
             return not same
         return same
 
 
-def _same_dbms(left: str, right: str) -> bool:
-    aliases = {
-        "sqlite": "sqlite",
-        "sqlite3": "sqlite",
-        "sqlite-mini": "sqlite",
-        "postgres": "postgres",
-        "postgresql": "postgres",
-        "duckdb": "duckdb",
-        "mysql": "mysql",
-        "mariadb": "mysql",
-        "mssql": "mssql",
-        "oracle": "oracle",
-    }
-    return aliases.get(left.lower(), left.lower()) == aliases.get(right.lower(), right.lower())
+#: spellings of one DBMS in guards, adapter names and host labels
+_DBMS_ALIASES = {"sqlite3": "sqlite", "sqlite-mini": "sqlite", "postgresql": "postgres", "mariadb": "mysql"}
+
+
+def canonical_dbms(name: str) -> str:
+    """The one name of the DBMS ``name`` spells (``"PostgreSQL"`` -> ``"postgres"``)."""
+    lowered = name.lower()
+    return _DBMS_ALIASES.get(lowered, lowered)
 
 
 @dataclass

@@ -25,6 +25,7 @@ from repro.core.records import (
     StatementRecord,
     TestFile,
     TestSuite,
+    canonical_dbms,
 )
 from repro.dialects.translator import translate
 from repro.dialects import ALL_DIALECTS
@@ -351,7 +352,7 @@ class TestRunner:
             return sql
         donor = {"slt": "sqlite"}.get(self.donor_dialect.lower(), self.donor_dialect.lower())
         source = ALL_DIALECTS.get(donor)
-        target = ALL_DIALECTS.get(_canonical_host(self.host_name))
+        target = ALL_DIALECTS.get(canonical_dbms(self.host_name))
         if source is None or target is None or source.name == target.name:
             return sql
         return translate(sql, source, target).sql
@@ -408,8 +409,3 @@ class TestRunner:
             comparison=comparison,
             execution=outcome,
         )
-
-
-def _canonical_host(host: str) -> str:
-    aliases = {"sqlite3": "sqlite", "sqlite-mini": "sqlite", "postgresql": "postgres", "mariadb": "mysql"}
-    return aliases.get(host.lower(), host.lower())

@@ -1,9 +1,9 @@
-"""Loading native-format test files and suites into the unified IR.
+"""Loading a directory of native-format test files into the unified IR.
 
-This module is a thin facade over :mod:`repro.formats` — the registry-driven
-format subsystem — kept so existing imports (``repro.core.suite.load_suite``)
-stay stable.  Formats are resolved exclusively through the registry; passing
-``suite_format=None`` auto-detects the format per file via
+Formats are resolved exclusively through the :mod:`repro.formats` registry,
+which is also where single files and in-memory text parse
+(:func:`repro.formats.parse_test_file` / :func:`repro.formats.parse_test_text`);
+passing ``suite_format=None`` auto-detects the format per file via
 :func:`repro.formats.detect_format`.
 """
 
@@ -11,28 +11,7 @@ from __future__ import annotations
 
 import os
 
-from repro.core.records import TestFile, TestSuite
-
-
-def supported_formats() -> list[str]:
-    """Names of the test-suite formats SQuaLity can parse (including aliases)."""
-    from repro.formats import available_formats
-
-    return available_formats(include_aliases=True)
-
-
-def parse_test_file(path: str, suite_format: str | None = None) -> TestFile:
-    """Parse the test file at ``path`` (auto-detecting the format when unnamed)."""
-    from repro.formats import parse_test_file as _parse_test_file
-
-    return _parse_test_file(path, suite_format)
-
-
-def parse_test_text(text: str, suite_format: str | None = None, path: str = "<memory>", **kwargs) -> TestFile:
-    """Parse in-memory test text (auto-detecting the format when unnamed)."""
-    from repro.formats import parse_test_text as _parse_test_text
-
-    return _parse_test_text(text, suite_format, path=path, **kwargs)
+from repro.core.records import TestSuite
 
 
 def load_suite(

@@ -50,11 +50,17 @@ DEFAULT_EXTENSIONS = {
 
 @dataclass(frozen=True, order=True)
 class CellKey:
-    """Identity of one campaign-matrix cell: run ``suite`` on ``host``."""
+    """Identity of one campaign-matrix cell: run ``suite`` on ``host``.
+
+    ``translate`` runs every statement through the dialect translator first;
+    ``tolerance`` is the relative float tolerance of result comparison (0.0
+    is SQuaLity's exact comparison).
+    """
 
     suite: str
     host: str
     translate: bool = False
+    tolerance: float = 0.0
 
     @property
     def is_donor_run(self) -> bool:
@@ -71,7 +77,7 @@ def plain_alias(cell: CellKey) -> CellKey:
     stands for itself and executes.
     """
     if cell.translate and cell.is_donor_run and perf_cache.caching_enabled():
-        return CellKey(cell.suite, cell.host)
+        return CellKey(cell.suite, cell.host, tolerance=cell.tolerance)
     return cell
 
 
@@ -286,6 +292,7 @@ def run_cells(
                 served[alias] = run_transplant(
                     suites[cell.suite],
                     cell.host,
+                    float_tolerance=cell.tolerance,
                     translate_dialect=cell.translate,
                     pool=adapter_pool,
                     worker_pool=worker_pool,

@@ -30,8 +30,7 @@ from repro.adapters.base import ExecutionStatus
 from repro.adapters.registry import create_adapter
 from repro.core.comparison import normalize_value
 from repro.core.parallel import WorkerPool, fan_out
-from repro.core.records import TestSuite
-from repro.core.suite import parse_test_text
+from repro.core.records import TestSuite, canonical_dbms
 from repro.store import artifacts as artifact_store
 from repro.store.codec import CodecError, load_checked
 from repro.store.keys import FILE_DONOR_NAMESPACE, donor_file_key
@@ -47,6 +46,7 @@ from repro.corpus.datagen import (
     render_predicate,
 )
 from repro.corpus.profiles import PAPER_PROFILES, SuiteProfile
+from repro.formats import parse_test_text
 
 #: Records per generated file (scaled-down versions of the paper's averages,
 #: chosen so the full cross-execution matrix runs in minutes).
@@ -634,9 +634,9 @@ def _resolution_host(logical: LogicalRecord, donor: str) -> str:
     <donor>`` records on some DBMS that is not the donor (we use PostgreSQL, or
     DuckDB when the donor is PostgreSQL).
     """
-    known = {"sqlite", "postgres", "postgresql", "duckdb", "mysql"}
+    known = {"sqlite", "postgres", "duckdb", "mysql"}
     for kind, dbms in logical.guards:
-        canonical = {"postgresql": "postgres", "sqlite3": "sqlite"}.get(dbms, dbms)
+        canonical = canonical_dbms(dbms)
         if kind == "onlyif":
             if canonical in known:
                 return canonical
@@ -935,15 +935,7 @@ def build_suite(
     )
     test_suite = TestSuite(name=suite)
     for item in generated:
-        if suite == "postgres":
-            test_file = parse_test_text(item.primary_text, "postgres", path=item.name, out_text=item.expected_text)
-        elif suite == "mysql":
-            test_file = parse_test_text(item.primary_text, "mysql", path=item.name, result_text=item.expected_text)
-        elif suite == "duckdb":
-            test_file = parse_test_text(item.primary_text, "duckdb", path=item.name)
-        else:
-            test_file = parse_test_text(item.primary_text, "slt", path=item.name)
-        test_suite.files.append(test_file)
+        test_suite.files.append(parse_test_text(item.primary_text, suite, path=item.name, companion=item.expected_text))
     if backing is not None:
         backing.save("corpus-suites", key, test_suite)
     return test_suite

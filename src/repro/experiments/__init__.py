@@ -27,12 +27,11 @@ from repro.experiments.base import (
     register_experiment,
 )
 from repro.experiments.context import ExperimentContext, ExperimentResult
-from repro.experiments.registry import EXPERIMENTS, run_all, run_experiment
+from repro.experiments.registry import run_all, run_experiment
 from repro.experiments.stream import stream_experiments
 
 __all__ = [
     "CellKey",
-    "EXPERIMENTS",
     "Experiment",
     "ExperimentContext",
     "ExperimentNeeds",

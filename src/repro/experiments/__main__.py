@@ -23,7 +23,7 @@ import sys
 from repro.core.shutdown import signal_aware_shutdown
 from repro.errors import UnknownExperimentError
 from repro.experiments.context import ExperimentContext
-from repro.experiments.registry import EXPERIMENTS, experiment_entries, get_experiment_entry
+from repro.experiments.registry import experiment_entries, get_experiment_entry
 from repro.experiments.stream import run_batch, stream_experiments
 
 
@@ -192,8 +192,8 @@ def main(argv: list[str] | None = None) -> int:
     arguments = parser.parse_args(argv)
 
     if arguments.list:
-        for experiment_id, (title, _runner) in EXPERIMENTS.items():
-            print(f"{experiment_id:10s} {title}")
+        for entry in experiment_entries():
+            print(f"{entry.id:10s} {entry.title}")
         return 0
     if arguments.list_experiments:
         _print_experiments()

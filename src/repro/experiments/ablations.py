@@ -12,8 +12,9 @@
 from __future__ import annotations
 
 from repro.core.report import format_percentage, format_table
-from repro.core.transplant import DONOR_OF_SUITE, run_transplant
-from repro.experiments.base import Experiment, ExperimentNeeds, donor_cells, matrix_cells, register_experiment
+from repro.core.transplant import DONOR_OF_SUITE
+from repro.dialects import DUCKDB
+from repro.experiments.base import CellKey, Experiment, ExperimentNeeds, donor_cells, matrix_cells, register_experiment
 from repro.experiments.context import ExperimentResult
 
 EXPERIMENT_ID = "ablations"
@@ -21,6 +22,8 @@ TITLE = "Ablations: float-tolerance comparison and cross-dialect translation"
 
 _SUITES = ("slt", "postgres", "duckdb")
 _HOSTS = ("sqlite", "postgres", "duckdb", "mysql")
+#: the relative deviation DuckDB's native runner accepts (Listing 10)
+_NATIVE_TOLERANCE = DUCKDB.native_float_tolerance
 
 
 @register_experiment(
@@ -29,6 +32,7 @@ _HOSTS = ("sqlite", "postgres", "duckdb", "mysql")
     needs=ExperimentNeeds(
         suites=_SUITES,
         cells=donor_cells("duckdb")
+        + (CellKey("duckdb", "duckdb", tolerance=_NATIVE_TOLERANCE),)
         + matrix_cells(_SUITES, _HOSTS, include_donor=False)
         + matrix_cells(_SUITES, _HOSTS, translate=True, include_donor=False),
     ),
@@ -40,19 +44,9 @@ class AblationsExperiment(Experiment):
 
 
 def _build(experiment: AblationsExperiment) -> ExperimentResult:
-    context = experiment.context
     # -- float tolerance (DuckDB donor run, exact vs 1%) ---------------------------
-    duckdb_suite = context.suites["duckdb"]
     exact = experiment.cell("duckdb", "duckdb").result
-    tolerant = run_transplant(
-        duckdb_suite,
-        "duckdb",
-        float_tolerance=0.01,
-        pool=context.adapter_pool,
-        worker_pool=context.worker_pool,
-        store=context.store,
-        resilience=context.resilience,
-    ).result
+    tolerant = experiment.cell("duckdb", "duckdb", tolerance=_NATIVE_TOLERANCE).result
     float_rows = [
         ["exact comparison (SQuaLity)", exact.failed_cases, format_percentage(exact.success_rate)],
         ["1% tolerance (DuckDB native runner)", tolerant.failed_cases, format_percentage(tolerant.success_rate)],

@@ -1,25 +1,19 @@
-"""Declarative experiment API: registration, matrix needs, and accumulation.
+"""Declarative experiment API: registration, matrix needs, and cell access.
 
-An experiment used to be an ad-hoc ``(EXPERIMENT_ID, TITLE, run)`` module
-triple consumed by a hand-maintained dict, which meant no scheduler could know
-which matrix cells an experiment needs before running it.  This module closes
-that gap the same way :mod:`repro.formats.registry` and
-:mod:`repro.adapters.registry` did for parsers and adapters:
+Like :mod:`repro.formats.registry` and :mod:`repro.adapters.registry` for
+parsers and adapters, this module lets a scheduler know what an experiment
+needs before running it:
 
-* :func:`register_experiment` — a decorator that registers an
-  :class:`Experiment` subclass (or a plain ``run(context)`` function) under an
-  id, with a human title, a description, and a declarative
-  :class:`ExperimentNeeds`.
+* :func:`register_experiment` — a class decorator that registers an
+  :class:`Experiment` subclass under an id, with a human title, a
+  description, and a declarative :class:`ExperimentNeeds`.
 * :class:`ExperimentNeeds` — which corpora the experiment reads and which
-  campaign-matrix cells (suite × host × translate) it consumes.  The streaming
-  engine (:mod:`repro.experiments.stream`) unions these declarations and
-  executes each unique cell exactly once per pass.
-* :class:`Experiment` — the accumulate/finalize protocol: the engine calls
-  :meth:`Experiment.consume` once per needed cell as results arrive (in any
-  order) and :meth:`Experiment.finalize` once every declared cell has been
-  delivered.  Accumulators must compute everything in ``finalize`` so results
-  are independent of cell arrival order — that is what keeps streaming output
-  byte-identical to the serial batch.
+  campaign-matrix cells (suite × host × translate × tolerance) it reads.  The
+  streaming engine (:mod:`repro.experiments.stream`) unions these
+  declarations and executes each unique cell exactly once per pass.
+* :class:`Experiment` — the finalize protocol: the engine calls
+  :meth:`Experiment.finalize` once every declared cell is in the context's
+  cell cache, and ``finalize`` reads them from there.
 
 See docs/EXPERIMENTS.md for the third-party registration walkthrough.
 """
@@ -27,10 +21,10 @@ See docs/EXPERIMENTS.md for the third-party registration walkthrough.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.core.transplant import DEFAULT_HOSTS, DONOR_OF_SUITE, CellKey
+from repro.core.transplant import DEFAULT_HOSTS, DONOR_OF_SUITE, CellKey, plain_alias
 from repro.errors import UnknownExperimentError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,7 +64,7 @@ class ExperimentNeeds:
 
     ``suites`` names the corpora the driver reads (``"slt"``, ``"postgres"``,
     ``"duckdb"``, ``"mysql"``); ``cells`` the campaign-matrix cells it
-    accumulates.  Both are declarative: the streaming engine warms the corpora
+    reads.  Both are declarative: the streaming engine warms the corpora
     once, unions every registered experiment's cells, and executes each unique
     cell exactly once per pass.  An empty declaration (the default) marks a
     pure-analysis experiment, which finalizes before any cell executes.
@@ -81,16 +75,16 @@ class ExperimentNeeds:
 
 
 class Experiment:
-    """Base class for registered experiments (the accumulate/finalize protocol).
+    """Base class for registered experiments (the finalize protocol).
 
     The engine instantiates the class with the shared
-    :class:`~repro.experiments.context.ExperimentContext`, delivers each
-    declared cell through :meth:`consume` as it completes — in **no guaranteed
-    order** — and calls :meth:`finalize` exactly once, after the last declared
-    cell has arrived.  Subclasses therefore do all their computation in
-    ``finalize``, reading accumulated cells via :meth:`cell` /
-    :meth:`iter_cells`; that discipline is what makes streaming output
-    byte-identical to the serial batch regardless of completion order.
+    :class:`~repro.experiments.context.ExperimentContext` and calls
+    :meth:`finalize` exactly once, after every declared cell is in the
+    context's one cell cache (:attr:`ExperimentContext.cells`).  ``finalize``
+    reads them through :meth:`cell` / :meth:`iter_cells` and computes
+    everything from there, so its result does not depend on the order the
+    pass completed the cells: that is what makes streaming output
+    byte-identical to the serial batch.
     """
 
     #: populated by :func:`register_experiment`
@@ -101,41 +95,22 @@ class Experiment:
 
     def __init__(self, context: "ExperimentContext"):
         self.context = context
-        self._cells: dict[CellKey, "TransplantResult"] = {}
 
-    def consume(self, key: CellKey, result: "TransplantResult") -> None:
-        """Accept one completed matrix cell (called once per declared key)."""
-        self._cells[key] = result
-
-    def cell(self, suite: str, host: str, translate: bool = False) -> "TransplantResult":
-        """The accumulated result of one declared cell."""
-        return self._cells[CellKey(suite, host, translate)]
+    def cell(self, suite: str, host: str, translate: bool = False, tolerance: float = 0.0) -> "TransplantResult":
+        """The result of one declared cell."""
+        return self.context.cells[plain_alias(CellKey(suite, host, translate, tolerance))]
 
     def iter_cells(self) -> "list[tuple[CellKey, TransplantResult]]":
-        """Accumulated cells in *declaration* order (stable across arrival orders)."""
-        return [(key, self._cells[key]) for key in self.needs.cells if key in self._cells]
+        """Every declared cell and its result, in *declaration* order."""
+        return [(key, self.context.cells[plain_alias(key)]) for key in self.needs.cells]
 
     def finalize(self) -> "ExperimentResult":
-        """Produce the experiment's result; called once, after every cell arrived."""
+        """Produce the experiment's result; called once, after every cell ran."""
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ExperimentEntry:
-    """One registry row: identity, metadata, needs, and the experiment factory."""
-
-    id: str
-    title: str
-    description: str
-    needs: ExperimentNeeds
-    factory: type[Experiment] = field(repr=False)
-
-    def create(self, context: "ExperimentContext") -> Experiment:
-        return self.factory(context)
-
-
-#: experiment id -> entry, in registration order (the canonical run order)
-_REGISTRY: dict[str, ExperimentEntry] = {}
+#: experiment id -> experiment class, in registration order (the run order)
+_REGISTRY: dict[str, type[Experiment]] = {}
 
 
 def register_experiment(
@@ -146,43 +121,24 @@ def register_experiment(
     description: str = "",
     replace: bool = False,
 ):
-    """Decorator registering an experiment under ``experiment_id``.
+    """Class decorator registering an :class:`Experiment` subclass under ``experiment_id``.
 
-    Accepts either an :class:`Experiment` subclass or a plain
-    ``run(context) -> ExperimentResult`` function (wrapped in a needs-less
-    accumulator whose ``finalize`` simply calls it — the minimal migration
-    path for third-party drivers).  Registering an already-known id raises
-    unless ``replace=True`` (test hook; see :func:`unregister_experiment`).
+    The id, title, description and needs become class attributes.
+    Registering an already-known id raises unless ``replace=True`` (test
+    hook; see :func:`unregister_experiment`).
     """
 
-    def decorate(obj):
-        if isinstance(obj, type) and issubclass(obj, Experiment):
-            cls = obj
-        elif callable(obj):
-            run_callable: Callable = obj
-
-            class _FunctionExperiment(Experiment):
-                def finalize(self) -> "ExperimentResult":
-                    return run_callable(self.context)
-
-            _FunctionExperiment.__name__ = f"{run_callable.__name__}_experiment"
-            _FunctionExperiment.__qualname__ = _FunctionExperiment.__name__
-            cls = _FunctionExperiment
-        else:
-            raise TypeError(
-                f"@register_experiment({experiment_id!r}) expects an Experiment subclass "
-                f"or a run(context) callable, got {obj!r}"
-            )
+    def decorate(cls: type[Experiment]) -> type[Experiment]:
+        if not (isinstance(cls, type) and issubclass(cls, Experiment)):
+            raise TypeError(f"@register_experiment({experiment_id!r}) expects an Experiment subclass, got {cls!r}")
         if experiment_id in _REGISTRY and not replace:
             raise ValueError(f"experiment {experiment_id!r} is already registered (pass replace=True to override)")
         cls.id = experiment_id
         cls.title = title
         cls.description = description
         cls.needs = needs if needs is not None else ExperimentNeeds()
-        _REGISTRY[experiment_id] = ExperimentEntry(
-            id=experiment_id, title=title, description=description, needs=cls.needs, factory=cls
-        )
-        return obj
+        _REGISTRY[experiment_id] = cls
+        return cls
 
     return decorate
 
@@ -192,8 +148,8 @@ def unregister_experiment(experiment_id: str) -> None:
     _REGISTRY.pop(experiment_id, None)
 
 
-def get_experiment_entry(experiment_id: str) -> ExperimentEntry:
-    """The registry entry for ``experiment_id``, with near-miss suggestions on miss."""
+def get_experiment_entry(experiment_id: str) -> type[Experiment]:
+    """The experiment class registered as ``experiment_id``, with near-miss suggestions on miss."""
     try:
         return _REGISTRY[experiment_id]
     except KeyError:
@@ -204,7 +160,7 @@ def get_experiment_entry(experiment_id: str) -> ExperimentEntry:
         ) from None
 
 
-def experiment_entries() -> list[ExperimentEntry]:
+def experiment_entries() -> list[type[Experiment]]:
     """Every registered experiment, in registration order."""
     return list(_REGISTRY.values())
 

@@ -105,9 +105,11 @@ class ExperimentContext:
         #: only changed files are re-analyzed, fanned over the worker pool,
         #: and a storeless context analyzes every file (value-identical)
         self.analysis = SuiteAnalyzer(store=self.store, worker_pool=self.worker_pool)
-        #: the one cell cache: every cell a streaming pass
-        #: (:mod:`repro.experiments.stream`) executed, so a later pass on this
-        #: context serves it without re-running anything
+        #: the one place a cell lives: every cell a streaming pass
+        #: (:mod:`repro.experiments.stream`) executed, keyed by its
+        #: :func:`~repro.core.transplant.plain_alias`.  Experiments read their
+        #: cells from here, and a later pass on this context serves them
+        #: without re-running anything
         self.cells: dict[CellKey, TransplantResult] = {}
 
     def close(self) -> None:

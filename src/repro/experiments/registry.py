@@ -1,42 +1,21 @@
-"""Canonical experiment registry: driver imports, run order, and compat API.
+"""Canonical experiment registry: the built-in drivers and the run entry points.
 
 Importing this module registers every built-in driver with
 :mod:`repro.experiments.base` (the way :mod:`repro.formats.registry` imports
-the format parsers) and pins the canonical run order — the order the paper
-presents its tables and figures, which ``run_all`` and the CLI preserve.
+the format parsers).  The drivers import in the order the paper presents its
+tables and figures, and registration order is the run order ``run_all`` and
+the CLI keep.
 
 ``run_experiment`` and ``run_all`` are thin wrappers over the single-pass
 streaming engine (:func:`repro.experiments.stream.run_batch`): even the batch
 path plans the union of every selected experiment's declared needs and
-executes each unique matrix cell exactly once.  The legacy ``EXPERIMENTS``
-mapping of ``id -> (title, run callable)`` is kept for callers that still
-iterate it.
+executes each unique matrix cell exactly once.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Callable
+import importlib
 
-# importing the driver modules is what registers them; the tuple below pins
-# the canonical order even if a driver was imported directly beforehand
-from repro.experiments import (
-    ablations,
-    bugs,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-    table7,
-    table8,
-)
-from repro.experiments import base as _base
 from repro.experiments.base import (
     available_experiments,
     experiment_entries,
@@ -44,38 +23,12 @@ from repro.experiments.base import (
 )
 from repro.experiments.context import ExperimentContext, ExperimentResult
 
-_CANONICAL_MODULES = (
-    table1,
-    figure1,
-    table2,
-    figure2,
-    table3,
-    figure3,
-    table4,
-    table5,
-    figure4,
-    table6,
-    table7,
-    table8,
-    bugs,
-    ablations,
-)
-
-
-def _pin_canonical_order() -> None:
-    """Reorder the registry: canonical built-ins first, later registrations after."""
-    ordered = {
-        module.EXPERIMENT_ID: _base._REGISTRY[module.EXPERIMENT_ID]
-        for module in _CANONICAL_MODULES
-        if module.EXPERIMENT_ID in _base._REGISTRY
-    }
-    for experiment_id, entry in _base._REGISTRY.items():
-        ordered.setdefault(experiment_id, entry)
-    _base._REGISTRY.clear()
-    _base._REGISTRY.update(ordered)
-
-
-_pin_canonical_order()
+# importing a driver module registers it, so this is the run order
+for _driver in (
+    "table1", "figure1", "table2", "figure2", "table3", "figure3", "table4",
+    "table5", "figure4", "table6", "table7", "table8", "bugs", "ablations",
+):
+    importlib.import_module(f"repro.experiments.{_driver}")
 
 
 def run_experiment(experiment_id: str, context: ExperimentContext | None = None) -> ExperimentResult:
@@ -102,19 +55,7 @@ def run_all(context: ExperimentContext | None = None) -> list[ExperimentResult]:
     return run_batch(None, context)
 
 
-def _experiments_compat() -> dict[str, tuple[str, Callable[..., ExperimentResult]]]:
-    return {
-        entry.id: (entry.title, functools.partial(run_experiment, entry.id))
-        for entry in experiment_entries()
-    }
-
-
-#: legacy mapping of experiment id -> (title, run callable); prefer
-#: :func:`repro.experiments.base.experiment_entries` for new code
-EXPERIMENTS: dict[str, tuple[str, Callable[..., ExperimentResult]]] = _experiments_compat()
-
 __all__ = [
-    "EXPERIMENTS",
     "available_experiments",
     "experiment_entries",
     "get_experiment_entry",

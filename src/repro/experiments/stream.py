@@ -3,72 +3,71 @@
 One pass over the campaign matrix feeds *every* selected experiment:
 
 1. **Plan** — union the :class:`~repro.experiments.base.ExperimentNeeds` of
-   the selected registry entries into a deduplicated cell list in campaign
-   order (plain cells before translated, suites outer, hosts inner — the same
-   nesting :func:`repro.core.transplant.run_matrix` uses).  Translated
-   donor-on-donor cells are aliases of their plain siblings (translation is
-   the identity there) and are collapsed by
-   :func:`repro.core.transplant.plain_alias`, the campaign's one aliasing
-   rule.
+   the selected experiments into a deduplicated cell list in campaign order
+   (plain cells before translated, suites outer, hosts inner — the same
+   nesting :func:`repro.core.transplant.run_matrix` uses — and an exact cell
+   before its float-tolerant twin).  Translated donor-on-donor cells are
+   aliases of their plain siblings (translation is the identity there) and
+   are collapsed by :func:`repro.core.transplant.plain_alias`, the
+   campaign's one aliasing rule.
 2. **Execute** — each unique cell runs exactly once per pass, in plan
    order: the context's cell cache serves cells an earlier pass ran, and
    the rest come from one :func:`repro.core.transplant.run_cells` generator
    with the context's store, pools and resilience policy.
    Store-warm cells resolve instantly, the context's worker pool shards
    each cell's files, and degraded cells surface through
-   :meth:`ExperimentContext.infra_failures`.
-3. **Fan out** — every completed cell is delivered to each subscribed
-   experiment's :meth:`~repro.experiments.base.Experiment.consume`, and an
-   experiment's :class:`~repro.experiments.context.ExperimentResult` is
-   yielded the moment its last declared cell lands.  Pure-analysis experiments
-   (no cells) yield before any cell executes.
+   :meth:`ExperimentContext.infra_failures`.  Every cell an experiment reads
+   is planned, so every infrastructure failure behind a printed number
+   reaches that report.
+3. **Finalize** — every completed cell lands in
+   :attr:`ExperimentContext.cells`, and an experiment's
+   :class:`~repro.experiments.context.ExperimentResult` is yielded the
+   moment its last declared cell lands.  Pure-analysis experiments (no
+   cells) yield before any cell executes.
 
-Because accumulators compute everything in ``finalize``, each yielded result
-is byte-identical to its batch twin; the pass yields in a deterministic
-order, and :func:`run_batch` (what ``run_all`` builds on) restores registry
-order.
+Because experiments compute everything in ``finalize`` from the context's
+cells, each yielded result is byte-identical to its batch twin; the pass
+yields in a deterministic order, and :func:`run_batch` (what ``run_all``
+builds on) restores registry order.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.core.transplant import CellKey, TransplantResult, plain_alias, run_cells
-from repro.experiments.base import ExperimentEntry, get_experiment_entry
+from repro.core.transplant import CellKey, plain_alias, run_cells
+from repro.experiments.base import Experiment, experiment_entries, get_experiment_entry
 from repro.experiments.context import ExperimentContext, ExperimentResult
 
 #: corpora the context can build (the three executable suites plus mysql)
 _EXECUTABLE_SUITES = ("slt", "postgres", "duckdb")
 
 
-def _resolve_entries(experiment_ids) -> list[ExperimentEntry]:
-    """Registry entries for ``experiment_ids`` (None = all, in registry order).
+def _resolve_entries(experiment_ids) -> list[type[Experiment]]:
+    """Registered experiments for ``experiment_ids`` (None = all, in registry order).
 
     Unknown ids raise :class:`~repro.errors.UnknownExperimentError` with
     near-miss suggestions before anything executes; duplicates collapse to
     their first occurrence (one pass produces one result per experiment).
     """
     if experiment_ids is None:
-        from repro.experiments.base import experiment_entries
-
         return experiment_entries()
-    entries: list[ExperimentEntry] = []
-    seen: set[str] = set()
+    entries: list[type[Experiment]] = []
     for experiment_id in experiment_ids:
         entry = get_experiment_entry(experiment_id)
-        if entry.id not in seen:
-            seen.add(entry.id)
+        if entry not in entries:
             entries.append(entry)
     return entries
 
 
-def _plan_cells(entries: list[ExperimentEntry], context: ExperimentContext) -> list[CellKey]:
+def _plan_cells(entries: list[type[Experiment]], context: ExperimentContext) -> list[CellKey]:
     """The deduplicated union of every entry's cells, in campaign order.
 
     Plain cells come before translated ones, and within each group cells
     follow suite-then-host nesting (suites in corpus order, hosts in the
     context's host order) — the order a plain ``run_matrix`` followed by a
-    translated one walks the grid.
+    translated one walks the grid — with an exact cell before its
+    float-tolerant twin.
     """
     needed = {plain_alias(key) for entry in entries for key in entry.needs.cells}
     suite_order = {name: index for index, name in enumerate(_EXECUTABLE_SUITES)}
@@ -81,11 +80,12 @@ def _plan_cells(entries: list[ExperimentEntry], context: ExperimentContext) -> l
             key.suite,
             host_order.get(key.host, len(host_order)),
             key.host,
+            key.tolerance,
         ),
     )
 
 
-def _warm_corpora(entries: list[ExperimentEntry], plan: list[CellKey], context: ExperimentContext) -> None:
+def _warm_corpora(entries: list[type[Experiment]], plan: list[CellKey], context: ExperimentContext) -> None:
     """Build every needed corpus once, up front, before any cell executes.
 
     Cell execution and pure-analysis finalization both read the context's
@@ -101,26 +101,11 @@ def _warm_corpora(entries: list[ExperimentEntry], plan: list[CellKey], context: 
 
 
 class _Subscription:
-    """One experiment's place in the pass: pending cells and requested keys."""
+    """One experiment's place in the pass: the planned cells it still waits for."""
 
-    def __init__(self, entry: ExperimentEntry, context: ExperimentContext):
-        self.entry = entry
-        self.experiment = entry.create(context)
-        #: normalized key -> declared keys (an aliased translated-donor cell is
-        #: delivered under the key the experiment declared, not the one that ran)
-        self.requested: dict[CellKey, list[CellKey]] = {}
-        for declared in entry.needs.cells:
-            self.requested.setdefault(plain_alias(declared), []).append(declared)
-        self.pending: set[CellKey] = set(self.requested)
-
-    def deliver(self, key: CellKey, result: TransplantResult) -> bool:
-        """Feed one completed cell; True when the experiment became ready."""
-        if key not in self.pending:
-            return False
-        for declared in self.requested[key]:
-            self.experiment.consume(declared, result)
-        self.pending.discard(key)
-        return not self.pending
+    def __init__(self, entry: type[Experiment], context: ExperimentContext):
+        self.experiment = entry(context)
+        self.pending: set[CellKey] = {plain_alias(key) for key in entry.needs.cells}
 
 
 def stream_experiments(experiment_ids=None, context: ExperimentContext | None = None) -> Iterator[ExperimentResult]:
@@ -140,7 +125,7 @@ def stream_experiments(experiment_ids=None, context: ExperimentContext | None = 
 
     subscribers: dict[CellKey, list[_Subscription]] = {}
     for subscription in subscriptions:
-        for key in subscription.requested:
+        for key in subscription.pending:
             subscribers.setdefault(key, []).append(subscription)
 
     # pure-analysis experiments have nothing pending: finalize them first, in
@@ -162,12 +147,11 @@ def stream_experiments(experiment_ids=None, context: ExperimentContext | None = 
     )
     try:
         for key in plan:
-            result = shared.cells.get(key)
-            if result is None:
-                result = next(fresh)
-                shared.note_stream_cell(key, result)
+            if key not in shared.cells:
+                shared.note_stream_cell(key, next(fresh))
             for subscription in subscribers.get(key, ()):
-                if subscription.deliver(key, result):
+                subscription.pending.discard(key)
+                if not subscription.pending:
                     yield subscription.experiment.finalize()
     finally:
         fresh.close()

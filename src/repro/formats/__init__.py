@@ -72,19 +72,17 @@ def parse_test_text(
     text: str,
     suite_format: str | None = None,
     path: str = "<memory>",
-    **kwargs,
+    companion: str | None = None,
+    suite: str | None = None,
 ) -> TestFile:
     """Parse in-memory test text; auto-detect the format when unnamed.
 
-    ``kwargs`` pass through to the parser (``suite=...``, and the transcript
-    keywords accepted by the format: ``companion=...``, or the legacy
-    ``result_text``/``out_text`` spellings).
+    ``companion`` is the format's expected-output transcript (a PostgreSQL
+    ``.out`` or MySQL ``.result`` text), ``suite`` the label the parsed file
+    carries (the format's canonical name when None).
     """
-    companion = kwargs.pop("companion", None)
-    companion = kwargs.pop("result_text", companion)
-    companion = kwargs.pop("out_text", companion)
     parser = get_format(suite_format) if suite_format else detect_format(path=path if path != "<memory>" else None, text=text)
-    return parser.parse_text(text, companion=companion, path=path, **kwargs)
+    return parser.parse_text(text, companion=companion, path=path, suite=suite)
 
 
 __all__ = [

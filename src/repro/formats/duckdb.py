@@ -172,18 +172,4 @@ def _substitute(record: Record, variable: str, value: int) -> Record:
     return clone
 
 
-def parse_duckdb_text(text: str, path: str = "<memory>", suite: str = "duckdb") -> TestFile:
-    """Parse DuckDB-test-format ``text`` into a :class:`TestFile`."""
-    from repro.formats.registry import get_format
-
-    return get_format("duckdb").parse_text(text, path=path, suite=suite)
-
-
-def parse_duckdb_file(path: str, suite: str = "duckdb") -> TestFile:
-    """Parse the DuckDB-format test file at ``path``."""
-    from repro.formats.registry import get_format
-
-    return get_format("duckdb").parse_file(path, suite=suite)
-
-
-__all__ = ["DuckDBFormat", "parse_duckdb_text", "parse_duckdb_file"]
+__all__ = ["DuckDBFormat"]

@@ -235,23 +235,4 @@ def _interpret_block(block: list[str]) -> dict:
     return {"columns": columns, "rows": rows}
 
 
-def parse_mysql_text(
-    test_text: str,
-    result_text: str | None = None,
-    path: str = "<memory>",
-    suite: str = "mysql",
-) -> TestFile:
-    """Parse a MySQL ``.test`` script (plus optional ``.result`` transcript)."""
-    from repro.formats.registry import get_format
-
-    return get_format("mysql").parse_text(test_text, companion=result_text, path=path, suite=suite)
-
-
-def parse_mysql_file(path: str, suite: str = "mysql") -> TestFile:
-    """Parse the MySQL test at ``path``, pairing ``r/<name>.result`` if present."""
-    from repro.formats.registry import get_format
-
-    return get_format("mysql").parse_file(path, suite=suite)
-
-
-__all__ = ["MySQLFormat", "BARE_COMMANDS", "parse_mysql_text", "parse_mysql_file"]
+__all__ = ["MySQLFormat", "BARE_COMMANDS"]

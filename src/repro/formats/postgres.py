@@ -280,23 +280,4 @@ def _interpret_block(block: list[str]) -> _Expectation:
     return _Expectation(columns=columns, rows=rows)
 
 
-def parse_postgres_text(
-    sql_text: str,
-    out_text: str | None = None,
-    path: str = "<memory>",
-    suite: str = "postgres",
-) -> TestFile:
-    """Parse a PostgreSQL regression ``.sql`` script (plus optional ``.out``)."""
-    from repro.formats.registry import get_format
-
-    return get_format("postgres").parse_text(sql_text, companion=out_text, path=path, suite=suite)
-
-
-def parse_postgres_file(path: str, suite: str = "postgres") -> TestFile:
-    """Parse the regression test at ``path`` (pairing ``<name>.out`` if present)."""
-    from repro.formats.registry import get_format
-
-    return get_format("postgres").parse_file(path, suite=suite)
-
-
-__all__ = ["PostgresFormat", "parse_postgres_text", "parse_postgres_file"]
+__all__ = ["PostgresFormat"]

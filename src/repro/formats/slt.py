@@ -186,18 +186,4 @@ class SLTFormat(FormatParser):
         return record
 
 
-def parse_slt_text(text: str, path: str = "<memory>", suite: str = "slt") -> TestFile:
-    """Parse SLT-format ``text`` into a :class:`TestFile`."""
-    from repro.formats.registry import get_format
-
-    return get_format("slt").parse_text(text, path=path, suite=suite)
-
-
-def parse_slt_file(path: str, suite: str = "slt") -> TestFile:
-    """Parse the SLT file at ``path``."""
-    from repro.formats.registry import get_format
-
-    return get_format("slt").parse_file(path, suite=suite)
-
-
-__all__ = ["SLTFormat", "SLT_CONTROL_COMMANDS", "parse_slt_text", "parse_slt_file"]
+__all__ = ["SLTFormat", "SLT_CONTROL_COMMANDS"]

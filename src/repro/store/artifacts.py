@@ -38,7 +38,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.killpoints import kill_point
 from repro.store.fingerprint import code_fingerprint
@@ -347,16 +347,6 @@ class ArtifactStore:
             self.stats.writes += 1
         self._evict_if_needed(added=written)
         return True
-
-    def memoize(self, namespace: str, key: Any, producer: Callable[[], Any]) -> Any:
-        """Load ``key``, or compute it with ``producer`` and persist the result."""
-        sentinel = object()
-        value = self.load(namespace, key, default=sentinel)
-        if value is not sentinel:
-            return value
-        value = producer()
-        self.save(namespace, key, value)
-        return value
 
     def invalidate(self, namespace: str, key: Any) -> None:
         """Delete an artifact a client just loaded but could not decode.

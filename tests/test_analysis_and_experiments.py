@@ -12,7 +12,8 @@ from repro.analysis import (
     standard_compliance,
     statement_type_distribution,
 )
-from repro.experiments import EXPERIMENTS, ExperimentContext, run_experiment
+from repro.experiments import ExperimentContext, run_experiment
+from repro.experiments.registry import available_experiments
 
 
 class TestAnalysis:
@@ -115,7 +116,7 @@ def tiny_context():
 class TestExperiments:
     def test_registry_covers_every_table_and_figure(self):
         expected = {f"table{i}" for i in range(1, 9)} | {f"figure{i}" for i in range(1, 5)} | {"bugs", "ablations"}
-        assert expected == set(EXPERIMENTS)
+        assert expected == set(available_experiments())
 
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
@@ -169,9 +170,9 @@ class TestExperiments:
         assert "table4" in captured.out
 
     def test_storeless_ablations_write_nothing_to_the_default_store(self, tmp_path, monkeypatch):
-        """The float-tolerance cell runs with the context's store: under
-        ``use_store=False`` (the CLI's ``--no-store``) the process-default
-        store — ``REPRO_STORE_DIR`` — must stay untouched."""
+        """The float-tolerance cell runs in the pass with the context's store:
+        under ``use_store=False`` (the CLI's ``--no-store``) the
+        process-default store — ``REPRO_STORE_DIR`` — must stay untouched."""
         from repro.store import set_default_store
 
         default_root = tmp_path / "default-store"
@@ -184,3 +185,39 @@ class TestExperiments:
             set_default_store(previous)
         assert result.data["float_tolerance"]["tolerant_failed"] <= result.data["float_tolerance"]["exact_failed"]
         assert not default_root.exists() or not any(path.is_file() for path in default_root.rglob("*"))
+
+
+class TestBugsNote:
+    """The ``bugs`` note is computed from the paper's six fault signatures."""
+
+    def test_missing_crash_is_named(self):
+        from repro.adapters.faults import FaultReport
+        from repro.core.runner import SuiteResult
+        from repro.core.transplant import TransplantResult
+        from repro.dialects import ALL_DIALECTS
+        from repro.experiments.bugs import BugsExperiment
+
+        # fake cells that hit every signature but the UPDATE-after-COMMIT crash
+        missing = "UPDATE after COMMIT of a transaction that updated the same table"
+        reports = {"crash": [], "hang": []}
+        for dialect in ALL_DIALECTS.values():
+            for signature in dialect.fault_signatures:
+                if signature.description != missing:
+                    verb = "crashed" if signature.kind == "crash" else "hang"
+                    message = f"{dialect.display_name} {verb}: {signature.description} ({signature.reference})"
+                    reports[signature.kind].append(FaultReport(dbms=dialect.name, kind=signature.kind, statement="", message=message))
+        context = ExperimentContext(scale=0.05, seed=11, use_store=False)
+        for index, key in enumerate(BugsExperiment.needs.cells):
+            context.cells[key] = TransplantResult(
+                suite=key.suite,
+                host=key.host,
+                donor=key.host,
+                result=SuiteResult(key.suite, key.host),
+                crashes=reports["crash"] if index == 0 else [],
+                hangs=reports["hang"] if index == 0 else [],
+            )
+        result = BugsExperiment(context).finalize()
+        assert result.data["crash_count"] == 2
+        assert result.data["missing_signatures"] == [f"DuckDB crash: {missing} (Listing 13)"]
+        assert "all six signatures" not in result.text
+        assert result.text.endswith(f"5 of the six signatures are rediscovered here. Not found:\n  DuckDB crash: {missing} (Listing 13)")

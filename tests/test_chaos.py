@@ -192,6 +192,24 @@ class TestUnrecoverableFaults:
             }
         )
 
+    def test_every_cell_an_experiment_reads_reports_its_failures(self):
+        """The ablation's exact and 1%-tolerant DuckDB donor cells both run in
+        the streaming pass, so each degraded file of each reaches
+        ``infra_failures()`` (and the CLI's exit code 2)."""
+        from repro.experiments import ExperimentContext
+        from repro.experiments.stream import run_batch
+
+        schedule = FaultSchedule([FaultSpec(op="execute", at=1, every=True)], seed=CHAOS_SEED)
+        with ExperimentContext(scale=0.05, seed=11, use_store=False, resilience=FAST_POLICY) as context:
+            # donor recording executes on duckdb too: build the corpora first
+            files = len(context.suites["duckdb"].files)
+            with inject_adapter("duckdb", schedule):
+                run_batch(["ablations"], context)
+            donor_failures = [failure for failure in context.infra_failures() if (failure.suite, failure.host) == ("duckdb", "duckdb")]
+        assert files > 0
+        assert len(donor_failures) == 2 * files
+        assert len({failure.path for failure in donor_failures}) == files
+
     def test_quarantined_acquire_raises(self):
         breaker = adapter_breaker()
         key = pool_key("duckdb", {})

@@ -9,7 +9,7 @@ from repro.adapters.registry import create_adapter
 from repro.core.comparison import compare_query_result, normalize_value, result_hash
 from repro.core.records import QueryRecord, ResultFormat, SortMode
 from repro.core.runner import RecordOutcome, TestRunner
-from repro.core.suite import parse_test_text
+from repro.formats import parse_test_text
 
 
 def make_outcome(rows, columns=None):

@@ -363,9 +363,9 @@ class TestStreamingCampaignParity:
     """
 
     def _ordered(self, results):
-        from repro.experiments.registry import EXPERIMENTS
+        from repro.experiments.registry import available_experiments
 
-        order = {experiment_id: index for index, experiment_id in enumerate(EXPERIMENTS)}
+        order = {experiment_id: index for index, experiment_id in enumerate(available_experiments())}
         return sorted(results, key=lambda result: order[result.experiment_id])
 
     def test_stream_matches_batch_across_widths_workers_and_stores(self, tmp_path):

@@ -232,12 +232,16 @@ class TestParseEntryPoints:
         assert isinstance(record, QueryRecord)
         assert record.expected_rows == [["1"]]
 
-    def test_legacy_transcript_keywords_still_accepted(self):
-        # the seed spellings used by corpus serialization round-trips
-        pg = parse_test_text("SELECT 1;\n", "postgres", out_text=None)
+    def test_transcript_is_passed_as_companion(self):
+        # one spelling for every format's transcript; the per-format
+        # out_text/result_text keywords are gone
+        pg = parse_test_text("SELECT 1;\n", "postgres", companion="SELECT 1;\n ?column? \n----------\n 1\n(1 row)\n")
         assert pg.suite == "postgres"
-        my = parse_test_text("SELECT 1;\n", "mysql", result_text=None)
+        assert pg.records[0].expected_rows == [["1"]]
+        my = parse_test_text("SELECT 1;\n", "mysql", companion=None)
         assert my.suite == "mysql"
+        with pytest.raises(TypeError):
+            parse_test_text("SELECT 1;\n", "postgres", out_text=None)
 
     def test_load_suite_autodetects_mixed_directory(self, tmp_path):
         from repro.core.suite import load_suite

@@ -73,17 +73,6 @@ class TestArtifactStore:
         store.save("ns", {"a": 1, "b": 2}, "value")
         assert store.load("ns", {"b": 2, "a": 1}) == "value"
 
-    def test_memoize_produces_once(self, store):
-        calls = []
-
-        def producer():
-            calls.append(1)
-            return "expensive"
-
-        assert store.memoize("ns", "key", producer) == "expensive"
-        assert store.memoize("ns", "key", producer) == "expensive"
-        assert len(calls) == 1
-
     def test_truncated_artifact_is_a_miss(self, store):
         key = {"seed": 1}
         store.save("ns", key, list(range(1000)))
@@ -297,9 +286,9 @@ class TestCanonicalBytes:
         script = (
             "from repro.formats import parse_test_text\n"
             "from repro.store import content_hash\n"
-            f"print(content_hash(parse_test_text({_PG_TEXT!r}, 'postgres', path='a.sql', out_text={_PG_OUT!r})))\n"
+            f"print(content_hash(parse_test_text({_PG_TEXT!r}, 'postgres', path='a.sql', companion={_PG_OUT!r})))\n"
         )
-        expected = content_hash(parse_test_text(_PG_TEXT, "postgres", path="a.sql", out_text=_PG_OUT))
+        expected = content_hash(parse_test_text(_PG_TEXT, "postgres", path="a.sql", companion=_PG_OUT))
         for hash_seed in ("1", "2"):
             environment = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=_SRC)
             output = subprocess.run(

@@ -19,7 +19,7 @@ from repro.experiments import (
 )
 from repro.experiments import stream as stream_module
 from repro.experiments.base import get_experiment_entry, unregister_experiment
-from repro.experiments.registry import EXPERIMENTS, run_all, run_experiment
+from repro.experiments.registry import run_all, run_experiment
 
 CANONICAL_IDS = [
     "table1", "figure1", "table2", "figure2", "table3", "figure3", "table4",
@@ -61,12 +61,6 @@ class TestExperimentRegistry:
         assert by_id["table1"].needs.cells == ()
         assert "mysql" in by_id["table1"].needs.suites
 
-    def test_experiments_compat_mapping(self):
-        assert list(EXPERIMENTS)[: len(CANONICAL_IDS)] == CANONICAL_IDS
-        title, runner = EXPERIMENTS["figure3"]
-        assert "Figure 3" in title
-        assert callable(runner)
-
     def test_unknown_id_raises_with_suggestion(self):
         with pytest.raises(UnknownExperimentError, match="did you mean 'table4'"):
             get_experiment_entry("tabel4")
@@ -78,33 +72,32 @@ class TestExperimentRegistry:
 
     def test_duplicate_registration_rejected_unless_replaced(self):
         @register_experiment("tmp-dup", "tmp")
-        def _run(context):
-            return ExperimentResult(experiment_id="tmp-dup", title="tmp", text="a")
+        class _Dup(_PureExperiment):
+            pass
 
         try:
             with pytest.raises(ValueError, match="already registered"):
-                register_experiment("tmp-dup", "tmp")(_run)
-            register_experiment("tmp-dup", "tmp2", replace=True)(_run)
+                register_experiment("tmp-dup", "tmp")(_Dup)
+            register_experiment("tmp-dup", "tmp2", replace=True)(_Dup)
             assert get_experiment_entry("tmp-dup").title == "tmp2"
         finally:
             unregister_experiment("tmp-dup")
         with pytest.raises(UnknownExperimentError):
             get_experiment_entry("tmp-dup")
 
-    def test_function_registration_streams_like_a_class(self):
-        @register_experiment("tmp-fn", "function-based", description="compat wrapper")
-        def _run(context):
-            return ExperimentResult(experiment_id="tmp-fn", title="function-based", text="hello")
-
-        try:
-            results = list(stream_experiments(["tmp-fn"], _tiny_context()))
-            assert [result.text for result in results] == ["hello"]
-        finally:
-            unregister_experiment("tmp-fn")
-
     def test_non_callable_registration_rejected(self):
         with pytest.raises(TypeError, match="Experiment subclass"):
             register_experiment("tmp-bad", "bad")(object())
+        # a plain run(context) function is not an experiment either
+        with pytest.raises(TypeError, match="Experiment subclass"):
+            register_experiment("tmp-bad", "bad")(lambda context: None)
+
+
+class _PureExperiment(Experiment):
+    """Test double: a pure-analysis experiment (no cells)."""
+
+    def finalize(self) -> ExperimentResult:
+        return ExperimentResult(experiment_id=self.id, title=self.title, text="pure")
 
 
 class _FakeCellExperiment(Experiment):
@@ -169,10 +162,7 @@ class TestStreamEngine:
             unregister_experiment(ids[0])
 
     def test_serial_yield_order_analysis_first_then_completion(self, fake_executor):
-        @register_experiment("tmp-pure", "pure analysis")
-        def _pure(context):
-            return ExperimentResult(experiment_id="tmp-pure", title="pure", text="pure")
-
+        register_experiment("tmp-pure", "pure analysis")(type("_Pure", (_PureExperiment,), {}))
         ids = [
             _register_fake("tmp-late", (CellKey("s1", "h1"), CellKey("s1", "h2"))),
             _register_fake("tmp-early", (CellKey("s1", "h1"),)),
@@ -221,15 +211,16 @@ class TestRealCampaignDedup:
         real_run_transplant = transplant.run_transplant
 
         def spy(suite, host, **kwargs):
-            executed.append((suite.name, host, kwargs["translate_dialect"]))
+            executed.append((suite.name, host, kwargs["translate_dialect"], kwargs["float_tolerance"]))
             return real_run_transplant(suite, host, **kwargs)
 
         monkeypatch.setattr(transplant, "run_transplant", spy)
         run_all(_tiny_context())
         assert len(executed) == len(set(executed)), "a matrix cell executed twice in one pass"
-        # the union: 12 plain grid cells + 9 translated off-diagonal cells
-        # (translated donors alias to plain; table6/7 subsets overlap the grid)
-        assert len(executed) == 21
+        # the union: 12 plain grid cells + 9 translated off-diagonal cells +
+        # the ablation's 1%-tolerance DuckDB donor cell (translated donors
+        # alias to plain; table6/7 subsets overlap the grid)
+        assert len(executed) == 22
 
 
 class TestStreamCli:
