@@ -26,6 +26,16 @@ database.  Workers re-open the campaign's store from a picklable
 :class:`StoreSpec` and persist every file they execute, so the results they
 write are exactly what a later campaign loads.
 
+A persisted file leaves :func:`execute_files` as the codec frame it was
+stored as, not as its :class:`FileResult`: a worker ships those bytes home,
+and :func:`assemble_suite_result` decodes each frame's head against the
+suite's own :class:`TestFile`, so serial and sharded cells hold the same
+lazy, head-only results a warm replay loads, over the suite's own records.
+A file with no frame — a storeless run, a stand-in, a value the codec
+rejects, a save the store dropped — travels and rests as its
+:class:`FileResult`: encoding a file only to transport it costs more than
+pickling it.
+
 One determinism caveat: a MiniDB session's random() state persists across
 the files one adapter runs but is re-seeded in each worker's fresh adapter.
 The generated corpora never invoke nondeterministic SQL functions, so shard
@@ -67,9 +77,10 @@ from repro.store.keys import FILE_RESULTS_NAMESPACE, file_result_key
 
 logger = logging.getLogger(__name__)
 
-#: one file's outcome: its index in the suite, its result, and the
+#: one file's outcome: its index in the suite, its result — the codec frame
+#: it was stored as, or the FileResult itself when it has none — and the
 #: unrecovered fault that made the result a stand-in (None for real results)
-FileOutcome = tuple[int, FileResult, InfraFailure | None]
+FileOutcome = tuple[int, FileResult | bytes, InfraFailure | None]
 
 #: exception types that signal worker-pool *infrastructure* failure (rather
 #: than a genuine error inside a shard); the pool finishes such a batch in
@@ -282,6 +293,16 @@ def _execute_file(
         return file_result, True, None
 
 
+def _checked_frame(blob: bytes, test_file: TestFile) -> bytes:
+    """``blob`` itself, once its head decodes against ``test_file``.
+
+    The :func:`load_checked` reader of a store probe: a corrupt frame is a
+    miss where it is loaded, and an intact one travels as it was stored.
+    """
+    result_codec.decode_file_result(blob, test_file)
+    return blob
+
+
 def execute_files(
     spec: RunnerSpec,
     files: list[tuple[int, TestFile]],
@@ -310,7 +331,9 @@ def execute_files(
 
     Returns one ``(index, result, InfraFailure or None)`` per file, in the
     order given; the failure is the unrecovered fault that made the result a
-    stand-in.
+    stand-in.  A file the store holds — persisted here, or served by the
+    probe — comes back as its codec frame (bytes), every other one as its
+    :class:`FileResult`.
     """
     breaker_key = pool_key(spec.adapter_name, {})
     runner: TestRunner | None = None
@@ -340,16 +363,17 @@ def execute_files(
                 continue
             key = file_result_key(spec, test_file) if store is not None else None
             if key is not None and probe_store:
-                loaded = load_checked(store, FILE_RESULTS_NAMESPACE, key, result_codec.decode_file_result, test_file)
-                if loaded is not None:
-                    outcomes.append((index, loaded, None))
+                frame = load_checked(store, FILE_RESULTS_NAMESPACE, key, _checked_frame, test_file)
+                if frame is not None:
+                    outcomes.append((index, frame, None))
                     continue
             file_result, persistable, failure = _execute_file(
                 spec, test_file, policy, _ensure_runner, _drop_adapter, adapters.breaker, breaker_key
             )
+            frame = None
             if key is not None and persistable:
-                save_checked(store, FILE_RESULTS_NAMESPACE, key, result_codec.encode_file_result, file_result, test_file)
-            outcomes.append((index, file_result, failure))
+                frame = save_checked(store, FILE_RESULTS_NAMESPACE, key, result_codec.encode_file_result, file_result, test_file)
+            outcomes.append((index, file_result if frame is None else frame, failure))
             kill_point("file-finish")
     except BaseException:
         _drop_adapter()
@@ -392,7 +416,8 @@ def _run_shard(
     the worker; the store is re-opened from its :class:`StoreSpec`; the files
     execute on the worker's one adapter pool, so a persistent worker serves
     its next shard — or next suite — on the same live adapter, and the
-    worker ships its cache-counter delta home for the parent to absorb.  Run
+    worker ships the frames it stored (see :func:`execute_files`) and its
+    cache-counter delta home for the parent to absorb.  Run
     in the submitting process itself (a pool finishing in-process), the
     shard executes on an adapter pool of its own, closed before it returns
     so no live adapter outlives the call, and ships no delta: the counters
@@ -596,6 +621,11 @@ def assemble_suite_result(
     unrecovered fault degrades only the files it hit:
     ``SuiteResult.infra_failures`` holds one record per such file, in file
     order.
+
+    Every file that comes back as a frame is decoded here, head only,
+    against ``suite``'s own :class:`TestFile`.  That frame was stored a
+    moment ago, so one that does not decode is an encoder bug, not a stale
+    entry: its :class:`~repro.store.codec.CodecError` propagates.
     """
     outcomes: list[FileOutcome] = []
     missing: list[tuple[int, TestFile]] = []
@@ -619,6 +649,9 @@ def assemble_suite_result(
         outcomes.extend(execute_files(spec, missing, store, policy, adapters))
     outcomes.sort(key=lambda outcome: outcome[0])
     merged = SuiteResult(suite=suite.name, host=spec.host_name)
-    merged.files = [file_result for _, file_result, _ in outcomes]
+    merged.files = [
+        result_codec.decode_file_result(result, suite.files[index]) if type(result) is bytes else result
+        for index, result, _ in outcomes
+    ]
     merged.infra_failures = [failure for _, _, failure in outcomes if failure is not None]
     return merged

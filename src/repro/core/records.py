@@ -68,6 +68,17 @@ def canonical_dbms(name: str) -> str:
     return _DBMS_ALIASES.get(lowered, lowered)
 
 
+#: Which DBMS is the donor of each suite: the one it was written for.
+DONOR_OF_SUITE = {
+    "slt": "sqlite",
+    "sqlite": "sqlite",
+    "postgres": "postgres",
+    "postgresql": "postgres",
+    "duckdb": "duckdb",
+    "mysql": "mysql",
+}
+
+
 @dataclass
 class Record:
     """Base class for every unified-format record."""

@@ -19,6 +19,7 @@ from repro.core import shutdown
 from repro.core.commands import RunnerState, apply_control_record
 from repro.core.comparison import ComparisonResult, compare_query_result
 from repro.core.records import (
+    DONOR_OF_SUITE,
     ControlRecord,
     QueryRecord,
     Record,
@@ -285,6 +286,15 @@ class TestRunner:
         self.translate_dialect = translate_dialect
         self.donor_dialect = donor_dialect
         self.max_records_per_file = max_records_per_file
+        #: (source, target) dialect profiles every statement is translated
+        #: between, or None when statements run as written
+        self._translation = None
+        if translate_dialect and donor_dialect is not None:
+            donor = donor_dialect.lower()
+            source = ALL_DIALECTS.get(DONOR_OF_SUITE.get(donor, donor))
+            target = ALL_DIALECTS.get(canonical_dbms(self.host_name))
+            if source is not None and target is not None and source.name != target.name:
+                self._translation = (source, target)
 
     # -- public API -------------------------------------------------------------------
 
@@ -348,14 +358,9 @@ class TestRunner:
 
     def _prepare_sql(self, record: Record, state: RunnerState) -> str:
         sql = state.substitute(getattr(record, "sql", ""))
-        if not self.translate_dialect or self.donor_dialect is None:
+        if self._translation is None:
             return sql
-        donor = {"slt": "sqlite"}.get(self.donor_dialect.lower(), self.donor_dialect.lower())
-        source = ALL_DIALECTS.get(donor)
-        target = ALL_DIALECTS.get(canonical_dbms(self.host_name))
-        if source is None or target is None or source.name == target.name:
-            return sql
-        return translate(sql, source, target).sql
+        return translate(sql, *self._translation).sql
 
     def _run_sql_record(self, record: Record, state: RunnerState) -> RecordResult:
         sql = self._prepare_sql(record, state)

@@ -17,7 +17,7 @@ from repro.adapters.faults import FaultReport, FaultSummary
 from repro.adapters.pool import AdapterPool
 from repro.adapters.registry import create_adapter
 from repro.core.parallel import RunnerSpec, WorkerPool, assemble_suite_result, runner_spec_for
-from repro.core.records import TestSuite
+from repro.core.records import DONOR_OF_SUITE, TestSuite
 from repro.core.resilience import ResiliencePolicy, default_policy
 from repro.core.runner import SuiteResult, TestRunner
 from repro.killpoints import kill_point
@@ -27,16 +27,6 @@ from repro.store import codec as result_codec
 
 #: Host names used throughout the experiments, in the paper's column order.
 DEFAULT_HOSTS = ("sqlite", "postgres", "duckdb", "mysql")
-
-#: Which adapter acts as the donor for each suite.
-DONOR_OF_SUITE = {
-    "slt": "sqlite",
-    "sqlite": "sqlite",
-    "postgres": "postgres",
-    "postgresql": "postgres",
-    "duckdb": "duckdb",
-    "mysql": "mysql",
-}
 
 #: Extensions available on each donor when running its own suite (the DuckDB
 #: suite pre-filters on ``require``; the paper reports 26.2% pre-filtered).

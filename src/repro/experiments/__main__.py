@@ -16,6 +16,7 @@ re-executes only the files that never persisted.  Usage errors exit 1.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import shlex
 import sys
@@ -266,4 +267,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    # Everything imported so far, and everything main() leaves behind, lives
+    # until the process exits: freezing it keeps the collector from walking
+    # it in full collections during the campaign (forked workers inherit the
+    # frozen heap) and during interpreter shutdown.  Kept out of main() so
+    # in-process callers keep their collector.
+    gc.freeze()
+    code = main()
+    gc.freeze()
+    sys.exit(code)

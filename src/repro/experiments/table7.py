@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.core.classification import DifficultyCategory, classify_failures
+from repro.core.records import DONOR_OF_SUITE
 from repro.core.report import format_percentage, format_table
 from repro.corpus.profiles import TABLE7_DIFFICULTY
 from repro.experiments.base import Experiment, ExperimentNeeds, matrix_cells, register_experiment
@@ -37,9 +38,8 @@ def _build(experiment: Table7Experiment) -> ExperimentResult:
     shares: dict[str, dict[str, float]] = {}
     for suite_name, paper_key in _SUITES.items():
         counter: Counter = Counter()
-        donor = {"slt": "sqlite", "duckdb": "duckdb", "postgres": "postgres"}[suite_name]
         for host in _HOSTS:
-            if host == donor:
+            if host == DONOR_OF_SUITE[suite_name]:
                 continue
             failures = experiment.cell(suite_name, host).result.all_failures()
             for classified in classify_failures(failures, scheme="difficulty"):

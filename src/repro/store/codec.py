@@ -607,16 +607,18 @@ def load_checked(store: "ArtifactStore", namespace: str, key: dict, read: Callab
         return None
 
 
-def save_checked(store: "ArtifactStore", namespace: str, key: dict, write: Callable, *args) -> None:
-    """Save ``write(*args)`` under ``key``; a value the codec rejects is not stored.
+def save_checked(store: "ArtifactStore", namespace: str, key: dict, write: Callable, *args) -> bytes | None:
+    """Save ``write(*args)`` under ``key`` and return the frame stored, or None.
 
-    An unencodable value is no error: reuse simply does not extend to it.
+    A value the codec rejects is not stored, and neither is one the store
+    fails to write; both return None.  An unencodable value is no error:
+    reuse simply does not extend to it.
     """
     try:
         blob = write(*args)
     except CodecError:
-        return
-    store.save(namespace, key, blob)
+        return None
+    return blob if store.save(namespace, key, blob) else None
 
 
 def fault_reports_for(result: SuiteResult, host: str) -> tuple[list[FaultReport], list[FaultReport]]:

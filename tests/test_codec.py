@@ -14,6 +14,9 @@ Pinned invariants:
   workers serve per-file results without executing.
 * **Lazy loads** — a load parses only the frame head; a warm campaign
   answers every experiment from the heads and builds no record result.
+* **Stored files rest as frames** — a file a cold cell executes and stores,
+  serially or on a worker, is held as its decoded frame head over the
+  suite's own records; a stored frame that does not decode fails the cell.
 * **Compactness** — a cell's per-file codec frames undercut the PR 3
   whole-object pickle by the documented margin (>=5x) on a representative
   cell.
@@ -280,3 +283,56 @@ class TestWarmCellParity:
         ]
         assert context.cells and built == []
         assert canonical_bytes(warm) == canonical_bytes(reference)
+
+
+def assert_frames_over_suite(suite_result: SuiteResult, suite) -> None:
+    """Every file result stays unbuilt until ``.results`` is read, then holds
+    ``suite``'s own record objects."""
+    assert len(suite_result.files) == len(suite.files)
+    assert all("_frame" in vars(file_result) for file_result in suite_result.files)
+    for file_result, test_file in zip(suite_result.files, suite.files):
+        own = {id(record) for record in test_file.records}  # the file keeps each one alive
+        built = file_result.results
+        assert built and all(id(record_result.record) in own for record_result in built)
+        assert "_frame" not in vars(file_result)
+
+
+def _cell(suite, store, workers: int) -> TransplantResult:
+    """``suite`` on DuckDB, in this process or on a fresh ``WorkerPool(workers)``."""
+    if workers == 1:
+        return run_transplant(suite, "duckdb", store=store)
+    return on_pool(workers, run_transplant, suite, "duckdb", store=store)
+
+
+class TestStoredFilesRestAsFrames:
+    """A file a cell executed and stored is held as the frame it was stored
+    as — lazy, head only, over the suite's own records — whether it ran in
+    this process or on a worker."""
+
+    @pytest.fixture
+    def suite(self):
+        return build_suite("slt", file_count=4, records_per_file=20, seed=7, store=None)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cold_cell_holds_frames_over_the_suites_records(self, store, suite, workers):
+        reference = run_transplant(suite, "duckdb", store=None)
+        cold = _cell(suite, store, workers)
+        assert store.stats.by_namespace["file-results"] == {"hits": 0, "misses": len(suite.files)}
+        assert_frames_over_suite(cold.result, suite)
+        assert canonical_bytes(cold) == canonical_bytes(reference)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_stored_frame_that_does_not_decode_raises(self, store, suite, workers, monkeypatch):
+        """The frame a cell just stored is not a stale entry: one that does
+        not decode is an encoder bug, and the cell fails instead of serving
+        or re-executing it."""
+        encode = codec_module.encode_file_result
+
+        def garbled(file_result, test_file):
+            frame = bytearray(encode(file_result, test_file))
+            frame[-1] ^= 0xFF
+            return bytes(frame)
+
+        monkeypatch.setattr(codec_module, "encode_file_result", garbled)
+        with pytest.raises(CodecError):
+            _cell(suite, store, workers)

@@ -14,6 +14,8 @@ Three layers of proof that a campaign survives violent death:
 * **Worker-crash containment** — SIGKILL of a process-pool *worker* costs
   exactly the tasks that never returned: the pool rebuilds once and
   re-dispatches only those; a pool that breaks again finishes in-process.
+  A re-dispatched shard loads what its killed worker persisted and ships
+  it home as frames, like the files it executes.
 
 Every subprocess scenario shares one small campaign shape (suite/files/
 records/seed below) so a single clean reference digest anchors all the
@@ -27,7 +29,13 @@ import signal
 
 import pytest
 
+from test_codec import assert_frames_over_suite
+
+from repro.core import parallel
 from repro.core.parallel import WorkerPool
+from repro.core.transplant import run_transplant
+from repro.corpus import build_suite
+from repro.store import canonical_bytes
 from repro.store.artifacts import ArtifactStore
 from repro.testing import run_crash_campaign
 
@@ -189,3 +197,32 @@ class TestWorkerCrashContainment:
             assert pool.in_process
         finally:
             pool.shutdown()
+
+    def test_killed_shard_reloads_what_it_persisted_as_frames(self, tmp_path, monkeypatch):
+        """A shard re-run after its worker died loads the files the worker
+        persisted instead of executing them again, and those files come home
+        as frames too: held lazily, over the suite's own records."""
+        suite = build_suite("slt", file_count=4, records_per_file=20, seed=7, store=None)
+        reference = run_transplant(suite, "duckdb", store=None)
+        marker = str(tmp_path / "kill-once")
+        finished = tmp_path / "finished-files"
+        parent = os.getpid()
+
+        def kill_after_first_persisted_file(op: str) -> None:
+            # runs in the workers (forked after the patch): one line per
+            # executed and persisted file, and one worker dies after its first
+            with open(finished, "a") as log:
+                log.write(op + "\n")
+            if os.getpid() != parent and _claim_marker(marker):
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(parallel, "kill_point", kill_after_first_persisted_file)
+        store = ArtifactStore(root=tmp_path / "store", fingerprint="crash-fp")
+        with WorkerPool(2) as pool:
+            result = run_transplant(suite, "duckdb", store=store, worker_pool=pool)
+            assert not pool.in_process
+        assert os.path.exists(marker)
+        # a file loaded on the re-run logs nothing: each file executed at most once
+        assert 1 <= len(finished.read_text().splitlines()) <= len(suite.files)
+        assert_frames_over_suite(result.result, suite)
+        assert canonical_bytes(result) == canonical_bytes(reference)
