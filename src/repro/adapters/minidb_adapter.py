@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.adapters.base import DBMSAdapter, ExecutionOutcome, ExecutionStatus
 from repro.dialects.base import DialectProfile, get_dialect
-from repro.engine.session import Session
 from repro.errors import (
     DatabaseError,
     EngineCrash,
@@ -12,6 +13,9 @@ from repro.errors import (
     ReproError,
     SQLSyntaxError,
 )
+
+if TYPE_CHECKING:
+    from repro.engine.session import Session
 
 
 class MiniDBAdapter(DBMSAdapter):
@@ -32,6 +36,10 @@ class MiniDBAdapter(DBMSAdapter):
         return (registry_name, {"enable_faults": self.enable_faults, "seed": self.seed, "render_style": self.render_style})
 
     def connect(self) -> None:
+        # the engine is imported by the first session, so a run that executes
+        # nothing on MiniDB (a warm replay) never loads it
+        from repro.engine.session import Session
+
         self.session = Session(dialect=self.dialect, enable_faults=self.enable_faults, seed=self.seed)
 
     def reset(self) -> None:

@@ -140,7 +140,14 @@ def _looks_numeric_mismatch(reason: str) -> bool:
 
 
 def classify_incompatibility(result: RecordResult) -> IncompatibilityCategory:
-    """Classify a cross-DBMS failure into the RQ4 categories of Table 6."""
+    """Classify a cross-DBMS failure into the RQ4 categories of Table 6.
+
+    A FAIL record built from a store frame answers with its stored category
+    (see :func:`failure_categories`).
+    """
+    stored = result.__dict__.get("_categories")
+    if stored is not None:
+        return stored[0]
     error = result.error or ""
     error_type = result.error_type or ""
     sql = result.sql or ""
@@ -177,17 +184,31 @@ def classify_incompatibility(result: RecordResult) -> IncompatibilityCategory:
 
 def classify_difficulty(result: RecordResult) -> DifficultyCategory:
     """Roll a failure up into the Table 7 difficulty classes."""
+    return failure_categories(result)[1]
+
+
+def failure_categories(result: RecordResult) -> tuple[IncompatibilityCategory, DifficultyCategory]:
+    """Both RQ4 categories of a failure: its Table 6 reason and Table 7 difficulty.
+
+    The result codec writes this pair into the frame head for every FAIL
+    record it encodes, and attaches it as ``_categories`` to each FAIL record
+    it builds from a frame: such a record answers here, and in
+    :func:`classify_incompatibility`, without being tokenized again.
+    """
+    stored = result.__dict__.get("_categories")
+    if stored is not None:
+        return stored
     category = classify_incompatibility(result)
     if category is IncompatibilityCategory.SEMANTIC:
-        return DifficultyCategory.SEMANTIC
+        return category, DifficultyCategory.SEMANTIC
     if category in (IncompatibilityCategory.STATEMENTS, IncompatibilityCategory.FUNCTIONS, IncompatibilityCategory.TYPES, IncompatibilityCategory.CONFIGURATIONS):
         # dialect-specific feature (the host simply lacks it)
         sql = result.sql or ""
         stype = statement_type(sql)
         if is_standard_statement(stype) and category is IncompatibilityCategory.STATEMENTS:
-            return DifficultyCategory.SYNTAX
-        return DifficultyCategory.DIALECT_FEATURE
-    return DifficultyCategory.SYNTAX
+            return category, DifficultyCategory.SYNTAX
+        return category, DifficultyCategory.DIALECT_FEATURE
+    return category, DifficultyCategory.SYNTAX
 
 
 def classify_failures(

@@ -49,8 +49,7 @@ import errno
 import logging
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 
 from repro.adapters.base import DBMSAdapter
@@ -84,7 +83,9 @@ FileOutcome = tuple[int, FileResult | bytes, InfraFailure | None]
 
 #: exception types that signal worker-pool *infrastructure* failure (rather
 #: than a genuine error inside a shard); the pool finishes such a batch in
-#: this process.  ``AdapterNotFoundError`` is re-raised unwrapped by the
+#: this process.  ``BrokenExecutor`` is the base of the process pool's
+#: ``BrokenProcessPool``, importable without the pool itself.
+#: ``AdapterNotFoundError`` is re-raised unwrapped by the
 #: shard on purpose — a worker process that cannot rebuild an adapter
 #: registered after it forked is an infrastructure gap this process (whose
 #: registry has it) recovers from.  Bare ``OSError`` is deliberately *not* in
@@ -93,7 +94,7 @@ FileOutcome = tuple[int, FileResult | bytes, InfraFailure | None]
 #: arbitrary callables, not just :func:`_run_shard`'s wrapped work) — only the
 #: errnos pool bootstrap actually produces count (see
 #: :func:`_is_pool_infra_error`).
-_POOL_INFRA_ERRORS = (BrokenProcessPool, pickle.PicklingError, NotImplementedError, ImportError, AdapterNotFoundError)
+_POOL_INFRA_ERRORS = (BrokenExecutor, pickle.PicklingError, NotImplementedError, ImportError, AdapterNotFoundError)
 
 #: ``OSError`` errnos that pool *bootstrap* produces: missing/forbidden
 #: semaphores in sandboxes (ENOSYS, EPERM, EACCES) and fork exhaustion
@@ -101,6 +102,18 @@ _POOL_INFRA_ERRORS = (BrokenProcessPool, pickle.PicklingError, NotImplementedErr
 #: disk, ENOSPC from a full one — is a genuine error to report, not pool
 #: infrastructure to silently retry in this process.
 _POOL_INFRA_OS_ERRNOS = frozenset({errno.ENOSYS, errno.EPERM, errno.EACCES, errno.EAGAIN, errno.ENOMEM})
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """A new ``concurrent.futures.ProcessPoolExecutor``, imported on first use.
+
+    A campaign that never fans out — every warm replay — thus never imports
+    ``concurrent.futures.process`` or ``multiprocessing``.  :class:`WorkerPool`
+    builds its executor through this module attribute, which tests replace.
+    """
+    from concurrent.futures.process import ProcessPoolExecutor as executor_class
+
+    return executor_class(*args, **kwargs)
 
 
 def _is_pool_infra_error(error: BaseException) -> bool:
@@ -468,7 +481,7 @@ class WorkerPool:
         #: sticky: True once the process pool failed for good, after which
         #: every task runs in this process
         self.in_process = False
-        self._pool: ProcessPoolExecutor | None = None
+        self._pool = None  # the executor, built at the first batch
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -484,7 +497,7 @@ class WorkerPool:
         **Worker-crash containment**: a task whose future dies of pool
         infrastructure breakage (a ``kill -9``'d worker breaks the whole
         ``ProcessPoolExecutor`` — every pending future raises
-        :class:`BrokenProcessPool`) does not fail the batch.  Results that
+        ``BrokenProcessPool``) does not fail the batch.  Results that
         already arrived are kept; the pool is rebuilt once and only the
         unfinished tasks are re-dispatched.  If the rebuilt pool breaks too —
         or the breakage cannot be rebuilt away (no fork support, sandboxed
@@ -526,7 +539,7 @@ class WorkerPool:
                 break
             if retry_tasks is not None:
                 dispatch = list(retry_tasks)
-            if isinstance(last_infra, BrokenProcessPool) and not rebuilt:
+            if isinstance(last_infra, BrokenExecutor) and not rebuilt:
                 # a killed worker broke the pool; the completed futures kept
                 # their results — rebuild once and re-dispatch only the rest
                 rebuilt = True

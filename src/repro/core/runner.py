@@ -44,7 +44,13 @@ class RecordOutcome(enum.Enum):
 
 @dataclass
 class RecordResult:
-    """Result of running one record."""
+    """Result of running one record.
+
+    A FAIL record built from a store frame also holds ``_categories``, its
+    (Table 6, Table 7) categories as the encoder classified them (see
+    :func:`repro.core.classification.failure_categories`); it is not a field,
+    so equality and the canonical bytes do not see it.
+    """
 
     record: Record
     outcome: RecordOutcome

@@ -7,6 +7,12 @@ Listing 16), which the paper found by using the suites as fuzzing seeds.  The
 stdlib ``sqlite3`` build lacks the series extension, so that last hang is
 exercised on the MiniDB SQLite profile, which emulates the extension and its
 documented bug (see DESIGN.md, substitutions).
+
+Those two engine probes — the Listing 16 hang and the ddmin reduction of a
+crash reproducer — are the only statements this experiment executes itself.
+With a store they persist as one codec-framed document in the ``bug-probes``
+namespace, keyed by the probes' input statements and dialects, so a warm
+campaign executes none of them; a storeless run computes them every time.
 """
 
 from __future__ import annotations
@@ -19,12 +25,32 @@ from repro.core.reducer import make_crash_predicate, reduce_statements
 from repro.dialects import ALL_DIALECTS
 from repro.experiments.base import Experiment, ExperimentNeeds, matrix_cells, register_experiment
 from repro.experiments.context import ExperimentResult
+from repro.store import codec as result_codec
+from repro.store.artifacts import ArtifactStore, active_store
+from repro.store.codec import CodecError, load_checked, save_checked
 
 EXPERIMENT_ID = "bugs"
 TITLE = "RQ4 findings: crashes and hangs discovered by reusing test suites"
 
 #: The Listing 16 statement (ad-hoc fuzzing seeded with the suites).
 _SERIES_OVERFLOW = "SELECT count(*) FROM generate_series(9223372036854775807, 9223372036854775807)"
+
+#: the representative crash the reducer shrinks, and the statements it starts from
+_REDUCED_CRASH = "UPDATE after COMMIT"
+_REDUCTION_INPUT = [
+    "CREATE TABLE a (b INTEGER)",
+    "INSERT INTO a VALUES (0)",
+    "SELECT * FROM a",
+    "BEGIN",
+    "INSERT INTO a VALUES (1)",
+    "UPDATE a SET b = b + 10",
+    "COMMIT",
+    "SELECT count(*) FROM a",
+    "UPDATE a SET b = b + 10",
+]
+
+#: store namespace (and frame kind) of the persisted engine probes
+PROBES_NAMESPACE = "bug-probes"
 
 #: the paper's six crash/hang signatures, as the dialect profiles emulate them
 _SIGNATURES = [
@@ -71,33 +97,13 @@ def _build(experiment: BugsExperiment) -> ExperimentResult:
     crash_messages = sorted({report.message for report in summary.crashes})
     hang_messages = sorted({report.message for report in summary.hangs})
 
-    # Listing 16: the series-extension overflow hang on SQLite.
-    adapter = MiniDBAdapter("sqlite")
-    adapter.connect()
-    outcome = adapter.execute(_SERIES_OVERFLOW)
-    adapter.close()
-    if outcome.status is ExecutionStatus.HANG and outcome.error not in hang_messages:
-        hang_messages.append(outcome.error)
-
-    # Reduce one representative crash with the delta-debugging reducer, as the
-    # paper reduces every reported test case.
-    reduction_example: list[str] = []
-    for report in summary.crashes:
-        if "UPDATE after COMMIT" in report.message:
-            statements = [
-                "CREATE TABLE a (b INTEGER)",
-                "INSERT INTO a VALUES (0)",
-                "SELECT * FROM a",
-                "BEGIN",
-                "INSERT INTO a VALUES (1)",
-                "UPDATE a SET b = b + 10",
-                "COMMIT",
-                "SELECT count(*) FROM a",
-                "UPDATE a SET b = b + 10",
-            ]
-            predicate = make_crash_predicate(lambda: MiniDBAdapter("duckdb"))
-            reduction_example = reduce_statements(statements, predicate)
-            break
+    # Listing 16's hang on SQLite and, when the campaign hit the crash, its
+    # delta-debugged reproducer (the paper reduces every reported test case)
+    crashed = any(_REDUCED_CRASH in report.message for report in summary.crashes)
+    probes = _engine_probes(experiment.context.store, _REDUCTION_INPUT if crashed else None)
+    if probes["hang"] is not None and probes["hang"] not in hang_messages:
+        hang_messages.append(probes["hang"])
+    reduction_example = probes["reduction"]
 
     rows = [["Crashes found", len(crash_messages)], ["Hangs found", len(hang_messages)]]
     for message in crash_messages:
@@ -127,3 +133,42 @@ def _build(experiment: BugsExperiment) -> ExperimentResult:
             "missing_signatures": missing,
         },
     )
+
+
+def _engine_probes(store: "ArtifactStore | str | None", reduction_input: list[str] | None) -> dict:
+    """``{"hang": Listing 16's hang message or None, "reduction": statements}``.
+
+    Served from the ``bug-probes`` namespace when the store holds them, run
+    on MiniDB and persisted otherwise.  ``reduction_input`` None means the
+    campaign found no crash to reduce: the reduction is then empty.
+    """
+    store = active_store(store)
+    key = {
+        "hang": {"dialect": "sqlite", "statements": [_SERIES_OVERFLOW]},
+        "reduction": None if reduction_input is None else {"dialect": "duckdb", "statements": reduction_input},
+    }
+    if store is not None:
+        probes = load_checked(store, PROBES_NAMESPACE, key, _read_probes)
+        if probes is not None:
+            return probes
+    adapter = MiniDBAdapter("sqlite")
+    adapter.connect()
+    outcome = adapter.execute(_SERIES_OVERFLOW)
+    adapter.close()
+    reduction: list[str] = []
+    if reduction_input is not None:
+        predicate = make_crash_predicate(lambda: MiniDBAdapter("duckdb"))
+        reduction = reduce_statements(reduction_input, predicate)
+    probes = {"hang": outcome.error if outcome.status is ExecutionStatus.HANG else None, "reduction": reduction}
+    if store is not None:
+        save_checked(store, PROBES_NAMESPACE, key, result_codec._encode_document, PROBES_NAMESPACE, probes)
+    return probes
+
+
+def _read_probes(blob: bytes) -> dict:
+    """The probe document of a stored frame; a document of another shape is a :class:`CodecError`."""
+    probes = result_codec._decode_document(blob, PROBES_NAMESPACE)
+    hang, reduction = probes.get("hang"), probes.get("reduction")
+    if not (hang is None or type(hang) is str) or type(reduction) is not list or not all(type(line) is str for line in reduction):
+        raise CodecError("bug-probe document has the wrong shape")
+    return probes

@@ -22,9 +22,15 @@ format instead:
   when ``FileResult.results`` is first read,
 * the documents are zlib-compressed inside a small framed envelope — magic,
   codec version, and a digest over both documents that is verified on every
-  load (a flipped bit anywhere reads as a miss), and
-* the head also carries a digest over the head and body columns, re-checked
-  only with ``verify=True`` (the roundtrip tests' and debuggers' tool).
+  load (a flipped bit anywhere reads as a miss),
+* the head also records each FAIL record's Table 6 incompatibility and
+  Table 7 difficulty category, computed at encode time by
+  :func:`~repro.core.classification.failure_categories`; a FAIL record built
+  from the frame carries them, so the RQ4 tables classify stored failures
+  without tokenizing them again, and
+* the head also carries a digest over the head columns and the body
+  document, re-checked only with ``verify=True`` (the roundtrip tests' and
+  debuggers' tool).
   Decode fidelity itself (decoded == encoded, canonical byte for byte, built
   lazily or not) is pinned by the roundtrip property tests.
 
@@ -43,6 +49,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.adapters.base import ExecutionOutcome, ExecutionStatus
 from repro.adapters.faults import FaultReport
+from repro.core.classification import DifficultyCategory, IncompatibilityCategory, failure_categories
 from repro.core.comparison import ComparisonResult
 from repro.core.records import TestFile
 from repro.core.runner import FileResult, RecordOutcome, RecordResult, SuiteResult
@@ -68,7 +75,7 @@ MAGIC = b"RRC"
 
 #: Wire-format version; bump on any incompatible layout change.  Old blobs
 #: then decode as :class:`CodecError` (a miss), never as garbage.
-CODEC_VERSION = 3
+CODEC_VERSION = 4
 
 #: zlib level 6 is the sweet spot for these payloads (mostly repeated SQL
 #: text and small integer arrays); 9 buys <2% for ~2x the CPU.
@@ -91,6 +98,12 @@ _STATUS_TO_CHAR = {
     ExecutionStatus.HANG: "h",
 }
 _CHAR_TO_STATUS = {char: status for status, char in _STATUS_TO_CHAR.items()}
+
+#: a FAIL record's categories travel as indexes into these enums' orders
+_INCOMPATIBILITY_TO_INDEX = {category: index for index, category in enumerate(IncompatibilityCategory)}
+_INDEX_TO_INCOMPATIBILITY = dict(enumerate(IncompatibilityCategory))
+_DIFFICULTY_TO_INDEX = {category: index for index, category in enumerate(DifficultyCategory)}
+_INDEX_TO_DIFFICULTY = dict(enumerate(DifficultyCategory))
 
 
 class CodecError(Exception):
@@ -203,19 +216,19 @@ def _decode_value(payload: Any, strings: list[str]) -> Any:
 # -- file frames ------------------------------------------------------------------
 
 #: the head columns the section digest covers, in digest order
-_HEAD_COLUMNS = ("path", "suite", "host", "ri", "oc", "rs", "er", "et", "cmp", "exe")
+_HEAD_COLUMNS = ("path", "suite", "host", "ri", "oc", "rs", "er", "et", "cmp", "exe", "fc")
 
 
-def _section_digest(head: dict, body: dict) -> str:
-    """Digest of one file's head and body columns, over their compact rendering.
+def _section_digest(head: dict, body: bytes) -> str:
+    """Digest of one file's head columns and its serialized body document.
 
-    Only ``verify=True`` re-checks it: routine loads rely on the frame digest
-    (:func:`_payload`), which covers every byte of both documents.
+    The body's bytes are hashed as written, so encoding serializes the body
+    once.  Only ``verify=True`` re-checks the digest: routine loads rely on
+    the frame digest (:func:`_payload`), which covers every byte of both
+    documents.
     """
-    payload = json.dumps(
-        [[head.get(name) for name in _HEAD_COLUMNS], body["exe"]], ensure_ascii=False, separators=(",", ":")
-    ).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()[:16]
+    columns = json.dumps([head.get(name) for name in _HEAD_COLUMNS], ensure_ascii=False, separators=(",", ":"))
+    return hashlib.sha256(columns.encode("utf-8") + b"\n" + body).hexdigest()[:16]
 
 
 def _encode_execution(position: int, execution: ExecutionOutcome, intern: _Interner) -> list:
@@ -266,8 +279,14 @@ def encode_file_result(file_result: FileResult, test_file: TestFile) -> bytes:
     comparisons: list[list] = []
     executions: list[list] = []
     body_executions: list[list] = []
+    categories: list[list] = []
     for position, record_result in enumerate(results):
         outcomes.append(_OUTCOME_TO_CHAR[record_result.outcome])
+        if record_result.outcome is RecordOutcome.FAIL:
+            incompatibility, difficulty = failure_categories(record_result)
+            categories.append(
+                [position, _INCOMPATIBILITY_TO_INDEX[incompatibility], _DIFFICULTY_TO_INDEX[difficulty]]
+            )
         reasons.append(intern(record_result.reason))
         errors.append(intern(record_result.error))
         error_types.append(intern(record_result.error_type))
@@ -302,10 +321,11 @@ def encode_file_result(file_result: FileResult, test_file: TestFile) -> bytes:
         "et": error_types,
         "cmp": comparisons,
         "exe": executions,
+        "fc": categories,
     }
-    body = {"exe": body_executions}
+    body = _document({"exe": body_executions}, body_intern)
     head["digest"] = _section_digest(head, body)
-    return _frame(_document(head, intern), _document(body, body_intern))
+    return _frame(_document(head, intern), body)
 
 
 def _check_positions(entries: list, size: int, what: str) -> None:
@@ -335,12 +355,13 @@ class _FileFrame:
     miss at load, and decodes the head's executions: as parsed JSON, a row
     value costs far more memory than decoded, so the frame keeps no parsed
     JSON document.  Records are built on demand — non-PASS ones from the
-    head alone — and kept, so materialising ``results`` reuses them.  The
-    frame digest covers the body, so a body that fails to build can only
-    come from an encoder bug; it raises :class:`CodecError` when it is built.
+    head alone, FAIL ones with their stored categories — and kept, so
+    materialising ``results`` reuses them.  The frame digest covers the
+    body, so a body that fails to build can only come from an encoder bug;
+    it raises :class:`CodecError` when it is built.
     """
 
-    def __init__(self, head: dict, strings: list[str], body: bytes | dict, records: list) -> None:
+    def __init__(self, head: dict, strings: list[str], body: bytes, records: list) -> None:
         try:
             outcomes = head["oc"]
             indexes = head["ri"]
@@ -355,17 +376,22 @@ class _FileFrame:
                 raise CodecError("file head has unknown outcome characters")
             _check_positions(head["cmp"], size, "comparison")
             _check_positions(head["exe"], size, "execution")
+            _check_positions(head["fc"], size, "category")
             if any(outcomes[entry[0]] == "P" for entry in head["exe"]):
                 raise CodecError("file head holds the execution of a PASS record")
             self.identity = {name: strings[head[name]] for name in ("path", "suite", "host")}
             #: position -> ExecutionOutcome; PASS records' join with the body
             self.executions = {entry[0]: _decode_execution(entry, strings) for entry in head["exe"]}
+            #: position -> (Table 6, Table 7) category of a FAIL record
+            self.categories = {
+                entry[0]: (_INDEX_TO_INCOMPATIBILITY[entry[1]], _INDEX_TO_DIFFICULTY[entry[2]]) for entry in head["fc"]
+            }
         except (IndexError, KeyError, TypeError, ValueError) as error:
             raise CodecError(f"malformed file head: {type(error).__name__}: {error}") from error
         self.columns = (indexes, outcomes, head["rs"], head["er"], head["et"])
         self.comparisons = {entry[0]: entry for entry in head["cmp"]}
         self.strings = strings
-        self.body: bytes | dict | None = body  # None once joined
+        self.body: bytes | None = body  # None once joined
         self.records = records
         self.total = size
         self.counts = {outcome: outcomes.count(char) for outcome, char in _OUTCOME_TO_CHAR.items()}
@@ -374,7 +400,7 @@ class _FileFrame:
     def _join_body(self) -> None:
         if self.body is None:
             return
-        body = self.body if type(self.body) is dict else _parse_body(self.body)
+        body = _parse_body(self.body)
         try:
             _check_positions(body["exe"], self.total, "body execution")
             if any(self.columns[1][entry[0]] != "P" for entry in body["exe"]):
@@ -429,6 +455,9 @@ class _FileFrame:
                 "comparison": comparison,
                 "execution": self.executions.get(position),
             }
+            categories = self.categories.get(position)
+            if categories is not None:
+                record_result.__dict__["_categories"] = categories
         except (IndexError, KeyError, TypeError) as error:
             raise CodecError(f"malformed file frame: {type(error).__name__}: {error}") from error
         self.built[position] = record_result
@@ -539,17 +568,15 @@ def decode_file_result(blob: bytes, test_file: TestFile, verify: bool = False) -
     Only the frame head is parsed: the result answers its counters,
     ``total``, ``failures()`` and ``select()`` from the head, and builds
     ``results`` from the body on first access.  ``verify=True`` builds
-    ``results`` at once and re-checks the section digest over the head and
-    body columns (debugging / test aid; the frame digest already covers the
-    same bytes).
+    ``results`` at once and re-checks the section digest over the head
+    columns and the body document (debugging / test aid; the frame digest
+    already covers the same bytes).
     """
     head, strings, body = _unframe(blob, "file")
     if body is None:
         raise CodecError("file frame has no body document")
-    if verify:
-        body = _parse_body(body)
-        if _section_digest(head, body) != head.get("digest"):
-            raise CodecError("file section does not match its stored digest")
+    if verify and _section_digest(head, body) != head.get("digest"):
+        raise CodecError("file section does not match its stored digest")
     frame = _FileFrame(head, strings, body, test_file.records)
     file_result = FileResult.__new__(FileResult)
     file_result.__dict__ = {**frame.identity, "_outcome_counts": {}, "_counted": 0, "_counted_list": None, "_frame": frame}
@@ -586,6 +613,26 @@ def decode_analysis_partial(blob: bytes, pass_id: str) -> dict:
     if not isinstance(partial, dict):
         raise CodecError("analysis frame has no partial document")
     return partial
+
+
+def _encode_document(kind: str, document: dict) -> bytes:
+    """Frame one small JSON ``document`` as a ``kind`` payload: a derived artifact.
+
+    It gets the guarantees of every frame (version byte, payload digest,
+    :func:`frame_intact` coverage).  This pair is underscored so that the
+    public ``encode*`` / ``decode*`` names stay the result and analysis
+    frames alone.
+    """
+    return _frame(_document({"k": kind, "d": document}, _Interner()))
+
+
+def _decode_document(blob: bytes, kind: str) -> dict:
+    """The document :func:`_encode_document` framed as ``kind``; any other frame is a :class:`CodecError`."""
+    document, _strings, _body = _unframe(blob, kind)
+    value = document.get("d")
+    if not isinstance(value, dict):
+        raise CodecError(f"{kind!r} frame has no document")
+    return value
 
 
 def load_checked(store: "ArtifactStore", namespace: str, key: dict, read: Callable, *args) -> Any:

@@ -94,6 +94,24 @@ FILE_DONOR_NAMESPACE = "file-donor"
 FILE_ANALYSIS_NAMESPACE = "file-analysis"
 
 
+def _spec_digest(spec: Any) -> str:
+    """Digest of a runner spec's fields; a mapping digests like the dataclass it spells.
+
+    A frozen dataclass spec never changes, so its digest is computed once and
+    kept in the instance ``__dict__``, where neither its fields, its equality
+    nor :func:`canonical_bytes` see it: a cell digests its spec once, not once
+    per file.
+    """
+    if not dataclasses.is_dataclass(spec) or isinstance(spec, type):
+        return hashlib.sha256(canonical_bytes(dict(spec))).hexdigest()
+    digest = spec.__dict__.get("_spec_digest")
+    if digest is None:
+        digest = hashlib.sha256(canonical_bytes(dataclasses.asdict(spec))).hexdigest()
+        if type(spec).__dataclass_params__.frozen:
+            spec.__dict__["_spec_digest"] = digest
+    return digest
+
+
 def file_result_key(spec: Any, test_file: Any) -> dict:
     """Store key of one file's results under one runner configuration.
 
@@ -101,14 +119,11 @@ def file_result_key(spec: Any, test_file: Any) -> dict:
     whose suite gained, lost, or edited files still reuses every unchanged
     file — the unit of incremental assembly.  ``spec`` is a
     :class:`~repro.core.parallel.RunnerSpec` (or an equivalent mapping); it
-    joins the key because the same file produces different results under a
-    different host, tolerance, or translation setting.
+    joins the key, as the digest of its fields, because the same file
+    produces different results under a different host, tolerance, or
+    translation setting.
     """
-    if dataclasses.is_dataclass(spec) and not isinstance(spec, type):
-        spec_payload: Any = dataclasses.asdict(spec)
-    else:
-        spec_payload = dict(spec)
-    return {"file_hash": content_hash(test_file), "spec": spec_payload}
+    return {"file_hash": content_hash(test_file), "spec": _spec_digest(spec)}
 
 
 def analysis_file_key(pass_id: str, test_file: Any) -> dict:

@@ -20,16 +20,25 @@ Pinned invariants:
 * **Compactness** — a cell's per-file codec frames undercut the PR 3
   whole-object pickle by the documented margin (>=5x) on a representative
   cell.
+* **Stored categories** — every FAIL record built from a frame carries the
+  Table 6 / Table 7 categories the classifiers compute for the record it was
+  encoded from, answers with them without tokenizing, and a head whose
+  category column does not decode is a miss.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import pickle
+import zlib
 
 import pytest
 
 from test_differential import assert_equivalent, on_pool
 
+from repro.core import classification
+from repro.core.classification import classify_difficulty, classify_incompatibility, failure_categories
 from repro.core.runner import SuiteResult
 from repro.core.transplant import DONOR_OF_SUITE, TransplantResult, run_matrix, run_transplant
 from repro.corpus import build_suite
@@ -41,6 +50,7 @@ from repro.store import (
     encode_file_result,
 )
 from repro.store import codec as codec_module
+from repro.store.codec import load_checked
 
 
 @pytest.fixture
@@ -336,3 +346,66 @@ class TestStoredFilesRestAsFrames:
         monkeypatch.setattr(codec_module, "encode_file_result", garbled)
         with pytest.raises(CodecError):
             _cell(suite, store, workers)
+
+
+def _reframed(blob: bytes, edit) -> bytes:
+    """``blob`` with ``edit(head)`` applied to its head and a recomputed frame digest."""
+    header_len = len(codec_module.MAGIC) + 1 + 8
+    head_bytes, body_bytes = zlib.decompress(blob[header_len:]).split(b"\n")
+    head = json.loads(head_bytes)
+    edit(head)
+    payload = json.dumps(head, ensure_ascii=False, separators=(",", ":")).encode("utf-8") + b"\n" + body_bytes
+    return blob[: len(codec_module.MAGIC) + 1] + hashlib.sha256(payload).digest()[:8] + zlib.compress(payload)
+
+
+class TestStoredCategories:
+    """Each FAIL record's Table 6 and Table 7 categories travel in the frame head."""
+
+    @pytest.fixture(scope="class")
+    def encoded(self):
+        suite = _suite_for("postgres")
+        result = run_transplant(suite, "mysql", store=None)
+        files = list(zip(result.result.files, suite.files))
+        return [(file_result, test_file, encode_file_result(file_result, test_file)) for file_result, test_file in files]
+
+    @pytest.mark.parametrize("suite_name,host", [("postgres", "mysql"), ("slt", "duckdb"), ("duckdb", "sqlite")])
+    def test_stored_categories_equal_the_recomputed_ones(self, suite_name, host, monkeypatch):
+        suite = _suite_for(suite_name)
+        result = run_transplant(suite, host, store=None)
+        pairs = []
+        for file_result, test_file in zip(result.result.files, suite.files):
+            decoded = decode_file_result(encode_file_result(file_result, test_file), test_file)
+            assert len(decoded.failures()) == len(file_result.failures())
+            pairs.extend(zip(decoded.failures(), file_result.failures()))
+        assert pairs, f"{suite_name}->{host} has no FAIL record to check"
+        expected = [failure_categories(fresh) for _stored, fresh in pairs]
+        # a stored record answers from its head: tokenizing it would raise
+        for name in ("statement_type", "uses_cast_operator", "extract_function_names", "referenced_settings"):
+            monkeypatch.setattr(classification, name, lambda *args: pytest.fail("a stored failure was re-tokenized"))
+        for (stored, _fresh), (incompatibility, difficulty) in zip(pairs, expected):
+            assert vars(stored)["_categories"] == (incompatibility, difficulty)
+            assert classify_incompatibility(stored) is incompatibility
+            assert classify_difficulty(stored) is difficulty
+
+    @pytest.mark.parametrize(
+        "codes",
+        [(7, 0), (0, 3), (-1, 0), ("x", 0), (0, None), (0,)],
+        ids=["incompatibility-out-of-range", "difficulty-out-of-range", "negative", "unknown", "missing", "short"],
+    )
+    def test_a_category_column_that_does_not_decode_is_a_miss(self, encoded, codes, store):
+        _file_result, test_file, blob = next(item for item in encoded if item[0].failures())
+
+        def edit(head):
+            head["fc"][0] = [head["fc"][0][0], *codes]
+
+        tampered = _reframed(blob, edit)
+        with pytest.raises(CodecError):
+            decode_file_result(tampered, test_file)
+        store.save("file-results", {"file": test_file.path}, tampered)
+        assert load_checked(store, "file-results", {"file": test_file.path}, decode_file_result, test_file) is None
+        assert store.load("file-results", {"file": test_file.path}) is None  # invalidated
+
+    def test_a_head_without_its_category_column_is_a_miss(self, encoded):
+        _file_result, test_file, blob = encoded[0]
+        with pytest.raises(CodecError):
+            decode_file_result(_reframed(blob, lambda head: head.pop("fc")), test_file)

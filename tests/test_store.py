@@ -15,6 +15,7 @@ leave on by default:
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import os
 import pickle
@@ -24,6 +25,7 @@ import threading
 
 import pytest
 
+from repro.core.parallel import RunnerSpec
 from repro.core.records import TestSuite
 from repro.core.transplant import CellKey, run_cells, run_matrix, run_transplant
 from repro.corpus import build_all_suites, build_suite
@@ -32,7 +34,9 @@ from repro.store import (
     ArtifactStore,
     canonical_bytes,
     content_hash,
+    file_result_key,
 )
+from repro.store import keys as store_keys
 from repro.store.artifacts import STORE_FORMAT_VERSION
 
 
@@ -362,6 +366,63 @@ class TestCanonicalBytes:
     def test_floats_are_exact(self):
         assert canonical_bytes(0.1) != canonical_bytes(0.1 + 1e-17) or (0.1 == 0.1 + 1e-17)
         assert canonical_bytes(1.5) == canonical_bytes(1.5)
+
+
+class TestFileResultKey:
+    """A ``file-results`` key holds the file's content hash and one digest of the runner spec."""
+
+    SPEC = RunnerSpec(
+        adapter_name="duckdb",
+        host_name="duckdb",
+        adapter_kwargs=(("seed", 0),),
+        available_extensions=("json",),
+        float_tolerance=0.0,
+        translate_dialect=False,
+        donor_dialect="sqlite",
+        max_records_per_file=None,
+    )
+
+    #: one different value per RunnerSpec field
+    CHANGED = {
+        "adapter_name": "postgres",
+        "host_name": "postgres",
+        "adapter_kwargs": (("seed", 1),),
+        "available_extensions": (),
+        "float_tolerance": 0.01,
+        "translate_dialect": True,
+        "donor_dialect": "duckdb",
+        "max_records_per_file": 5,
+    }
+
+    @pytest.fixture(scope="class")
+    def test_file(self):
+        return build_suite("slt", file_count=1, records_per_file=15, seed=11, store=None).files[0]
+
+    def test_every_spec_field_changes_the_key_and_a_mapping_keys_like_its_dataclass(self, test_file):
+        assert set(self.CHANGED) == {field.name for field in dataclasses.fields(RunnerSpec)}
+        base = file_result_key(self.SPEC, test_file)
+        # the key embeds one digest of the spec's fields, not the fields
+        assert base["spec"] == hashlib.sha256(canonical_bytes(dataclasses.asdict(self.SPEC))).hexdigest()
+        mapping = dataclasses.asdict(self.SPEC)
+        assert file_result_key(mapping, test_file) == base
+        for name, value in self.CHANGED.items():
+            changed = file_result_key(dataclasses.replace(self.SPEC, **{name: value}), test_file)
+            assert changed != base, name
+            assert file_result_key({**mapping, name: value}, test_file) == changed, name
+
+    def test_a_spec_is_digested_once(self, monkeypatch):
+        spec = dataclasses.replace(self.SPEC)
+        files = build_suite("slt", file_count=3, records_per_file=15, seed=11, store=None).files
+        digested = []
+        canonical = store_keys.canonical_bytes
+        monkeypatch.setattr(store_keys, "canonical_bytes", lambda value: (digested.append(value), canonical(value))[1])
+        keys = [file_result_key(spec, test_file) for test_file in files]
+        # parsed files hash by their source digest, so the spec is the one walk
+        assert len(digested) == 1
+        assert len({key["file_hash"] for key in keys}) == 3 and len({key["spec"] for key in keys}) == 1
+        # a pickled spec carries its digest: a worker keys without walking it
+        assert file_result_key(pickle.loads(pickle.dumps(spec)), files[0]) == keys[0]
+        assert len(digested) == 1
 
 
 # -- the corpus client -------------------------------------------------------------
