@@ -3,7 +3,7 @@
 
 Benchmark reports (``benchmarks/BENCH_*.json``) and artifact-store directories
 (``.repro-store``, ``repro-store``) are machine-local state: the reports carry
-wall times of one machine, and the store holds pickled artifacts keyed by a
+wall times of one machine, and the store holds codec frames keyed by a
 code fingerprint.  Both are gitignored — but gitignore only covers *untracked*
 files, so a ``git add -f`` (or a pattern edit after the fact) silently starts
 versioning them.  This check runs under ``make lint`` and in CI and fails when

@@ -21,19 +21,18 @@ if TYPE_CHECKING:
 class MiniDBAdapter(DBMSAdapter):
     """Executes statements on the MiniDB emulation of one DBMS dialect."""
 
-    def __init__(self, dialect: DialectProfile | str, enable_faults: bool = True, seed: int = 0, render_style: str = "python"):
+    def __init__(self, dialect: DialectProfile | str, enable_faults: bool = True, seed: int = 0):
         self.dialect = get_dialect(dialect) if isinstance(dialect, str) else dialect
         self.name = self.dialect.name
         self.enable_faults = enable_faults
         self.seed = seed
-        self.render_style = render_style
         self.session: Session | None = None
 
     def fork_config(self) -> tuple[str, dict]:
         # registry name "sqlite" builds the real sqlite3 adapter; the MiniDB
         # emulation of the sqlite dialect is registered as "sqlite-mini"
         registry_name = "sqlite-mini" if self.name == "sqlite" else self.name
-        return (registry_name, {"enable_faults": self.enable_faults, "seed": self.seed, "render_style": self.render_style})
+        return (registry_name, {"enable_faults": self.enable_faults, "seed": self.seed})
 
     def connect(self) -> None:
         # the engine is imported by the first session, so a run that executes
@@ -83,5 +82,5 @@ class MiniDBAdapter(DBMSAdapter):
         # render lazily: comparisons consume the raw rows, so the text form is
         # only built when something (codec, SLT value lists) actually asks
         del outcome.rendered
-        outcome._render_style = self.render_style
+        outcome._render_style = "python"
         return outcome

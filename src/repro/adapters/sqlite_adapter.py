@@ -20,7 +20,7 @@ class SQLite3Adapter(DBMSAdapter):
     name = "sqlite3"
     dialect = SQLITE
 
-    def __init__(self, timeout_seconds: float | None = None, render_style: str = "python"):
+    def __init__(self, timeout_seconds: float | None = None):
         if timeout_seconds is None:
             # resolved at construction time from the resilience configuration
             # (set_default_timeout / REPRO_TIMEOUT_SECONDS / the built-in 5s),
@@ -29,11 +29,10 @@ class SQLite3Adapter(DBMSAdapter):
 
             timeout_seconds = default_timeout_seconds()
         self.timeout_seconds = timeout_seconds
-        self.render_style = render_style
         self.connection: sqlite3.Connection | None = None
 
     def fork_config(self) -> tuple[str, dict]:
-        return (self.name, {"timeout_seconds": self.timeout_seconds, "render_style": self.render_style})
+        return (self.name, {"timeout_seconds": self.timeout_seconds})
 
     def connect(self) -> None:
         # check_same_thread=False: the watchdog (repro.core.resilience) hands
@@ -102,5 +101,5 @@ class SQLite3Adapter(DBMSAdapter):
         )
         # render lazily, same as the MiniDB adapter (see ExecutionOutcome.__getattr__)
         del outcome.rendered
-        outcome._render_style = self.render_style
+        outcome._render_style = "python"
         return outcome

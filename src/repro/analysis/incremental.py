@@ -15,10 +15,11 @@ The store contract mirrors ``file-results``:
   ``file-analysis`` namespace (:func:`repro.store.keys.analysis_file_key`;
   the code fingerprint joins every key, so a scanner change orphans all
   partials),
-* payloads are versioned codec frames
-  (:func:`repro.store.codec.encode_analysis_partial`) — magic, version byte,
-  payload digest — and any frame the codec rejects is invalidated and
-  re-scanned, never trusted,
+* payloads are codec documents
+  (:func:`repro.store.codec.encode_document`) carrying the pass id beside
+  the partial — magic, version byte, payload digest — and any frame the
+  codec rejects, or one of another pass, is a miss the store deletes and the
+  pass re-scans, never trusts,
 * misses fan out over the campaign's :class:`~repro.core.parallel.WorkerPool`
   (scans are pure; the parent persists, so store stats stay with the live
   store), and a storeless run degrades to scanning every file — the merge is
@@ -38,9 +39,9 @@ from repro.analysis import features, filesize, predicates, statements
 from repro.core import coverage
 from repro.core.parallel import WorkerPool, fan_out
 from repro.core.records import TestFile, TestSuite
+from repro.errors import CodecError
 from repro.store import artifacts as artifact_store
 from repro.store import codec as result_codec
-from repro.store.codec import load_checked, save_checked
 from repro.store.keys import FILE_ANALYSIS_NAMESPACE, analysis_file_key
 
 #: The analysis passes: pass id -> module-level per-file scan function.
@@ -84,7 +85,7 @@ def suite_partials(
     partials: dict[int, dict] = {}
     missing: list[tuple[int, TestFile]] = []
     for index, test_file in enumerate(suite.files):
-        loaded = load_checked(backing, FILE_ANALYSIS_NAMESPACE, keys[index], result_codec.decode_analysis_partial, pass_id)
+        loaded = backing.load(FILE_ANALYSIS_NAMESPACE, keys[index], _stored_partial, pass_id)
         if loaded is not None:
             partials[index] = loaded
             continue
@@ -92,8 +93,18 @@ def suite_partials(
     produced = fan_out(worker_pool, _scan_file, [(pass_id, test_file) for _, test_file in missing])
     for (index, _), partial in zip(missing, produced):
         partials[index] = partial
-        save_checked(backing, FILE_ANALYSIS_NAMESPACE, keys[index], result_codec.encode_analysis_partial, pass_id, partial)
+        document = {"pass": pass_id, "partial": partial}
+        backing.save(FILE_ANALYSIS_NAMESPACE, keys[index], result_codec.encode_document(FILE_ANALYSIS_NAMESPACE, document))
     return [partials[index] for index in range(len(suite.files))]
+
+
+def _stored_partial(blob: bytes, pass_id: str) -> dict:
+    """The partial a stored frame holds for ``pass_id``; a frame of another pass is a :class:`CodecError`."""
+    document = result_codec.decode_document(blob, FILE_ANALYSIS_NAMESPACE)
+    partial = document.get("partial")
+    if document.get("pass") != pass_id or not isinstance(partial, dict):
+        raise CodecError(f"file-analysis frame does not hold a {pass_id!r} partial")
+    return partial
 
 
 class SuiteAnalyzer:

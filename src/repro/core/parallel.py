@@ -71,7 +71,7 @@ from repro.killpoints import kill_point
 from repro.perf import cache as perf_cache
 from repro.store import codec as result_codec
 from repro.store.artifacts import ArtifactStore
-from repro.store.codec import load_checked, save_checked
+from repro.store.codec import save_checked
 from repro.store.keys import FILE_RESULTS_NAMESPACE, file_result_key
 
 logger = logging.getLogger(__name__)
@@ -309,8 +309,8 @@ def _execute_file(
 def _checked_frame(blob: bytes, test_file: TestFile) -> bytes:
     """``blob`` itself, once its head decodes against ``test_file``.
 
-    The :func:`load_checked` reader of a store probe: a corrupt frame is a
-    miss where it is loaded, and an intact one travels as it was stored.
+    The reader of a store probe: a corrupt frame is a miss where it is
+    loaded, and an intact one travels as it was stored.
     """
     result_codec.decode_file_result(blob, test_file)
     return blob
@@ -376,7 +376,7 @@ def execute_files(
                 continue
             key = file_result_key(spec, test_file) if store is not None else None
             if key is not None and probe_store:
-                frame = load_checked(store, FILE_RESULTS_NAMESPACE, key, _checked_frame, test_file)
+                frame = store.load(FILE_RESULTS_NAMESPACE, key, _checked_frame, test_file)
                 if frame is not None:
                     outcomes.append((index, frame, None))
                     continue
@@ -621,7 +621,7 @@ def assemble_suite_result(
     byte-identical to full re-execution (per-file results are exactly what
     serial execution produces; the merge preserves file order).  A
     corrupted, truncated, or version-bumped frame falls back to executing
-    *that one file* (the frame is invalidated, never trusted).  Without a
+    *that one file* (the store deletes it, never trusts it).  Without a
     store every file is a miss and nothing persists.
 
     When a file missed, the circuit breaker is consulted once, under
@@ -645,7 +645,7 @@ def assemble_suite_result(
     for index, test_file in enumerate(suite.files):
         if store is not None:
             key = file_result_key(spec, test_file)
-            file_result = load_checked(store, FILE_RESULTS_NAMESPACE, key, result_codec.decode_file_result, test_file)
+            file_result = store.load(FILE_RESULTS_NAMESPACE, key, result_codec.decode_file_result, test_file)
             if file_result is not None:
                 outcomes.append((index, file_result, None))
                 continue

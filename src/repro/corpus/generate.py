@@ -22,6 +22,7 @@ parse → run → validate pipeline the paper's SQuaLity uses.
 
 from __future__ import annotations
 
+import pickle
 import random
 from dataclasses import dataclass, field
 from typing import Any
@@ -31,8 +32,9 @@ from repro.adapters.registry import create_adapter
 from repro.core.comparison import normalize_value
 from repro.core.parallel import WorkerPool, fan_out
 from repro.core.records import TestSuite, canonical_dbms
+from repro.errors import CodecError
 from repro.store import artifacts as artifact_store
-from repro.store.codec import CodecError, load_checked
+from repro.store import codec as result_codec
 from repro.store.keys import FILE_DONOR_NAMESPACE, donor_file_key
 from repro.corpus.datagen import (
     SchemaState,
@@ -845,17 +847,39 @@ def _generate_file(suite: str, records_per_file: int, seed: int, index: int) -> 
 
 _GENERATED_FIELDS = frozenset(("name", "primary_text", "expected_text"))
 
+#: store namespace (and frame kind) of parsed suites; the one artifact whose
+#: frame body is a pickle
+SUITES_NAMESPACE = "corpus-suites"
 
-def _recording(entry: Any) -> dict:
-    """A stored ``file-donor`` entry, if it has the exact recording shape.
 
-    Anything else at a donor key (a foreign payload; extra keys would blow
-    up ``GeneratedFile(**entry)``) raises :class:`CodecError`, so
-    :func:`repro.store.codec.load_checked` discards it like any corrupt blob.
+def _recording(blob: bytes) -> dict:
+    """The recording a stored ``file-donor`` frame holds, if it has the exact shape.
+
+    Any other document at a donor key (extra keys would blow up
+    ``GeneratedFile(**entry)``) raises :class:`CodecError`, so the store
+    discards it like any corrupt frame.
     """
-    if isinstance(entry, dict) and entry.keys() == _GENERATED_FIELDS:
+    entry = result_codec.decode_document(blob, FILE_DONOR_NAMESPACE)
+    if entry.keys() == _GENERATED_FIELDS:
         return entry
-    raise CodecError("file-donor entry is not a recording")
+    raise CodecError("file-donor document is not a recording")
+
+
+def _stored_suite(blob: bytes) -> TestSuite:
+    """The parsed suite a ``corpus-suites`` frame holds.
+
+    The body is unpickled only once the frame's digest, version and kind
+    check out; a body that does not unpickle to a :class:`TestSuite` raises
+    :class:`CodecError`, so the store discards it like any corrupt frame.
+    """
+    body = result_codec.unframe(blob, SUITES_NAMESPACE)
+    try:
+        suite = pickle.loads(body)
+    except Exception as error:  # unpickling foreign bytes can raise nearly anything
+        raise CodecError(f"corpus-suites body does not unpickle: {error!r}") from error
+    if not isinstance(suite, TestSuite):
+        raise CodecError(f"corpus-suites body is a {type(suite).__name__}, not a TestSuite")
+    return suite
 
 
 def generate_corpus(
@@ -887,7 +911,7 @@ def generate_corpus(
     missing: list[int] = []
     for index in range(count):
         if backing is not None:
-            entry = load_checked(backing, FILE_DONOR_NAMESPACE, donor_file_key(suite, per_file, seed, index), _recording)
+            entry = backing.load(FILE_DONOR_NAMESPACE, donor_file_key(suite, per_file, seed, index), _recording)
             if entry is not None:
                 payloads[index] = entry
                 continue
@@ -896,7 +920,8 @@ def generate_corpus(
     for index, payload in zip(missing, produced):
         payloads[index] = payload
         if backing is not None:
-            backing.save(FILE_DONOR_NAMESPACE, donor_file_key(suite, per_file, seed, index), payload)
+            frame = result_codec.encode_document(FILE_DONOR_NAMESPACE, payload)
+            backing.save(FILE_DONOR_NAMESPACE, donor_file_key(suite, per_file, seed, index), frame)
     return [GeneratedFile(**payloads[index]) for index in range(count)]
 
 
@@ -911,8 +936,9 @@ def build_suite(
     """Generate a corpus and parse it back through the native-format parsers.
 
     The parsed :class:`TestSuite` is itself persisted in the artifact store
-    (namespace ``corpus-suites``), so a warm process skips both generation and
-    re-parsing; a store miss falls through to :func:`generate_corpus`, whose
+    (namespace ``corpus-suites``, a frame whose body is the pickled suite),
+    so a warm process skips both generation and re-parsing; a store miss
+    falls through to :func:`generate_corpus`, whose
     ``file-donor`` namespace may still satisfy the generation half file by
     file.  ``worker_pool`` shards donor recording of any files that do need
     generating.
@@ -922,8 +948,8 @@ def build_suite(
     per_file = records_per_file if records_per_file is not None else DEFAULT_RECORDS_PER_FILE[suite]
     key = _corpus_key(suite, count, per_file, seed)
     if backing is not None:
-        cached = backing.load("corpus-suites", key)
-        if isinstance(cached, TestSuite):
+        cached = backing.load(SUITES_NAMESPACE, key, _stored_suite)
+        if cached is not None:
             return cached
     generated = generate_corpus(
         suite,
@@ -937,7 +963,8 @@ def build_suite(
     for item in generated:
         test_suite.files.append(parse_test_text(item.primary_text, suite, path=item.name, companion=item.expected_text))
     if backing is not None:
-        backing.save("corpus-suites", key, test_suite)
+        body = pickle.dumps(test_suite, protocol=pickle.HIGHEST_PROTOCOL)
+        backing.save(SUITES_NAMESPACE, key, result_codec.frame(SUITES_NAMESPACE, body))
     return test_suite
 
 

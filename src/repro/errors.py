@@ -175,3 +175,16 @@ class AdapterQuarantinedError(RunnerError):
     def __init__(self, message: str, detail: str = ""):
         super().__init__(message)
         self.detail = detail
+
+
+# ---------------------------------------------------------------------------
+# Store errors
+# ---------------------------------------------------------------------------
+
+
+class CodecError(ReproError):
+    """A stored payload cannot be encoded or decoded.
+
+    Raised by :mod:`repro.store.codec` and by the readers of store clients;
+    :meth:`repro.store.artifacts.ArtifactStore.load` treats it as a miss.
+    """

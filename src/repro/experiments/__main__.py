@@ -84,7 +84,7 @@ def store_main(argv: list[str]) -> int:
         prog="python -m repro.experiments store",
         description="Inspect and maintain the persistent artifact store (see docs/STORE.md)",
     )
-    parser.add_argument("action", choices=("stats", "gc", "audit", "clear"), help="stats: footprint + counters; gc: recount and evict to budget; audit: digest-verify every artifact, delete corruption and tmp leftovers; clear: delete every artifact")
+    parser.add_argument("action", choices=("stats", "gc", "audit", "clear"), help="stats: on-disk footprint; gc: recount and evict to budget; audit: digest-verify every artifact, delete corruption and tmp leftovers; clear: delete every artifact")
     parser.add_argument("--store-dir", default=None, metavar="PATH", help="store root (default: $REPRO_STORE_DIR or ~/.cache/repro-store)")
     parser.add_argument("--max-bytes", type=int, default=None, metavar="N", help="gc only: trim to N bytes instead of the store's steady-state budget")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
@@ -95,16 +95,22 @@ def store_main(argv: list[str]) -> int:
     store = ArtifactStore(root=arguments.store_dir) if arguments.store_dir else get_default_store()
 
     if arguments.action == "stats":
-        payload = store.snapshot()
-        payload["namespaces"] = store.namespace_stats()
-        payload["max_bytes"] = store.max_bytes
+        # the on-disk footprint only: this process reads nothing, so its
+        # lookup counters would always be zero
+        namespaces = store.namespace_stats()
+        payload = {
+            "root": str(store.root),
+            "entries": sum(bucket["entries"] for bucket in namespaces.values()),
+            "bytes": sum(bucket["bytes"] for bucket in namespaces.values()),
+            "max_bytes": store.max_bytes,
+            "namespaces": namespaces,
+        }
         if arguments.json:
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
             print(f"store root:  {payload['root']}")
             print(f"entries:     {payload['entries']}")
             print(f"bytes:       {_format_bytes(payload['bytes'])} (budget {_format_bytes(store.max_bytes)})")
-            print(f"this-process counters: hits={payload['hits']} misses={payload['misses']} writes={payload['writes']} evictions={payload['evictions']} errors={payload['errors']}")
             if payload["namespaces"]:
                 print("namespaces:")
                 for namespace, bucket in payload["namespaces"].items():

@@ -23,11 +23,11 @@ from repro.adapters.base import ExecutionStatus
 from repro.core.report import format_table
 from repro.core.reducer import make_crash_predicate, reduce_statements
 from repro.dialects import ALL_DIALECTS
+from repro.errors import CodecError
 from repro.experiments.base import Experiment, ExperimentNeeds, matrix_cells, register_experiment
 from repro.experiments.context import ExperimentResult
 from repro.store import codec as result_codec
 from repro.store.artifacts import ArtifactStore, active_store
-from repro.store.codec import CodecError, load_checked, save_checked
 
 EXPERIMENT_ID = "bugs"
 TITLE = "RQ4 findings: crashes and hangs discovered by reusing test suites"
@@ -148,7 +148,7 @@ def _engine_probes(store: "ArtifactStore | str | None", reduction_input: list[st
         "reduction": None if reduction_input is None else {"dialect": "duckdb", "statements": reduction_input},
     }
     if store is not None:
-        probes = load_checked(store, PROBES_NAMESPACE, key, _read_probes)
+        probes = store.load(PROBES_NAMESPACE, key, _read_probes)
         if probes is not None:
             return probes
     adapter = MiniDBAdapter("sqlite")
@@ -161,13 +161,13 @@ def _engine_probes(store: "ArtifactStore | str | None", reduction_input: list[st
         reduction = reduce_statements(reduction_input, predicate)
     probes = {"hang": outcome.error if outcome.status is ExecutionStatus.HANG else None, "reduction": reduction}
     if store is not None:
-        save_checked(store, PROBES_NAMESPACE, key, result_codec._encode_document, PROBES_NAMESPACE, probes)
+        store.save(PROBES_NAMESPACE, key, result_codec.encode_document(PROBES_NAMESPACE, probes))
     return probes
 
 
 def _read_probes(blob: bytes) -> dict:
     """The probe document of a stored frame; a document of another shape is a :class:`CodecError`."""
-    probes = result_codec._decode_document(blob, PROBES_NAMESPACE)
+    probes = result_codec.decode_document(blob, PROBES_NAMESPACE)
     hang, reduction = probes.get("hang"), probes.get("reduction")
     if not (hang is None or type(hang) is str) or type(reduction) is not list or not all(type(line) is str for line in reduction):
         raise CodecError("bug-probe document has the wrong shape")

@@ -10,7 +10,7 @@ from repro.analysis.incremental import SuiteAnalyzer
 from repro.core.parallel import WorkerPool
 from repro.core.records import TestSuite
 from repro.core.resilience import ResiliencePolicy, set_default_timeout
-from repro.core.transplant import DEFAULT_HOSTS, CellKey, TransplantResult
+from repro.core.transplant import CellKey, TransplantResult
 from repro.corpus import build_all_suites, build_suite
 from repro.store import ArtifactStore
 from repro.store import artifacts as artifact_store
@@ -63,7 +63,6 @@ class ExperimentContext:
         self,
         scale: float = 1.0,
         seed: int = 0,
-        hosts: tuple[str, ...] = DEFAULT_HOSTS,
         workers: int = 1,
         store_dir: str | None = None,
         use_store: bool = True,
@@ -72,7 +71,6 @@ class ExperimentContext:
     ):
         self.scale = scale
         self.seed = seed
-        self.hosts = hosts
         if timeout_seconds is not None:
             set_default_timeout(timeout_seconds)
         self.timeout_seconds = timeout_seconds

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.core.transplant import CellKey, plain_alias, run_cells
+from repro.core.transplant import DEFAULT_HOSTS, CellKey, plain_alias, run_cells
 from repro.experiments.base import Experiment, experiment_entries, get_experiment_entry
 from repro.experiments.context import ExperimentContext, ExperimentResult
 
@@ -60,18 +60,18 @@ def _resolve_entries(experiment_ids) -> list[type[Experiment]]:
     return entries
 
 
-def _plan_cells(entries: list[type[Experiment]], context: ExperimentContext) -> list[CellKey]:
+def _plan_cells(entries: list[type[Experiment]]) -> list[CellKey]:
     """The deduplicated union of every entry's cells, in campaign order.
 
     Plain cells come before translated ones, and within each group cells
-    follow suite-then-host nesting (suites in corpus order, hosts in the
-    context's host order) — the order a plain ``run_matrix`` followed by a
+    follow suite-then-host nesting (suites in corpus order, hosts in
+    ``DEFAULT_HOSTS`` order) — the order a plain ``run_matrix`` followed by a
     translated one walks the grid — with an exact cell before its
     float-tolerant twin.
     """
     needed = {plain_alias(key) for entry in entries for key in entry.needs.cells}
     suite_order = {name: index for index, name in enumerate(_EXECUTABLE_SUITES)}
-    host_order = {name: index for index, name in enumerate(context.hosts)}
+    host_order = {name: index for index, name in enumerate(DEFAULT_HOSTS)}
     return sorted(
         needed,
         key=lambda key: (
@@ -120,7 +120,7 @@ def stream_experiments(experiment_ids=None, context: ExperimentContext | None = 
     shared = context if context is not None else ExperimentContext()
     entries = _resolve_entries(experiment_ids)
     subscriptions = [_Subscription(entry, shared) for entry in entries]
-    plan = _plan_cells(entries, shared)
+    plan = _plan_cells(entries)
     _warm_corpora(entries, plan, shared)
 
     subscribers: dict[CellKey, list[_Subscription]] = {}

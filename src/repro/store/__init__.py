@@ -1,15 +1,17 @@
 """Persistent artifact store: cross-process reuse of corpora and results.
 
-Three clients ride on the store (see docs/STORE.md):
+Every artifact is one :mod:`repro.store.codec` frame whose kind is its
+namespace.  Four clients ride on the store (see docs/STORE.md):
 
-* :mod:`repro.corpus.generate` persists generated suites keyed by
-  ``(suite, seed, scale, generator fingerprint)`` so ``build_suite`` loads
-  instead of regenerating across processes and campaigns,
+* :mod:`repro.corpus.generate` persists per-file donor recordings
+  (``file-donor``) and parsed suites (``corpus-suites``) so ``build_suite``
+  loads instead of regenerating across processes and campaigns,
 * :mod:`repro.core.parallel` persists every matrix cell file by file in
   ``file-results``, keyed by ``(file content hash, runner spec)``, so
-  ``run_matrix`` executes only the files no earlier run persisted, and
+  ``run_matrix`` executes only the files no earlier run persisted,
 * :mod:`repro.analysis.incremental` persists per-file RQ1/RQ2 partials in
-  ``file-analysis``.
+  ``file-analysis``, and
+* the ``bugs`` experiment persists its engine probes in ``bug-probes``.
 """
 
 from repro.store.artifacts import (
@@ -25,9 +27,9 @@ from repro.store.artifacts import (
 from repro.store.codec import (
     CODEC_VERSION,
     CodecError,
-    decode_analysis_partial,
+    decode_document,
     decode_file_result,
-    encode_analysis_partial,
+    encode_document,
     encode_file_result,
 )
 from repro.store.fingerprint import code_fingerprint, reset_fingerprint_cache
@@ -61,9 +63,9 @@ __all__ = [
     "content_hash",
     "donor_file_key",
     "file_result_key",
-    "decode_analysis_partial",
+    "decode_document",
     "decode_file_result",
-    "encode_analysis_partial",
+    "encode_document",
     "encode_file_result",
     "get_default_store",
     "key_digest",

@@ -12,13 +12,19 @@ per *machine*, not once per process:
   the canonical key (see :mod:`repro.store.keys`) plus the code-version
   fingerprint (:mod:`repro.store.fingerprint`).  Changing any ``repro``
   source invalidates every entry without a deletion pass.
+* **Bytes, not objects** — the store writes and reads the bytes it is
+  given: one :mod:`repro.store.codec` frame per file, whose kind is its
+  namespace (the ``.pkl`` suffix predates frames; keeping it lets eviction,
+  ``gc``, ``audit`` and ``clear`` see files older versions wrote).  A load
+  runs the caller's reader over those bytes.
 * **Atomic writes** — payloads are written to a temp file in the target
   directory and ``os.replace``-d into place, so concurrent writers (parallel
   campaigns, simultaneous CI jobs on one machine) can race on the same key
   and readers still only ever observe complete artifacts.
-* **Corruption tolerance** — a truncated/garbled artifact is treated as a
-  miss: the reader deletes it and regenerates.  The store must never be able
-  to fail a pipeline that would have succeeded without it.
+* **Corruption tolerance** — an artifact whose frame or reader raises
+  :class:`~repro.errors.CodecError` (truncated, garbled, another format
+  version, another kind) is deleted and counted once as a miss.  The store
+  must never be able to fail a pipeline that would have succeeded without it.
 * **LRU/size eviction** — reads freshen an artifact's mtime; writes evict
   oldest-first once the store exceeds ``max_bytes``
   (``REPRO_STORE_MAX_BYTES``, default 1 GiB).
@@ -33,21 +39,18 @@ from __future__ import annotations
 
 import logging
 import os
-import pickle
 import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
+from repro.errors import CodecError
 from repro.killpoints import kill_point
 from repro.store.fingerprint import code_fingerprint
 from repro.store.keys import key_digest
 
 logger = logging.getLogger(__name__)
-
-#: On-disk payload layout version; bump on incompatible changes.
-STORE_FORMAT_VERSION = 1
 
 #: Age (seconds) past which a ``.tmp-`` file cannot belong to a live writer
 #: and the opportunistic open-time sweep may reclaim it.
@@ -83,7 +86,7 @@ class StoreStats:
         self.evictions = 0
         self.errors = 0
         #: I/O failures of the backing filesystem (as opposed to ``errors``,
-        #: which also counts corruption and unpicklable values); the
+        #: which also counts corruption and values that cannot be written); the
         #: degradation trigger counts *consecutive* ones separately
         self.io_errors = 0
         #: namespace -> {"hits": int, "misses": int}; mutated under the
@@ -109,21 +112,6 @@ class StoreStats:
         if bucket is None:
             bucket = self.by_namespace[namespace] = {"hits": 0, "misses": 0}
         bucket["hits" if hit else "misses"] += 1
-
-    def demote_hit(self, namespace: str) -> None:
-        """Reclassify the namespace's latest hit as a miss.
-
-        Used by :meth:`ArtifactStore.invalidate` when a client could not
-        decode a blob the pickle layer read fine: the artifact was never
-        usable, so counting it as a hit would overstate assembly reuse.
-        """
-        self.hits = max(0, self.hits - 1)
-        self.misses += 1
-        bucket = self.by_namespace.get(namespace)
-        if bucket is None:
-            bucket = self.by_namespace[namespace] = {"hits": 0, "misses": 0}
-        bucket["hits"] = max(0, bucket["hits"] - 1)
-        bucket["misses"] += 1
 
     def reset(self) -> None:
         self.hits = self.misses = self.writes = self.evictions = self.errors = 0
@@ -207,12 +195,11 @@ class ArtifactStore:
 
     # -- I/O layer (overridable; the chaos harness injects faults here) ----------------
 
-    def _read(self, path: Path) -> tuple:
-        """Read one artifact file; raises on any I/O or unpickling problem."""
-        with open(path, "rb") as handle:
-            return pickle.load(handle)
+    def _read(self, path: Path) -> bytes:
+        """Read one artifact file; raises ``OSError`` on any I/O problem."""
+        return path.read_bytes()
 
-    def _write(self, path: Path, payload: tuple) -> None:
+    def _write(self, path: Path, payload: bytes) -> None:
         """Atomically write one artifact file; raises on failure.
 
         The temp file never survives a failed write — whatever raises, the
@@ -224,7 +211,7 @@ class ArtifactStore:
         )
         try:
             with handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(payload)
             kill_point("store-tmp")
             os.replace(handle.name, path)
             kill_point("store-write")
@@ -268,45 +255,45 @@ class ArtifactStore:
 
     # -- core protocol -----------------------------------------------------------------
 
-    def load(self, namespace: str, key: Any, default: Any = None) -> Any:
-        """The stored value for ``key``, or ``default`` on any kind of miss.
+    def load(self, namespace: str, key: Any, read: Callable[..., Any], *args: Any) -> Any:
+        """``read(stored bytes, *args)`` for the artifact at ``key``, or None on any kind of miss.
 
-        Corrupt or truncated artifacts — and artifacts whose embedded header
-        does not match (format bump, hash collision) — are deleted and
-        reported as misses; the store never raises out of a read.  I/O errors
-        of the backing filesystem count toward graceful degradation instead
-        of being treated as corruption (the artifact may be perfectly fine).
+        The reader decodes the artifact's frame.  A file whose frame or
+        reader raises :class:`~repro.errors.CodecError` — truncated,
+        garbled, another format version, another kind — is deleted and
+        counted once as a miss; any other exception from ``read`` is a bug
+        and propagates.  I/O errors of the backing filesystem count toward
+        graceful degradation instead of being treated as corruption (the
+        artifact may be perfectly fine).
         """
         with self._lock:
             if self._degraded:
                 self.stats.count_lookup(namespace, hit=False)
-                return default
+                return None
         path = self.path_for(namespace, key)
         try:
-            version, stored_namespace, value = self._read(path)
-            if version != STORE_FORMAT_VERSION or stored_namespace != namespace:
-                raise ValueError(f"artifact header mismatch: {version!r}/{stored_namespace!r}")
+            data = self._read(path)
         except FileNotFoundError:
             self._note_io_success()  # the filesystem answered; the entry just isn't there
             with self._lock:
                 self.stats.count_lookup(namespace, hit=False)
-            return default
+            return None
         except OSError as error:
             self._record_io_error(f"load {path}", error)
             with self._lock:
                 self.stats.count_lookup(namespace, hit=False)
-            return default
-        except Exception:
-            # unreadable, truncated, or unpicklable: behave as if it never
-            # existed.  The deletion is counted against the running byte
-            # estimate — corruption-as-miss deletions used to leave the
-            # estimate above disk truth, drifting further with every one.
+            return None
+        self._note_io_success()
+        try:
+            value = read(data, *args)
+        except CodecError:
+            # behave as if it never existed; the deletion is subtracted from
+            # the running byte estimate, so it stays in step with disk truth
             self._discard_counted(path)
             with self._lock:
                 self.stats.errors += 1
                 self.stats.count_lookup(namespace, hit=False)
-            return default
-        self._note_io_success()
+            return None
         try:
             os.utime(path)  # freshen for LRU eviction
         except OSError:
@@ -315,20 +302,21 @@ class ArtifactStore:
             self.stats.count_lookup(namespace, hit=True)
         return value
 
-    def save(self, namespace: str, key: Any, value: Any) -> bool:
-        """Persist ``value`` atomically; returns False (and stays silent) on failure.
+    def save(self, namespace: str, key: Any, value: bytes) -> bool:
+        """Persist the frame ``value`` atomically; returns False (and stays silent) on failure.
 
-        A store write failure (read-only filesystem, disk full, unpicklable
-        value) must not fail the pipeline that produced the value.  Filesystem
-        failures additionally count toward graceful degradation: once the
-        store demotes itself, saves return False without touching the disk.
+        A store write failure (read-only filesystem, disk full, a value that
+        is not bytes) must not fail the pipeline that produced the value.
+        Filesystem failures additionally count toward graceful degradation:
+        once the store demotes itself, saves return False without touching
+        the disk.
         """
         with self._lock:
             if self._degraded:
                 return False
         path = self.path_for(namespace, key)
         try:
-            self._write(path, (STORE_FORMAT_VERSION, namespace, value))
+            self._write(path, value)
         except OSError as error:
             self._record_io_error(f"save {path}", error)
             with self._lock:
@@ -347,21 +335,6 @@ class ArtifactStore:
             self.stats.writes += 1
         self._evict_if_needed(added=written)
         return True
-
-    def invalidate(self, namespace: str, key: Any) -> None:
-        """Delete an artifact a client just loaded but could not decode.
-
-        The store's own corruption handling stops at the pickle layer; codec
-        frames (``repro.store.codec``) carry their own digests and can be
-        garbled inside a perfectly readable pickle.  Clients that hit a
-        :class:`~repro.store.codec.CodecError` call this so the blob is
-        discarded like any other corruption — and the preceding load's hit is
-        reclassified as a miss, keeping assembly hit rates honest.
-        """
-        self._discard_counted(self.path_for(namespace, key))
-        with self._lock:
-            self.stats.errors += 1
-            self.stats.demote_hit(namespace)
 
     # -- maintenance -------------------------------------------------------------------
 
@@ -513,32 +486,26 @@ class ArtifactStore:
     def audit(self, sweep: bool = True) -> dict[str, Any]:
         """Verify every artifact on disk, deleting what fails; returns a summary.
 
-        Three checks per artifact, mirroring exactly what a reader would
-        trust: the pickle envelope must load, its embedded header must match
-        the artifact's on-disk namespace and the current format version, and
-        a value that is a codec frame must pass its embedded digest.  Failures are
-        deleted (corruption-as-miss, applied eagerly instead of at first
-        read) and listed in the summary.  ``sweep`` additionally removes
-        every ``.tmp-`` leftover regardless of age: audit is for quiescent
-        stores, e.g. after a crash, before resuming a campaign.
+        Each file must be a frame of the current codec version whose digest
+        holds and whose kind is the namespace directory it sits in — the
+        checks every reader runs first.  Audit decodes nothing a frame
+        holds, so it never unpickles.  Failures are deleted
+        (corruption-as-miss, applied eagerly instead of at first read) and
+        listed in the summary.  ``sweep`` additionally removes every
+        ``.tmp-`` leftover regardless of age: audit is for quiescent stores,
+        e.g. after a crash, before resuming a campaign.
         """
         # lazy: codec imports the result types (core.runner et al.), and the
         # store must stay importable from the bottom of the dependency graph
-        from repro.store.codec import MAGIC, frame_intact
+        from repro.store.codec import unframe
 
         verified = 0
         corrupt: list[str] = []
         for _, _, path in self._artifact_files():
             namespace = path.relative_to(self.root).parts[0]
             try:
-                version, stored_namespace, value = self._read(path)
-                if version != STORE_FORMAT_VERSION:
-                    raise ValueError(f"format version {version!r} != {STORE_FORMAT_VERSION}")
-                if stored_namespace != namespace:
-                    raise ValueError(f"artifact labelled {stored_namespace!r} found under {namespace!r}")
-                if isinstance(value, (bytes, bytearray)) and value[: len(MAGIC)] == MAGIC and not frame_intact(bytes(value)):
-                    raise ValueError("codec frame digest mismatch")
-            except Exception as error:
+                unframe(self._read(path), namespace)
+            except (OSError, CodecError) as error:
                 logger.warning("store audit: deleting corrupt artifact %s (%s)", path, error)
                 self._discard_counted(path)
                 with self._lock:

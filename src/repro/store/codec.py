@@ -20,9 +20,12 @@ format instead:
   records.  The **body** carries the executions of PASS records, which hold
   almost all result rows.  Loading parses only the head; the body is parsed
   when ``FileResult.results`` is first read,
-* the documents are zlib-compressed inside a small framed envelope — magic,
-  codec version, and a digest over both documents that is verified on every
-  load (a flipped bit anywhere reads as a miss),
+* every store artifact is one frame of this codec (:func:`frame`): magic,
+  codec version, and a digest over a zlib-compressed payload whose first
+  line is the frame's kind — the store namespace it lives in — verified on
+  every load (a flipped bit anywhere reads as a miss).  A ``file-results``
+  frame holds the head and body documents; :func:`encode_document` frames
+  the one small JSON document of every other client but ``corpus-suites``,
 * the head also records each FAIL record's Table 6 incompatibility and
   Table 7 difficulty category, computed at encode time by
   :func:`~repro.core.classification.failure_categories`; a FAIL record built
@@ -35,9 +38,9 @@ format instead:
   lazily or not) is pinned by the roundtrip property tests.
 
 Any mismatch — wrong magic, old codec version, corrupt zlib stream, digest
-mismatch, a head whose shape does not fit the file — raises
-:class:`CodecError`; store clients treat that as a miss and recompute, never
-as data.
+mismatch, a frame of another kind, a head whose shape does not fit the file
+— raises :class:`CodecError`, and the store treats it as a miss (see
+:meth:`~repro.store.artifacts.ArtifactStore.load`): recompute, never data.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ from repro.core.classification import DifficultyCategory, IncompatibilityCategor
 from repro.core.comparison import ComparisonResult
 from repro.core.records import TestFile
 from repro.core.runner import FileResult, RecordOutcome, RecordResult, SuiteResult
+from repro.errors import CodecError
+from repro.store.keys import FILE_RESULTS_NAMESPACE
 
 if TYPE_CHECKING:
     from repro.store.artifacts import ArtifactStore
@@ -60,14 +65,14 @@ if TYPE_CHECKING:
 __all__ = [
     "CODEC_VERSION",
     "CodecError",
-    "decode_analysis_partial",
+    "decode_document",
     "decode_file_result",
-    "encode_analysis_partial",
+    "encode_document",
     "encode_file_result",
     "fault_reports_for",
-    "frame_intact",
-    "load_checked",
+    "frame",
     "save_checked",
+    "unframe",
 ]
 
 #: Frame magic; the byte after it is the codec version.
@@ -75,7 +80,7 @@ MAGIC = b"RRC"
 
 #: Wire-format version; bump on any incompatible layout change.  Old blobs
 #: then decode as :class:`CodecError` (a miss), never as garbage.
-CODEC_VERSION = 4
+CODEC_VERSION = 5
 
 #: zlib level 6 is the sweet spot for these payloads (mostly repeated SQL
 #: text and small integer arrays); 9 buys <2% for ~2x the CPU.
@@ -104,10 +109,6 @@ _INCOMPATIBILITY_TO_INDEX = {category: index for index, category in enumerate(In
 _INDEX_TO_INCOMPATIBILITY = dict(enumerate(IncompatibilityCategory))
 _DIFFICULTY_TO_INDEX = {category: index for index, category in enumerate(DifficultyCategory)}
 _INDEX_TO_DIFFICULTY = dict(enumerate(DifficultyCategory))
-
-
-class CodecError(Exception):
-    """The payload cannot be (de)serialized; callers treat reads as a miss."""
 
 
 class _Interner:
@@ -224,7 +225,7 @@ def _section_digest(head: dict, body: bytes) -> str:
 
     The body's bytes are hashed as written, so encoding serializes the body
     once.  Only ``verify=True`` re-checks the digest: routine loads rely on
-    the frame digest (:func:`_payload`), which covers every byte of both
+    the frame digest (:func:`unframe`), which covers every byte of both
     documents.
     """
     columns = json.dumps([head.get(name) for name in _HEAD_COLUMNS], ensure_ascii=False, separators=(",", ":"))
@@ -310,7 +311,6 @@ def encode_file_result(file_result: FileResult, test_file: TestFile) -> bytes:
                 executions.append(_encode_execution(position, execution, intern))
 
     head = {
-        "k": "file",
         "path": intern(file_result.path),
         "suite": intern(file_result.suite),
         "host": intern(file_result.host),
@@ -325,7 +325,7 @@ def encode_file_result(file_result: FileResult, test_file: TestFile) -> bytes:
     }
     body = _document({"exe": body_executions}, body_intern)
     head["digest"] = _section_digest(head, body)
-    return _frame(_document(head, intern), body)
+    return frame(FILE_RESULTS_NAMESPACE, _document(head, intern), body)
 
 
 def _check_positions(entries: list, size: int, what: str) -> None:
@@ -338,18 +338,26 @@ def _check_positions(entries: list, size: int, what: str) -> None:
         previous = position
 
 
-def _parse_body(data: bytes) -> dict:
+def _parse(data: bytes, what: str) -> dict:
+    """One JSON object of a frame; anything else is a :class:`CodecError`."""
     try:
-        body = json.loads(data)
+        document = json.loads(data)
     except (json.JSONDecodeError, UnicodeDecodeError) as error:
-        raise CodecError(f"corrupt file body: {error}") from error
-    if not isinstance(body, dict) or not isinstance(body.get("strs"), list) or not isinstance(body.get("exe"), list):
+        raise CodecError(f"corrupt {what}: {error}") from error
+    if not isinstance(document, dict):
+        raise CodecError(f"{what} is not a JSON object")
+    return document
+
+
+def _parse_body(data: bytes) -> dict:
+    body = _parse(data, "file body")
+    if not isinstance(body.get("strs"), list) or not isinstance(body.get("exe"), list):
         raise CodecError("file body has no string table or executions")
     return body
 
 
 class _FileFrame:
-    """The lazy state of a loaded ``file`` frame, parked in ``FileResult._frame``.
+    """The lazy state of a loaded ``file-results`` frame, parked in ``FileResult._frame``.
 
     The constructor runs the head's shape checks, so a malformed head is a
     miss at load, and decodes the head's executions: as parsed JSON, a row
@@ -495,68 +503,60 @@ def _decode_execution(entry: list, strings: list[str]) -> ExecutionOutcome:
 
 # -- framing ----------------------------------------------------------------------
 
+#: magic, version byte, 8-byte payload digest
+_HEADER_BYTES = len(MAGIC) + 9
 
-def _document(document: dict, intern: _Interner) -> bytes:
-    """One compact JSON document with its string table; never holds a raw newline."""
-    document["strs"] = intern.strings
+
+def _json(document: dict) -> bytes:
+    """Compact JSON: escapes every newline, so it never holds a raw one."""
     return json.dumps(document, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
 
 
-def _frame(*documents: bytes) -> bytes:
-    payload = b"\n".join(documents)
+def _document(document: dict, intern: _Interner) -> bytes:
+    """One compact JSON document with its string table."""
+    document["strs"] = intern.strings
+    return _json(document)
+
+
+def frame(kind: str, *documents: bytes) -> bytes:
+    """One store artifact: ``documents`` framed as a ``kind`` payload.
+
+    The payload is the kind, then each document, newline-separated, so only
+    the last document may hold a raw newline.  It is zlib-compressed behind
+    the magic, the codec version byte and an 8-byte digest of the payload.
+    """
+    payload = b"\n".join((kind.encode("utf-8"), *documents))
     digest = hashlib.sha256(payload).digest()[:8]
     return MAGIC + bytes([CODEC_VERSION]) + digest + zlib.compress(payload, _ZLIB_LEVEL)
 
 
-def _payload(blob: Any) -> bytes:
-    """The digest-verified payload of a frame."""
+def unframe(blob: Any, kind: str) -> bytes:
+    """The documents of a ``kind`` frame, once its header, digest and kind check out.
+
+    Anything else — not bytes, truncated, another codec version, a corrupt
+    zlib stream, a digest mismatch, a frame of another kind — raises
+    :class:`CodecError`.  The store's audit runs this check alone, so it
+    verifies every file without decoding what the frame holds.
+    """
     if not isinstance(blob, (bytes, bytearray)):
         raise CodecError(f"expected codec bytes, got {type(blob).__name__}")
-    blob = bytes(blob)
-    if len(blob) < len(MAGIC) + 9:  # magic + version byte + 8-byte digest
+    if len(blob) < _HEADER_BYTES:
         raise CodecError("truncated codec frame (shorter than its header)")
     if blob[: len(MAGIC)] != MAGIC:
-        raise CodecError("not a result-codec payload (bad magic)")
+        raise CodecError("not a codec frame (bad magic)")
     version = blob[len(MAGIC)]
     if version != CODEC_VERSION:
         raise CodecError(f"codec version {version} != {CODEC_VERSION}")
-    digest = blob[len(MAGIC) + 1 : len(MAGIC) + 9]
     try:
-        payload = zlib.decompress(blob[len(MAGIC) + 9 :])
+        payload = zlib.decompress(blob[_HEADER_BYTES:])
     except zlib.error as error:
         raise CodecError(f"corrupt codec payload: {error}") from error
-    if hashlib.sha256(payload).digest()[:8] != digest:
+    if hashlib.sha256(payload).digest()[:8] != blob[len(MAGIC) + 1 : _HEADER_BYTES]:
         raise CodecError("codec payload digest mismatch")
-    return payload
-
-
-def frame_intact(blob: Any) -> bool:
-    """Whether ``blob`` is a structurally sound codec frame (digest verified).
-
-    The store's :meth:`~repro.store.artifacts.ArtifactStore.audit` uses this
-    to digest-verify persisted frames without the live suite a full decode
-    would need to reattach records from.
-    """
-    try:
-        _payload(blob)
-    except CodecError:
-        return False
-    return True
-
-
-def _unframe(blob: Any, expected_kind: str) -> tuple[dict, list[str], bytes | None]:
-    """(first document, its string table, the second document's bytes or None)."""
-    first, separator, rest = _payload(blob).partition(b"\n")
-    try:
-        document = json.loads(first)
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
-        raise CodecError(f"corrupt codec document: {error}") from error
-    if not isinstance(document, dict) or document.get("k") != expected_kind:
-        raise CodecError(f"codec document is not a {expected_kind!r} payload")
-    strings = document.get("strs")
-    if not isinstance(strings, list):
-        raise CodecError("codec document has no string table")
-    return document, strings, rest if separator else None
+    stored_kind, _, documents = payload.partition(b"\n")
+    if stored_kind != kind.encode("utf-8"):
+        raise CodecError(f"codec frame of kind {stored_kind.decode('utf-8', 'replace')!r} is not a {kind!r} frame")
+    return documents
 
 
 # -- public API -------------------------------------------------------------------
@@ -572,86 +572,37 @@ def decode_file_result(blob: bytes, test_file: TestFile, verify: bool = False) -
     columns and the body document (debugging / test aid; the frame digest
     already covers the same bytes).
     """
-    head, strings, body = _unframe(blob, "file")
-    if body is None:
+    head_bytes, separator, body = unframe(blob, FILE_RESULTS_NAMESPACE).partition(b"\n")
+    if not separator:
         raise CodecError("file frame has no body document")
+    head = _parse(head_bytes, "file head")
+    strings = head.get("strs")
+    if not isinstance(strings, list):
+        raise CodecError("file head has no string table")
     if verify and _section_digest(head, body) != head.get("digest"):
         raise CodecError("file section does not match its stored digest")
-    frame = _FileFrame(head, strings, body, test_file.records)
+    lazy = _FileFrame(head, strings, body, test_file.records)
     file_result = FileResult.__new__(FileResult)
-    file_result.__dict__ = {**frame.identity, "_outcome_counts": {}, "_counted": 0, "_counted_list": None, "_frame": frame}
+    file_result.__dict__ = {**lazy.identity, "_outcome_counts": {}, "_counted": 0, "_counted_list": None, "_frame": lazy}
     if verify:
         file_result.results  # noqa: B018 - build every record now
     return file_result
 
 
-def encode_analysis_partial(pass_id: str, partial: dict) -> bytes:
-    """Serialize one file's analysis partial (a JSON document) for ``pass_id``.
+def encode_document(kind: str, document: dict) -> bytes:
+    """Frame one small JSON ``document`` as a ``kind`` artifact.
 
-    Analysis partials are small count dictionaries (see
-    :mod:`repro.analysis.incremental`); framing them through the codec buys
-    the same guarantees execution results have — version byte, payload
-    digest, :func:`frame_intact` / store-audit coverage — without the
-    column machinery, which count dicts do not need.
+    The frame of every store client but ``file-results`` and
+    ``corpus-suites``: analysis partials, donor recordings and the bug
+    probes.  Tuples come back as lists and keys as strings, so clients store
+    documents built from JSON types.
     """
-    if not isinstance(partial, dict):
-        raise CodecError(f"analysis partial must be a dict, got {type(partial).__name__}")
-    return _frame(_document({"k": "analysis", "p": pass_id, "d": partial}, _Interner()))
+    return frame(kind, _json(document))
 
 
-def decode_analysis_partial(blob: bytes, pass_id: str) -> dict:
-    """Rebuild one file's analysis partial; the frame must carry ``pass_id``.
-
-    A frame written by a different pass (a key collision would be the only
-    route there) or whose document is not a dict raises :class:`CodecError`
-    — a miss, never a wrong answer.
-    """
-    document, _strings, _body = _unframe(blob, "analysis")
-    if document.get("p") != pass_id:
-        raise CodecError(f"analysis frame belongs to pass {document.get('p')!r}, not {pass_id!r}")
-    partial = document.get("d")
-    if not isinstance(partial, dict):
-        raise CodecError("analysis frame has no partial document")
-    return partial
-
-
-def _encode_document(kind: str, document: dict) -> bytes:
-    """Frame one small JSON ``document`` as a ``kind`` payload: a derived artifact.
-
-    It gets the guarantees of every frame (version byte, payload digest,
-    :func:`frame_intact` coverage).  This pair is underscored so that the
-    public ``encode*`` / ``decode*`` names stay the result and analysis
-    frames alone.
-    """
-    return _frame(_document({"k": kind, "d": document}, _Interner()))
-
-
-def _decode_document(blob: bytes, kind: str) -> dict:
-    """The document :func:`_encode_document` framed as ``kind``; any other frame is a :class:`CodecError`."""
-    document, _strings, _body = _unframe(blob, kind)
-    value = document.get("d")
-    if not isinstance(value, dict):
-        raise CodecError(f"{kind!r} frame has no document")
-    return value
-
-
-def load_checked(store: "ArtifactStore", namespace: str, key: dict, read: Callable, *args) -> Any:
-    """``read(stored value, *args)`` for the entry at ``key``, or None on a miss.
-
-    The one corrupt-frame protocol of every store client: a value ``read``
-    rejects with :class:`CodecError` is invalidated — deleted, its lookup
-    demoted to a miss — and reported as absent, never trusted.  Callers pass
-    the codec function as a module attribute looked up at the call, so a
-    rebinding of that attribute (a tracer's, a test's) reaches it.
-    """
-    value = store.load(namespace, key)
-    if value is None:
-        return None
-    try:
-        return read(value, *args)
-    except CodecError:
-        store.invalidate(namespace, key)
-        return None
+def decode_document(blob: bytes, kind: str) -> dict:
+    """The document :func:`encode_document` framed as ``kind``; any other frame is a :class:`CodecError`."""
+    return _parse(unframe(blob, kind), f"{kind} document")
 
 
 def save_checked(store: "ArtifactStore", namespace: str, key: dict, write: Callable, *args) -> bytes | None:

@@ -49,7 +49,7 @@ from repro.core.runner import RecordOutcome
 from repro.core.transplant import run_matrix, run_transplant
 from repro.corpus import build_suite
 from repro.errors import AdapterQuarantinedError, WatchdogTimeout
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, decode_document, encode_document
 from repro.testing.chaos import ChaosAdapter, ChaosError, ChaosStore, FaultSchedule, FaultSpec, inject_adapter
 
 #: export REPRO_CHAOS_SEED=<n> to replay a CI failure exactly
@@ -411,12 +411,13 @@ class TestStoreDegradation:
     def test_degraded_store_stops_touching_the_filesystem(self, tmp_path):
         schedule = FaultSchedule([FaultSpec(op="write", at=1, every=True)], seed=CHAOS_SEED)
         store = ChaosStore(root=tmp_path / "store", fingerprint="chaos-fp", schedule=schedule, degrade_after=2)
-        assert store.save("ns", {"k": 1}, "value") is False
-        assert store.save("ns", {"k": 2}, "value") is False
+        frame = encode_document("ns", {"value": "value"})
+        assert store.save("ns", {"k": 1}, frame) is False
+        assert store.save("ns", {"k": 2}, frame) is False
         assert store.degraded
         writes_before = schedule.calls("write")
-        assert store.save("ns", {"k": 3}, "value") is False
-        assert store.load("ns", {"k": 1}, default="fallback") == "fallback"
+        assert store.save("ns", {"k": 3}, frame) is False
+        assert store.load("ns", {"k": 1}, decode_document, "ns") is None
         assert schedule.calls("write") == writes_before, "a degraded store must not reach the I/O layer"
 
 

@@ -28,10 +28,8 @@ Pinned invariants:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import pickle
-import zlib
 
 import pytest
 
@@ -50,7 +48,6 @@ from repro.store import (
     encode_file_result,
 )
 from repro.store import codec as codec_module
-from repro.store.codec import load_checked
 
 
 @pytest.fixture
@@ -126,25 +123,15 @@ class TestRoundtrip:
         """verify=True must reject a section whose columns were altered after
         framing (the frame digest is recomputed here to sneak the edit past
         it, exactly the scenario the section digests exist to catch)."""
-        import hashlib
-        import json
-        import zlib
-
         suite = _suite_for("slt")
         result = run_transplant(suite, "duckdb", store=None)
         test_file = suite.files[0]
         blob = encode_file_result(result.result.files[0], test_file)
-        header_len = len(codec_module.MAGIC) + 1 + 8
-        head_bytes, body_bytes = zlib.decompress(blob[header_len:]).split(b"\n")
-        head = json.loads(head_bytes)
-        head["oc"] = ("P" if head["oc"][0] != "P" else "F") + head["oc"][1:]
-        payload = json.dumps(head, ensure_ascii=False, separators=(",", ":")).encode("utf-8") + b"\n" + body_bytes
-        reframed = (
-            codec_module.MAGIC
-            + bytes([codec_module.CODEC_VERSION])
-            + hashlib.sha256(payload).digest()[:8]
-            + zlib.compress(payload)
-        )
+
+        def edit(head):
+            head["oc"] = ("P" if head["oc"][0] != "P" else "F") + head["oc"][1:]
+
+        reframed = _reframed(blob, edit)
         # the frame digest alone cannot see the edit...
         decode_file_result(reframed, test_file)
         # ...the section digest can
@@ -223,10 +210,10 @@ class TestRejection:
         """An undecodable store payload recomputes (and overwrites) the file."""
         suite = _suite_for("slt")
         reference = run_transplant(suite, "duckdb", store=store)
-        # replace one stored file with a pre-codec pickle (a PR 3 leftover)
+        # replace one stored file with what the pickle-envelope store format
+        # wrote: a (version, namespace, value) pickle around a pickled result
         victim = sorted((store.root / "file-results").rglob("*.pkl"))[0]
-        payload = pickle.loads(victim.read_bytes())
-        victim.write_bytes(pickle.dumps((payload[0], payload[1], pickle.dumps(reference))))
+        victim.write_bytes(pickle.dumps((1, "file-results", pickle.dumps(reference))))
         recomputed = run_transplant(suite, "duckdb", store=store)
         assert canonical_bytes(recomputed) == canonical_bytes(reference)
         # and the overwrite leaves a decodable file behind
@@ -349,13 +336,11 @@ class TestStoredFilesRestAsFrames:
 
 
 def _reframed(blob: bytes, edit) -> bytes:
-    """``blob`` with ``edit(head)`` applied to its head and a recomputed frame digest."""
-    header_len = len(codec_module.MAGIC) + 1 + 8
-    head_bytes, body_bytes = zlib.decompress(blob[header_len:]).split(b"\n")
+    """``blob`` with ``edit(head)`` applied to its head, framed again (a fresh frame digest)."""
+    head_bytes, body_bytes = codec_module.unframe(blob, "file-results").split(b"\n")
     head = json.loads(head_bytes)
     edit(head)
-    payload = json.dumps(head, ensure_ascii=False, separators=(",", ":")).encode("utf-8") + b"\n" + body_bytes
-    return blob[: len(codec_module.MAGIC) + 1] + hashlib.sha256(payload).digest()[:8] + zlib.compress(payload)
+    return codec_module.frame("file-results", json.dumps(head, ensure_ascii=False).encode("utf-8"), body_bytes)
 
 
 class TestStoredCategories:
@@ -401,9 +386,11 @@ class TestStoredCategories:
         tampered = _reframed(blob, edit)
         with pytest.raises(CodecError):
             decode_file_result(tampered, test_file)
-        store.save("file-results", {"file": test_file.path}, tampered)
-        assert load_checked(store, "file-results", {"file": test_file.path}, decode_file_result, test_file) is None
-        assert store.load("file-results", {"file": test_file.path}) is None  # invalidated
+        key = {"file": test_file.path}
+        store.save("file-results", key, tampered)
+        assert store.load("file-results", key, decode_file_result, test_file) is None
+        assert not store.path_for("file-results", key).exists()  # deleted
+        assert (store.stats.hits, store.stats.misses, store.stats.errors) == (0, 1, 1)
 
     def test_a_head_without_its_category_column_is_a_miss(self, encoded):
         _file_result, test_file, blob = encoded[0]

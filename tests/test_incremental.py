@@ -17,8 +17,6 @@ test_differential.py; these tests pin the mechanics and the counters.
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from test_differential import assert_equivalent, on_pool
@@ -109,15 +107,15 @@ class TestAssembly:
         execute that one file, not abort the suite or poison the result."""
         suite = build_suite("slt", file_count=3, records_per_file=15, seed=64, store=None)
         cold = run_transplant(suite, "duckdb", store=store)
-        # truncate one per-file codec frame *inside* its (still valid) pickle:
-        # the store layer reads it fine, only the codec can notice
+        # truncate one per-file codec frame: the store reads its bytes fine,
+        # only the frame check can notice
         victim = sorted((store.root / "file-results").rglob("*.pkl"))[0]
-        version, namespace, blob = pickle.loads(victim.read_bytes())
-        victim.write_bytes(pickle.dumps((version, namespace, blob[: len(blob) // 2])))
+        blob = victim.read_bytes()
+        victim.write_bytes(blob[: len(blob) // 2])
         store.stats.reset()
         warm = run_transplant(suite, "duckdb", store=store)
         assert canonical_bytes(warm) == canonical_bytes(cold)
-        # the unusable blob is reclassified as a miss (and was re-executed)
+        # the unusable blob counts as a miss (and was re-executed)
         assert store.stats.by_namespace["file-results"] == {"hits": 2, "misses": 1}
         assert store.stats.errors >= 1
         # the fallback overwrote the bad blob: the next assembly is all-hit
@@ -130,9 +128,8 @@ class TestAssembly:
         suite = build_suite("slt", file_count=3, records_per_file=15, seed=64, store=None)
         cold = run_transplant(suite, "duckdb", store=store)
         victim = sorted((store.root / "file-results").rglob("*.pkl"))[0]
-        version, namespace, blob = pickle.loads(victim.read_bytes())
-        bumped = blob[:3] + bytes([blob[3] + 1]) + blob[4:]  # magic "RRC" + version byte
-        victim.write_bytes(pickle.dumps((version, namespace, bumped)))
+        blob = victim.read_bytes()
+        victim.write_bytes(blob[:3] + bytes([blob[3] + 1]) + blob[4:])  # magic "RRC" + version byte
         warm = run_transplant(suite, "duckdb", store=store)
         assert canonical_bytes(warm) == canonical_bytes(cold)
 
@@ -194,11 +191,11 @@ class TestIncrementalAnalysis:
         suite = build_suite("postgres", file_count=3, records_per_file=12, seed=81, store=None)
         analyzer = SuiteAnalyzer(store=store)
         cold = analyzer.full_report(suite)
-        # truncate one per-file codec frame inside its (still valid) pickle:
-        # the store layer reads it fine, only the codec can notice
+        # truncate one per-file codec frame: the store reads its bytes fine,
+        # only the frame check can notice
         victim = sorted((store.root / "file-analysis").rglob("*.pkl"))[0]
-        version, namespace, blob = pickle.loads(victim.read_bytes())
-        victim.write_bytes(pickle.dumps((version, namespace, blob[: len(blob) // 2])))
+        blob = victim.read_bytes()
+        victim.write_bytes(blob[: len(blob) // 2])
         store.stats.reset()
         warm = analyzer.full_report(suite)
         total = len(suite.files) * len(ANALYSIS_PASSES)
@@ -217,9 +214,8 @@ class TestIncrementalAnalysis:
         analyzer = SuiteAnalyzer(store=store)
         cold = analyzer.full_report(suite)
         victim = sorted((store.root / "file-analysis").rglob("*.pkl"))[0]
-        version, namespace, blob = pickle.loads(victim.read_bytes())
-        bumped = blob[:3] + bytes([blob[3] + 1]) + blob[4:]  # magic "RRC" + version byte
-        victim.write_bytes(pickle.dumps((version, namespace, bumped)))
+        blob = victim.read_bytes()
+        victim.write_bytes(blob[:3] + bytes([blob[3] + 1]) + blob[4:])  # magic "RRC" + version byte
         warm = analyzer.full_report(suite)
         assert_equivalent({"direct": direct_report(suite), "cold": cold, "after-bump": warm})
 
@@ -228,8 +224,7 @@ class TestIncrementalAnalysis:
         *decodes* yet belongs to another pass must still read as a miss."""
         from repro.analysis import count_runner_commands
         from repro.analysis.incremental import SuiteAnalyzer
-        from repro.store import analysis_file_key
-        from repro.store.codec import encode_analysis_partial
+        from repro.store import analysis_file_key, encode_document
 
         suite = build_suite("slt", file_count=3, records_per_file=12, seed=83, store=None)
         analyzer = SuiteAnalyzer(store=store)
@@ -237,7 +232,7 @@ class TestIncrementalAnalysis:
         store.save(
             "file-analysis",
             analysis_file_key("features", suite.files[0]),
-            encode_analysis_partial("statements", {"counts": {}}),
+            encode_document("file-analysis", {"pass": "statements", "partial": {"counts": {}}}),
         )
         store.stats.reset()
         census = analyzer.command_census(suite)
@@ -277,9 +272,9 @@ class TestIncrementalCorpus:
         assert len(list((store.root / "file-donor").rglob("*.pkl"))) == 4
 
     def test_foreign_payload_at_donor_key_is_invalidated(self, store):
-        """A loadable blob that is not a recording dict must be discarded and
-        its lookup demoted to a miss, like any corrupt artifact."""
-        from repro.store import donor_file_key
+        """A frame that decodes but holds no recording must be discarded and
+        count as a miss, like any corrupt artifact."""
+        from repro.store import donor_file_key, encode_document
 
         generate_corpus("slt", file_count=2, records_per_file=10, seed=76, store=store)
         _wipe(store, "corpus-suites")
@@ -288,7 +283,7 @@ class TestIncrementalCorpus:
         store.save(
             "file-donor",
             donor_file_key("slt", 10, 76, 0),
-            {"name": "x.test", "primary_text": "", "expected_text": None, "extra": 1},
+            encode_document("file-donor", {"name": "x.test", "primary_text": "", "expected_text": None, "extra": 1}),
         )
         store.stats.reset()
         rebuilt = generate_corpus("slt", file_count=2, records_per_file=10, seed=76, store=store)

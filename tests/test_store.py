@@ -14,11 +14,13 @@ leave on by default:
 
 from __future__ import annotations
 
+import base64
 import concurrent.futures
 import dataclasses
 import hashlib
 import os
 import pickle
+import random
 import subprocess
 import sys
 import threading
@@ -31,13 +33,16 @@ from repro.core.transplant import CellKey, run_cells, run_matrix, run_transplant
 from repro.corpus import build_all_suites, build_suite
 from repro.formats import parse_test_text
 from repro.store import (
+    CODEC_VERSION,
     ArtifactStore,
+    CodecError,
     canonical_bytes,
     content_hash,
+    decode_document,
+    encode_document,
     file_result_key,
 )
 from repro.store import keys as store_keys
-from repro.store.artifacts import STORE_FORMAT_VERSION
 
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -52,68 +57,107 @@ def store(tmp_path) -> ArtifactStore:
     return ArtifactStore(root=tmp_path / "store", fingerprint="test-fp")
 
 
+def _put(store: ArtifactStore, namespace: str, key, value) -> bool:
+    """Save ``value`` as the document frame ``{"value": value}`` of ``namespace``."""
+    return store.save(namespace, key, encode_document(namespace, {"value": value}))
+
+
+def _get(store: ArtifactStore, namespace: str, key):
+    """The value :func:`_put` stored at ``key``, or None on a miss."""
+    document = store.load(namespace, key, decode_document, namespace)
+    return None if document is None else document["value"]
+
+
+def _noise(size: int) -> str:
+    """A string that frames to about ``size`` bytes: base85 of random bytes does not compress."""
+    return base64.b85encode(random.Random(size).randbytes(size)).decode("ascii")
+
+
+def _bump_version(blob: bytes) -> bytes:
+    """``blob`` as a frame of the next codec version."""
+    return blob[:3] + bytes([CODEC_VERSION + 1]) + blob[4:]
+
+
 # -- core store behaviour ----------------------------------------------------------
 
 
 class TestArtifactStore:
     def test_round_trip(self, store):
         key = {"suite": "slt", "seed": 7}
-        assert store.load("ns", key) is None
-        assert store.save("ns", key, {"value": [1, 2, 3]})
-        assert store.load("ns", key) == {"value": [1, 2, 3]}
+        assert _get(store, "ns", key) is None
+        assert _put(store, "ns", key, {"value": [1, 2, 3]})
+        assert _get(store, "ns", key) == {"value": [1, 2, 3]}
         assert store.stats.hits == 1
         assert store.stats.misses == 1
         assert store.stats.writes == 1
 
     def test_distinct_keys_and_namespaces(self, store):
-        store.save("a", {"k": 1}, "first")
-        store.save("a", {"k": 2}, "second")
-        store.save("b", {"k": 1}, "third")
-        assert store.load("a", {"k": 1}) == "first"
-        assert store.load("a", {"k": 2}) == "second"
-        assert store.load("b", {"k": 1}) == "third"
+        _put(store, "a", {"k": 1}, "first")
+        _put(store, "a", {"k": 2}, "second")
+        _put(store, "b", {"k": 1}, "third")
+        assert _get(store, "a", {"k": 1}) == "first"
+        assert _get(store, "a", {"k": 2}) == "second"
+        assert _get(store, "b", {"k": 1}) == "third"
 
     def test_key_order_is_canonical(self, store):
-        store.save("ns", {"a": 1, "b": 2}, "value")
-        assert store.load("ns", {"b": 2, "a": 1}) == "value"
+        _put(store, "ns", {"a": 1, "b": 2}, "value")
+        assert _get(store, "ns", {"b": 2, "a": 1}) == "value"
 
     def test_truncated_artifact_is_a_miss(self, store):
         key = {"seed": 1}
-        store.save("ns", key, list(range(1000)))
+        _put(store, "ns", key, list(range(1000)))
         path = store.path_for("ns", key)
-        path.write_bytes(path.read_bytes()[:20])  # truncate mid-pickle
-        assert store.load("ns", key, default="fallback") == "fallback"
+        path.write_bytes(path.read_bytes()[:20])  # truncate mid-frame
+        assert _get(store, "ns", key) is None
         assert store.stats.errors == 1
         assert not path.exists(), "corrupt artifact must be removed"
         # and the slot is usable again
-        assert store.save("ns", key, "regenerated")
-        assert store.load("ns", key) == "regenerated"
+        assert _put(store, "ns", key, "regenerated")
+        assert _get(store, "ns", key) == "regenerated"
 
     def test_garbage_artifact_is_a_miss(self, store):
         key = {"seed": 2}
-        store.save("ns", key, "value")
-        store.path_for("ns", key).write_bytes(b"not a pickle at all")
-        assert store.load("ns", key) is None
+        _put(store, "ns", key, "value")
+        store.path_for("ns", key).write_bytes(b"not a frame at all")
+        assert _get(store, "ns", key) is None
         assert store.stats.errors == 1
 
     def test_wrong_header_is_a_miss(self, store):
+        """A frame of another codec version, or of another kind, is deleted as a miss."""
         key = {"seed": 3}
         path = store.path_for("ns", key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(pickle.dumps((STORE_FORMAT_VERSION + 1, "ns", "value")))
-        assert store.load("ns", key) is None
-        assert not path.exists()
+        frame = encode_document("ns", {"value": "value"})
+        for planted in (_bump_version(frame), encode_document("other-ns", {"value": "value"})):
+            path.write_bytes(planted)
+            assert _get(store, "ns", key) is None
+            assert not path.exists()
+        assert (store.stats.hits, store.stats.misses, store.stats.errors) == (0, 2, 2)
+
+    def test_a_reader_bug_propagates_and_keeps_the_file(self, store):
+        """Only a CodecError is corruption: any other exception from a reader is a bug."""
+        key = {"seed": 4}
+        _put(store, "ns", key, "value")
+
+        def broken(blob):
+            raise KeyError("reader bug")
+
+        with pytest.raises(KeyError, match="reader bug"):
+            store.load("ns", key, broken)
+        assert store.path_for("ns", key).exists()
+        assert store.stats.errors == 0
+        assert _get(store, "ns", key) == "value"
 
     def test_fingerprint_bump_invalidates(self, tmp_path):
         root = tmp_path / "store"
         old = ArtifactStore(root=root, fingerprint="version-1")
-        old.save("ns", {"seed": 7}, "old-artifact")
+        _put(old, "ns", {"seed": 7}, "old-artifact")
         new = ArtifactStore(root=root, fingerprint="version-2")
-        assert new.load("ns", {"seed": 7}) is None, "new fingerprint must not see old entries"
-        assert old.load("ns", {"seed": 7}) == "old-artifact", "old entries stay addressable by old code"
-        new.save("ns", {"seed": 7}, "new-artifact")
-        assert new.load("ns", {"seed": 7}) == "new-artifact"
-        assert old.load("ns", {"seed": 7}) == "old-artifact"
+        assert _get(new, "ns", {"seed": 7}) is None, "new fingerprint must not see old entries"
+        assert _get(old, "ns", {"seed": 7}) == "old-artifact", "old entries stay addressable by old code"
+        _put(new, "ns", {"seed": 7}, "new-artifact")
+        assert _get(new, "ns", {"seed": 7}) == "new-artifact"
+        assert _get(old, "ns", {"seed": 7}) == "old-artifact"
 
     def test_concurrent_writers_do_not_clobber(self, store):
         barrier = threading.Barrier(8)
@@ -121,14 +165,14 @@ class TestArtifactStore:
         def writer(worker: int):
             barrier.wait()
             for round_number in range(10):
-                store.save("ns", {"slot": round_number % 3}, {"worker": worker, "round": round_number})
+                _put(store, "ns", {"slot": round_number % 3}, {"worker": worker, "round": round_number})
             return True
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             assert all(pool.map(writer, range(8)))
         # whatever write won each slot, the artifact must be complete and valid
         for slot in range(3):
-            value = store.load("ns", {"slot": slot})
+            value = _get(store, "ns", {"slot": slot})
             assert isinstance(value, dict) and set(value) == {"worker", "round"}
         assert store.stats.errors == 0
         # no temp files left behind
@@ -137,29 +181,29 @@ class TestArtifactStore:
 
     def test_lru_eviction_drops_oldest(self, tmp_path):
         store = ArtifactStore(root=tmp_path / "store", max_bytes=1, fingerprint="fp")
-        store.save("ns", {"k": 1}, "x" * 100)  # immediately over budget
-        store.save("ns", {"k": 2}, "y" * 100)
+        _put(store, "ns", {"k": 1}, "x" * 100)  # immediately over budget
+        _put(store, "ns", {"k": 2}, "y" * 100)
         assert store.stats.evictions >= 1
         # the newest entry survives each sweep
-        assert store.load("ns", {"k": 2}) == "y" * 100
+        assert _get(store, "ns", {"k": 2}) == "y" * 100
 
     def test_eviction_keeps_recently_read_entries(self, tmp_path):
         store = ArtifactStore(root=tmp_path / "store", max_bytes=10_000, fingerprint="fp")
-        store.save("ns", {"k": "old"}, "o" * 3000)
-        store.save("ns", {"k": "mid"}, "m" * 3000)
+        _put(store, "ns", {"k": "old"}, _noise(3000))
+        _put(store, "ns", {"k": "mid"}, _noise(3000))
         older = store.path_for("ns", {"k": "old"})
         middle = store.path_for("ns", {"k": "mid"})
         os.utime(older, (1_000_000, 1_000_000))
         os.utime(middle, (2_000_000, 2_000_000))
         # a read freshens "old", so "mid" is now the LRU victim
-        assert store.load("ns", {"k": "old"}) is not None
-        store.save("ns", {"k": "new"}, "n" * 6000)  # pushes past max_bytes
+        assert _get(store, "ns", {"k": "old"}) is not None
+        _put(store, "ns", {"k": "new"}, _noise(6000))  # pushes past max_bytes
         assert not middle.exists()
         assert older.exists()
 
     def test_snapshot_shape(self, store):
-        store.save("ns", "k", "v")
-        store.load("ns", "k")
+        _put(store, "ns", "k", "v")
+        _get(store, "ns", "k")
         snapshot = store.snapshot()
         assert snapshot["entries"] == 1
         assert snapshot["bytes"] > 0
@@ -167,10 +211,10 @@ class TestArtifactStore:
         assert 0.0 <= snapshot["hit_rate"] <= 1.0
 
     def test_clear(self, store):
-        store.save("ns", "k", "v")
+        _put(store, "ns", "k", "v")
         store.clear()
         assert store.entry_count == 0
-        assert store.load("ns", "k") is None
+        assert _get(store, "ns", "k") is None
 
     def test_corruption_deletions_keep_the_byte_estimate_honest(self, store):
         """Corruption-as-miss deletions must decrement the amortized byte
@@ -178,14 +222,14 @@ class TestArtifactStore:
         corrupt read, drifting until the next over-budget sweep)."""
         keys = [{"seed": n} for n in range(6)]
         for key in keys:
-            store.save("ns", key, "x" * 2000)
+            _put(store, "ns", key, _noise(2000))
         assert store.estimated_bytes == store.total_bytes
         garbage = b"g" * 500
         for key in keys[:3]:  # corrupt half, read them back as misses
             store.path_for("ns", key).write_bytes(garbage)
         estimate_before = store.estimated_bytes
         for key in keys[:3]:
-            assert store.load("ns", key) is None
+            assert _get(store, "ns", key) is None
         assert store.stats.errors == 3
         # each corrupt read deleted its (garbage-sized) file AND subtracted
         # that size from the estimate — without the decrement the estimate
@@ -198,7 +242,7 @@ class TestArtifactStore:
 
     def test_gc_recounts_and_evicts_to_budget(self, store):
         for n in range(8):
-            store.save("ns", {"k": n}, "y" * 4000)
+            _put(store, "ns", {"k": n}, _noise(4000))
         # delete some entries behind the store's back: the estimate is stale
         victims = [store.path_for("ns", {"k": n}) for n in range(2)]
         for victim in victims:
@@ -216,9 +260,9 @@ class TestArtifactStore:
         assert store.max_bytes != summary["max_bytes"]
 
     def test_namespace_stats(self, store):
-        store.save("alpha", {"k": 1}, "a" * 5000)
-        store.save("alpha", {"k": 2}, "a" * 5000)
-        store.save("beta", {"k": 1}, "b")
+        _put(store, "alpha", {"k": 1}, _noise(5000))
+        _put(store, "alpha", {"k": 2}, _noise(5000))
+        _put(store, "beta", {"k": 1}, "b")
         stats = store.namespace_stats()
         assert list(stats) == ["alpha", "beta"]  # sorted by bytes descending
         assert stats["alpha"]["entries"] == 2
@@ -534,8 +578,8 @@ class TestStoreCLI:
     def populated(self, tmp_path):
         root = tmp_path / "cli-store"
         store = ArtifactStore(root=root, fingerprint="cli-fp")
-        store.save("corpus-suites", {"k": 1}, "d" * 2000)
-        store.save("file-results", {"k": 1}, "m" * 3000)
+        _put(store, "corpus-suites", {"k": 1}, _noise(2000))
+        _put(store, "file-results", {"k": 1}, _noise(3000))
         return root, store
 
     def _run(self, *argv) -> tuple[int, str]:
@@ -555,6 +599,8 @@ class TestStoreCLI:
         assert status == 0
         assert "entries:     2" in output
         assert "file-results" in output and "corpus-suites" in output
+        # the command reads no artifact: it prints no lookup counters
+        assert "hits" not in output and "misses" not in output
 
     def test_stats_json(self, populated):
         import json
@@ -563,7 +609,9 @@ class TestStoreCLI:
         status, output = self._run("store", "stats", "--store-dir", str(root), "--json")
         assert status == 0
         payload = json.loads(output)
+        assert set(payload) == {"root", "entries", "bytes", "max_bytes", "namespaces"}
         assert payload["entries"] == 2
+        assert payload["bytes"] == sum(bucket["bytes"] for bucket in payload["namespaces"].values())
         assert set(payload["namespaces"]) == {"corpus-suites", "file-results"}
 
     def test_gc_trims_to_requested_budget(self, populated):
@@ -606,19 +654,16 @@ class TestFailurePathHygiene:
             raise OSError(5, "injected EIO on rename")
 
         monkeypatch.setattr(os, "replace", _broken_replace)
-        assert store.save("ns", {"k": 1}, "value") is False
+        assert _put(store, "ns", {"k": 1}, "value") is False
         assert self._tmp_leftovers(store) == []
         assert store.stats.errors == 1
         assert store.stats.io_errors == 1
 
-    def test_failed_pickle_leaves_no_tmp_files(self, store):
-        class Unpicklable:
-            def __reduce__(self):
-                raise TypeError("nope")
-
-        assert store.save("ns", {"k": 1}, Unpicklable()) is False
+    def test_non_bytes_value_leaves_no_tmp_files(self, store):
+        # the store writes the bytes it is given: anything else fails the write
+        assert store.save("ns", {"k": 1}, "not bytes") is False
         assert self._tmp_leftovers(store) == []
-        # a serialization bug is a corruption-class error, not a disk fault
+        # a client bug is a corruption-class error, not a disk fault
         assert store.stats.errors == 1
         assert store.stats.io_errors == 0
 
@@ -643,7 +688,7 @@ class TestStoreDegradation:
         store = self._failing(tmp_path, degrade_after=3)
         with caplog.at_level("WARNING", logger="repro.store.artifacts"):
             for index in range(5):
-                assert store.save("ns", {"k": index}, "value") is False
+                assert _put(store, "ns", {"k": index}, "value") is False
         assert store.degraded
         warnings = [record for record in caplog.records if "degraded to storeless mode" in record.message]
         assert len(warnings) == 1
@@ -654,11 +699,11 @@ class TestStoreDegradation:
 
     def test_degraded_store_short_circuits_loads(self, tmp_path):
         store = self._failing(tmp_path, degrade_after=2)
-        store.load("ns", {"k": 1})
-        store.load("ns", {"k": 2})
+        _get(store, "ns", {"k": 1})
+        _get(store, "ns", {"k": 2})
         assert store.degraded
         misses_before = store.stats.misses
-        assert store.load("ns", {"k": 3}) is None
+        assert _get(store, "ns", {"k": 3}) is None
         assert store.stats.misses == misses_before + 1
         assert store.stats.io_errors == 2  # the third load never hit _read
 
@@ -673,21 +718,21 @@ class TestStoreDegradation:
             real_write(self, path, payload)
 
         monkeypatch.setattr(type(store), "_write", _flaky_write)
-        store.save("ns", {"k": 1}, "v")  # streak 1
-        store.save("ns", {"k": 2}, "v")  # streak 2
-        assert store.save("ns", {"k": 3}, "v") is True  # streak reset
-        store.save("ns", {"k": 4}, "v")  # streak 1 again
-        store.save("ns", {"k": 5}, "v")  # streak 2 — still below 3
+        _put(store, "ns", {"k": 1}, "v")  # streak 1
+        _put(store, "ns", {"k": 2}, "v")  # streak 2
+        assert _put(store, "ns", {"k": 3}, "v") is True  # streak reset
+        _put(store, "ns", {"k": 4}, "v")  # streak 1 again
+        _put(store, "ns", {"k": 5}, "v")  # streak 2 — still below 3
         assert not store.degraded
 
     def test_missing_artifact_is_not_an_io_error(self, store):
-        assert store.load("ns", {"k": "absent"}) is None
+        assert _get(store, "ns", {"k": "absent"}) is None
         assert store.stats.io_errors == 0
         assert not store.degraded
 
     def test_clear_rearms_a_degraded_store(self, tmp_path):
         store = self._failing(tmp_path, degrade_after=1)
-        store.load("ns", {"k": 1})
+        _get(store, "ns", {"k": 1})
         assert store.degraded
         store.clear()
         assert not store.degraded
@@ -703,15 +748,15 @@ class TestAuditAndSweep:
         return [path for _, _, path in store._artifact_files()]
 
     def test_clean_store_audits_clean(self, store):
-        store.save("ns", {"k": 1}, "value")
-        store.save("other", {"k": 2}, [1, 2, 3])
+        _put(store, "ns", {"k": 1}, "value")
+        _put(store, "other", {"k": 2}, [1, 2, 3])
         report = store.audit()
         assert report["verified"] == 2
         assert report["corrupt"] == 0
         assert report["corrupt_paths"] == []
 
-    def test_truncated_pickle_is_deleted_and_reported(self, store):
-        store.save("ns", {"k": 1}, "value")
+    def test_truncated_frame_is_deleted_and_reported(self, store):
+        _put(store, "ns", {"k": 1}, "value")
         (path,) = self._artifact_paths(store)
         path.write_bytes(path.read_bytes()[:-7])
         report = store.audit()
@@ -720,15 +765,14 @@ class TestAuditAndSweep:
         assert not path.exists()
         assert store.stats.errors == 1
 
-    def test_bad_codec_frame_inside_intact_pickle_is_caught(self, store):
+    def test_bad_codec_frame_digest_is_caught(self, store):
         import zlib
 
-        from repro.store.codec import CODEC_VERSION, MAGIC
+        from repro.store.codec import MAGIC
 
-        # the pickle envelope is flawless; only the framed payload's digest
-        # lies — exactly what a torn write followed by a lucky rename, or bit
-        # rot under the pickle layer, would look like
-        forged = MAGIC + bytes([CODEC_VERSION]) + b"12345678" + zlib.compress(b"payload")
+        # header, kind and zlib stream are flawless; only the digest lies —
+        # what bit rot under an intact compressed stream would look like
+        forged = MAGIC + bytes([CODEC_VERSION]) + b"12345678" + zlib.compress(b"file-results\npayload")
         store.save("file-results", {"k": 1}, forged)
         report = store.audit()
         assert report["corrupt"] == 1
@@ -737,20 +781,25 @@ class TestAuditAndSweep:
     def test_intact_codec_frames_pass(self, store):
         from repro.adapters import create_adapter
         from repro.core.runner import TestRunner
-        from repro.store.codec import encode_file_result, frame_intact
+        from repro.store.codec import encode_file_result, unframe
 
         suite = build_suite("slt", file_count=1, records_per_file=3, seed=9)
         result = TestRunner(create_adapter("sqlite"), host_name="sqlite").run_suite(suite)
         blob = encode_file_result(result.files[0], suite.files[0])
-        assert frame_intact(blob)
-        assert not frame_intact(blob[:-1] + bytes([blob[-1] ^ 0xFF]))
-        assert not frame_intact(b"garbage")
-        assert not frame_intact(None)
+        assert unframe(blob, "file-results")
+        for bad, kind in [
+            (blob[:-1] + bytes([blob[-1] ^ 0xFF]), "file-results"),
+            (b"garbage", "file-results"),
+            (None, "file-results"),
+            (blob, "file-analysis"),
+        ]:
+            with pytest.raises(CodecError):
+                unframe(bad, kind)
         store.save("file-results", {"k": 1}, blob)
         assert store.audit()["verified"] == 1
 
     def test_namespace_mismatch_is_caught(self, store):
-        store.save("ns", {"k": 1}, "value")
+        _put(store, "ns", {"k": 1}, "value")
         (path,) = self._artifact_paths(store)
         impostor_dir = store.root / "other-ns"
         impostor_dir.mkdir()
@@ -760,14 +809,14 @@ class TestAuditAndSweep:
         assert report["corrupt_paths"][0].startswith("other-ns/")
 
     def test_wrong_format_version_is_caught(self, store):
-        store.save("ns", {"k": 1}, "value")
+        _put(store, "ns", {"k": 1}, "value")
         (path,) = self._artifact_paths(store)
-        store._write(path, (STORE_FORMAT_VERSION + 1, "ns", "value"))
+        store._write(path, _bump_version(path.read_bytes()))
         report = store.audit()
         assert report["corrupt"] == 1
 
     def test_audit_sweeps_tmp_unconditionally(self, store):
-        store.save("ns", {"k": 1}, "value")
+        _put(store, "ns", {"k": 1}, "value")
         leftover = store.root / "ns" / ".tmp-killed-writer"
         leftover.write_bytes(b"partial")
         report = store.audit()
@@ -776,7 +825,7 @@ class TestAuditAndSweep:
         assert store.audit(sweep=False)["tmp_swept"] == 0
 
     def test_sweep_tmp_age_threshold_spares_live_writers(self, store):
-        store.save("ns", {"k": 1}, "value")
+        _put(store, "ns", {"k": 1}, "value")
         fresh = store.root / "ns" / ".tmp-live-writer"
         fresh.write_bytes(b"in flight")
         assert store.sweep_tmp(max_age_seconds=3600) == 0
@@ -789,14 +838,14 @@ class TestAuditAndSweep:
 
         root = tmp_path / "store"
         first = ArtifactStore(root=root, fingerprint="test-fp")
-        first.save("ns", {"k": 1}, "value")
+        _put(first, "ns", {"k": 1}, "value")
         stale = root / "ns" / ".tmp-dead-writer"
         stale.write_bytes(b"partial")
         two_hours_ago = _time.time() - 7200
         os.utime(stale, (two_hours_ago, two_hours_ago))
         reopened = ArtifactStore(root=root, fingerprint="test-fp")
         assert not stale.exists()
-        assert reopened.load("ns", {"k": 1}) == "value"
+        assert _get(reopened, "ns", {"k": 1}) == "value"
 
     def test_cli_audit(self, tmp_path):
         import contextlib
@@ -806,10 +855,10 @@ class TestAuditAndSweep:
 
         root = tmp_path / "cli-store"
         store = ArtifactStore(root=root, fingerprint="cli-fp")
-        store.save("ns", {"k": 1}, "value")
-        store.save("ns", {"k": 2}, "other")
+        _put(store, "ns", {"k": 1}, "value")
+        _put(store, "ns", {"k": 2}, "other")
         path = [p for _, _, p in store._artifact_files()][0]
-        path.write_bytes(b"not a pickle")
+        path.write_bytes(b"not a frame")
 
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
@@ -826,7 +875,7 @@ class TestAuditAndSweep:
         from repro.experiments.__main__ import main
 
         root = tmp_path / "cli-store"
-        ArtifactStore(root=root, fingerprint="cli-fp").save("ns", {"k": 1}, "value")
+        _put(ArtifactStore(root=root, fingerprint="cli-fp"), "ns", {"k": 1}, "value")
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
             status = main(["store", "audit", "--store-dir", str(root), "--json"])
@@ -834,3 +883,70 @@ class TestAuditAndSweep:
         payload = json.loads(buffer.getvalue())
         assert payload["verified"] == 1
         assert payload["corrupt"] == 0
+
+
+# -- planted pickles ---------------------------------------------------------------
+
+
+class _RunsOnUnpickle:
+    """A pickle that creates the directory ``path`` when it is loaded."""
+
+    def __init__(self, path) -> None:
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
+
+
+def _readers() -> dict:
+    """namespace -> (the reader its client loads with, the reader's extra arguments)."""
+    from repro.analysis import incremental
+    from repro.corpus import generate
+    from repro.experiments import bugs
+    from repro.store import codec
+
+    test_file = build_suite("slt", file_count=1, records_per_file=5, seed=9, store=None).files[0]
+    return {
+        "file-results": (codec.decode_file_result, (test_file,)),
+        "file-analysis": (incremental._stored_partial, ("features",)),
+        "file-donor": (generate._recording, ()),
+        bugs.PROBES_NAMESPACE: (bugs._read_probes, ()),
+    }
+
+
+class TestPlantedPickle:
+    """A store file holding a pickle is never unpickled, on load or in audit.
+
+    Every store file must be a codec frame of its namespace's kind, and a
+    pickle is not one, so readers and audit reject it before anything could
+    unpickle it.  ``corpus-suites`` is left out: its frame body is still a
+    pickled ``TestSuite``, which its reader unpickles once the frame's
+    digest, version and kind check out, so a forged frame of that kind would
+    still run its pickle until that namespace is deleted (ROADMAP item 5).
+    """
+
+    def test_the_planted_pickle_runs_when_unpickled(self, tmp_path):
+        marker = tmp_path / "unpickled"
+        pickle.loads(pickle.dumps(_RunsOnUnpickle(marker)))
+        assert marker.exists()
+
+    @pytest.mark.parametrize("namespace", ["file-results", "file-analysis", "file-donor", "bug-probes"])
+    def test_planted_pickle_is_a_miss_and_never_runs(self, store, tmp_path, namespace):
+        read, args = _readers()[namespace]
+        marker = tmp_path / "unpickled"
+        key = {"planted": namespace}
+        path = store.path_for(namespace, key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # the (version, namespace, value) envelope of the pickle store format
+        planted = pickle.dumps((1, namespace, _RunsOnUnpickle(marker)))
+
+        path.write_bytes(planted)
+        assert store.load(namespace, key, read, *args) is None
+        assert not path.exists()
+        assert (store.stats.hits, store.stats.misses, store.stats.errors) == (0, 1, 1)
+
+        path.write_bytes(planted)
+        report = store.audit()
+        assert (report["verified"], report["corrupt"]) == (0, 1)
+        assert not path.exists()
+        assert not marker.exists(), "the planted pickle ran"

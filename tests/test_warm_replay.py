@@ -16,7 +16,6 @@ Pinned invariants:
 from __future__ import annotations
 
 import os
-import pickle
 import subprocess
 import sys
 
@@ -25,8 +24,7 @@ import pytest
 from repro.adapters.minidb_adapter import MiniDBAdapter
 from repro.experiments import ExperimentContext, run_experiment
 from repro.experiments import bugs as bugs_module
-from repro.store import ArtifactStore, encode_analysis_partial
-from repro.store import codec as codec_module
+from repro.store import ArtifactStore, encode_document
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -99,8 +97,8 @@ def _corrupt(blob: bytes, how: str) -> bytes:
     if how == "truncated":
         return blob[: len(blob) // 2]
     if how == "wrong-shape":
-        return codec_module._encode_document(bugs_module.PROBES_NAMESPACE, {"hang": 3, "reduction": []})
-    return encode_analysis_partial("features", {"hang": None, "reduction": []})  # another frame kind
+        return encode_document(bugs_module.PROBES_NAMESPACE, {"hang": 3, "reduction": []})
+    return encode_document("file-analysis", {"hang": None, "reduction": []})  # another frame kind
 
 
 class TestBugProbes:
@@ -116,8 +114,7 @@ class TestBugProbes:
         assert (warm.text, warm.data) == (cold.text, cold.data)
 
         [victim] = (tmp_path / "store" / bugs_module.PROBES_NAMESPACE).rglob("*.pkl")
-        version, namespace, blob = pickle.loads(victim.read_bytes())
-        victim.write_bytes(pickle.dumps((version, namespace, _corrupt(blob, how))))
+        victim.write_bytes(_corrupt(victim.read_bytes(), how))
         recomputed, store = _bugs(store_dir)
         assert connects and set(connects) <= {"sqlite", "duckdb"}  # only the probes ran
         assert store.stats.by_namespace[bugs_module.PROBES_NAMESPACE] == {"hits": 0, "misses": 1}
