@@ -11,15 +11,15 @@
 #                  scripts/bench_compare.py) with arming instructions instead
 #                  of silently passing.
 #   make ci      — exactly what .github/workflows/ci.yml runs per Python
-#                  version: lint + pytest + tier2-bench, *without* the
-#                  baseline comparison (CI machines have no frozen baseline;
-#                  the bench step is non-blocking there and the report is
-#                  uploaded as a build artifact instead).
+#                  version: lint + pytest + examples + tier2-bench,
+#                  *without* the baseline comparison (CI machines have no
+#                  frozen baseline; the bench step is non-blocking there and
+#                  the report is uploaded as a build artifact instead).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: tier1 ci tier2-bench bench bench-compare bench-baseline lint profile
+.PHONY: tier1 ci examples tier2-bench bench bench-compare bench-baseline lint profile
 
 ## lint: fast static checks — byte-compile everything, pyflakes when installed,
 ## and fail if a generated artifact (BENCH report, store directory) is tracked
@@ -51,10 +51,10 @@ tier1: lint
 ## ci: what the hosted workflow runs per Python version — lint + full tests
 ## (coverage-gated when pytest-cov is installed, and under the workflow's
 ## hard per-test timeout when pytest-timeout is, exactly as the workflow
-## enforces) + the pipeline benchmark, without the machine-local baseline
-## comparison.  The bench step is non-blocking, exactly like the workflow's
-## continue-on-error (wall-clock assertions are too noisy to gate on
-## arbitrary machines).
+## enforces) + the examples + the pipeline benchmark, without the
+## machine-local baseline comparison.  The bench step is non-blocking,
+## exactly like the workflow's continue-on-error (wall-clock assertions are
+## too noisy to gate on arbitrary machines).
 COV_FAIL_UNDER ?= 75
 ci: lint
 	@timeout_flags=""; \
@@ -69,8 +69,22 @@ ci: lint
 		echo "ci: pytest-cov not installed; running tests without the coverage gate"; \
 		$(PYTHON) -m pytest -q $$timeout_flags; \
 	fi
+	@$(MAKE) --no-print-directory examples
 	@$(PYTHON) -m pytest benchmarks/bench_pipeline.py -q \
 		|| echo "ci: bench step failed (non-blocking, mirrors hosted CI)"
+
+## examples: run every examples/*.py, the in-repo callers that keep public
+## names alive, so a deletion that breaks one fails here instead of passing
+## lint.  Each runs against a store and HOME in a fresh temp directory
+## (2-3 s for all four on 2 vCPUs)
+examples:
+	@tmp=$$(mktemp -d); status=0; \
+	for example in examples/*.py; do \
+		echo "examples: $$example"; \
+		REPRO_STORE_DIR=$$tmp/store HOME=$$tmp $(PYTHON) $$example > $$tmp/out.txt \
+			|| { cat $$tmp/out.txt; status=1; break; }; \
+	done; \
+	rm -rf $$tmp; exit $$status
 
 ## bench-baseline: freeze the current pipeline report as the local baseline
 bench-baseline:

@@ -29,7 +29,7 @@ from repro.analysis.predicates import join_usage, predicate_distribution
 from repro.analysis.statements import standard_compliance, statement_type_distribution
 from repro.core.parallel import WorkerPool
 from repro.core.records import TestSuite
-from repro.core.transplant import DEFAULT_HOSTS, CellKey, TransplantMatrix, run_cells, run_matrix, run_transplant
+from repro.core.transplant import DEFAULT_HOSTS, CellKey, TransplantMatrix, run_cells, run_transplant
 from repro.corpus import build_suite
 from repro.engine.session import Session
 from repro.perf import cache as perf_cache
@@ -100,9 +100,10 @@ INCREMENTAL_EDIT_INDEX = 2
 MIN_INCREMENTAL_SPEEDUP = float(os.environ.get("BENCH_MIN_INCREMENTAL_SPEEDUP", "5.0"))
 
 #: Floor of the incremental-*analysis* benchmark (same edit-1-of-8 workload):
-#: assembling all five analysis passes (the four RQ1/RQ2 scans and Table 8
-#: coverage) from warm ``file-analysis`` partials — re-analyzing only the
-#: edited file — must beat the direct whole-suite re-analysis by this factor
+#: the full analysis report — the three stored passes (statements,
+#: predicates, Table 8 coverage) assembled from warm ``file-analysis``
+#: partials, re-analyzing only the edited file, plus the in-memory census and
+#: file sizes — must beat the direct whole-suite re-analysis by this factor
 #: in process CPU time.  The ideal ratio is INCREMENTAL_FILES (analyze 1
 #: file instead of 8), so the floor leaves room for the partial-frame decode
 #: overhead without letting the win evaporate.
@@ -489,9 +490,7 @@ def test_pipeline_matrix_warm_full_matrix(benchmark, tmp_path):
     }
 
     def full_matrix(workers=1, store=store):
-        plain = _pooled(workers, run_matrix, suites, store=store)
-        translated = _pooled(workers, run_matrix, suites, store=store, translate_dialect=True)
-        return plain, translated
+        return _pooled(workers, _plain_and_translated, suites, store=store)
 
     perf_cache.clear_caches()
     cold_wall, cold_result = _timed_min_of(1, full_matrix)
@@ -589,14 +588,13 @@ def test_pipeline_streaming(benchmark, tmp_path):
     extra best-of rounds (noise absorption, same policy as the throughput
     floor above).
     """
-    from repro.corpus.generate import DEFAULT_FILE_COUNT, build_all_suites
+    from repro.corpus.generate import build_all_suites, scaled_file_count
     from repro.experiments.context import ExperimentContext
     from repro.experiments.registry import available_experiments, run_experiment
     from repro.experiments.stream import stream_experiments
 
     suites = build_all_suites(seed=STREAMING_SEED, scale=STREAMING_SCALE, store=None)
-    mysql_files = max(3, int(round(DEFAULT_FILE_COUNT["mysql"] * STREAMING_SCALE)))
-    mysql_suite = build_suite("mysql", file_count=mysql_files, seed=STREAMING_SEED, store=None)
+    mysql_suite = build_suite("mysql", file_count=scaled_file_count("mysql", STREAMING_SCALE), seed=STREAMING_SEED, store=None)
     store_serial = itertools.count()
 
     def fresh_context(store_dir):
@@ -806,11 +804,12 @@ def test_pipeline_analysis_warm(benchmark, tmp_path):
     """The incremental-analysis measurement: edit one file of an 8-file suite.
 
     A cold :meth:`SuiteAnalyzer.full_report` seeds one ``file-analysis``
-    partial per (file, pass); then one file is "edited" (replaced with a file
-    generated from another seed).  The warm assembly must load the 7
-    untouched files' partials for all five passes — the four RQ1/RQ2 scans
-    and Table 8's per-engine coverage — and re-analyze exactly the edited
-    file; the cold side is the direct whole-suite re-analysis
+    partial per (file, stored pass); then one file is "edited" (replaced with
+    a file generated from another seed).  The warm assembly must load the 7
+    untouched files' partials for the three stored passes — statements,
+    predicates and Table 8's per-engine coverage — and re-analyze exactly
+    the edited file (the census and file sizes are scanned in memory on
+    both sides); the cold side is the direct whole-suite re-analysis
     (:func:`direct_report`, what every table/figure driver did before the
     analysis layer went incremental).  Both sides run best-of-three with
     cleared statement caches, and the warm side's fresh artifacts are removed

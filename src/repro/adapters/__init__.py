@@ -32,7 +32,7 @@ from repro.adapters.registry import (
     register_adapter,
 )
 from repro.adapters.pool import AdapterPool, CircuitBreaker, adapter_breaker
-from repro.adapters.faults import FaultReport, known_fault_signatures
+from repro.adapters.faults import FaultReport
 
 __all__ = [
     "DBMSAdapter",
@@ -50,5 +50,4 @@ __all__ = [
     "get_adapter_entry",
     "register_adapter",
     "FaultReport",
-    "known_fault_signatures",
 ]

@@ -74,10 +74,6 @@ class ExecutionOutcome:
     def ok(self) -> bool:
         return self.status is ExecutionStatus.OK
 
-    @property
-    def is_query_result(self) -> bool:
-        return self.ok and bool(self.columns)
-
 
 class DBMSAdapter(ABC):
     """Common interface over every DBMS SQuaLity can execute tests on.
@@ -135,16 +131,6 @@ class DBMSAdapter(ABC):
         :class:`~repro.adapters.minidb_adapter.MiniDBAdapter`).
         """
         return None
-
-    def execute_many(self, statements: list[str]) -> list[ExecutionOutcome]:
-        """Execute statements in order, stopping early only on a crash."""
-        outcomes = []
-        for statement in statements:
-            outcome = self.execute(statement)
-            outcomes.append(outcome)
-            if outcome.status is ExecutionStatus.CRASH:
-                break
-        return outcomes
 
     def __enter__(self) -> "DBMSAdapter":
         self.setup()

@@ -2,18 +2,14 @@
 
 The crash/hang *injection* lives inside MiniDB sessions (driven by the dialect
 profiles' :class:`~repro.dialects.base.FaultSignature` entries); this module
-provides the reporting side used by the RQ4 experiment: enumerate the known
-signatures, match outcomes against them, and summarise which bugs a
-transplanted test-suite run rediscovered.
+provides the reporting side used by the RQ4 experiment: one report per
+observed crash or hang, and a summary of which bugs a transplanted
+test-suite run rediscovered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro.adapters.base import ExecutionOutcome, ExecutionStatus
-from repro.dialects import ALL_DIALECTS
-from repro.dialects.base import FaultSignature
 
 
 @dataclass
@@ -28,22 +24,6 @@ class FaultReport:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.kind.upper()}] {self.dbms}: {self.message}"
-
-
-def known_fault_signatures() -> dict[str, list[FaultSignature]]:
-    """All documented crash/hang signatures per dialect."""
-    return {name: list(profile.fault_signatures) for name, profile in ALL_DIALECTS.items() if profile.fault_signatures}
-
-
-def collect_fault_reports(dbms: str, outcomes: list[ExecutionOutcome]) -> list[FaultReport]:
-    """Extract crash/hang reports from a list of execution outcomes."""
-    reports: list[FaultReport] = []
-    for outcome in outcomes:
-        if outcome.status is ExecutionStatus.CRASH:
-            reports.append(FaultReport(dbms=dbms, kind="crash", statement=outcome.statement, message=outcome.error))
-        elif outcome.status is ExecutionStatus.HANG:
-            reports.append(FaultReport(dbms=dbms, kind="hang", statement=outcome.statement, message=outcome.error))
-    return reports
 
 
 @dataclass

@@ -11,9 +11,11 @@ native formats) and compute the statistics the paper reports:
   (Figure 3).
 
 Every scanner is a per-file partial plus an associative merge;
-:mod:`repro.analysis.incremental` persists the partials in the store's
-``file-analysis`` namespace and assembles suite-level answers from them, so
-editing one file re-analyzes one file (see docs/STORE.md).
+:mod:`repro.analysis.incremental` persists the partials of the scans that
+cost more than a store probe (statements, predicates, Table 8 coverage) in
+the store's ``file-analysis`` namespace and assembles suite-level answers
+from them, so editing one file re-analyzes one file.  The command census and
+the file sizes are scanned from the in-memory suite (see docs/STORE.md).
 """
 
 from repro.analysis.features import count_runner_commands, file_command_census, merge_command_censuses, runner_feature_matrix

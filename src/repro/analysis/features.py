@@ -11,10 +11,10 @@ Two complementary views are provided:
   how many distinct ones there are.
 
 The empirical census is computed per file (:func:`file_command_census`) and
-merged (:func:`merge_command_censuses`) so the incremental analysis layer
-(:mod:`repro.analysis.incremental`) can persist and reuse the per-file
-partials; the whole-suite scan is exactly the merge of its files' partials
-in file order.
+merged (:func:`merge_command_censuses`); the whole-suite scan is exactly the
+merge of its files' partials in file order.  A census costs less than a
+store probe, so Table 2 scans the in-memory suite and the incremental
+analysis layer (:mod:`repro.analysis.incremental`) stores nothing for it.
 """
 
 from __future__ import annotations

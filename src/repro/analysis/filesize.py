@@ -1,9 +1,9 @@
 """Figure 1: lines of code per test file of each DBMS's suite.
 
-The per-file partial (:func:`file_size_profile`) is trivially small — one
-line count — but routing it through the same partial/merge shape as the
-other scanners lets the incremental analysis layer
-(:mod:`repro.analysis.incremental`) treat every pass uniformly.
+The per-file scan (:func:`file_size_profile`) reads one line count the
+parser already holds, far cheaper than a store probe, so Figure 1 scans the
+in-memory suite and the incremental analysis layer
+(:mod:`repro.analysis.incremental`) stores nothing for it.
 """
 
 from __future__ import annotations
@@ -32,18 +32,13 @@ class SizeSummary:
 
 
 def file_size_profile(test_file: TestFile) -> dict:
-    """The per-file partial of the Figure 1 distribution."""
+    """The per-file scan of the Figure 1 distribution."""
     return {"lines": test_file.source_lines}
-
-
-def sizes_from_profiles(partials) -> list[int]:
-    """The raw Figure 1 distribution from per-file partials (in given order)."""
-    return [partial["lines"] for partial in partials]
 
 
 def file_size_distribution(suite: TestSuite) -> list[int]:
     """Lines of code of every test file in the suite (Figure 1's raw data)."""
-    return [test_file.source_lines for test_file in suite.files]
+    return [file_size_profile(test_file)["lines"] for test_file in suite.files]
 
 
 def summarize_sizes(suite_name: str, sizes: list[int]) -> SizeSummary:

@@ -1,13 +1,19 @@
-"""Incremental, store-backed analysis passes (RQ1/RQ2 scans and Table 8 coverage).
+"""Incremental, store-backed analysis passes (RQ2 scans and Table 8 coverage).
 
 Execution became incremental in the campaign layer (``file-results``:
-per-file artifacts, suite answers assembled from them), but the analysis
-scanners behind Tables 2-3 and Figures 1-3, and the coverage runs behind
-Table 8, still re-read whole suites in every process.  This module closes
-that gap: every analysis is a per-file partial (see the ``file_*`` functions
-in the scanner modules and :mod:`repro.core.coverage`) plus an associative
-merge, so suite-level answers assemble from cached partials and editing 1 of
-N files re-analyzes exactly 1 file.
+per-file artifacts, suite answers assembled from them); this module does the
+same for the analyses that cost more than a store probe.  Each stored pass
+is a per-file partial (see the ``file_*`` functions in the scanner modules
+and :mod:`repro.core.coverage`) plus an associative merge, so suite-level
+answers assemble from cached partials and editing 1 of N files re-analyzes
+exactly 1 file.
+
+Only three passes are stored: ``statements`` (Figure 2, Table 3),
+``predicates`` (Figure 3) and ``coverage`` (Table 8).  The Table 2 command
+census and the Figure 1 line counts cost less to compute than one store
+load (see docs/STORE.md), so they are scanned from the in-memory suite
+(:func:`repro.analysis.features.count_runner_commands`,
+:func:`repro.analysis.filesize.file_size_distribution`) and never persisted.
 
 The store contract mirrors ``file-results``:
 
@@ -26,13 +32,13 @@ The store contract mirrors ``file-results``:
   the whole-suite scan, value-identical by construction.
 
 :class:`SuiteAnalyzer` binds a store and worker pool once (an
-:class:`~repro.experiments.context.ExperimentContext` holds one) and exposes
-the familiar scanner signatures.
+:class:`~repro.experiments.context.ExperimentContext` holds one) and hands
+out one merged profile per stored pass, so each experiment probes a pass's
+partials once and derives every view it prints from that profile.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable
 
 from repro.analysis import features, filesize, predicates, statements
@@ -44,16 +50,14 @@ from repro.store import artifacts as artifact_store
 from repro.store import codec as result_codec
 from repro.store.keys import FILE_ANALYSIS_NAMESPACE, analysis_file_key
 
-#: The analysis passes: pass id -> module-level per-file scan function.
-#: Scans are pure functions of the file (picklable, so process-pool workers
-#: can receive them); the pass id is the store-key component that keeps one
-#: file's partials apart.  ``coverage`` executes the file on each Table 8
-#: engine; the others only read it.
+#: The stored analysis passes: pass id -> module-level per-file scan
+#: function.  Scans are pure functions of the file (picklable, so
+#: process-pool workers can receive them); the pass id is the store-key
+#: component that keeps one file's partials apart.  ``coverage`` executes the
+#: file on each Table 8 engine; the others only read it.
 ANALYSIS_PASSES: dict[str, Callable[[TestFile], dict]] = {
-    "features": features.file_command_census,
     "statements": statements.file_statement_profile,
     "predicates": predicates.file_predicate_profile,
-    "filesize": filesize.file_size_profile,
     "coverage": coverage.file_coverage_partial,
 }
 
@@ -108,14 +112,13 @@ def _stored_partial(blob: bytes, pass_id: str) -> dict:
 
 
 class SuiteAnalyzer:
-    """Store-backed, incremental versions of the RQ1/RQ2 scanners and Table 8 coverage.
+    """Store-backed, incremental RQ2 profiles and Table 8 coverage.
 
     Binds the store and worker pool once; every method probes the
-    ``file-analysis`` namespace per file and assembles the suite-level
-    answer from the partials — value-identical to the direct whole-suite
-    scanners (partials merge in file order, reproducing the scan's counter
-    insertion order exactly, on top of the canonical serialization's
-    key-order independence).
+    ``file-analysis`` namespace once per file of one pass and merges the
+    partials — value-identical to the direct whole-suite scan (partials merge
+    in file order, reproducing the scan's counter insertion order exactly, on
+    top of the canonical serialization's key-order independence).
     """
 
     def __init__(
@@ -130,51 +133,17 @@ class SuiteAnalyzer:
         """Per-file partials of one pass (see :func:`suite_partials`)."""
         return suite_partials(suite, pass_id, store=self.store, worker_pool=self.worker_pool)
 
-    # -- features (Table 2) --------------------------------------------------------
+    def statement_profile(self, suite: TestSuite) -> dict:
+        """The merged statement profile behind Figure 2 and both Table 3 variants
+        (views: :func:`~repro.analysis.statements.distribution_from_profiles`,
+        :func:`~repro.analysis.statements.compliance_from_profiles`)."""
+        return statements.merge_statement_profiles(self.partials(suite, "statements"))
 
-    def command_census(self, suite: TestSuite) -> dict:
-        """Incremental :func:`repro.analysis.features.count_runner_commands`."""
-        return features.merge_command_censuses(suite.name, self.partials(suite, "features"))
-
-    # -- statements (Figure 2, Table 3) --------------------------------------------
-
-    def statement_type_distribution(self, suite: TestSuite, top: int | None = None) -> dict[str, float]:
-        """Incremental :func:`repro.analysis.statements.statement_type_distribution`."""
-        merged = statements.merge_statement_profiles(self.partials(suite, "statements"))
-        return statements.distribution_from_profiles(merged, top)
-
-    def statement_type_counts(self, suite: TestSuite) -> Counter:
-        """Incremental :func:`repro.analysis.statements.statement_type_counts`."""
-        return statements.merge_statement_profiles(self.partials(suite, "statements"))["counts"]
-
-    def standard_compliance(self, suite: TestSuite, count_create_index_as_standard: bool = False):
-        """Incremental :func:`repro.analysis.statements.standard_compliance`."""
-        merged = statements.merge_statement_profiles(self.partials(suite, "statements"))
-        return statements.compliance_from_profiles(suite.name, merged, count_create_index_as_standard)
-
-    # -- predicates (Figure 3) -----------------------------------------------------
-
-    def predicate_distribution(self, suite: TestSuite) -> dict[str, float]:
-        """Incremental :func:`repro.analysis.predicates.predicate_distribution`."""
-        merged = predicates.merge_predicate_profiles(self.partials(suite, "predicates"))
-        return predicates.distribution_from_profiles(merged)
-
-    def join_usage(self, suite: TestSuite):
-        """Incremental :func:`repro.analysis.predicates.join_usage`."""
-        merged = predicates.merge_predicate_profiles(self.partials(suite, "predicates"))
-        return predicates.join_usage_from_profiles(suite.name, merged)
-
-    # -- file sizes (Figure 1) -----------------------------------------------------
-
-    def file_size_distribution(self, suite: TestSuite) -> list[int]:
-        """Incremental :func:`repro.analysis.filesize.file_size_distribution`."""
-        return filesize.sizes_from_profiles(self.partials(suite, "filesize"))
-
-    def size_summary(self, suite: TestSuite):
-        """Incremental :func:`repro.analysis.filesize.size_summary`."""
-        return filesize.summarize_sizes(suite.name, self.file_size_distribution(suite))
-
-    # -- engine feature coverage (Table 8) -----------------------------------------
+    def predicate_profile(self, suite: TestSuite) -> dict:
+        """The merged predicate profile behind Figure 3 and its join usage
+        (views: :func:`~repro.analysis.predicates.distribution_from_profiles`,
+        :func:`~repro.analysis.predicates.join_usage_from_profiles`)."""
+        return predicates.merge_predicate_profiles(self.partials(suite, "predicates"))
 
     def coverage_reports(self, suite: TestSuite) -> dict[str, coverage.CoverageReport]:
         """Incremental :func:`repro.core.coverage.measure_coverage` of ``suite`` on
@@ -182,20 +151,21 @@ class SuiteAnalyzer:
         merged = coverage.merge_coverage_partials(self.partials(suite, "coverage"))
         return {dialect: coverage.CoverageReport(dialect, set(exercised)) for dialect, exercised in merged.items()}
 
-    # -- everything at once --------------------------------------------------------
-
     def full_report(self, suite: TestSuite) -> dict:
-        """Every suite-level analysis answer, one store probe per pass.
+        """Every suite-level analysis answer, one store probe per stored pass.
 
         The one-call shape the differential tests and the
         ``pipeline_analysis_warm`` benchmark compare against the direct
         whole-suite scanners (see :func:`direct_report`).
         """
-        census = features.merge_command_censuses(suite.name, self.partials(suite, "features"))
-        stmts = statements.merge_statement_profiles(self.partials(suite, "statements"))
-        preds = predicates.merge_predicate_profiles(self.partials(suite, "predicates"))
-        sizes = filesize.sizes_from_profiles(self.partials(suite, "filesize"))
-        return _assemble_report(suite.name, census, stmts, preds, sizes, self.coverage_reports(suite))
+        return _assemble_report(
+            suite.name,
+            features.count_runner_commands(suite),
+            self.statement_profile(suite),
+            self.predicate_profile(suite),
+            filesize.file_size_distribution(suite),
+            self.coverage_reports(suite),
+        )
 
 
 def direct_report(suite: TestSuite) -> dict:

@@ -23,7 +23,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.core.records import QueryRecord
 from repro.core.runner import RecordOutcome, RecordResult
 from repro.sqlparser.analyzer import extract_function_names, referenced_settings, uses_cast_operator
 from repro.sqlparser.statements import statement_type, is_standard_statement
@@ -93,7 +92,7 @@ def classify_dependency(result: RecordResult) -> DependencyCategory:
     first_word = sql.split()[0].lower() if sql.split() else ""
     stype = statement_type(sql)
 
-    if result.error_type in ("UnknownCommandError",) or first_word in _RUNNER_DIRECTIVE_WORDS:
+    if first_word in _RUNNER_DIRECTIVE_WORDS:
         return DependencyCategory.RUNNER
     if _FILE_PATTERNS.search(error) or _SQL_FILE_PATTERNS.search(sql) or stype == "COPY":
         return DependencyCategory.FILE_PATHS
@@ -243,16 +242,3 @@ def sample_failures(results: list[RecordResult], sample_size: int = 100, seed: i
         return failures
     rng = random.Random(seed)
     return rng.sample(failures, sample_size)
-
-
-def unexpected_status_share(results: list[RecordResult]) -> float:
-    """Fraction of failures due to unexpected execution *status* (vs. wrong results).
-
-    The paper reports 16.6% for SLT and ~95% for the DuckDB/PostgreSQL suites
-    (Section 6, "Failed cases").
-    """
-    failures = [result for result in results if result.outcome is RecordOutcome.FAIL]
-    if not failures:
-        return 0.0
-    status_failures = sum(1 for result in failures if result.error or not isinstance(result.record, QueryRecord))
-    return status_failures / len(failures)

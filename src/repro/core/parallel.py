@@ -176,7 +176,6 @@ class RunnerSpec:
     float_tolerance: float = 0.0
     translate_dialect: bool = False
     donor_dialect: str | None = None
-    max_records_per_file: int | None = None
 
     @classmethod
     def of(cls, runner: TestRunner, adapter_name: str, adapter_kwargs: dict) -> "RunnerSpec":
@@ -189,7 +188,6 @@ class RunnerSpec:
             float_tolerance=runner.float_tolerance,
             translate_dialect=runner.translate_dialect,
             donor_dialect=runner.donor_dialect,
-            max_records_per_file=runner.max_records_per_file,
         )
 
     def make_runner(self, adapter: DBMSAdapter) -> TestRunner:
@@ -201,7 +199,6 @@ class RunnerSpec:
             float_tolerance=self.float_tolerance,
             translate_dialect=self.translate_dialect,
             donor_dialect=self.donor_dialect,
-            max_records_per_file=self.max_records_per_file,
         )
 
 

@@ -128,17 +128,6 @@ class QueryRecord(Record):
     def record_type(self) -> RecordType:
         return RecordType.QUERY
 
-    @property
-    def expects_rows(self) -> int:
-        """Number of result rows the expectation implies (best effort)."""
-        if self.result_format is ResultFormat.HASH:
-            columns = max(len(self.type_string), 1)
-            return self.expected_hash_count // columns
-        if self.result_format is ResultFormat.ROW_WISE:
-            return len(self.expected_rows)
-        columns = max(len(self.type_string), 1)
-        return len(self.expected_values) // columns if columns else len(self.expected_values)
-
 
 @dataclass
 class ControlRecord(Record):
@@ -211,9 +200,3 @@ class TestSuite:
     @property
     def total_sql_records(self) -> int:
         return sum(len(test_file.sql_records()) for test_file in self.files)
-
-    def all_statements(self) -> list[str]:
-        statements: list[str] = []
-        for test_file in self.files:
-            statements.extend(test_file.statements())
-        return statements

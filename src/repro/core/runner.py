@@ -25,7 +25,6 @@ from repro.core.records import (
     Record,
     StatementRecord,
     TestFile,
-    TestSuite,
     canonical_dbms,
 )
 from repro.dialects.translator import translate
@@ -283,7 +282,6 @@ class TestRunner:
         float_tolerance: float = 0.0,
         translate_dialect: bool = False,
         donor_dialect: str | None = None,
-        max_records_per_file: int | None = None,
     ):
         self.adapter = adapter
         self.host_name = host_name or adapter.name
@@ -291,7 +289,6 @@ class TestRunner:
         self.float_tolerance = float_tolerance
         self.translate_dialect = translate_dialect
         self.donor_dialect = donor_dialect
-        self.max_records_per_file = max_records_per_file
         #: (source, target) dialect profiles every statement is translated
         #: between, or None when statements run as written
         self._translation = None
@@ -310,12 +307,8 @@ class TestRunner:
         state = RunnerState(host=self.host_name, available_extensions=set(self.available_extensions))
         file_result = FileResult(path=test_file.path, suite=test_file.suite, host=self.host_name)
 
-        records = test_file.records
-        if self.max_records_per_file is not None:
-            records = records[: self.max_records_per_file]
-
         crashed = False
-        for record in records:
+        for record in test_file.records:
             if crashed:
                 file_result.results.append(RecordResult(record=record, outcome=RecordOutcome.SKIP, reason="previous crash"))
                 continue
@@ -340,25 +333,6 @@ class TestRunner:
             if result.outcome is RecordOutcome.CRASH:
                 crashed = True
         return file_result
-
-    def run_suite(self, suite: TestSuite) -> SuiteResult:
-        """Execute every file of ``suite`` serially, each from a clean database.
-
-        Matrix cells — sharded, store-backed, or neither — go through
-        :func:`repro.core.transplant.run_transplant` instead; this is the
-        plain in-process loop for callers that hold a live adapter.
-        """
-        suite_result = SuiteResult(suite=suite.name, host=self.host_name)
-        for test_file in suite.files:
-            if shutdown.draining():
-                # a shutdown drain finishes in-flight files but starts no new
-                # ones: the rest of the suite degrades to resumable stand-ins
-                file_result, failure = _drained_file_result(self.host_name, test_file)
-                suite_result.files.append(file_result)
-                suite_result.infra_failures.append(failure)
-                continue
-            suite_result.files.append(self.run_file(test_file))
-        return suite_result
 
     # -- internals ---------------------------------------------------------------------
 

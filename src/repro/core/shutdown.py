@@ -4,11 +4,11 @@ A campaign that dies to bare SIGINT/SIGTERM default handling loses its
 in-flight files and leaves leased adapters stranded.  This module gives the
 process one coordinated reaction instead:
 
-* The **drain latch** is a process-global flag the execution layers poll
-  between files — inside a shard and in serial cell assembly
-  (:mod:`repro.core.parallel`), and in serial suite execution.  Once the
-  latch is set, in-flight files *finish* (their results persist to the
-  store) and everything not yet started degrades to a partial result
+* The **drain latch** is a process-global flag the one per-file executor
+  polls between files, inside a shard and in serial cell assembly
+  (:func:`repro.core.parallel.execute_files`).  Once the latch is set,
+  in-flight files *finish* (their results persist to the store) and
+  everything not yet started degrades to a partial result
   carrying an :class:`~repro.core.resilience.InfraFailure` of kind
   ``"shutdown-drain"`` — so the campaign exits through the existing
   partial-results path (CLI exit code 2), and re-running the same command
@@ -119,18 +119,15 @@ class ShutdownState:
 @contextmanager
 def signal_aware_shutdown(
     resume_command: str | None = None,
-    signals: tuple[int, ...] = (signal.SIGINT, signal.SIGTERM),
-    drain_seconds: float | None = None,
 ) -> Iterator[ShutdownState]:
     """Guard a campaign with drain-on-first-signal, die-on-second semantics.
 
     ``resume_command`` is printed with the drain notice so an operator knows
     exactly how to pick the campaign back up; pass it only when a store
     holds the finished files (a storeless campaign has nothing to resume).
-    The force-exit timer uses ``drain_seconds`` (default
-    :func:`configured_drain_seconds`) and exits ``128 + signum``, the same
-    status an unhandled signal would have produced — a drain that wedges
-    must look like the kill it is.
+    The force-exit timer uses :func:`configured_drain_seconds` and exits
+    ``128 + signum``, the same status an unhandled signal would have
+    produced — a drain that wedges must look like the kill it is.
 
     On exit the latch, handlers, and timer are restored/cancelled, so nested
     or sequential campaigns start clean.
@@ -141,7 +138,7 @@ def signal_aware_shutdown(
         yield state
         return
 
-    deadline = drain_seconds if drain_seconds is not None else configured_drain_seconds()
+    deadline = configured_drain_seconds()
     holder: dict = {"timer": None}
 
     def _handler(signum, frame) -> None:
@@ -165,7 +162,7 @@ def signal_aware_shutdown(
             lines.append(f"resume with: {resume_command}")
         print("\n".join(lines), file=sys.stderr, flush=True)
 
-    previous = {signum: signal.signal(signum, _handler) for signum in signals}
+    previous = {signum: signal.signal(signum, _handler) for signum in (signal.SIGINT, signal.SIGTERM)}
     try:
         yield state
     finally:

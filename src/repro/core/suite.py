@@ -18,13 +18,11 @@ def load_suite(
     directory: str,
     suite_format: str | None = None,
     name: str | None = None,
-    limit: int | None = None,
 ) -> TestSuite:
     """Load every test file under ``directory`` in the given native format.
 
     With ``suite_format=None`` every registered format's extensions are
-    collected and each file's format is sniffed individually.  ``limit``
-    truncates the suite (useful for benchmark warm-ups).  Expected output
+    collected and each file's format is sniffed individually.  Expected output
     files (``.out`` / ``.result``) are paired automatically by the per-format
     parsers and are not loaded as test files themselves.
     """
@@ -45,8 +43,6 @@ def load_suite(
             if filename.endswith(extensions):
                 paths.append(os.path.join(root, filename))
     paths.sort()
-    if limit is not None:
-        paths = paths[:limit]
     for path in paths:
         # suite labels stay the parser's canonical name (the seed behaviour:
         # "sqlite"/"postgresql" aliases still label files "slt"/"postgres")

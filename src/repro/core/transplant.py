@@ -298,7 +298,6 @@ def run_cells(
 def run_matrix(
     suites: dict[str, TestSuite],
     hosts: tuple[str, ...] = DEFAULT_HOSTS,
-    translate_dialect: bool = False,
     adapter_pool: AdapterPool | None = None,
     worker_pool: WorkerPool | None = None,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
@@ -306,9 +305,10 @@ def run_matrix(
 ) -> TransplantMatrix:
     """Run every suite on every host (the Figure 4 campaign), suites outer.
 
-    A thin loop over :func:`run_cells`, which documents every parameter.
+    A thin loop over :func:`run_cells`, which documents every parameter;
+    translated cells go through :func:`run_cells` with their :class:`CellKey`.
     """
-    cells = [CellKey(name, host, translate_dialect) for name in suites for host in hosts]
+    cells = [CellKey(name, host) for name in suites for host in hosts]
     matrix = TransplantMatrix()
     for result in run_cells(
         suites,

@@ -16,11 +16,13 @@ Entry points:
 * :func:`generate_corpus` — native-format text for one suite,
 * :func:`build_suite` — generate *and parse* one suite into the unified IR,
 * :func:`build_all_suites` — the three executable suites of the paper's
-  RQ2-RQ4 experiments (SLT, PostgreSQL, DuckDB) plus MySQL for RQ1.
+  RQ2-RQ4 experiments (SLT, PostgreSQL, DuckDB) at a corpus scale,
+* :func:`scaled_file_count` — the one rule that turns a scale into a
+  suite's file count (the CLI's RQ1 MySQL corpus uses it too).
 """
 
 from repro.corpus.profiles import PAPER_PROFILES, SuiteProfile
-from repro.corpus.generate import build_all_suites, build_suite, generate_corpus, write_corpus
+from repro.corpus.generate import build_all_suites, build_suite, generate_corpus, scaled_file_count, write_corpus
 
 __all__ = [
     "PAPER_PROFILES",
@@ -28,5 +30,6 @@ __all__ = [
     "generate_corpus",
     "build_suite",
     "build_all_suites",
+    "scaled_file_count",
     "write_corpus",
 ]

@@ -968,27 +968,31 @@ def build_suite(
     return test_suite
 
 
+def scaled_file_count(suite: str, scale: float) -> int:
+    """Files of ``suite`` at corpus ``scale``: its default count scaled, at least 3.
+
+    ``scale`` 1.0 ≈ a few thousand test cases across the three executable
+    suites — enough for the distributions to be stable while the full
+    cross-execution matrix stays laptop-sized.
+    """
+    return max(3, int(round(DEFAULT_FILE_COUNT[suite] * scale)))
+
+
 def build_all_suites(
     seed: int = 0,
     scale: float = 1.0,
-    include_mysql: bool = False,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
     worker_pool: WorkerPool | None = None,
 ) -> dict[str, TestSuite]:
-    """Build the executable suites of RQ2-RQ4 (plus MySQL for RQ1 if asked).
+    """Build the executable suites of RQ2-RQ4 at ``scale`` (see :func:`scaled_file_count`).
 
-    ``scale`` multiplies the default file counts (1.0 ≈ a few thousand test
-    cases across the three suites — enough for the distributions to be stable
-    while the full cross-execution matrix stays laptop-sized).
     ``worker_pool`` shards each suite's donor recording (see
     :func:`generate_corpus`).
     """
-    suites: dict[str, TestSuite] = {}
-    names = ["slt", "postgres", "duckdb"] + (["mysql"] if include_mysql else [])
-    for name in names:
-        file_count = max(3, int(round(DEFAULT_FILE_COUNT[name] * scale)))
-        suites[name] = build_suite(name, file_count=file_count, seed=seed, store=store, worker_pool=worker_pool)
-    return suites
+    return {
+        name: build_suite(name, file_count=scaled_file_count(name, scale), seed=seed, store=store, worker_pool=worker_pool)
+        for name in ("slt", "postgres", "duckdb")
+    }
 
 
 def write_corpus(

@@ -19,7 +19,7 @@ from repro.dialects.sqlite import SQLITE
 from repro.dialects.postgres import POSTGRES
 from repro.dialects.duckdb import DUCKDB
 from repro.dialects.mysql import MYSQL
-from repro.dialects.translator import translate, translate_script
+from repro.dialects.translator import translate
 
 ALL_DIALECTS = {
     "sqlite": SQLITE,
@@ -40,5 +40,4 @@ __all__ = [
     "MYSQL",
     "ALL_DIALECTS",
     "translate",
-    "translate_script",
 ]

@@ -283,10 +283,3 @@ def _translate_uncached(sql: str, source: DialectProfile, target: DialectProfile
     if not applied:
         return TranslationResult(sql=sql, warnings=warnings)
     return TranslationResult(sql=_retokenize(parts), applied_rules=applied, warnings=warnings)
-
-
-def translate_script(sql: str, source: DialectProfile, target: DialectProfile) -> list[TranslationResult]:
-    """Translate every statement of a script; see :func:`translate`."""
-    from repro.sqlparser.statements import split_statements
-
-    return [translate(statement, source, target) for statement in split_statements(sql)]

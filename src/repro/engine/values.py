@@ -308,14 +308,6 @@ def compare_values(left: Any, right: Any) -> int | None:
     return -1 if left_text < right_text else 1
 
 
-def values_equal(left: Any, right: Any) -> bool | None:
-    """SQL equality with NULL propagation."""
-    result = compare_values(left, right)
-    if result is None:
-        return None
-    return result == 0
-
-
 def render_value(value: Any, style: str = "python") -> str:
     """Render a value as the Python connector string the runner compares.
 

@@ -117,10 +117,6 @@ class RunnerError(ReproError):
     """The unified test runner hit an unrecoverable problem (not a test failure)."""
 
 
-class UnknownCommandError(RunnerError):
-    """A test file used a runner command that SQuaLity does not implement."""
-
-
 class AdapterNotFoundError(RunnerError):
     """No adapter is registered under the requested name."""
 

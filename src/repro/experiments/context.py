@@ -11,7 +11,7 @@ from repro.core.parallel import WorkerPool
 from repro.core.records import TestSuite
 from repro.core.resilience import ResiliencePolicy, set_default_timeout
 from repro.core.transplant import CellKey, TransplantResult
-from repro.corpus import build_all_suites, build_suite
+from repro.corpus import build_all_suites, build_suite, scaled_file_count
 from repro.store import ArtifactStore
 from repro.store import artifacts as artifact_store
 
@@ -96,12 +96,13 @@ class ExperimentContext:
         #: campaign-lifetime adapter pool: every cell of every streaming pass
         #: shares leased adapters instead of rebuilding them per transplant
         self.adapter_pool = AdapterPool()
-        #: the campaign's incremental analyzer: every analysis-driven
-        #: experiment (tables 2-3 and 8, figures 1-3) reads suites through it
-        #: instead of re-scanning or re-executing whole suites — per-file
-        #: partials are served from the store's ``file-analysis`` namespace,
-        #: only changed files are re-analyzed, fanned over the worker pool,
-        #: and a storeless context analyzes every file (value-identical)
+        #: the campaign's incremental analyzer: the experiments whose scans
+        #: cost more than a store probe (table 3 and 8, figures 2-3) read
+        #: suites through it instead of re-scanning or re-executing whole
+        #: suites — per-file partials are served from the store's
+        #: ``file-analysis`` namespace, only changed files are re-analyzed,
+        #: fanned over the worker pool, and a storeless context analyzes
+        #: every file (value-identical)
         self.analysis = SuiteAnalyzer(store=self.store, worker_pool=self.worker_pool)
         #: the one place a cell lives: every cell a streaming pass
         #: (:mod:`repro.experiments.stream`) executed, keyed by its
@@ -146,12 +147,9 @@ class ExperimentContext:
     def mysql_suite(self) -> TestSuite:
         """The MySQL corpus (analysed for RQ1/Figure 1, not executed)."""
         if self._mysql_suite is None:
-            from repro.corpus.generate import DEFAULT_FILE_COUNT
-
-            file_count = max(3, int(round(DEFAULT_FILE_COUNT["mysql"] * self.scale)))
             self._mysql_suite = build_suite(
                 "mysql",
-                file_count=file_count,
+                file_count=scaled_file_count("mysql", self.scale),
                 seed=self.seed,
                 store=self.store,
                 worker_pool=self.worker_pool,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.filesize import log_histogram
+from repro.analysis.filesize import file_size_distribution, log_histogram, summarize_sizes
 from repro.core.report import format_table
 from repro.experiments.base import Experiment, ExperimentNeeds, register_experiment
 from repro.experiments.context import ExperimentContext, ExperimentResult
@@ -36,10 +36,10 @@ def _build(context: ExperimentContext) -> ExperimentResult:
     rows = []
     data: dict = {}
     for name in _SUITE_ORDER:
+        # line counts cost less than a store probe: scan the in-memory suite
         suite = suites[name]
-        # one store probe serves both views: the sizes are the partials
-        sizes = context.analysis.file_size_distribution(suite)
-        summary = context.analysis.size_summary(suite)
+        sizes = file_size_distribution(suite)
+        summary = summarize_sizes(suite.name, sizes)
         rows.append(summary.as_row())
         data[name] = {
             "sizes": sizes,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.statements import FIGURE2_STATEMENT_TYPES
+from repro.analysis.statements import FIGURE2_STATEMENT_TYPES, distribution_from_profiles
 from repro.core.report import format_percentage, format_table
 from repro.experiments.base import Experiment, ExperimentNeeds, register_experiment
 from repro.experiments.context import ExperimentContext, ExperimentResult
@@ -25,7 +25,9 @@ class Figure2Experiment(Experiment):
 
 
 def _build(context: ExperimentContext) -> ExperimentResult:
-    distributions = {name: context.analysis.statement_type_distribution(context.suites[name]) for name in _SUITES}
+    distributions = {
+        name: distribution_from_profiles(context.analysis.statement_profile(context.suites[name])) for name in _SUITES
+    }
     rows = []
     for stype in FIGURE2_STATEMENT_TYPES:
         row = [stype]

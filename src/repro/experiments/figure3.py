@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.analysis.predicates import distribution_from_profiles, join_usage_from_profiles
 from repro.core.report import format_percentage, format_table
 from repro.experiments.base import Experiment, ExperimentNeeds, register_experiment
 from repro.experiments.context import ExperimentContext, ExperimentResult
@@ -25,9 +26,11 @@ class Figure3Experiment(Experiment):
 
 
 def _build(context: ExperimentContext) -> ExperimentResult:
-    # both views assemble from the same persisted per-file predicate partials
-    distributions = {name: context.analysis.predicate_distribution(context.suites[name]) for name in _SUITES}
-    joins = {name: context.analysis.join_usage(context.suites[name]) for name in _SUITES}
+    # one store probe per file serves both views
+    suites = context.suites
+    profiles = {name: context.analysis.predicate_profile(suites[name]) for name in _SUITES}
+    distributions = {name: distribution_from_profiles(profiles[name]) for name in _SUITES}
+    joins = {name: join_usage_from_profiles(suites[name].name, profiles[name]) for name in _SUITES}
     rows = []
     for bucket in PREDICATE_BUCKETS:
         rows.append([bucket] + [format_percentage(distributions[name][bucket]) for name in _SUITES])

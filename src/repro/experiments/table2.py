@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.features import feature_support_row
+from repro.analysis.features import count_runner_commands, feature_support_row
 from repro.core.report import format_table
 from repro.experiments.base import Experiment, ExperimentNeeds, register_experiment
 from repro.experiments.context import ExperimentContext, ExperimentResult
@@ -39,9 +39,8 @@ def _build(context: ExperimentContext) -> ExperimentResult:
     empirical_rows = []
     data: dict = {"documented": {suite: feature_support_row(suite) for suite in _SUITES}, "measured": {}}
     for suite in _SUITES:
-        corpus = suites[_SUITE_TO_CORPUS[suite]]
-        # store-backed incremental census: per-file partials assemble here
-        census = context.analysis.command_census(corpus)
+        # a census costs less than a store probe: scan the in-memory suite
+        census = count_runner_commands(suites[_SUITE_TO_CORPUS[suite]])
         data["measured"][suite] = census
         empirical_rows.append([suite.capitalize(), census["distinct_commands"], census["distinct_cli_commands"], ", ".join(census["feature_families"]) or "-"])
     empirical = format_table(

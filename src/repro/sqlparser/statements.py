@@ -60,19 +60,6 @@ STANDARD_STATEMENT_TYPES = frozenset(
     }
 )
 
-#: Statement types that are widely implemented but not standardized.  Used by
-#: the analysis code to distinguish "non-standard but ubiquitous" (e.g.
-#: ``CREATE INDEX``) from genuinely dialect-specific statements.
-WIDELY_SUPPORTED_NONSTANDARD = frozenset(
-    {
-        "CREATE INDEX",
-        "DROP INDEX",
-        "BEGIN",
-        "EXPLAIN",
-        "ANALYZE",
-    }
-)
-
 #: Two-word statement prefixes.  If the second keyword matches, the type is the
 #: two-word phrase; otherwise it falls back to the first keyword.
 _TWO_WORD_PREFIXES = {
@@ -143,11 +130,6 @@ class StatementInfo:
     is_standard: bool
     is_query: bool
     is_cli_command: bool = False
-
-    @property
-    def is_widely_supported(self) -> bool:
-        """True for non-standard statements that nearly every DBMS implements."""
-        return self.is_standard or self.statement_type in WIDELY_SUPPORTED_NONSTANDARD
 
 
 def split_statements(sql: str) -> list[str]:
@@ -280,8 +262,3 @@ def classify_statement(sql: str) -> StatementInfo:
         is_query=bare in _QUERY_TYPES,
         is_cli_command=stype == "CLI_COMMAND",
     )
-
-
-def classify_script(sql: str) -> list[StatementInfo]:
-    """Split a script and classify every statement."""
-    return [classify_statement(statement) for statement in split_statements(sql)]

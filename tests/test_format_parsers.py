@@ -81,7 +81,6 @@ class TestSLTParser:
         record = parse_test_text(text, "slt").records[0]
         assert record.result_format is ResultFormat.HASH
         assert record.expected_hash_count == 30
-        assert record.expects_rows == 10
 
     def test_comment_lines_ignored(self):
         test_file = parse_test_text("# a comment\n\nstatement ok\nSELECT 1\n", "slt")

@@ -140,10 +140,6 @@ class TestRecordsAndReport:
         assert not record.runs_on("mysql")
         assert not record.runs_on("postgres")
 
-    def test_expects_rows(self):
-        record = QueryRecord(sql="", type_string="II", expected_values=["1", "2", "3", "4"])
-        assert record.expects_rows == 2
-
     def test_test_file_helpers(self):
         test_file = TestFile(path="x", suite="slt", records=[StatementRecord(sql="SELECT 1"), ControlRecord(command="halt")])
         assert len(test_file) == 2
@@ -153,7 +149,7 @@ class TestRecordsAndReport:
     def test_test_suite_aggregates(self):
         suite = TestSuite(name="s", files=[TestFile(path="a", suite="s", records=[StatementRecord(sql="SELECT 1")])])
         assert suite.total_records == 1
-        assert suite.all_statements() == ["SELECT 1"]
+        assert suite.total_sql_records == 1
         assert len(list(iter(suite))) == 1
 
     def test_format_table_handles_ragged_rows(self):

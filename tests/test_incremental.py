@@ -222,23 +222,67 @@ class TestIncrementalAnalysis:
     def test_frame_from_another_pass_is_invalidated(self, store):
         """Defense in depth: the pass id is part of the key, but a frame that
         *decodes* yet belongs to another pass must still read as a miss."""
-        from repro.analysis import count_runner_commands
         from repro.analysis.incremental import SuiteAnalyzer
+        from repro.analysis.predicates import file_predicate_profile, merge_predicate_profiles
         from repro.store import analysis_file_key, encode_document
 
         suite = build_suite("slt", file_count=3, records_per_file=12, seed=83, store=None)
         analyzer = SuiteAnalyzer(store=store)
-        analyzer.partials(suite, "features")
+        analyzer.partials(suite, "predicates")
         store.save(
             "file-analysis",
-            analysis_file_key("features", suite.files[0]),
+            analysis_file_key("predicates", suite.files[0]),
             encode_document("file-analysis", {"pass": "statements", "partial": {"counts": {}}}),
         )
         store.stats.reset()
-        census = analyzer.command_census(suite)
+        profile = analyzer.predicate_profile(suite)
         assert store.stats.by_namespace["file-analysis"] == {"hits": 2, "misses": 1}
         assert store.stats.errors >= 1
-        assert canonical_bytes(census) == canonical_bytes(count_runner_commands(suite))
+        direct = merge_predicate_profiles(file_predicate_profile(test_file) for test_file in suite.files)
+        assert canonical_bytes(profile) == canonical_bytes(direct)
+
+
+class TestAnalysisTraffic:
+    """A campaign stores only the passes that cost more than a store probe, and
+    an analysis experiment probes each stored partial it reads once."""
+
+    EXPERIMENTS = ("table2", "figure1", "figure2", "table3", "figure3", "table8")
+
+    def test_warm_analysis_experiments_load_each_partial_once(self, tmp_path, monkeypatch):
+        from collections import Counter
+
+        from repro.analysis.incremental import ANALYSIS_PASSES
+        from repro.experiments import ExperimentContext, run_all, run_experiment
+        from repro.store import decode_document
+
+        store_dir = tmp_path / "store"
+        with ExperimentContext(scale=0.05, seed=5, store_dir=str(store_dir)) as cold:
+            run_all(cold)
+        # no features or filesize partial: one partial per (file, stored pass)
+        stored = Counter(
+            decode_document(path.read_bytes(), "file-analysis")["pass"]
+            for path in (store_dir / "file-analysis").rglob("*.pkl")
+        )
+        files = sum(len(suite.files) for suite in cold.suites.values())
+        assert stored == {pass_id: files for pass_id in ANALYSIS_PASSES}
+
+        loads: list = []
+        load = ArtifactStore.load
+
+        def recording(self, namespace, key, read, *args):
+            value = load(self, namespace, key, read, *args)
+            if namespace == "file-analysis":
+                loads.append((self.path_for(namespace, key), value is not None))
+            return value
+
+        monkeypatch.setattr(ArtifactStore, "load", recording)
+        for experiment_id in self.EXPERIMENTS:
+            loads.clear()
+            with ExperimentContext(scale=0.05, seed=5, store_dir=str(store_dir)) as warm:
+                run_experiment(experiment_id, warm)
+            assert all(hit for _, hit in loads), experiment_id
+            repeated = [path for path, count in Counter(path for path, _ in loads).items() if count > 1]
+            assert repeated == [], f"{experiment_id} loaded {len(repeated)} file-analysis keys more than once"
 
 
 class TestIncrementalCorpus:

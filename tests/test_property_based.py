@@ -181,20 +181,21 @@ class TestAnalysisMergeLaws:
             store=None,
         )
 
-        def shuffled(pass_id):
+        def shuffled(scan):
             # a random permutation subsumes every order *and* every split: a
             # chunked merge concatenates chunk partial lists, which is just
             # some permutation of the per-file list
-            partials = [ANALYSIS_PASSES[pass_id](test_file) for test_file in suite.files]
+            partials = [scan(test_file) for test_file in suite.files]
             rng.shuffle(partials)
             return partials
 
-        # features (Table 2): census == the direct whole-suite census
-        census = features.merge_command_censuses(suite.name, shuffled("features"))
+        # features (Table 2, scanned in memory, not stored): census == the
+        # direct whole-suite census
+        census = features.merge_command_censuses(suite.name, shuffled(features.file_command_census))
         assert canonical_bytes(census) == canonical_bytes(features.count_runner_commands(suite))
 
         # statements (Figure 2 / Table 3): distribution and both compliance variants
-        merged = statements.merge_statement_profiles(shuffled("statements"))
+        merged = statements.merge_statement_profiles(shuffled(ANALYSIS_PASSES["statements"]))
         assert canonical_bytes(statements.distribution_from_profiles(merged)) == canonical_bytes(
             statements.statement_type_distribution(suite)
         )
@@ -204,7 +205,7 @@ class TestAnalysisMergeLaws:
             )
 
         # predicates (Figure 3): bucket distribution and join usage
-        merged = predicates.merge_predicate_profiles(shuffled("predicates"))
+        merged = predicates.merge_predicate_profiles(shuffled(ANALYSIS_PASSES["predicates"]))
         assert canonical_bytes(predicates.distribution_from_profiles(merged)) == canonical_bytes(
             predicates.predicate_distribution(suite)
         )
@@ -212,18 +213,9 @@ class TestAnalysisMergeLaws:
             predicates.join_usage(suite)
         )
 
-        # file sizes (Figure 1): the raw list is ordered, so compare its
-        # permutation-invariant views — summary and histogram — plus the multiset
-        sizes = filesize.sizes_from_profiles(shuffled("filesize"))
-        assert sorted(sizes) == sorted(filesize.file_size_distribution(suite))
-        assert canonical_bytes(filesize.summarize_sizes(suite.name, sizes)) == canonical_bytes(
-            filesize.size_summary(suite)
-        )
-        assert filesize.log_histogram(sizes) == filesize.log_histogram(filesize.file_size_distribution(suite))
-
         # coverage (Table 8): per engine, the union of the per-file features
         # == the whole-suite measurement
-        merged = merge_coverage_partials(shuffled("coverage"))
+        merged = merge_coverage_partials(shuffled(ANALYSIS_PASSES["coverage"]))
         statement_lists = [test_file.statements() for test_file in suite.files]
         assert merged == {
             dialect: sorted(measure_coverage(dialect, statement_lists).exercised) for dialect in COVERAGE_DIALECTS

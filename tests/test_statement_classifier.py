@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.analysis.statements import file_statement_profile
+from repro.core.records import StatementRecord, TestFile
 from repro.sqlparser.statements import (
-    classify_script,
     classify_statement,
     is_standard_statement,
     split_statements,
@@ -78,9 +79,11 @@ class TestStandardCompliance:
         assert info.is_query
 
     def test_widely_supported_nonstandard(self):
-        info = classify_statement("CREATE INDEX i ON t(a)")
-        assert not info.is_standard
-        assert info.is_widely_supported
+        sql = "CREATE INDEX i ON t(a)"
+        assert not classify_statement(sql).is_standard
+        # only Table 3's relaxed variant counts it as standard
+        profile = file_statement_profile(TestFile(path="x", suite="slt", records=[StatementRecord(sql=sql)]))
+        assert (profile["standard"], profile["standard_relaxed"]) == (0, 1)
 
 
 class TestSplitStatements:
@@ -105,5 +108,6 @@ class TestSplitStatements:
         assert len(parts) == 2
 
     def test_classify_script(self):
-        infos = classify_script("CREATE TABLE t(a INT); INSERT INTO t VALUES (1); SELECT * FROM t")
+        script = "CREATE TABLE t(a INT); INSERT INTO t VALUES (1); SELECT * FROM t"
+        infos = [classify_statement(statement) for statement in split_statements(script)]
         assert [info.statement_type for info in infos] == ["CREATE TABLE", "INSERT", "SELECT"]

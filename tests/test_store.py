@@ -30,7 +30,7 @@ import pytest
 from repro.core.parallel import RunnerSpec
 from repro.core.records import TestSuite
 from repro.core.transplant import CellKey, run_cells, run_matrix, run_transplant
-from repro.corpus import build_all_suites, build_suite
+from repro.corpus import build_all_suites, build_suite, scaled_file_count
 from repro.formats import parse_test_text
 from repro.store import (
     CODEC_VERSION,
@@ -400,7 +400,8 @@ class TestCanonicalBytes:
     def test_no_two_distinct_corpus_files_share_a_hash(self):
         by_hash: dict[str, bytes] = {}
         for seed in (0, 1):
-            suites = build_all_suites(seed=seed, scale=0.25, include_mysql=True, store=None)
+            suites = build_all_suites(seed=seed, scale=0.25, store=None)
+            suites["mysql"] = build_suite("mysql", file_count=scaled_file_count("mysql", 0.25), seed=seed, store=None)
             assert sorted(suites) == ["duckdb", "mysql", "postgres", "slt"]
             for suite in suites.values():
                 for test_file in suite.files:
@@ -423,7 +424,6 @@ class TestFileResultKey:
         float_tolerance=0.0,
         translate_dialect=False,
         donor_dialect="sqlite",
-        max_records_per_file=None,
     )
 
     #: one different value per RunnerSpec field
@@ -435,7 +435,6 @@ class TestFileResultKey:
         "float_tolerance": 0.01,
         "translate_dialect": True,
         "donor_dialect": "duckdb",
-        "max_records_per_file": 5,
     }
 
     @pytest.fixture(scope="class")
@@ -784,8 +783,8 @@ class TestAuditAndSweep:
         from repro.store.codec import encode_file_result, unframe
 
         suite = build_suite("slt", file_count=1, records_per_file=3, seed=9)
-        result = TestRunner(create_adapter("sqlite"), host_name="sqlite").run_suite(suite)
-        blob = encode_file_result(result.files[0], suite.files[0])
+        result = TestRunner(create_adapter("sqlite"), host_name="sqlite").run_file(suite.files[0])
+        blob = encode_file_result(result, suite.files[0])
         assert unframe(blob, "file-results")
         for bad, kind in [
             (blob[:-1] + bytes([blob[-1] ^ 0xFF]), "file-results"),
@@ -833,19 +832,25 @@ class TestAuditAndSweep:
         assert store.sweep_tmp(max_age_seconds=0) == 1
         assert not fresh.exists()
 
-    def test_open_time_sweep_removes_stale_tmp(self, tmp_path):
+    def test_first_save_reclaims_stale_tmp_and_spares_fresh(self, tmp_path):
         import time as _time
 
         root = tmp_path / "store"
-        first = ArtifactStore(root=root, fingerprint="test-fp")
-        _put(first, "ns", {"k": 1}, "value")
-        stale = root / "ns" / ".tmp-dead-writer"
-        stale.write_bytes(b"partial")
+        _put(ArtifactStore(root=root, fingerprint="test-fp"), "ns", {"k": 1}, "value")
+        # named the way _write names its temp files
+        stale = root / "ns" / ".tmp-dead-writer.pkl"
+        fresh = root / "ns" / ".tmp-live-writer.pkl"
+        for leftover in (stale, fresh):
+            leftover.write_bytes(b"partial")
         two_hours_ago = _time.time() - 7200
         os.utime(stale, (two_hours_ago, two_hours_ago))
-        reopened = ArtifactStore(root=root, fingerprint="test-fp")
+        process = ArtifactStore(root=root, fingerprint="test-fp")
+        assert _get(process, "ns", {"k": 1}) == "value"
+        assert stale.exists()  # neither opening the store nor a load walks it
+        _put(process, "ns", {"k": 2}, "other")  # the first save seeds its byte estimate with one walk
         assert not stale.exists()
-        assert _get(reopened, "ns", {"k": 1}) == "value"
+        assert fresh.exists()
+        assert process.entry_count == 2
 
     def test_cli_audit(self, tmp_path):
         import contextlib

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SQLSyntaxError
-from repro.sqlparser.tokenizer import TokenType, strip_comments, tokenize
+from repro.sqlparser.tokenizer import TokenType, tokenize
 
 
 def kinds(sql):
@@ -99,10 +99,6 @@ class TestComments:
     def test_comments_can_be_included(self):
         tokens = tokenize("SELECT 1 -- note", include_comments=True)
         assert any(token.type is TokenType.COMMENT for token in tokens)
-
-    def test_strip_comments_preserves_sql(self):
-        assert strip_comments("SELECT 1 -- note").strip() == "SELECT 1"
-        assert strip_comments("SELECT /* x */ 2").replace("  ", " ").strip() == "SELECT 2"
 
 
 class TestPositions:

@@ -1,7 +1,8 @@
 """Cross-dialect SQL translation (the sqlglot-substitute) unit tests."""
 
-from repro.dialects import DUCKDB, MYSQL, POSTGRES, SQLITE, translate, translate_script
+from repro.dialects import DUCKDB, MYSQL, POSTGRES, SQLITE, translate
 from repro.engine.session import Session
+from repro.sqlparser.statements import split_statements
 
 
 class TestRewrites:
@@ -61,7 +62,8 @@ class TestRewrites:
         assert result.warnings
 
     def test_translate_script(self):
-        results = translate_script("SELECT 1::TEXT; SELECT 2 DIV 1", POSTGRES, SQLITE)
+        script = "SELECT 1::TEXT; SELECT 2 DIV 1"
+        results = [translate(statement, POSTGRES, SQLITE) for statement in split_statements(script)]
         assert len(results) == 2
 
 
