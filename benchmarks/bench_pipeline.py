@@ -16,6 +16,7 @@ changes have a trajectory to regress against (see scripts/bench_compare.py).
 """
 
 import gc
+import hashlib
 import itertools
 import os
 import pickle
@@ -306,6 +307,12 @@ EXECUTOR_STATEMENTS = (
 )
 
 
+#: sha256 of the canonical bytes of one ``_executor_pass``, frozen when both
+#: of MiniDB's engine modes (compiled programs and the AST interpreter)
+#: produced it: the pass must keep returning exactly these relations.
+EXECUTOR_DIGEST = "9f9f8e2f931e762755470643ff1939fce646f163476c18c1f84c995fa39759e8"
+
+
 def _executor_session():
     """One session holding the populated synthetic wide table."""
     session = Session("sqlite", enable_faults=False)
@@ -352,6 +359,9 @@ def test_engine_executor(benchmark):
     first_wall = time.perf_counter() - started
     second_wall, vectorized_result = _timed_min_of(4, lambda: _executor_pass(session))
     vectorized_wall = min(first_wall, second_wall)
+    assert hashlib.sha256(canonical_bytes(vectorized_result)).hexdigest() == EXECUTOR_DIGEST, (
+        "the executor pass must return the relations frozen in EXECUTOR_DIGEST"
+    )
 
     with vectorize.vectorize_disabled():
         _executor_pass(session)  # warm-up the scalar path the same way

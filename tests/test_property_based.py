@@ -1,8 +1,12 @@
 """Property-based tests (hypothesis) for core invariants."""
 
+import hashlib
+import json
 import pickle
 import random
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adapters.base import ExecutionOutcome, ExecutionStatus
@@ -341,17 +345,18 @@ def _fuzz_file(rng: random.Random, index: int = 0):
     return test_file, file_result
 
 
-# -- vectorized vs scalar executor -----------------------------------------------
+# -- frozen engine fuzz -------------------------------------------------------------
 #
-# Seeded fuzzing of the columnar executor (repro.engine.columnar): random
-# SELECTs — filters, DISTINCT, multi-key ORDER BY, aggregation, LIMIT — over
-# tables seeded with NULL, ±inf, nan, signed zero, 64-bit integers, and
-# unicode text.  Each seed's statement list executes once per engine mode and
-# the captures must agree byte-for-byte under the canonical serialization
-# (floats render as exact hex, so nan vs nan and -0.0 vs 0.0 compare
-# strictly), with identical error types/messages and an identical
-# feature-coverage set.  This is the per-statement complement to the
-# campaign-level vectorized==scalar variants in test_differential.py.
+# Seeded fuzzing of MiniDB's expression evaluation: random SELECTs — filters,
+# DISTINCT, multi-key ORDER BY, aggregation, LIMIT — over tables seeded with
+# NULL, ±inf, nan, signed zero, 64-bit integers, and unicode text.  Each
+# seed's workload runs on a fresh session, and the canonical serialization of
+# its captures (floats render as exact hex, so nan vs nan and -0.0 vs 0.0
+# compare strictly; errors as type and message) plus its feature-coverage set
+# must hash to the digest frozen in tests/golden/engine-fuzz-digests.json.
+# The digests were taken when MiniDB still had two evaluators (compiled
+# column programs and the AST interpreter) and both produced them, so they
+# hold the engine to the semantics both agreed on.
 
 _VEC_WORDS = ("alpha", "bràvo", "charlie", "号delta", "echo🦆", "fox trot", "", "NULL")
 _VEC_OPS = ("=", "<>", "<", "<=", ">", ">=")
@@ -468,19 +473,28 @@ def _vec_run_workload(statements: list[str], dialect: str):
     return captures, sorted(session.features)
 
 
-class TestVectorizedScalarEquivalence:
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_fuzzed_selects_byte_identical_across_engine_modes(self, seed):
-        rng = random.Random(seed)
-        dialect = rng.choice(_FUZZ_HOSTS)
-        statements = _vec_fuzz_statements(rng)
-        with vectorize.vectorize_enabled_scope():
-            columnar_captures, columnar_features = _vec_run_workload(statements, dialect)
-        with vectorize.vectorize_disabled():
-            scalar_captures, scalar_features = _vec_run_workload(statements, dialect)
-        assert canonical_bytes(columnar_captures) == canonical_bytes(scalar_captures)
-        assert columnar_features == scalar_features
+#: Twelve seeds per dialect: ``seed % 4`` picks the dialect from _FUZZ_HOSTS.
+ENGINE_FUZZ_SEEDS = range(48)
+ENGINE_FUZZ_DIGESTS = Path(__file__).parent / "golden" / "engine-fuzz-digests.json"
+
+
+def engine_fuzz_digest(seed: int) -> str:
+    """sha256 of one seed's canonical captures and feature set."""
+    rng = random.Random(seed)
+    statements = _vec_fuzz_statements(rng)
+    captures, features = _vec_run_workload(statements, _FUZZ_HOSTS[seed % len(_FUZZ_HOSTS)])
+    return hashlib.sha256(canonical_bytes([captures, features])).hexdigest()
+
+
+class TestFrozenEngineFuzz:
+    @pytest.mark.parametrize("vectorized", [True, False], ids=["compiled", "scalar"])
+    def test_fuzzed_workloads_match_their_frozen_digests(self, vectorized):
+        frozen = json.loads(ENGINE_FUZZ_DIGESTS.read_text())
+        scope = vectorize.vectorize_enabled_scope() if vectorized else vectorize.vectorize_disabled()
+        with scope:
+            actual = {str(seed): engine_fuzz_digest(seed) for seed in ENGINE_FUZZ_SEEDS}
+        changed = sorted((seed for seed in frozen if actual[seed] != frozen[seed]), key=int)
+        assert len(frozen) == len(ENGINE_FUZZ_SEEDS) and not changed, f"seeds whose workload changed: {changed}"
 
 
 def _assert_lazy_matches(decoded: FileResult, source: FileResult) -> None:
@@ -543,8 +557,6 @@ class TestCodecProperties:
         without ``verify`` too, since a lazy load parses only the head —
         never as plausible results (the invariant incremental assembly's
         corrupted-blob fallback relies on)."""
-        import pytest
-
         rng = random.Random(seed)
         test_file, file_result = _fuzz_file(rng)
         blob = bytearray(encode_file_result(file_result, test_file))
