@@ -1,34 +1,35 @@
-"""Compiled column programs: the engine's vectorized expression path.
+"""Compiled column programs: MiniDB's expression evaluator.
 
-The scalar evaluator (:mod:`repro.engine.expressions`) resolves every column
-reference through a per-row ``RowContext`` dict and dispatches per AST node on
-every row.  For the executor's whole-column passes — WHERE filtering,
-projection, DISTINCT keys, aggregation grouping, ORDER-BY key extraction, and
-JOIN conditions — all of that work is invariant across rows: the column an
-expression references sits at the same index in every row of a materialised
-relation, and the dialect-dependent decisions (division semantics, ``||``
-meaning, LIKE case folding, cast strictness) are fixed per plan.
+Every expression the engine evaluates — WHERE filters, projections, DISTINCT
+and GROUP BY keys, aggregate arguments, ORDER BY keys, JOIN conditions,
+UPDATE/DELETE clauses, and the free-standing expressions of INSERT VALUES,
+SET, DEFAULT, LIMIT/OFFSET and table-function arguments — runs as a compiled
+column program.  The work that is invariant across rows is done once: the
+column an expression references sits at the same index in every row of a
+materialised relation.  A program holds no dialect: the dialect-dependent
+rules (division semantics, ``||`` meaning, LIKE case folding, cast
+strictness) read ``ev.dialect`` when they run, so one program serves a
+statement on every host.
 
-:func:`compile_expression` therefore walks an expression once per
-``(dialect, relation layout)`` and produces a chain of plain closures — a
-*column program* ``fn(row, ev) -> value`` — in which each ``ColumnRef`` has
-become a direct ``row[index]`` load.  The per-row cost collapses to the
-closure calls themselves; no context dict is built and no dispatch happens.
+:func:`compile_expression` therefore walks an expression once per relation
+layout and produces a chain of plain closures — a *column program*
+``fn(row, ev) -> value`` — in which each ``ColumnRef`` of the layout has
+become a direct ``row[index]`` load.  It covers every node:
 
-Byte-identity with the scalar path is the contract (the differential harness
-pins it; see ``tests/test_differential.py`` and ``tests/test_property_based.py``):
-
-* programs replicate the evaluator's semantics *verbatim*, including the
-  feature-coverage touches (``ev._touch(...)``) in the same order and under
-  the same conditions, and the same operand evaluation order — so errors
-  raised mid-expression surface identically;
+* feature-coverage touches (``ev._touch(...)``) and operand evaluation
+  happen in a fixed order, so errors raised mid-expression surface at a
+  fixed point;
 * data-dependent semantics (arithmetic, ``||``, row-value comparison, IS
-  equality) run through the shared evaluator helpers rather than re-derived
-  logic;
-* any construct a program cannot cover — subqueries, ``Star``, unresolvable
-  column references, unsupported operators/types — makes compilation return
-  ``None`` and the *whole clause* falls back to the scalar path, so evaluation
-  order never mixes.
+  equality) run through the :class:`~repro.engine.expressions.ExpressionEvaluator`
+  helpers, the one place each dialect rule lives;
+* a construct the dialect rejects — an unsupported operator, type or ``::``
+  cast, ``Star`` outside a projection — compiles to a closure that raises
+  when it runs, after the operands the rule needs;
+* a subquery, or a column the layout does not hold (an outer reference of a
+  correlated subquery, or an unknown column), compiles to a closure that
+  binds the current row as a :class:`~repro.engine.expressions.RowContext`
+  only when it runs, chained to ``ev.outer``, the outer row of the query
+  being executed.
 
 Programs are memoized on the AST node (plans are shared process-wide through
 the statement cache, so one compile serves every execution of a statement
@@ -43,16 +44,13 @@ from typing import Any, Callable
 from repro.engine import ast_nodes as ast
 from repro.engine import expressions as expr
 from repro.engine.values import cast_value, compare_values
-from repro.errors import ConversionError, UnsupportedTypeError
+from repro.errors import ConversionError, DatabaseError, UnsupportedOperatorError, UnsupportedTypeError
 
 #: A compiled column program: ``fn(row, ev) -> value`` where ``row`` is one
 #: row list of the relation the program was compiled against and ``ev`` is the
 #: session's :class:`~repro.engine.expressions.ExpressionEvaluator` (passed
 #: per call so programs hold no session state and stay shareable).
 Program = Callable[[list, Any], Any]
-
-#: Memo entry marking an expression that cannot be compiled for a layout.
-_UNSUPPORTED = object()
 
 #: Native Python comparators for the exact-type fast paths in compiled
 #: comparison programs.  Valid only for int/int and str/str operands, where
@@ -101,10 +99,47 @@ def relation_layout(relation: Any) -> tuple[tuple, dict[str, int]]:
 # -- compilation ------------------------------------------------------------------
 
 
-def compile_expression(
-    node: ast.Expression, positions: dict[str, int], dialect: Any
-) -> Program | None:
-    """Compile ``node`` against a column layout, or None when not coverable."""
+def _raising(error_type: type, message: str) -> Program:
+    """A program that raises ``error_type(message)`` whenever it runs."""
+
+    def fail(row: list, ev: Any) -> Any:
+        raise error_type(message)
+
+    return fail
+
+
+def _row_binder(positions: dict[str, int]) -> Callable[[list, Any], "expr.RowContext"]:
+    """``bind(row, ev)``: the row's bindings under the layout, chained to ``ev.outer``."""
+    items = tuple(positions.items())
+
+    def bind(row: list, ev: Any) -> "expr.RowContext":
+        return expr.RowContext({key: row[index] for key, index in items}, ev.outer)
+
+    return bind
+
+
+def _membership(value: Any, candidates: list, negated: bool) -> Any:
+    """``value [NOT] IN candidates`` with SQL's NULL rules."""
+    if value is None:
+        return None
+    saw_null = False
+    for candidate in candidates:
+        if candidate is None:
+            saw_null = True
+            continue
+        if compare_values(value, candidate) == 0:
+            return not negated
+    if saw_null:
+        return None
+    return negated
+
+
+def compile_expression(node: ast.Expression, positions: dict[str, int]) -> Program:
+    """Compile ``node`` against a column layout (binding key -> row index).
+
+    A program is the same for every dialect: what depends on the dialect is
+    read from ``ev`` when the program runs.
+    """
     node_type = type(node)
 
     if node_type is ast.Literal:
@@ -113,19 +148,19 @@ def compile_expression(
 
     if node_type is ast.ColumnRef:
         index = positions.get(ref_binding_key(node))
-        if index is None:
-            # unresolvable here (correlated/outer reference, typo): the scalar
-            # path owns the lookup chain and its error messages
-            return None
-        return lambda row, ev, _i=index: row[_i]
+        if index is not None:
+            return lambda row, ev, _i=index: row[_i]
+        # not a column of this layout: RowContext resolves it (through the
+        # outer rows of a correlated subquery) or raises "no such column"
+        bind = _row_binder(positions)
+        name, table = node.name, node.table
+        return lambda row, ev: bind(row, ev).lookup(name, table)
 
     if node_type is ast.BinaryOp:
-        return _compile_binaryop(node, positions, dialect)
+        return _compile_binaryop(node, positions)
 
     if node_type is ast.UnaryOp:
-        operand = compile_expression(node.operand, positions, dialect)
-        if operand is None:
-            return None
+        operand = compile_expression(node.operand, positions)
         operator = node.operator
         if operator == "NOT":
 
@@ -150,16 +185,20 @@ def compile_expression(
                 return None if number is None else ~int(number)
 
             return invert
-        return None  # scalar path raises UnsupportedOperatorError
+        message = f"unsupported unary operator {operator}"
+
+        def unsupported_unary(row: list, ev: Any, _operand=operand) -> Any:
+            _operand(row, ev)
+            raise UnsupportedOperatorError(message)
+
+        return unsupported_unary
 
     if node_type is ast.FunctionCall:
         name = node.name
         feature = expr._FUNCTION_FEATURES.get(name)
         if feature is None:
             feature = expr._FUNCTION_FEATURES[name] = "function." + name
-        args = [compile_expression(arg, positions, dialect) for arg in node.args]
-        if any(arg is None for arg in args):
-            return None
+        args = [compile_expression(arg, positions) for arg in node.args]
 
         def call(row: list, ev: Any, _args=args, _name=name, _feature=feature) -> Any:
             ev._touch(_feature)
@@ -168,26 +207,26 @@ def compile_expression(
         return call
 
     if node_type is ast.Cast:
-        # the scalar path raises for :: where unsupported (before evaluating
-        # the operand) and for unknown types (after); bail on both so the
-        # whole clause keeps the scalar error ordering
-        if node.via_double_colon and not dialect.supports_double_colon_cast:
-            return None
-        base = node.type_name.split("(")[0].strip().upper()
-        if not dialect.supports_type(base) and base not in ("INTEGER", "TEXT", "REAL"):
-            return None
-        operand = compile_expression(node.operand, positions, dialect)
-        if operand is None:
-            return None
+        operand = compile_expression(node.operand, positions)
         type_name = node.type_name
-        strict = dialect.strict_types
-        accepts_integers = dialect.boolean_accepts_integers
+        via_double_colon = node.via_double_colon
+        base = type_name.split("(")[0].strip().upper()
+        always_known = base in ("INTEGER", "TEXT", "REAL")
+        unknown_type = f"unknown data type: {type_name}"
 
         def cast(row: list, ev: Any, _operand=operand) -> Any:
+            dialect = ev.dialect
+            # a dialect without ``::`` rejects the operator before its
+            # operand runs, an unknown type after
+            if via_double_colon and not dialect.supports_double_colon_cast:
+                raise UnsupportedOperatorError("the :: cast operator is not supported in this dialect")
             ev._touch("operator.cast")
             value = _operand(row, ev)
+            if not always_known and not dialect.supports_type(base):
+                raise UnsupportedTypeError(unknown_type)
+            strict = dialect.strict_types
             try:
-                return cast_value(value, type_name, strict=strict, boolean_accepts_integers=accepts_integers)
+                return cast_value(value, type_name, strict=strict, boolean_accepts_integers=dialect.boolean_accepts_integers)
             except UnsupportedTypeError:
                 raise
             except ConversionError:
@@ -198,23 +237,12 @@ def compile_expression(
         return cast
 
     if node_type is ast.CaseExpression:
-        operand = None
-        if node.operand is not None:
-            operand = compile_expression(node.operand, positions, dialect)
-            if operand is None:
-                return None
-        whens = []
-        for condition, result in node.whens:
-            compiled_condition = compile_expression(condition, positions, dialect)
-            compiled_result = compile_expression(result, positions, dialect)
-            if compiled_condition is None or compiled_result is None:
-                return None
-            whens.append((compiled_condition, compiled_result))
-        default = None
-        if node.default is not None:
-            default = compile_expression(node.default, positions, dialect)
-            if default is None:
-                return None
+        operand = None if node.operand is None else compile_expression(node.operand, positions)
+        whens = [
+            (compile_expression(condition, positions), compile_expression(result, positions))
+            for condition, result in node.whens
+        ]
+        default = None if node.default is None else compile_expression(node.default, positions)
         truth = expr._predicate_truth
 
         def case(row: list, ev: Any, _operand=operand, _whens=whens, _default=default) -> Any:
@@ -235,41 +263,56 @@ def compile_expression(
         return case
 
     if node_type is ast.InExpression:
-        if node.subquery is not None:
-            return None
-        operand = compile_expression(node.operand, positions, dialect)
-        if operand is None:
-            return None
-        items = [compile_expression(item, positions, dialect) for item in node.items]
-        if any(item is None for item in items):
-            return None
+        operand = compile_expression(node.operand, positions)
         negated = node.negated
+        if node.subquery is not None:
+            statement = node.subquery
+            bind = _row_binder(positions)
 
-        def contains(row: list, ev: Any, _operand=operand, _items=items) -> Any:
+            def in_subquery(row: list, ev: Any, _operand=operand) -> Any:
+                ev._touch("expression.in")
+                value = _operand(row, ev)
+                rows = ev._run_subquery(statement, bind(row, ev))
+                return _membership(value, [result[0] if result else None for result in rows], negated)
+
+            return in_subquery
+        items = [compile_expression(item, positions) for item in node.items]
+
+        def in_list(row: list, ev: Any, _operand=operand, _items=items) -> Any:
             ev._touch("expression.in")
             value = _operand(row, ev)
-            candidates = [item(row, ev) for item in _items]
-            if value is None:
-                return None
-            saw_null = False
-            for candidate in candidates:
-                if candidate is None:
-                    saw_null = True
-                    continue
-                if compare_values(value, candidate) == 0:
-                    return not negated
-            if saw_null:
-                return None
-            return negated
+            return _membership(value, [item(row, ev) for item in _items], negated)
 
-        return contains
+        return in_list
+
+    if node_type is ast.ExistsExpression:
+        statement = node.subquery
+        bind = _row_binder(positions)
+        negated = node.negated
+
+        def exists(row: list, ev: Any) -> Any:
+            ev._touch("expression.exists")
+            return bool(ev._run_subquery(statement, bind(row, ev))) != negated
+
+        return exists
+
+    if node_type is ast.ScalarSubquery:
+        statement = node.subquery
+        bind = _row_binder(positions)
+
+        def scalar_subquery(row: list, ev: Any) -> Any:
+            ev._touch("expression.scalar_subquery")
+            rows = ev._run_subquery(statement, bind(row, ev))
+            if not rows:
+                return None
+            return rows[0][0] if rows[0] else None
+
+        return scalar_subquery
 
     if node_type is ast.BetweenExpression:
-        operand = compile_expression(node.operand, positions, dialect)
-        low = compile_expression(node.low, positions, dialect)
-        high = compile_expression(node.high, positions, dialect)
-        if operand is None or low is None or high is None:
-            return None
+        operand = compile_expression(node.operand, positions)
+        low = compile_expression(node.low, positions)
+        high = compile_expression(node.high, positions)
         negated = node.negated
 
         def between(row: list, ev: Any, _operand=operand, _low=low, _high=high) -> Any:
@@ -285,11 +328,9 @@ def compile_expression(
         return between
 
     if node_type is ast.LikeExpression:
-        operand = compile_expression(node.operand, positions, dialect)
-        pattern = compile_expression(node.pattern, positions, dialect)
-        if operand is None or pattern is None:
-            return None
-        case_insensitive = node.case_insensitive or dialect.name in ("mysql", "sqlite")
+        operand = compile_expression(node.operand, positions)
+        pattern = compile_expression(node.pattern, positions)
+        ilike = node.case_insensitive
         negated = node.negated
         like_regex = expr._like_regex
 
@@ -299,28 +340,24 @@ def compile_expression(
             pattern_value = _pattern(row, ev)
             if value is None or pattern_value is None:
                 return None
+            # MySQL and SQLite compare LIKE case-insensitively
+            case_insensitive = ilike or ev.dialect.name in ("mysql", "sqlite")
             matched = like_regex(str(pattern_value), case_insensitive).match(str(value)) is not None
             return matched != negated
 
         return like
 
     if node_type is ast.IsNullExpression:
-        operand = compile_expression(node.operand, positions, dialect)
-        if operand is None:
-            return None
+        operand = compile_expression(node.operand, positions)
         negated = node.negated
         return lambda row, ev, _operand=operand: (_operand(row, ev) is None) != negated
 
     if node_type is ast.RowValue:
-        items = [compile_expression(item, positions, dialect) for item in node.items]
-        if any(item is None for item in items):
-            return None
+        items = [compile_expression(item, positions) for item in node.items]
         return lambda row, ev, _items=items: tuple(item(row, ev) for item in _items)
 
     if node_type is ast.ListLiteral:
-        items = [compile_expression(item, positions, dialect) for item in node.items]
-        if any(item is None for item in items):
-            return None
+        items = [compile_expression(item, positions) for item in node.items]
 
         def list_literal(row: list, ev: Any, _items=items) -> Any:
             ev._touch("type.list")
@@ -329,9 +366,7 @@ def compile_expression(
         return list_literal
 
     if node_type is ast.StructLiteral:
-        pairs = [(key, compile_expression(value, positions, dialect)) for key, value in node.items]
-        if any(value is None for _, value in pairs):
-            return None
+        pairs = [(key, compile_expression(value, positions)) for key, value in node.items]
 
         def struct_literal(row: list, ev: Any, _pairs=pairs) -> Any:
             ev._touch("type.struct")
@@ -339,15 +374,15 @@ def compile_expression(
 
         return struct_literal
 
-    # Star, Exists, ScalarSubquery, unknown node types: scalar path only
-    return None
+    if node_type is ast.Star:
+        return _raising(DatabaseError, "* is only valid in a SELECT projection or COUNT(*)")
+
+    return _raising(DatabaseError, f"cannot evaluate expression node {node_type.__name__}")
 
 
-def _compile_binaryop(node: ast.BinaryOp, positions: dict[str, int], dialect: Any) -> Program | None:
-    left = compile_expression(node.left, positions, dialect)
-    right = compile_expression(node.right, positions, dialect)
-    if left is None or right is None:
-        return None
+def _compile_binaryop(node: ast.BinaryOp, positions: dict[str, int]) -> Program:
+    left = compile_expression(node.left, positions)
+    right = compile_expression(node.right, positions)
     operator = node.operator
     feature = expr._OPERATOR_FEATURES.get(operator)
     if feature is None:
@@ -534,7 +569,15 @@ def _compile_binaryop(node: ast.BinaryOp, positions: dict[str, int], dialect: An
 
         return distinct_op
 
-    return None  # scalar path raises UnsupportedOperatorError
+    message = f"unsupported operator {operator}"
+
+    def unsupported(row: list, ev: Any, _left=left, _right=right) -> Any:
+        ev._touch(feature)
+        _left(row, ev)
+        _right(row, ev)
+        raise UnsupportedOperatorError(message)
+
+    return unsupported
 
 
 #: Root node types whose programs yield only True/False/None, so WHERE can
@@ -567,26 +610,64 @@ def returns_boolean(node: ast.Expression) -> bool:
 # -- memoized entry points --------------------------------------------------------
 
 
-def expression_program(
-    node: ast.Expression, columns_key: tuple, positions: dict[str, int], dialect: Any
-) -> Program | None:
-    """Memoized :func:`compile_expression` — one compile per (dialect, layout).
+def expression_program(node: ast.Expression, columns_key: tuple, positions: dict[str, int]) -> Program:
+    """Memoized :func:`compile_expression` — one compile per column layout.
 
     The memo lives on the AST node because plans are shared process-wide
-    through the statement cache; concurrent workers may race on the dict set,
-    which is benign (both compute the same program).
+    through the statement cache, so one compile serves every dialect that
+    runs the statement; concurrent workers may race on the dict set, which
+    is benign (both compute the same program).
     """
     cache = getattr(node, "_vec_programs", None)
     if cache is None:
-        cache = {}
-        try:
-            node._vec_programs = cache
-        except AttributeError:  # pragma: no cover - frozen/slotted nodes
-            return compile_expression(node, positions, dialect)
-    key = (dialect.name, columns_key)
-    program = cache.get(key)
+        cache = node._vec_programs = {}
+    program = cache.get(columns_key)
     if program is None:
-        program = compile_expression(node, positions, dialect)
-        cache[key] = program if program is not None else _UNSUPPORTED
-        return program
-    return None if program is _UNSUPPORTED else program
+        program = cache[columns_key] = compile_expression(node, positions)
+    return program
+
+
+_NO_ROW: list = []
+
+
+def evaluate_standalone(node: ast.Expression, ev: Any) -> Any:
+    """Evaluate an expression outside any relation (INSERT VALUES, SET,
+    DEFAULT, LIMIT/OFFSET, VALUES rows, table-function arguments): its
+    program over the zero-column layout, so every column it names resolves
+    through ``ev.outer``."""
+    return expression_program(node, (), {})(_NO_ROW, ev)
+
+
+def applied_program(node: ast.Expression) -> Program:
+    """Program applying ``node``'s own operation to operand values computed
+    elsewhere, given as the row.
+
+    Aggregation evaluates a BinaryOp, UnaryOp, Cast or scalar FunctionCall
+    above an aggregate operand by operand first (:func:`operands_of`), then
+    applies the node to the results.  The program is compiled, once per
+    node, from a shell of ``node`` whose operand ``i`` reads column ``i``.
+    """
+    program = getattr(node, "_applied_program", None)
+    if program is None:
+        arity = len(operands_of(node))
+        slots = [ast.ColumnRef(f"${index}") for index in range(arity)]
+        if type(node) is ast.BinaryOp:
+            shell: ast.Expression = ast.BinaryOp(node.operator, *slots)
+        elif type(node) is ast.UnaryOp:
+            shell = ast.UnaryOp(node.operator, *slots)
+        elif type(node) is ast.Cast:
+            shell = ast.Cast(*slots, node.type_name, node.via_double_colon)
+        else:
+            shell = ast.FunctionCall(node.name, slots)
+        positions = {f"${index}": index for index in range(arity)}
+        program = node._applied_program = compile_expression(shell, positions)
+    return program
+
+
+def operands_of(node: ast.Expression) -> list[ast.Expression]:
+    """The operands :func:`applied_program` takes, in evaluation order."""
+    if type(node) is ast.BinaryOp:
+        return [node.left, node.right]
+    if type(node) is ast.FunctionCall:
+        return node.args
+    return [node.operand]

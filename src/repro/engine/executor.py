@@ -18,13 +18,11 @@ from typing import Any, Callable
 from repro.dialects.base import DialectProfile, NullOrder
 from repro.engine import ast_nodes as ast
 from repro.engine import columnar
-from repro.engine.columnar import column_positions as _column_positions, ref_binding_key as _ref_binding_key
+from repro.engine.columnar import evaluate_standalone, ref_binding_key as _ref_binding_key
 from repro.engine.expressions import ExpressionEvaluator, RowContext, _predicate_truth
 from repro.engine.functions import evaluate_aggregate, is_aggregate
 from repro.engine.storage import Database, Table
 from repro.engine.values import compare_values, render_value
-from repro.perf import cache as perf_cache
-from repro.perf import vectorize
 from repro.errors import CatalogError, DatabaseError, EngineHang, UnsupportedStatementError
 
 #: Iteration budget for recursive CTEs before MiniDB declares a hang.
@@ -54,7 +52,7 @@ class Relation:
         return Relation(columns=[(qualifier, name) for _, name in self.columns], rows=self.rows)
 
     def with_rows(self, rows: list[list[Any]]) -> "Relation":
-        """Same shape, different rows — carries the vectorization layout over."""
+        """Same shape, different rows — carries the program layout over."""
         relation = Relation(columns=self.columns, rows=rows)
         layout = getattr(self, "_vec_layout", None)
         if layout is not None:
@@ -83,119 +81,24 @@ class Relation:
 
     @staticmethod
     def from_table(table: Table, qualifier: str | None = None) -> "Relation":
+        # Share the table's row lists instead of copying each one: no
+        # executor path hands a base-table row object to a query result
+        # (projection, aggregation, VALUES, and compounds all build fresh
+        # lists; INSERT..SELECT and CREATE TABLE AS copy), and statement
+        # handlers replace mutated rows wholesale rather than editing them
+        # in place, so the shared lists are never observed changing.
+        # The column list and its program layout are likewise fixed per
+        # schema, so both are built once and reused across statements.
         name = qualifier or table.name
-        if vectorize.vectorize_enabled():
-            # Share the table's row lists instead of copying each one: no
-            # executor path hands a base-table row object to a query result
-            # (projection, aggregation, VALUES, and compounds all build fresh
-            # lists; INSERT..SELECT and CREATE TABLE AS copy), and statement
-            # handlers replace mutated rows wholesale rather than editing them
-            # in place, so the shared lists are never observed changing.
-            # The column list and its program layout are likewise fixed per
-            # schema, so both are built once and reused across statements.
-            template = getattr(table, "_relation_template", None)
-            if template is None or template[0] != table.schema_version or template[1] != name:
-                columns = [(name, column.name) for column in table.columns]
-                layout = (tuple(columns), columnar.column_positions(columns))
-                template = (table.schema_version, name, columns, layout)
-                table._relation_template = template
-            relation = Relation(columns=template[2], rows=table.rows)
-            relation._vec_layout = template[3]
-            return relation
-        rows = [list(row) for row in table.rows]
-        return Relation(columns=[(name, column.name) for column in table.columns], rows=rows)
-
-
-def _binding_keys(columns: list[tuple[str | None, str]]) -> list[tuple[str, str | None]]:
-    """Precomputed (bare key, qualified key) pairs for one column list."""
-    return [
-        (name.lower(), f"{qualifier}.{name}".lower() if qualifier else None)
-        for qualifier, name in columns
-    ]
-
-
-def _bind_row(relation: Relation, row: list[Any], outer: RowContext | None = None) -> RowContext:
-    if not perf_cache.caching_enabled():
-        context = RowContext(outer=outer)
-        for (qualifier, name), value in zip(relation.columns, row):
-            context.bind(name, value)
-            if qualifier:
-                context.bind(f"{qualifier}.{name}", value)
-        return context
-    # binding keys are cached per relation: columns are fixed once a relation
-    # is materialised, so the per-row cost is two dict stores per column
-    keys = getattr(relation, "_bind_keys", None)
-    if keys is None:
-        keys = _binding_keys(relation.columns)
-        relation._bind_keys = keys
-    values: dict[str, Any] = {}
-    for (bare, qualified), value in zip(keys, row):
-        values[bare] = value
-        if qualified:
-            values[qualified] = value
-    return RowContext(values, outer=outer)
-
-
-#: Node types whose column references can be collected statically (for the
-#: minimal-binding filter fast path).  Subqueries and Star are deliberately
-#: absent: they may reference columns that cannot be enumerated here.
-def _collect_column_refs(expression: ast.Expression) -> "list[ast.ColumnRef] | None":
-    """All ColumnRefs in ``expression``, or None when they cannot be statically
-    enumerated (subqueries, unknown node types).
-
-    The result is memoized on the expression node: plans are shared through
-    the statement cache, so the walk happens once per distinct statement.
-    """
-    cached = getattr(expression, "_column_refs", False)
-    if cached is not False:
-        return cached
-    refs: list[ast.ColumnRef] = []
-    stack: list[Any] = [expression]
-    result: "list[ast.ColumnRef] | None" = refs
-    while stack:
-        node = stack.pop()
-        if node is None:
-            continue
-        node_type = type(node)
-        if node_type is ast.Literal:
-            continue
-        if node_type is ast.ColumnRef:
-            refs.append(node)
-        elif node_type is ast.UnaryOp:
-            stack.append(node.operand)
-        elif node_type is ast.BinaryOp:
-            stack.extend((node.left, node.right))
-        elif node_type is ast.Cast:
-            stack.append(node.operand)
-        elif node_type is ast.FunctionCall:
-            stack.extend(node.args)
-        elif node_type is ast.CaseExpression:
-            stack.extend((node.operand, node.default))
-            for condition, outcome in node.whens:
-                stack.extend((condition, outcome))
-        elif node_type is ast.InExpression:
-            if node.subquery is not None:
-                result = None
-                break
-            stack.append(node.operand)
-            stack.extend(node.items)
-        elif node_type is ast.BetweenExpression:
-            stack.extend((node.operand, node.low, node.high))
-        elif node_type is ast.LikeExpression:
-            stack.extend((node.operand, node.pattern))
-        elif node_type is ast.IsNullExpression:
-            stack.append(node.operand)
-        elif node_type is ast.RowValue or node_type is ast.ListLiteral:
-            stack.extend(node.items)
-        else:
-            # unknown or row-set node (Exists, ScalarSubquery, Star, ...)
-            result = None
-            break
-    try:
-        expression._column_refs = result
-    except AttributeError:  # pragma: no cover - frozen/slotted nodes
-        pass
-    return result
+        template = getattr(table, "_relation_template", None)
+        if template is None or template[0] != table.schema_version or template[1] != name:
+            columns = [(name, column.name) for column in table.columns]
+            layout = (tuple(columns), columnar.column_positions(columns))
+            template = (table.schema_version, name, columns, layout)
+            table._relation_template = template
+        relation = Relation(columns=template[2], rows=table.rows)
+        relation._vec_layout = template[3]
+        return relation
 
 
 def _expression_name(expression: ast.Expression) -> str:
@@ -247,19 +150,29 @@ class SelectExecutor:
     # -- public API -----------------------------------------------------------------
 
     def execute(self, statement: ast.SelectStatement, outer: RowContext | None = None) -> Relation:
+        """Run ``statement``; ``outer`` is the row of the enclosing query a
+        correlated subquery sees (programs read it as ``evaluator.outer``)."""
+        evaluator = self.evaluator
+        saved_outer = evaluator.outer
+        evaluator.outer = outer
+        try:
+            return self._select(statement)
+        finally:
+            evaluator.outer = saved_outer
+
+    def _select(self, statement: ast.SelectStatement) -> Relation:
         self._touch("executor.select")
         saved_ctes = dict(self._cte_relations)
         try:
             for cte in statement.ctes:
-                self._cte_relations[cte.name.lower()] = self._evaluate_cte(cte, statement.recursive, outer)
-            relation = self._execute_core(statement.core, outer)
+                self._cte_relations[cte.name.lower()] = self._evaluate_cte(cte, statement.recursive)
+            relation = self._execute_core(statement.core)
             for operator, core in statement.compound:
-                right = self._execute_core(core, outer)
+                right = self._execute_core(core)
                 relation = self._apply_compound(operator, relation, right)
             if statement.order_by:
-                relation = self._apply_order_by(relation, statement.order_by, outer)
-            relation = self._apply_limit(relation, statement, outer)
-            return relation
+                relation = self._apply_order_by(relation, statement.order_by)
+            return self._apply_limit(relation, statement)
         finally:
             self._cte_relations = saved_ctes
 
@@ -268,11 +181,11 @@ class SelectExecutor:
 
     # -- CTEs -----------------------------------------------------------------------
 
-    def _evaluate_cte(self, cte: ast.CommonTableExpression, recursive: bool, outer: RowContext | None) -> Relation:
+    def _evaluate_cte(self, cte: ast.CommonTableExpression, recursive: bool) -> Relation:
         query = cte.query
         is_self_recursive = recursive and self._references_cte(query, cte.name)
         if not is_self_recursive:
-            relation = self.execute(query, outer)
+            relation = self._select(query)
             return self._apply_cte_columns(relation, cte)
 
         self._touch("executor.recursive_cte")
@@ -287,7 +200,7 @@ class SelectExecutor:
                 f"recursive CTE {cte.name} with a self-reference inside a subquery does not terminate"
             )
 
-        base_relation = self._execute_core(query.core, outer)
+        base_relation = self._execute_core(query.core)
         base_relation = self._apply_cte_columns(base_relation, cte)
         accumulated = Relation(columns=list(base_relation.columns), rows=[list(row) for row in base_relation.rows])
         working = base_relation
@@ -299,7 +212,7 @@ class SelectExecutor:
             self._cte_relations[cte.name.lower()] = working
             new_rows: list[list[Any]] = []
             for operator, core in query.compound:
-                delta = self._execute_core(core, outer)
+                delta = self._execute_core(core)
                 candidate_rows = delta.rows
                 if "ALL" not in operator:
                     seen = {tuple(map(render_value, row)) for row in accumulated.rows}
@@ -399,63 +312,39 @@ class SelectExecutor:
 
     # -- SELECT core -------------------------------------------------------------------
 
-    def _execute_core(self, core: ast.SelectCore, outer: RowContext | None) -> Relation:
+    def _execute_core(self, core: ast.SelectCore) -> Relation:
         if core.values_rows is not None:
             self._touch("executor.values")
-            rows = []
-            width = 0
-            for row_expressions in core.values_rows:
-                context = RowContext(outer=outer)
-                row = [self.evaluator.evaluate(expression, context) for expression in row_expressions]
-                width = max(width, len(row))
-                rows.append(row)
+            evaluator = self.evaluator
+            rows = [
+                [evaluate_standalone(expression, evaluator) for expression in row_expressions]
+                for row_expressions in core.values_rows
+            ]
+            width = max((len(row) for row in rows), default=0)
             columns = [(None, f"column{i}") for i in range(width)]
             return Relation(columns=columns, rows=rows)
 
-        source = self._resolve_from(core.from_tables, outer)
+        source = self._resolve_from(core.from_tables)
 
         if core.where is not None:
             self._touch("executor.filter")
-            kept = []
-            program = self._program_for(core.where, source) if vectorize.vectorize_enabled() else None
-            binding = None
-            if program is None:
-                binding = self._filter_binding(core.where, source) if perf_cache.caching_enabled() and outer is None else None
-            if program is not None:
-                # compiled column program: the whole predicate runs as a chain
-                # of closures with direct row[index] column loads
-                evaluator = self.evaluator
-                if columnar.returns_boolean(core.where):
-                    kept = [row for row in source.rows if program(row, evaluator) is True]
-                else:
-                    kept = [row for row in source.rows if _predicate_truth(program(row, evaluator))]
-            elif binding is not None:
-                # bind only the columns the predicate references
-                evaluate_predicate = self.evaluator.evaluate_predicate
-                where = core.where
-                for row in source.rows:
-                    context = RowContext({key: row[index] for key, index in binding})
-                    if evaluate_predicate(where, context):
-                        kept.append(row)
+            program = self._program_for(core.where, source)
+            evaluator = self.evaluator
+            if columnar.returns_boolean(core.where):
+                kept = [row for row in source.rows if program(row, evaluator) is True]
             else:
-                for row in source.rows:
-                    context = _bind_row(source, row, outer)
-                    if self.evaluator.evaluate_predicate(core.where, context):
-                        kept.append(row)
+                kept = [row for row in source.rows if _predicate_truth(program(row, evaluator))]
             source = source.with_rows(kept)
 
         has_aggregates = getattr(core, "_has_aggregates", None)
         if has_aggregates is None:
             # pure AST property; memoized on the shared plan node
             has_aggregates = bool(core.group_by) or any(_contains_aggregate(item.expression) for item in core.items)
-            try:
-                core._has_aggregates = has_aggregates
-            except AttributeError:  # pragma: no cover - frozen/slotted nodes
-                pass
+            core._has_aggregates = has_aggregates
         if has_aggregates:
-            relation = self._execute_aggregation(core, source, outer)
+            relation = self._execute_aggregation(core, source)
         else:
-            relation = self._project(core, source, outer)
+            relation = self._project(core, source)
 
         if core.distinct:
             self._touch("executor.distinct")
@@ -477,32 +366,31 @@ class SelectExecutor:
 
     # -- FROM ----------------------------------------------------------------------------
 
-    def _resolve_from(self, refs: list[ast.TableRef], outer: RowContext | None) -> Relation:
+    def _resolve_from(self, refs: list[ast.TableRef]) -> Relation:
         if not refs:
             # SELECT without FROM: a single empty row so expressions evaluate once.
             return Relation(columns=[], rows=[[]])
-        relation = self._resolve_table_ref(refs[0], outer)
+        relation = self._resolve_table_ref(refs[0])
         for ref in refs[1:]:
-            right = self._resolve_table_ref(ref, outer)
+            right = self._resolve_table_ref(ref)
             join_type = ref.join_type or "cross"
             if ref.is_comma_join:
                 join_type = "cross"
             self._touch(f"executor.join.{join_type}")
-            relation = self._join(relation, right, join_type, ref, outer)
+            relation = self._join(relation, right, join_type, ref)
             if len(relation.rows) > MAX_RELATION_ROWS:
                 raise EngineHang("join result exceeds the row budget")
         return relation
 
-    def _resolve_table_ref(self, ref: ast.TableRef, outer: RowContext | None) -> Relation:
+    def _resolve_table_ref(self, ref: ast.TableRef) -> Relation:
         if ref.subquery is not None:
             self._touch("executor.derived_table")
-            relation = self.execute(ref.subquery, outer)
+            relation = self._select(ref.subquery)
             qualifier = ref.alias or "subquery"
             return relation.rename(qualifier)
         if ref.function is not None:
             self._touch("executor.table_function")
-            context = RowContext(outer=outer)
-            values = self.evaluator.evaluate(ref.function, context)
+            values = evaluate_standalone(ref.function, self.evaluator)
             name = ref.alias or ref.function.name
             if not isinstance(values, list):
                 values = [values]
@@ -522,14 +410,14 @@ class SelectExecutor:
         view = self.database.get_view(ref.name)
         if view is not None:
             self._touch("executor.view_scan")
-            relation = self.execute(view.query, outer)
+            relation = self._select(view.query)
             qualifier = ref.alias or ref.name
             return relation.rename(qualifier)
         table = self.database.get_table(ref.name)
         self._touch("executor.table_scan")
         return Relation.from_table(table, ref.alias or ref.name)
 
-    def _join(self, left: Relation, right: Relation, join_type: str, ref: ast.TableRef, outer: RowContext | None) -> Relation:
+    def _join(self, left: Relation, right: Relation, join_type: str, ref: ast.TableRef) -> Relation:
         columns = left.columns + right.columns
         combined = Relation(columns=columns, rows=[])
 
@@ -540,43 +428,32 @@ class SelectExecutor:
             using_columns = [name for _, name in right.columns if name.lower() in left_names]
             join_type = "inner"
 
-        using_pairs: list[tuple[int, int]] | None = None
-        condition_program = None
-        if vectorize.vectorize_enabled():
-            if using_columns:
-                # first-match column resolution, mirroring _value_of; a missing
-                # column keeps the scalar path so its error surfaces lazily
-                # (only when a row pair is actually compared)
-                using_pairs = []
-                for column in using_columns:
-                    left_index = self._index_of(left, column)
-                    right_index = self._index_of(right, column)
-                    if left_index is None or right_index is None:
-                        using_pairs = None
-                        break
-                    using_pairs.append((left_index, right_index))
-            elif condition is not None:
-                condition_program = self._program_for(condition, combined)
+        if using_columns:
+            # first column of each side with the name; a missing one raises
+            # only when a row pair is actually compared
+            using_pairs = [
+                (column, self._index_of(left, column), self._index_of(right, column)) for column in using_columns
+            ]
 
-        def matches(left_row: list[Any], right_row: list[Any]) -> bool:
-            if using_pairs is not None:
-                for left_index, right_index in using_pairs:
+            def matches(left_row: list[Any], right_row: list[Any]) -> bool:
+                for column, left_index, right_index in using_pairs:
+                    if left_index is None or right_index is None:
+                        raise CatalogError(f"no such column: {column}")
                     if compare_values(left_row[left_index], right_row[right_index]) != 0:
                         return False
                 return True
-            if using_columns:
-                for column in using_columns:
-                    left_value = self._value_of(left, left_row, column)
-                    right_value = self._value_of(right, right_row, column)
-                    if compare_values(left_value, right_value) != 0:
-                        return False
+
+        elif condition is not None:
+            condition_program = self._program_for(condition, combined)
+            evaluator = self.evaluator
+
+            def matches(left_row: list[Any], right_row: list[Any]) -> bool:
+                return _predicate_truth(condition_program(left_row + right_row, evaluator))
+
+        else:
+
+            def matches(left_row: list[Any], right_row: list[Any]) -> bool:
                 return True
-            if condition is None:
-                return True
-            if condition_program is not None:
-                return _predicate_truth(condition_program(left_row + right_row, self.evaluator))
-            context = _bind_row(combined, left_row + right_row, outer)
-            return self.evaluator.evaluate_predicate(condition, context)
 
         if join_type in ("cross", "inner", "asof"):
             if not using_columns and condition is None:
@@ -628,16 +505,9 @@ class SelectExecutor:
             return combined
         raise UnsupportedStatementError(f"unsupported join type: {join_type}")
 
-    def _value_of(self, relation: Relation, row: list[Any], column: str) -> Any:
-        lowered = column.lower()
-        for index, (_, name) in enumerate(relation.columns):
-            if name.lower() == lowered:
-                return row[index]
-        raise CatalogError(f"no such column: {column}")
-
     @staticmethod
     def _index_of(relation: Relation, column: str) -> int | None:
-        """First column index named ``column`` (the :meth:`_value_of` rule)."""
+        """First column index named ``column``, or None."""
         lowered = column.lower()
         for index, (_, name) in enumerate(relation.columns):
             if name.lower() == lowered:
@@ -665,34 +535,22 @@ class SelectExecutor:
         the expansion per (core, source layout) keeps those nodes stable so
         their compiled programs are reused across executions of the shared
         plan.  Non-star items do not depend on the source at all.  The output
-        column list and its vectorization layout ride along in the memo, so
+        column list and its program layout ride along in the memo, so
         downstream clauses (ORDER BY, DISTINCT) compiling against the
         projected relation never recompute column positions.
 
         Returns ``(expanded, columns, layout)`` where ``layout`` is the
         ``(columns_key, positions)`` pair for the projected columns.
         """
-        if not vectorize.vectorize_enabled():
-            expanded = self._expand_items(core.items, source)
-            columns = [(None, name) for _, name in expanded]
-            return expanded, columns, None
         if not any(isinstance(item.expression, ast.Star) for item in core.items):
             cached = getattr(core, "_expanded_plain", None)
             if cached is None:
-                cached = self._expanded_shell(core, source)
-                try:
-                    core._expanded_plain = cached
-                except AttributeError:  # pragma: no cover - frozen/slotted nodes
-                    pass
+                cached = core._expanded_plain = self._expanded_shell(core, source)
             return cached
         columns_key, _ = columnar.relation_layout(source)
         cache = getattr(core, "_expanded_by_layout", None)
         if cache is None:
-            cache = {}
-            try:
-                core._expanded_by_layout = cache
-            except AttributeError:  # pragma: no cover - frozen/slotted nodes
-                return self._expanded_shell(core, source)
+            cache = core._expanded_by_layout = {}
         cached = cache.get(columns_key)
         if cached is None:
             cached = self._expanded_shell(core, source)
@@ -705,51 +563,36 @@ class SelectExecutor:
         layout = (tuple(columns), columnar.column_positions(columns))
         return expanded, columns, layout
 
-    def _project(self, core: ast.SelectCore, source: Relation, outer: RowContext | None) -> Relation:
+    def _project(self, core: ast.SelectCore, source: Relation) -> Relation:
         self._touch("executor.projection")
         expanded, columns, layout = self._expanded_items(core, source)
-        result = Relation(columns=columns, rows=[], source_columns=list(source.columns), source_rows=[])
-        if layout is not None:
-            result._vec_layout = layout
-            source_layout = getattr(source, "_vec_layout", None)
-            if source_layout is not None:
-                # ORDER BY resolves unprojected columns against source_rows;
-                # hand it the source positions instead of a recompute
-                result._src_positions = source_layout[1]
-        if (perf_cache.caching_enabled() or vectorize.vectorize_enabled()) and outer is None:
-            # plain-column projections resolve to source positions once and
-            # slice rows directly, skipping per-row binding and evaluation
-            indices = self._projection_indices(expanded, source)
-            if indices is not None:
-                if len(indices) == 1:
-                    index = indices[0]
-                    result.rows = [[row[index]] for row in source.rows]
-                else:
-                    getter = itemgetter(*indices)
-                    result.rows = [list(getter(row)) for row in source.rows]
-                result.source_rows = list(source.rows)
-                return result
-        if vectorize.vectorize_enabled():
-            programs = self._programs_for([expression for expression, _ in expanded], source)
-            if programs is not None:
-                evaluator = self.evaluator
-                result.rows = [[program(row, evaluator) for program in programs] for row in source.rows]
-                result.source_rows = list(source.rows)
-                return result
-        for row in source.rows:
-            context = _bind_row(source, row, outer)
-            result.rows.append([self.evaluator.evaluate(expression, context) for expression, _ in expanded])
-            result.source_rows.append(row)
+        result = Relation(columns=columns, rows=[], source_columns=list(source.columns), source_rows=list(source.rows))
+        result._vec_layout = layout
+        source_layout = getattr(source, "_vec_layout", None)
+        if source_layout is not None:
+            # ORDER BY resolves unprojected columns against source_rows;
+            # hand it the source positions instead of a recompute
+            result._src_positions = source_layout[1]
+        indices = self._projection_indices(expanded, source)
+        if indices is not None:
+            # plain-column projections slice rows directly
+            if len(indices) == 1:
+                index = indices[0]
+                result.rows = [[row[index]] for row in source.rows]
+            else:
+                getter = itemgetter(*indices)
+                result.rows = [list(getter(row)) for row in source.rows]
+            return result
+        programs = self._programs_for([expression for expression, _ in expanded], source)
+        evaluator = self.evaluator
+        result.rows = [[program(row, evaluator) for program in programs] for row in source.rows]
         return result
 
     @staticmethod
     def _projection_indices(expanded: list, source: Relation) -> list[int] | None:
-        """Source-column positions when every projected item is a ColumnRef.
-
-        Position resolution mirrors the binding-dict semantics of
-        :func:`_bind_row` (a later column overwrites an earlier one of the
-        same name); anything unresolvable falls back to the evaluator path.
-        """
+        """Source-column positions when every projected item is a column of
+        ``source`` (a later column overwrites an earlier one of the same
+        name, as in a row's bindings), else None."""
         if not all(type(expression) is ast.ColumnRef for expression, _ in expanded):
             return None
         positions = columnar.relation_layout(source)[1]
@@ -761,133 +604,66 @@ class SelectExecutor:
             indices.append(position)
         return indices
 
-    def _program_for(self, expression: ast.Expression, source: Relation):
-        """Compiled column program for ``expression`` over ``source``, or None."""
+    def _program_for(self, expression: ast.Expression, source: Relation) -> columnar.Program:
+        """Compiled column program for ``expression`` over ``source``."""
         columns_key, positions = columnar.relation_layout(source)
-        return columnar.expression_program(expression, columns_key, positions, self.dialect)
+        return columnar.expression_program(expression, columns_key, positions)
 
-    def _programs_for(self, expressions: list, source: Relation) -> "list | None":
-        """Programs for every expression, or None when any fails to compile.
-
-        All-or-nothing so a clause never mixes compiled and scalar evaluation
-        (which could reorder errors and feature touches between items).
-        """
+    def _programs_for(self, expressions: list, source: Relation) -> list[columnar.Program]:
         columns_key, positions = columnar.relation_layout(source)
-        dialect = self.dialect
-        programs = []
-        for expression in expressions:
-            program = columnar.expression_program(expression, columns_key, positions, dialect)
-            if program is None:
-                return None
-            programs.append(program)
-        return programs
+        return [columnar.expression_program(expression, columns_key, positions) for expression in expressions]
 
-    @staticmethod
-    def _filter_binding(where: ast.Expression, source: Relation) -> "list[tuple[str, int]] | None":
-        """(binding key, column index) pairs covering every column the
-        predicate references, or None when the fast path does not apply."""
-        refs = _collect_column_refs(where)
-        if refs is None:
-            return None
-        positions = columnar.relation_layout(source)[1]
-        binding: dict[str, int] = {}
-        for ref in refs:
-            key = _ref_binding_key(ref)
-            index = positions.get(key)
-            if index is None:
-                return None
-            binding[key] = index
-        return list(binding.items())
-
-    def _execute_aggregation(self, core: ast.SelectCore, source: Relation, outer: RowContext | None) -> Relation:
+    def _execute_aggregation(self, core: ast.SelectCore, source: Relation) -> Relation:
         self._touch("executor.aggregate")
         groups: dict[tuple, list[list[Any]]] = {}
-        group_keys: dict[tuple, list[Any]] = {}
         if core.group_by:
             self._touch("executor.group_by")
-            programs = self._programs_for(core.group_by, source) if vectorize.vectorize_enabled() else None
-            if programs is not None:
-                evaluator = self.evaluator
-                for row in source.rows:
-                    key_values = [program(row, evaluator) for program in programs]
-                    key = tuple(render_value(value) for value in key_values)
-                    groups.setdefault(key, []).append(row)
-                    group_keys[key] = key_values
-            else:
-                for row in source.rows:
-                    context = _bind_row(source, row, outer)
-                    key_values = [self.evaluator.evaluate(expression, context) for expression in core.group_by]
-                    key = tuple(render_value(value) for value in key_values)
-                    groups.setdefault(key, []).append(row)
-                    group_keys[key] = key_values
+            programs = self._programs_for(core.group_by, source)
+            evaluator = self.evaluator
+            for row in source.rows:
+                key_values = [program(row, evaluator) for program in programs]
+                groups.setdefault(tuple(map(render_value, key_values)), []).append(row)
         else:
             groups[("__all__",)] = list(source.rows)
-            group_keys[("__all__",)] = []
 
         expanded, columns, layout = self._expanded_items(core, source)
         result = Relation(columns=columns, rows=[])
-        if layout is not None:
-            result._vec_layout = layout
+        result._vec_layout = layout
 
-        for key, rows in groups.items():
-            if not rows and not core.group_by:
-                rows = []
+        for rows in groups.values():
             representative = rows[0] if rows else [None] * len(source.columns)
-            context = _bind_row(source, representative, outer)
             output_row = [
-                self._evaluate_with_aggregates(expression, rows, source, context, outer) for expression, _ in expanded
+                self._evaluate_with_aggregates(expression, rows, source, representative) for expression, _ in expanded
             ]
             if core.having is not None:
-                having_value = self._evaluate_with_aggregates(core.having, rows, source, context, outer)
+                having_value = self._evaluate_with_aggregates(core.having, rows, source, representative)
                 if having_value in (None, False, 0):
                     continue
             result.rows.append(output_row)
         return result
 
     def _evaluate_with_aggregates(
-        self,
-        expression: ast.Expression,
-        group_rows: list[list[Any]],
-        source: Relation,
-        representative: RowContext,
-        outer: RowContext | None,
+        self, expression: ast.Expression, group_rows: list[list[Any]], source: Relation, representative: list[Any]
     ) -> Any:
+        """``expression`` over one group: aggregates reduce ``group_rows``,
+        anything else reads the group's ``representative`` row."""
+        evaluator = self.evaluator
         if isinstance(expression, ast.FunctionCall) and is_aggregate(expression.name):
             self._touch(f"aggregate.{expression.name}")
             if expression.is_star or not expression.args:
                 values = [1] * len(group_rows)
                 return evaluate_aggregate(expression.name, values, self.dialect, distinct=expression.distinct, is_star=True)
-            program = self._program_for(expression.args[0], source) if vectorize.vectorize_enabled() else None
-            if program is not None:
-                evaluator = self.evaluator
-                values = [program(row, evaluator) for row in group_rows]
-            else:
-                values = []
-                for row in group_rows:
-                    context = _bind_row(source, row, outer)
-                    values.append(self.evaluator.evaluate(expression.args[0], context))
+            program = self._program_for(expression.args[0], source)
+            values = [program(row, evaluator) for row in group_rows]
             return evaluate_aggregate(expression.name, values, self.dialect, distinct=expression.distinct)
-        if isinstance(expression, ast.BinaryOp):
-            left = self._evaluate_with_aggregates(expression.left, group_rows, source, representative, outer)
-            right = self._evaluate_with_aggregates(expression.right, group_rows, source, representative, outer)
-            synthetic = ast.BinaryOp(operator=expression.operator, left=ast.Literal(left), right=ast.Literal(right))
-            return self.evaluator.evaluate(synthetic, representative)
-        if isinstance(expression, ast.UnaryOp):
-            operand = self._evaluate_with_aggregates(expression.operand, group_rows, source, representative, outer)
-            return self.evaluator.evaluate(ast.UnaryOp(operator=expression.operator, operand=ast.Literal(operand)), representative)
-        if isinstance(expression, ast.Cast):
-            operand = self._evaluate_with_aggregates(expression.operand, group_rows, source, representative, outer)
-            return self.evaluator.evaluate(
-                ast.Cast(operand=ast.Literal(operand), type_name=expression.type_name, via_double_colon=expression.via_double_colon),
-                representative,
-            )
-        if isinstance(expression, ast.FunctionCall):
-            arguments = [
-                ast.Literal(self._evaluate_with_aggregates(argument, group_rows, source, representative, outer))
-                for argument in expression.args
+        if isinstance(expression, (ast.BinaryOp, ast.UnaryOp, ast.Cast, ast.FunctionCall)):
+            # operands first (an aggregate among them), then the operation
+            operands = [
+                self._evaluate_with_aggregates(operand, group_rows, source, representative)
+                for operand in columnar.operands_of(expression)
             ]
-            return self.evaluator.evaluate(ast.FunctionCall(name=expression.name, args=arguments), representative)
-        return self.evaluator.evaluate(expression, representative)
+            return columnar.applied_program(expression)(operands, evaluator)
+        return self._program_for(expression, source)(representative, evaluator)
 
     # -- compound / order / limit ---------------------------------------------------------------
 
@@ -927,158 +703,95 @@ class SelectExecutor:
             return Relation(columns=columns, rows=rows)
         raise UnsupportedStatementError(f"unsupported compound operator: {operator}")
 
-    def _order_by_plan(
-        self, relation: Relation, order_by: list[ast.OrderItem], source_rows
-    ) -> "list[tuple[str, int]] | None":
-        """Per-item (where, index) value extractors when every ORDER BY item is
-        a plain column reference or output position; None otherwise.
+    def _order_by_values(self, relation: Relation, order_by: list[ast.OrderItem], source_rows) -> list[list[Any]]:
+        """Each ORDER BY item's sort value per row, one list per item.
 
-        ``where`` is ``"row"`` (output row) or ``"src"`` (pre-projection source
-        row).  Output columns are resolved after source columns and therefore
-        win on name clashes, mirroring the binding order of the general path.
+        An output position or a column reference reads its column directly:
+        output columns first, then the pre-projection ``source_rows``
+        (``SELECT b FROM t ORDER BY a``).  Any other expression runs as a
+        program over the source row followed by the output row, so output
+        columns win on name clashes there too.  Programs run row by row, all
+        items of one row before the next row, so the first error raised is
+        the first in row order.
         """
-        positions: dict[str, tuple[str, int]] = {}
-        if source_rows is not None and relation.source_columns is not None:
-            src_positions = getattr(relation, "_src_positions", None)
-            if src_positions is None:
-                src_positions = _column_positions(relation.source_columns)
-            for where, index in src_positions.items():
-                positions[where] = ("src", index)
-        for where, index in columnar.relation_layout(relation)[1].items():
-            positions[where] = ("row", index)
-        plan: list[tuple[str, int]] = []
+        rows = relation.rows
+        output_positions = columnar.relation_layout(relation)[1]
+        source_positions = None
+        if source_rows is not None:
+            source_positions = getattr(relation, "_src_positions", None)
+            if source_positions is None:
+                source_positions = columnar.column_positions(relation.source_columns)
+        values: list[Any] = []
+        programs: list[tuple[int, columnar.Program]] = []
         for item in order_by:
             expression = item.expression
             if isinstance(expression, ast.Literal) and isinstance(expression.value, int):
-                plan.append(("pos", expression.value - 1))
+                position = expression.value - 1
+                values.append([row[position] if 0 <= position < len(row) else None for row in rows])
                 continue
             if type(expression) is ast.ColumnRef:
-                extractor = positions.get(_ref_binding_key(expression))
-                if extractor is not None:
-                    plan.append(extractor)
+                key = _ref_binding_key(expression)
+                index = output_positions.get(key)
+                if index is not None:
+                    values.append(relation.column_values(index))
                     continue
-            return None
-        return plan
+                index = source_positions.get(key) if source_positions is not None else None
+                if index is not None:
+                    values.append([source_row[index] for source_row in source_rows])
+                    continue
+            programs.append((len(values), expression))
+            values.append(None)
+        if programs:
+            columns = relation.columns
+            if source_rows is not None:
+                columns = relation.source_columns + columns
+                rows = [source_row + row for source_row, row in zip(source_rows, rows)]
+            columns_key, positions = tuple(columns), columnar.column_positions(columns)
+            compiled = [
+                columnar.expression_program(expression, columns_key, positions)
+                for _, expression in programs
+            ]
+            evaluator = self.evaluator
+            per_row = [[program(row, evaluator) for program in compiled] for row in rows]
+            for offset, (item_index, _) in enumerate(programs):
+                values[item_index] = [row_values[offset] for row_values in per_row]
+        return values
 
-    def _apply_order_by(self, relation: Relation, order_by: list[ast.OrderItem], outer: RowContext | None) -> Relation:
-        self._touch("executor.order_by")
-        source_rows = relation.source_rows if relation.source_rows is not None and len(relation.source_rows) == len(relation.rows) else None
-        fast = (perf_cache.caching_enabled() or vectorize.vectorize_enabled()) and outer is None
-        plan = self._order_by_plan(relation, order_by, source_rows) if fast else None
-        if plan is not None and vectorize.vectorize_enabled():
-            return self._apply_order_by_columnar(relation, order_by, plan, source_rows)
-        if plan is None:
-            # binding keys are computed once per ORDER BY instead of once per row
-            output_keys = _binding_keys(relation.columns)
-            source_keys = _binding_keys(relation.source_columns) if source_rows is not None and relation.source_columns is not None else None
-
-        def sort_key_for(indexed_row: tuple[int, list[Any]]) -> list[tuple]:
-            index, row = indexed_row
-            if plan is not None:
-                context = None
-            else:
-                values: dict[str, Any] = {}
-                # bind the pre-projection source columns first so ORDER BY can
-                # reference columns that were not selected; output columns are
-                # bound afterwards and therefore win on name clashes.
-                if source_keys is not None:
-                    for (bare, qualified), value in zip(source_keys, source_rows[index]):
-                        values[bare] = value
-                        if qualified:
-                            values[qualified] = value
-                for (bare, qualified), value in zip(output_keys, row):
-                    values[bare] = value
-                    if qualified:
-                        values[qualified] = value
-                context = RowContext(values, outer=outer)
-            keys: list[tuple] = []
-            for item_index, item in enumerate(order_by):
-                if plan is not None:
-                    where, position = plan[item_index]
-                    if where == "row":
-                        value = row[position]
-                    elif where == "src":
-                        value = source_rows[index][position]
-                    else:
-                        value = row[position] if 0 <= position < len(row) else None
-                elif isinstance(item.expression, ast.Literal) and isinstance(item.expression.value, int):
-                    position = item.expression.value - 1
-                    value = row[position] if 0 <= position < len(row) else None
-                else:
-                    value = self.evaluator.evaluate(item.expression, context)
-                nulls = item.nulls
-                if nulls is None:
-                    default_first = self.dialect.null_order is NullOrder.NULLS_FIRST
-                    if item.descending:
-                        default_first = not default_first
-                    nulls = "first" if default_first else "last"
-                is_null = value is None
-                null_rank = 0 if (is_null and nulls == "first") else (2 if is_null else 1)
-                if isinstance(value, bool):
-                    sortable: Any = (0, float(value))
-                elif isinstance(value, (int, float)):
-                    sortable = (0, float(value))
-                elif value is None:
-                    sortable = (0, 0.0)
-                elif isinstance(value, (list, dict)):
-                    sortable = (1, render_value(value))
-                else:
-                    sortable = (1, str(value))
-                if item.descending and not is_null:
-                    if isinstance(sortable[1], float):
-                        sortable = (-sortable[0], -sortable[1])
-                    else:
-                        sortable = (-sortable[0], _Reversed(sortable[1]))
-                keys.append((null_rank, sortable))
-            return keys
-
-        ordered = [row for _index, row in sorted(enumerate(relation.rows), key=sort_key_for)]
-        return relation.with_rows(ordered)
-
-    def _apply_order_by_columnar(
-        self,
-        relation: Relation,
-        order_by: list[ast.OrderItem],
-        plan: list[tuple[str, int]],
-        source_rows,
-    ) -> Relation:
-        """ORDER BY as whole-column passes over the planned key columns.
+    def _apply_order_by(self, relation: Relation, order_by: list[ast.OrderItem]) -> Relation:
+        """ORDER BY as whole-column passes over each item's sort values.
 
         The per-item decisions (null placement, descending) are hoisted out of
-        the row loop; each item's sort keys are built over one column slice,
-        then rows are reordered once via an index sort.  Key construction is
-        identical to :meth:`_apply_order_by`'s ``sort_key_for`` so the ordering
-        is byte-identical to the scalar path.
+        the row loop; each item's sort keys are built over its value column,
+        then rows are reordered once via a stable index sort.
         """
+        self._touch("executor.order_by")
         rows = relation.rows
-        if len(plan) == 1 and rows:
-            ordered = self._order_by_single_key(relation, order_by[0], plan[0], source_rows)
+        source_rows = relation.source_rows
+        if source_rows is None or relation.source_columns is None or len(source_rows) != len(rows):
+            source_rows = None
+        value_columns = self._order_by_values(relation, order_by, source_rows)
+        if len(order_by) == 1 and rows:
+            ordered = self._order_by_single_key(relation, order_by[0], value_columns[0])
             if ordered is not None:
                 return ordered
         key_columns: list[list[tuple]] = []
-        for (where, position), item in zip(plan, order_by):
-            if where == "row":
-                values = relation.column_values(position)
-            elif where == "src":
-                values = [source_row[position] for source_row in source_rows]
-            else:
-                values = [row[position] if 0 <= position < len(row) else None for row in rows]
+        for values, item in zip(value_columns, order_by):
             nulls = item.nulls
             if nulls is None:
                 default_first = self.dialect.null_order is NullOrder.NULLS_FIRST
                 if item.descending:
                     default_first = not default_first
                 nulls = "first" if default_first else "last"
-            descending = item.descending
-            # the null-rank and direction decisions are per item, the type
-            # dispatch is exact (engine values are plain int/float/bool/str/
-            # list/dict), and the two loop variants keep the per-value work to
-            # one type check and one tuple build — key for key identical to
-            # the scalar ``sort_key_for``
+            # a key is (null rank, (kind, value)): nulls rank 0 (first) or 2
+            # (last), numbers sort by their float image before text, and
+            # a descending key negates the number or reverses the text.  The
+            # type dispatch is exact (engine values are plain int/float/bool/
+            # str/list/dict), and the two loop variants keep the per-value
+            # work to one type check and one tuple build
             null_key = (0 if nulls == "first" else 2, (0, 0.0))
             keys: list[tuple] = []
             append = keys.append
-            if descending:
+            if item.descending:
                 for value in values:
                     if value is None:
                         append(null_key)
@@ -1111,13 +824,7 @@ class SelectExecutor:
             order = sorted(range(len(rows)), key=row_keys.__getitem__)
         return relation.with_rows([rows[index] for index in order])
 
-    def _order_by_single_key(
-        self,
-        relation: Relation,
-        item: ast.OrderItem,
-        placement: tuple[str, int],
-        source_rows,
-    ) -> Relation | None:
+    def _order_by_single_key(self, relation: Relation, item: ast.OrderItem, values: list[Any]) -> Relation | None:
         """Single-key ORDER BY over a uniformly-typed column, or None.
 
         When every non-null key value is exactly ``int`` (so floats and their
@@ -1125,17 +832,9 @@ class SelectExecutor:
         keys of the generic pass collapse to the bare float/str keys — same
         ordering, since all non-null keys share one rank and one kind.  Ints
         still sort by their ``float()`` image (ties between distinct huge
-        ints included) and nulls keep their first/last block placement, so
-        the order stays byte-identical to the scalar path.
+        ints included) and nulls keep their first/last block placement.
         """
         rows = relation.rows
-        where, position = placement
-        if where == "row":
-            values = relation.column_values(position)
-        elif where == "src":
-            values = [source_row[position] for source_row in source_rows]
-        else:
-            values = [row[position] if 0 <= position < len(row) else None for row in rows]
         uniform: Any = None
         for value in values:
             kind = type(value)
@@ -1170,18 +869,17 @@ class SelectExecutor:
             order = null_positions + non_null if nulls == "first" else non_null + null_positions
         return relation.with_rows([rows[index] for index in order])
 
-    def _apply_limit(self, relation: Relation, statement: ast.SelectStatement, outer: RowContext | None) -> Relation:
+    def _apply_limit(self, relation: Relation, statement: ast.SelectStatement) -> Relation:
         if statement.limit is None and statement.offset is None:
             return relation
         self._touch("executor.limit")
-        context = RowContext(outer=outer)
         offset = 0
         if statement.offset is not None:
-            offset_value = self.evaluator.evaluate(statement.offset, context)
+            offset_value = evaluate_standalone(statement.offset, self.evaluator)
             offset = int(offset_value) if offset_value is not None else 0
         rows = relation.rows[offset:]
         if statement.limit is not None:
-            limit_value = self.evaluator.evaluate(statement.limit, context)
+            limit_value = evaluate_standalone(statement.limit, self.evaluator)
             if limit_value is not None:
                 rows = rows[: int(limit_value)]
         return relation.with_rows(rows)

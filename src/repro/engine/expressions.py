@@ -1,6 +1,9 @@
-"""Expression evaluation with dialect-sensitive semantics.
+"""Expression semantics that depend on the dialect.
 
-The evaluator is where most of the paper's semantic incompatibilities live:
+MiniDB evaluates every expression as a compiled column program
+(:mod:`repro.engine.columnar`); the helpers here are the dialect rules those
+programs call, each in one place.  They are where most of the paper's
+semantic incompatibilities live:
 
 * ``/`` on two integers truncates (SQLite, PostgreSQL) or produces a decimal
   result (MySQL, DuckDB) depending on the dialect profile,
@@ -10,6 +13,9 @@ The evaluator is where most of the paper's semantic incompatibilities live:
 * row-value comparison with a NULL component returns NULL except in DuckDB,
 * ``COALESCE(1, 1.0)`` keeps integer typing only in SQLite (implemented in the
   function registry).
+
+:class:`RowContext` holds the named bindings of one row, which subqueries
+and outer references resolve through.
 """
 
 from __future__ import annotations
@@ -20,14 +26,8 @@ from typing import Any, Callable
 from repro.dialects.base import DialectProfile, DivisionSemantics
 from repro.engine import ast_nodes as ast
 from repro.engine.functions import FunctionRegistry
-from repro.engine.values import compare_values, to_boolean, to_number, cast_value
-from repro.errors import (
-    CatalogError,
-    ConversionError,
-    DatabaseError,
-    UnsupportedOperatorError,
-    UnsupportedTypeError,
-)
+from repro.engine.values import compare_values, render_value, to_boolean, to_number
+from repro.errors import CatalogError, ConversionError, DatabaseError, UnsupportedOperatorError
 from repro.perf import cache as perf_cache
 
 
@@ -41,8 +41,7 @@ _OPERATOR_FEATURES: dict[str, str] = {}
 _FUNCTION_FEATURES: dict[str, str] = {}
 
 #: Three-way-comparison verdict per comparison operator: one dict hit instead
-#: of walking an ``if`` chain per row (profiling showed ``_comparison`` and
-#: ``_eval_binaryop``'s operator chains as the top per-row dispatch costs).
+#: of walking an ``if`` chain per row.
 _COMPARISON_VERDICTS: dict[str, Callable[[int], bool]] = {
     "=": lambda r: r == 0,
     "!=": lambda r: r != 0,
@@ -80,11 +79,7 @@ def _compile_like(pattern: str, case_insensitive: bool) -> "re.Pattern[str]":
 
 
 def _predicate_truth(result: Any) -> bool:
-    """WHERE/HAVING truth of one evaluated predicate result (NULL is false).
-
-    Module-level so the columnar executor's compiled programs share the exact
-    semantics of :meth:`ExpressionEvaluator.evaluate_predicate`.
-    """
+    """WHERE/ON/CASE WHEN truth of one evaluated predicate result (NULL is false)."""
     # comparisons, AND/OR, IS, IN, LIKE ... all yield bool or None: take
     # the identity checks before any isinstance dispatch
     if result is True:
@@ -176,7 +171,10 @@ class RowContext:
 
 
 class ExpressionEvaluator:
-    """Evaluates expression AST nodes against a :class:`RowContext`."""
+    """The session state compiled programs evaluate against: the dialect, the
+    function registry, the feature hook, the subquery executor, and
+    ``outer``, the outer row of the query being executed (None at top level;
+    :meth:`repro.engine.executor.SelectExecutor.execute` sets it)."""
 
     def __init__(
         self,
@@ -188,93 +186,13 @@ class ExpressionEvaluator:
         self.dialect = dialect
         self.functions = functions
         self.subquery_executor = subquery_executor
-        self._feature_hook = feature_hook or (lambda name: None)
-        # hot-path alias: touches go straight to the hook (for a live session,
-        # ``features.add``) without the intermediate method frame
-        self._touch = self._feature_hook
-        # node class -> bound handler, filled on first encounter; avoids the
-        # per-call string build + getattr of the seed dispatch
-        self._dispatch_table: dict[type, Callable[[Any, RowContext], Any]] = {}
-
-    # -- helpers ----------------------------------------------------------------
+        # touches go straight to the hook (for a live session,
+        # ``features.add``) without an intermediate method frame
+        self._touch = feature_hook or (lambda name: None)
+        self.outer: RowContext | None = None
 
     def _numeric(self, value: Any) -> int | float | None:
         return to_number(value, strict=self.dialect.strict_types and not self.dialect.allows_string_plus_integer)
-
-    # -- entry point ------------------------------------------------------------
-
-    def evaluate(self, node: ast.Expression, context: RowContext) -> Any:
-        node_type = type(node)
-        # inlined fast paths for the two leaf nodes that dominate every
-        # predicate and projection (profile: ~half of all evaluate calls)
-        if node_type is ast.Literal:
-            return node.value
-        if node_type is ast.ColumnRef:
-            return context.lookup(node.name, node.table)
-        method = self._dispatch_table.get(node_type)
-        if method is None:
-            method = getattr(self, "_eval_" + node_type.__name__.lower(), None)
-            if method is None:
-                raise DatabaseError(f"cannot evaluate expression node {node_type.__name__}")
-            self._dispatch_table[node_type] = method
-        return method(node, context)
-
-    def evaluate_predicate(self, node: ast.Expression, context: RowContext) -> bool:
-        """Evaluate ``node`` as a WHERE/HAVING predicate (NULL counts as false)."""
-        return _predicate_truth(self.evaluate(node, context))
-
-    # -- node handlers ------------------------------------------------------------
-
-    def _eval_literal(self, node: ast.Literal, context: RowContext) -> Any:
-        return node.value
-
-    def _eval_columnref(self, node: ast.ColumnRef, context: RowContext) -> Any:
-        return context.lookup(node.name, node.table)
-
-    def _eval_star(self, node: ast.Star, context: RowContext) -> Any:
-        raise DatabaseError("* is only valid in a SELECT projection or COUNT(*)")
-
-    def _eval_unaryop(self, node: ast.UnaryOp, context: RowContext) -> Any:
-        operand = self.evaluate(node.operand, context)
-        if node.operator == "NOT":
-            if operand is None:
-                return None
-            return not bool(operand)
-        if node.operator == "-":
-            number = self._numeric(operand)
-            return None if number is None else -number
-        if node.operator == "~":
-            number = self._numeric(operand)
-            return None if number is None else ~int(number)
-        raise UnsupportedOperatorError(f"unsupported unary operator {node.operator}")
-
-    def _eval_binaryop(self, node: ast.BinaryOp, context: RowContext) -> Any:
-        operator = node.operator
-        feature = _OPERATOR_FEATURES.get(operator)
-        if feature is None:
-            feature = _OPERATOR_FEATURES[operator] = "operator." + operator
-        self._touch(feature)
-
-        left = self.evaluate(node.left, context)
-        right = self.evaluate(node.right, context)
-
-        # ordered by per-row frequency: comparisons, then AND/OR, then math
-        verdict = _COMPARISON_VERDICTS.get(operator)
-        if verdict is not None:
-            return self._comparison(operator, left, right)
-        if operator in _LOGICAL_OPERATORS:
-            return self._logical(operator, left, right)
-        if operator in _ARITHMETIC_OPERATORS:
-            return self._arithmetic(operator, left, right)
-        if operator == "||":
-            return self._concat_or_or(left, right)
-        if operator in ("IS", "IS NOT"):
-            equal = self._is_equal(left, right)
-            return equal if operator == "IS" else not equal
-        if operator in ("IS DISTINCT FROM", "IS NOT DISTINCT FROM"):
-            equal = self._is_equal(left, right)
-            return (not equal) if operator == "IS DISTINCT FROM" else equal
-        raise UnsupportedOperatorError(f"unsupported operator {operator}")
 
     def _logical(self, operator: str, left: Any, right: Any) -> Any:
         left_bool, right_bool = _as_bool(left), _as_bool(right)
@@ -331,7 +249,6 @@ class ExpressionEvaluator:
             return self._logical("OR", left, right)
         if left is None or right is None:
             return None
-        from repro.engine.values import render_value
 
         def text_of(value: Any) -> str:
             if isinstance(value, str):
@@ -386,122 +303,6 @@ class ExpressionEvaluator:
             return int(quotient)
         self._touch("semantic.decimal_division")
         return left_number / right_number
-
-    def _eval_functioncall(self, node: ast.FunctionCall, context: RowContext) -> Any:
-        name = node.name
-        feature = _FUNCTION_FEATURES.get(name)
-        if feature is None:
-            feature = _FUNCTION_FEATURES[name] = "function." + name
-        self._touch(feature)
-        args = [self.evaluate(arg, context) for arg in node.args]
-        return self.functions.call_scalar(name, args)
-
-    def _eval_cast(self, node: ast.Cast, context: RowContext) -> Any:
-        if node.via_double_colon and not self.dialect.supports_double_colon_cast:
-            raise UnsupportedOperatorError("the :: cast operator is not supported in this dialect")
-        self._touch("operator.cast")
-        operand = self.evaluate(node.operand, context)
-        base = node.type_name.split("(")[0].strip().upper()
-        if not self.dialect.supports_type(base) and base not in ("INTEGER", "TEXT", "REAL"):
-            raise UnsupportedTypeError(f"unknown data type: {node.type_name}")
-        try:
-            return cast_value(
-                operand,
-                node.type_name,
-                strict=self.dialect.strict_types,
-                boolean_accepts_integers=self.dialect.boolean_accepts_integers,
-            )
-        except UnsupportedTypeError:
-            raise
-        except ConversionError:
-            if self.dialect.strict_types:
-                raise
-            return operand
-
-    def _eval_caseexpression(self, node: ast.CaseExpression, context: RowContext) -> Any:
-        self._touch("expression.case")
-        if node.operand is not None:
-            subject = self.evaluate(node.operand, context)
-            for condition, result in node.whens:
-                candidate = self.evaluate(condition, context)
-                if compare_values(subject, candidate) == 0:
-                    return self.evaluate(result, context)
-        else:
-            for condition, result in node.whens:
-                if self.evaluate_predicate(condition, context):
-                    return self.evaluate(result, context)
-        if node.default is not None:
-            return self.evaluate(node.default, context)
-        return None
-
-    def _eval_inexpression(self, node: ast.InExpression, context: RowContext) -> Any:
-        self._touch("expression.in")
-        operand = self.evaluate(node.operand, context)
-        if node.subquery is not None:
-            rows = self._run_subquery(node.subquery, context)
-            candidates = [row[0] if row else None for row in rows]
-        else:
-            candidates = [self.evaluate(item, context) for item in node.items]
-        if operand is None:
-            return None
-        saw_null = False
-        for candidate in candidates:
-            if candidate is None:
-                saw_null = True
-                continue
-            if compare_values(operand, candidate) == 0:
-                return not node.negated
-        if saw_null:
-            return None
-        return node.negated
-
-    def _eval_betweenexpression(self, node: ast.BetweenExpression, context: RowContext) -> Any:
-        self._touch("expression.between")
-        operand = self.evaluate(node.operand, context)
-        low = self.evaluate(node.low, context)
-        high = self.evaluate(node.high, context)
-        if operand is None or low is None or high is None:
-            return None
-        inside = compare_values(operand, low) >= 0 and compare_values(operand, high) <= 0
-        return inside != node.negated
-
-    def _eval_likeexpression(self, node: ast.LikeExpression, context: RowContext) -> Any:
-        self._touch("expression.like")
-        operand = self.evaluate(node.operand, context)
-        pattern = self.evaluate(node.pattern, context)
-        if operand is None or pattern is None:
-            return None
-        case_insensitive = node.case_insensitive or self.dialect.name in ("mysql", "sqlite")
-        matched = _like_regex(str(pattern), case_insensitive).match(str(operand)) is not None
-        return matched != node.negated
-
-    def _eval_isnullexpression(self, node: ast.IsNullExpression, context: RowContext) -> Any:
-        operand = self.evaluate(node.operand, context)
-        result = operand is None
-        return result != node.negated
-
-    def _eval_existsexpression(self, node: ast.ExistsExpression, context: RowContext) -> Any:
-        self._touch("expression.exists")
-        rows = self._run_subquery(node.subquery, context)
-        return bool(rows) != node.negated
-
-    def _eval_scalarsubquery(self, node: ast.ScalarSubquery, context: RowContext) -> Any:
-        self._touch("expression.scalar_subquery")
-        rows = self._run_subquery(node.subquery, context)
-        if not rows:
-            return None
-        return rows[0][0] if rows[0] else None
-
-    def _eval_rowvalue(self, node: ast.RowValue, context: RowContext) -> Any:
-        return tuple(self.evaluate(item, context) for item in node.items)
-
-    def _eval_listliteral(self, node: ast.ListLiteral, context: RowContext) -> Any:
-        self._touch("type.list")
-        return [self.evaluate(item, context) for item in node.items]
-
-    def _eval_structliteral(self, node: ast.StructLiteral, context: RowContext) -> Any:
-        self._touch("type.struct")
-        return {key: self.evaluate(value, context) for key, value in node.items}
 
     # -- subqueries ----------------------------------------------------------------
 

@@ -16,6 +16,7 @@ from typing import Any
 from repro.dialects.base import DialectProfile, get_dialect
 from repro.engine import ast_nodes as ast
 from repro.engine import columnar
+from repro.engine.columnar import evaluate_standalone
 from repro.engine.executor import Relation, SelectExecutor
 from repro.engine.expressions import ExpressionEvaluator, RowContext, _predicate_truth
 from repro.engine.functions import FunctionRegistry
@@ -23,7 +24,6 @@ from repro.engine.parser import parse_sql
 from repro.engine.storage import Column, Database, Index, Table, View
 from repro.engine.values import coerce_to_declared
 from repro.perf import cache as perf_cache
-from repro.perf import vectorize
 from repro.errors import (
     CatalogError,
     ConfigurationError,
@@ -65,9 +65,23 @@ class QueryResult:
 #: each distinct statement once instead of four times.
 _PLAN_CACHE = perf_cache.LRUCache("plan", maxsize=16384)
 
-#: Marks an InsertStatement whose VALUES rows contain non-literal expressions
-#: (so the literal-row memo is skipped without re-scanning the AST).
-_NOT_ALL_LITERALS = object()
+#: Marks an expression that is not a constant (see :func:`_constant_value`),
+#: and an InsertStatement whose VALUES rows hold one (so the constant-row
+#: memo is skipped without re-scanning the AST).
+_NOT_CONSTANT = object()
+
+
+def _constant_value(expression: ast.Expression) -> Any:
+    """The value of a literal or of a negated int/float literal, else
+    :data:`_NOT_CONSTANT`.  Both evaluate to that value on every dialect,
+    with no feature touch and no error."""
+    if type(expression) is ast.Literal:
+        return expression.value
+    if type(expression) is ast.UnaryOp and expression.operator == "-" and type(expression.operand) is ast.Literal:
+        value = expression.operand.value
+        if type(value) is int or type(value) is float:
+            return -value
+    return _NOT_CONSTANT
 
 #: Fault-signature screening cache: ``(dialect, sql)`` -> tuple of signatures
 #: whose *pattern* matches the normalized statement.  Pattern matching is a
@@ -286,28 +300,29 @@ class Session:
     def _insert_values(self, statement: ast.InsertStatement) -> list[list[Any]]:
         """Evaluate an INSERT's VALUES rows.
 
-        All-literal rows (the overwhelmingly common case in recorded suites)
-        are memoized on the statement AST: literal evaluation is dialect- and
-        state-independent, and plans are shared process-wide, so replaying a
-        suite on another host reuses the evaluated rows.  Values are immutable
-        scalars and downstream code (row arrangement, coercion) never mutates
-        the row lists, so sharing them is safe.
+        Rows of constants — literals and negative numbers, the overwhelmingly
+        common case in recorded suites — are memoized on the statement AST:
+        their values are dialect- and state-independent, and plans are shared
+        process-wide, so replaying a suite on another host reuses the
+        evaluated rows.  Values are immutable scalars and downstream code (row
+        arrangement, coercion) never mutates the row lists, so sharing them
+        is safe.
         """
         if perf_cache.caching_enabled():
-            cached = getattr(statement, "_literal_rows", None)
-            if cached is not None:
-                return cached if cached is not _NOT_ALL_LITERALS else self._evaluate_insert_rows(statement)
-            if all(type(expression) is ast.Literal for row in statement.rows for expression in row):
-                rows = [[expression.value for expression in row] for row in statement.rows]
-                statement._literal_rows = rows
-                return rows
-            statement._literal_rows = _NOT_ALL_LITERALS
+            cached = getattr(statement, "_constant_rows", None)
+            if cached is None:
+                cached = [[_constant_value(expression) for expression in row] for row in statement.rows]
+                if any(value is _NOT_CONSTANT for row in cached for value in row):
+                    cached = _NOT_CONSTANT
+                statement._constant_rows = cached
+            if cached is not _NOT_CONSTANT:
+                return cached
         return self._evaluate_insert_rows(statement)
 
     def _evaluate_insert_rows(self, statement: ast.InsertStatement) -> list[list[Any]]:
-        context = RowContext()
+        evaluator = self._evaluator
         return [
-            [self._evaluator.evaluate(expression, context) for expression in row_expressions]
+            [evaluate_standalone(expression, evaluator) for expression in row_expressions]
             for row_expressions in statement.rows
         ]
 
@@ -334,119 +349,49 @@ class Session:
     def _run_update(self, statement: ast.UpdateStatement) -> QueryResult:
         self._touch("statement.update")
         table = self.database.get_table(statement.table)
-        relation = Relation.from_table(table, table.name)
-        updated = self._update_rows_columnar(statement, table, relation)
-        if updated is None:
-            updated = 0
-            for row_index, row in enumerate(table.rows):
-                context = RowContext()
-                for (qualifier, name), value in zip(relation.columns, row):
-                    context.bind(name, value)
-                    context.bind(f"{qualifier}.{name}", value)
-                if statement.where is not None and not self._evaluator.evaluate_predicate(
-                    statement.where, context
-                ):
-                    continue
-                for column_name, expression in statement.assignments:
-                    position = table.column_position(column_name)
-                    new_value = self._evaluator.evaluate(expression, context)
-                    table.rows[row_index][position] = coerce_to_declared(
-                        new_value,
-                        table.columns[position].type_name,
-                        self.dialect.strict_types,
-                        self.dialect.boolean_accepts_integers,
-                    )
-                updated += 1
+        columns_key, positions = columnar.relation_layout(Relation.from_table(table, table.name))
+        where = None
+        if statement.where is not None:
+            where = columnar.expression_program(statement.where, columns_key, positions)
+        assignments = [
+            (column_name, columnar.expression_program(expression, columns_key, positions))
+            for column_name, expression in statement.assignments
+        ]
+        evaluator = self._evaluator
+        strict = self.dialect.strict_types
+        bool_ints = self.dialect.boolean_accepts_integers
+        updated = 0
+        for row_index, row in enumerate(table.rows):
+            if where is not None and not _predicate_truth(where(row, evaluator)):
+                continue
+            # every assignment reads the *old* row; the new row replaces it
+            # wholesale.  An unknown column raises only once a row matches
+            new_row = list(row)
+            for column_name, program in assignments:
+                position = table.column_position(column_name)
+                new_row[position] = coerce_to_declared(
+                    program(row, evaluator), table.columns[position].type_name, strict, bool_ints
+                )
+            table.rows[row_index] = new_row
+            updated += 1
         if updated:
             table.note_rows_mutated()
         if self._in_transaction:
             self._transaction_updates.add(table.name.lower())
         return QueryResult(rowcount=updated, status=f"UPDATE {updated}", statement_type="UPDATE")
 
-    def _update_rows_columnar(
-        self, statement: ast.UpdateStatement, table: Table, relation: Relation
-    ) -> int | None:
-        """Apply an UPDATE through compiled column programs.
-
-        Returns the updated-row count, or None when any clause cannot be
-        compiled — the caller then runs the scalar row-at-a-time pass, which
-        preserves lazy error ordering (e.g. an unknown assignment column only
-        raises once a row matches the WHERE clause).
-        """
-        if not vectorize.vectorize_enabled():
-            return None
-        columns_key, positions = columnar.relation_layout(relation)
-        where_program = None
-        if statement.where is not None:
-            where_program = columnar.expression_program(statement.where, columns_key, positions, self.dialect)
-            if where_program is None:
-                return None
-        compiled: list[tuple[int, Any]] = []
-        try:
-            for column_name, expression in statement.assignments:
-                program = columnar.expression_program(expression, columns_key, positions, self.dialect)
-                if program is None:
-                    return None
-                compiled.append((table.column_position(column_name), program))
-        except CatalogError:
-            return None
-        evaluator = self._evaluator
-        strict = self.dialect.strict_types
-        bool_ints = self.dialect.boolean_accepts_integers
-        updated = 0
-        for row_index, row in enumerate(table.rows):
-            if where_program is not None and not _predicate_truth(where_program(row, evaluator)):
-                continue
-            # evaluate every assignment against the *old* row (the scalar path
-            # snapshots values into a RowContext before mutating), then swap in
-            # the new row wholesale
-            new_row = list(row)
-            for position, program in compiled:
-                new_row[position] = coerce_to_declared(
-                    program(row, evaluator),
-                    table.columns[position].type_name,
-                    strict,
-                    bool_ints,
-                )
-            table.rows[row_index] = new_row
-            updated += 1
-        return updated
-
     def _run_delete(self, statement: ast.DeleteStatement) -> QueryResult:
         self._touch("statement.delete")
         table = self.database.get_table(statement.table)
-        relation = Relation.from_table(table, table.name)
-        doomed = self._doomed_rows_columnar(statement, table, relation)
-        if doomed is None:
-            doomed = []
-            for row_index, row in enumerate(table.rows):
-                context = RowContext()
-                for (qualifier, name), value in zip(relation.columns, row):
-                    context.bind(name, value)
-                    context.bind(f"{qualifier}.{name}", value)
-                if statement.where is None or self._evaluator.evaluate_predicate(statement.where, context):
-                    doomed.append(row_index)
+        if statement.where is None:
+            doomed = range(len(table.rows))
+        else:
+            columns_key, positions = columnar.relation_layout(Relation.from_table(table, table.name))
+            where = columnar.expression_program(statement.where, columns_key, positions)
+            evaluator = self._evaluator
+            doomed = [row_index for row_index, row in enumerate(table.rows) if _predicate_truth(where(row, evaluator))]
         deleted = table.delete_rows(doomed)
         return QueryResult(rowcount=deleted, status=f"DELETE {deleted}", statement_type="DELETE")
-
-    def _doomed_rows_columnar(
-        self, statement: ast.DeleteStatement, table: Table, relation: Relation
-    ) -> list[int] | None:
-        """Collect DELETE row indexes through a compiled WHERE program."""
-        if not vectorize.vectorize_enabled():
-            return None
-        if statement.where is None:
-            return list(range(len(table.rows)))
-        columns_key, positions = columnar.relation_layout(relation)
-        program = columnar.expression_program(statement.where, columns_key, positions, self.dialect)
-        if program is None:
-            return None
-        evaluator = self._evaluator
-        return [
-            row_index
-            for row_index, row in enumerate(table.rows)
-            if _predicate_truth(program(row, evaluator))
-        ]
 
     # -- DDL --------------------------------------------------------------------------------
 
@@ -465,7 +410,7 @@ class Session:
             default_value = None
             has_default = definition.default is not None
             if has_default:
-                default_value = self._evaluator.evaluate(definition.default, RowContext())
+                default_value = evaluate_standalone(definition.default, self._evaluator)
             columns.append(
                 Column(
                     name=definition.name,
@@ -546,7 +491,7 @@ class Session:
             default_value = None
             has_default = statement.column.default is not None
             if has_default:
-                default_value = self._evaluator.evaluate(statement.column.default, RowContext())
+                default_value = evaluate_standalone(statement.column.default, self._evaluator)
             table.columns.append(
                 Column(
                     name=statement.column.name,
@@ -651,7 +596,7 @@ class Session:
                 raise ConfigurationError(f'unrecognized configuration parameter "{name}"')
         value: Any = None
         if statement.value is not None:
-            value = self._evaluator.evaluate(statement.value, RowContext())
+            value = evaluate_standalone(statement.value, self._evaluator)
         self.settings[name] = value
         if name == "seed" and value is not None:
             try:

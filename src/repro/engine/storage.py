@@ -81,11 +81,11 @@ class Table:
     """A base table: column schema plus a list of row tuples (as lists).
 
     Rows are the primary representation; :meth:`column_data` exposes the lazy
-    columnar view (per-column value lists) the vectorized executor and the
-    constraint checks consume.  Two counters invalidate the derived caches:
-    ``version`` changes on any content mutation (insert, delete, update) and
-    ``schema_version`` additionally on column-list changes (ALTER TABLE), which
-    is what tells indexes their cached column positions are stale.
+    columnar view (per-column value lists) the constraint checks consume.  Two
+    counters invalidate the derived caches: ``version`` changes on any content
+    mutation (insert, delete, update) and ``schema_version`` additionally on
+    column-list changes (ALTER TABLE), which is what tells indexes their
+    cached column positions are stale.
     """
 
     def __init__(self, name: str, columns: list[Column]):

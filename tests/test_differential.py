@@ -2,7 +2,7 @@
 
 The incremental-campaign machinery rests on a family of equality guarantees —
 incremental == full re-execution, warm store == cold == storeless, workers 1
-== workers 4, vectorized == scalar row-at-a-time — and every one of them is
+== workers 4 — and every one of them is
 "byte-identical under the canonical serialization"
 (:func:`repro.store.canonical_bytes`), not merely "same aggregates".  :func:`assert_equivalent` is the single reusable way to
 pin such guarantees: hand it labelled campaign variants and it asserts that
@@ -24,7 +24,6 @@ from repro.core.transplant import run_transplant
 from repro.corpus import build_suite
 from repro.experiments import ExperimentContext, run_experiment
 from repro.experiments.context import ExperimentResult
-from repro.perf import vectorize
 from repro.store import ArtifactStore, canonical_bytes
 
 
@@ -62,7 +61,7 @@ def on_pool(workers, call, *args, **kwargs):
     """``call(*args, **kwargs)`` on a fresh ``WorkerPool(workers)``, shut down after.
 
     Each call owns its pool the way a campaign does, so the workers fork
-    inside the caller's scopes (``vectorize_disabled``, say), which a pool
+    inside the caller's scopes (``caching_disabled``, say), which a pool
     shared across variants would not see.
     """
     with WorkerPool(workers) as pool:
@@ -91,22 +90,10 @@ class TestCampaignVariants:
                 return lambda: on_pool(workers, run_transplant, suite, host, translate_dialect=translate, **kwargs)
             return lambda: run_transplant(suite, host, translate_dialect=translate, **kwargs)
 
-        def scalar(invoke):
-            # same campaign, columnar executor paths off: the vectorized
-            # engine (the reference variant above) must be byte-identical to
-            # the scalar row-at-a-time fallback, serial and under workers
-            def wrapped():
-                with vectorize.vectorize_disabled():
-                    return invoke()
-
-            return wrapped
-
         variants = assert_equivalent(
             {
                 "storeless-serial": run(store=None),
                 "storeless-workers-4": run(store=None, workers=4),
-                "scalar-serial": scalar(run(store=None)),
-                "scalar-workers-4": scalar(run(store=None, workers=4)),
                 # cold runs execute and persist every file (serially, or
                 # inside the workers); warm ones assemble from those files
                 "incremental-cold": run(store=store),
@@ -356,7 +343,7 @@ class TestStreamingCampaignParity:
 
     The streaming engine's core guarantee: because experiments accumulate
     cells and compute everything in ``finalize``, a pass that runs on a
-    sharded context (workers 4), executes scalar (vectorize off), or replays
+    sharded context (workers 4), runs with the memo caches off, or replays
     from a warm store must produce results byte-identical to the serial
     storeless batch — only the *yield order* differs from the batch's
     registry order, so variants are compared in registry order.
@@ -385,10 +372,6 @@ class TestStreamingCampaignParity:
         def stream(**kwargs):
             return lambda: self._ordered(stream_experiments(None, context(**kwargs)))
 
-        def scalar_stream():
-            with vectorize.vectorize_disabled():
-                return self._ordered(stream_experiments(None, context()))
-
         def cacheless_stream():
             # caching off disables the translated-donor aliasing: the pass
             # executes those cells for real and must still match
@@ -404,7 +387,6 @@ class TestStreamingCampaignParity:
                 "batch-serial-storeless": batch(),
                 "stream-serial-storeless": stream(),
                 "stream-workers-4": stream(workers=4),
-                "scalar-stream-serial": scalar_stream,
                 "cacheless-stream-serial": cacheless_stream,
                 "batch-store-cold": batch(use_store=True, store_dir=store_dir),
                 "stream-store-warm": stream(use_store=True, store_dir=store_dir),

@@ -19,7 +19,6 @@ from repro.core.records import QueryRecord, StatementRecord, TestFile, TestSuite
 from repro.core.runner import FileResult, RecordOutcome, RecordResult, SuiteResult
 from repro.engine.session import Session
 from repro.engine.values import compare_values, render_value
-from repro.perf import vectorize
 from repro.sqlparser.statements import split_statements, statement_type
 from repro.sqlparser.tokenizer import tokenize
 from repro.store import canonical_bytes
@@ -355,8 +354,8 @@ def _fuzz_file(rng: random.Random, index: int = 0):
 # compare strictly; errors as type and message) plus its feature-coverage set
 # must hash to the digest frozen in tests/golden/engine-fuzz-digests.json.
 # The digests were taken when MiniDB still had two evaluators (compiled
-# column programs and the AST interpreter) and both produced them, so they
-# hold the engine to the semantics both agreed on.
+# column programs and an AST interpreter) and both produced them, so they
+# hold the one evaluator left to the semantics both agreed on.
 
 _VEC_WORDS = ("alpha", "bràvo", "charlie", "号delta", "echo🦆", "fox trot", "", "NULL")
 _VEC_OPS = ("=", "<>", "<", "<=", ">", ">=")
@@ -487,12 +486,9 @@ def engine_fuzz_digest(seed: int) -> str:
 
 
 class TestFrozenEngineFuzz:
-    @pytest.mark.parametrize("vectorized", [True, False], ids=["compiled", "scalar"])
-    def test_fuzzed_workloads_match_their_frozen_digests(self, vectorized):
+    def test_fuzzed_workloads_match_their_frozen_digests(self):
         frozen = json.loads(ENGINE_FUZZ_DIGESTS.read_text())
-        scope = vectorize.vectorize_enabled_scope() if vectorized else vectorize.vectorize_disabled()
-        with scope:
-            actual = {str(seed): engine_fuzz_digest(seed) for seed in ENGINE_FUZZ_SEEDS}
+        actual = {str(seed): engine_fuzz_digest(seed) for seed in ENGINE_FUZZ_SEEDS}
         changed = sorted((seed for seed in frozen if actual[seed] != frozen[seed]), key=int)
         assert len(frozen) == len(ENGINE_FUZZ_SEEDS) and not changed, f"seeds whose workload changed: {changed}"
 
