@@ -32,9 +32,10 @@ The store contract mirrors ``file-results``:
   the whole-suite scan, value-identical by construction.
 
 :class:`SuiteAnalyzer` binds a store and worker pool once (an
-:class:`~repro.experiments.context.ExperimentContext` holds one) and hands
-out one merged profile per stored pass, so each experiment probes a pass's
-partials once and derives every view it prints from that profile.
+:class:`~repro.experiments.context.ExperimentContext` holds one) and keeps
+one merged profile per (suite files, stored pass), so a context probes each
+partial once however many experiments read it (Figure 2 and Table 3 share
+the ``statements`` profile), and derives every view from that profile.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.core.records import TestFile, TestSuite
 from repro.errors import CodecError
 from repro.store import artifacts as artifact_store
 from repro.store import codec as result_codec
-from repro.store.keys import FILE_ANALYSIS_NAMESPACE, analysis_file_key
+from repro.store.keys import FILE_ANALYSIS_NAMESPACE, analysis_file_key, content_hash
 
 #: The stored analysis passes: pass id -> module-level per-file scan
 #: function.  Scans are pure functions of the file (picklable, so
@@ -114,11 +115,15 @@ def _stored_partial(blob: bytes, pass_id: str) -> dict:
 class SuiteAnalyzer:
     """Store-backed, incremental RQ2 profiles and Table 8 coverage.
 
-    Binds the store and worker pool once; every method probes the
-    ``file-analysis`` namespace once per file of one pass and merges the
-    partials — value-identical to the direct whole-suite scan (partials merge
-    in file order, reproducing the scan's counter insertion order exactly, on
-    top of the canonical serialization's key-order independence).
+    Binds the store and worker pool once; the first request for a pass over
+    a suite probes the ``file-analysis`` namespace once per file and merges
+    the partials — value-identical to the direct whole-suite scan (partials
+    merge in file order, reproducing the scan's counter insertion order
+    exactly, on top of the canonical serialization's key-order
+    independence).  The merged profile is kept under the pass and the
+    content hashes of the suite's files, so later requests reuse it and a
+    suite with a replaced file misses.  Callers read merged profiles and
+    never mutate them.
     """
 
     def __init__(
@@ -128,27 +133,35 @@ class SuiteAnalyzer:
     ):
         self.store = store
         self.worker_pool = worker_pool
+        self._merged: dict[tuple, dict] = {}
 
     def partials(self, suite: TestSuite, pass_id: str) -> list[dict]:
         """Per-file partials of one pass (see :func:`suite_partials`)."""
         return suite_partials(suite, pass_id, store=self.store, worker_pool=self.worker_pool)
 
+    def _merged_profile(self, suite: TestSuite, pass_id: str, merge: Callable[[list[dict]], dict]) -> dict:
+        key = (pass_id, tuple(map(content_hash, suite.files)))
+        merged = self._merged.get(key)
+        if merged is None:
+            merged = self._merged[key] = merge(self.partials(suite, pass_id))
+        return merged
+
     def statement_profile(self, suite: TestSuite) -> dict:
         """The merged statement profile behind Figure 2 and both Table 3 variants
         (views: :func:`~repro.analysis.statements.distribution_from_profiles`,
         :func:`~repro.analysis.statements.compliance_from_profiles`)."""
-        return statements.merge_statement_profiles(self.partials(suite, "statements"))
+        return self._merged_profile(suite, "statements", statements.merge_statement_profiles)
 
     def predicate_profile(self, suite: TestSuite) -> dict:
         """The merged predicate profile behind Figure 3 and its join usage
         (views: :func:`~repro.analysis.predicates.distribution_from_profiles`,
         :func:`~repro.analysis.predicates.join_usage_from_profiles`)."""
-        return predicates.merge_predicate_profiles(self.partials(suite, "predicates"))
+        return self._merged_profile(suite, "predicates", predicates.merge_predicate_profiles)
 
     def coverage_reports(self, suite: TestSuite) -> dict[str, coverage.CoverageReport]:
         """Incremental :func:`repro.core.coverage.measure_coverage` of ``suite`` on
         every engine in :data:`~repro.core.coverage.COVERAGE_DIALECTS`."""
-        merged = coverage.merge_coverage_partials(self.partials(suite, "coverage"))
+        merged = self._merged_profile(suite, "coverage", coverage.merge_coverage_partials)
         return {dialect: coverage.CoverageReport(dialect, set(exercised)) for dialect, exercised in merged.items()}
 
     def full_report(self, suite: TestSuite) -> dict:

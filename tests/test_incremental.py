@@ -189,34 +189,40 @@ class TestIncrementalAnalysis:
         from repro.analysis.incremental import ANALYSIS_PASSES, SuiteAnalyzer, direct_report
 
         suite = build_suite("postgres", file_count=3, records_per_file=12, seed=81, store=None)
-        analyzer = SuiteAnalyzer(store=store)
-        cold = analyzer.full_report(suite)
+
+        def report():
+            # a fresh analyzer per assembly, as a new context has: an
+            # analyzer keeps the profiles it merged and would not re-probe
+            return SuiteAnalyzer(store=store).full_report(suite)
+
+        cold = report()
         # truncate one per-file codec frame: the store reads its bytes fine,
         # only the frame check can notice
         victim = sorted((store.root / "file-analysis").rglob("*.pkl"))[0]
         blob = victim.read_bytes()
         victim.write_bytes(blob[: len(blob) // 2])
         store.stats.reset()
-        warm = analyzer.full_report(suite)
+        warm = report()
         total = len(suite.files) * len(ANALYSIS_PASSES)
         assert store.stats.by_namespace["file-analysis"] == {"hits": total - 1, "misses": 1}
         assert store.stats.errors >= 1
         assert_equivalent({"direct": direct_report(suite), "cold": cold, "after-corruption": warm})
         # the re-scan overwrote the bad blob: the next assembly is all-hit
         store.stats.reset()
-        assert canonical_bytes(analyzer.full_report(suite)) == canonical_bytes(cold)
+        assert canonical_bytes(report()) == canonical_bytes(cold)
         assert store.stats.by_namespace["file-analysis"] == {"hits": total, "misses": 0}
 
     def test_version_bumped_analysis_blob_is_a_miss_not_an_abort(self, store):
         from repro.analysis.incremental import SuiteAnalyzer, direct_report
 
         suite = build_suite("slt", file_count=3, records_per_file=12, seed=82, store=None)
-        analyzer = SuiteAnalyzer(store=store)
-        cold = analyzer.full_report(suite)
+        cold = SuiteAnalyzer(store=store).full_report(suite)
         victim = sorted((store.root / "file-analysis").rglob("*.pkl"))[0]
         blob = victim.read_bytes()
         victim.write_bytes(blob[:3] + bytes([blob[3] + 1]) + blob[4:])  # magic "RRC" + version byte
-        warm = analyzer.full_report(suite)
+        store.stats.reset()
+        warm = SuiteAnalyzer(store=store).full_report(suite)
+        assert store.stats.by_namespace["file-analysis"]["misses"] == 1
         assert_equivalent({"direct": direct_report(suite), "cold": cold, "after-bump": warm})
 
     def test_frame_from_another_pass_is_invalidated(self, store):
@@ -241,10 +247,28 @@ class TestIncrementalAnalysis:
         direct = merge_predicate_profiles(file_predicate_profile(test_file) for test_file in suite.files)
         assert canonical_bytes(profile) == canonical_bytes(direct)
 
+    def test_analyzer_reuses_a_merged_profile_until_a_file_is_replaced(self, store):
+        from repro.analysis.incremental import SuiteAnalyzer
+        from repro.analysis.statements import file_statement_profile, merge_statement_profiles
+
+        base = build_suite("slt", file_count=3, records_per_file=12, seed=84, store=None)
+        donor = build_suite("slt", file_count=3, records_per_file=12, seed=85, store=None)
+        analyzer = SuiteAnalyzer(store=store)
+        first = analyzer.statement_profile(base)
+        store.stats.reset()
+        assert analyzer.statement_profile(TestSuite(name=base.name, files=list(base.files))) is first
+        assert "file-analysis" not in store.stats.by_namespace
+        edited = _edit_file(base, donor, 1)
+        profile = analyzer.statement_profile(edited)
+        assert store.stats.by_namespace["file-analysis"] == {"hits": 2, "misses": 1}
+        direct = merge_statement_profiles(file_statement_profile(test_file) for test_file in edited.files)
+        assert canonical_bytes(profile) == canonical_bytes(direct)
+
 
 class TestAnalysisTraffic:
     """A campaign stores only the passes that cost more than a store probe, and
-    an analysis experiment probes each stored partial it reads once."""
+    a context probes each stored partial it reads once, however many
+    experiments read it."""
 
     EXPERIMENTS = ("table2", "figure1", "figure2", "table3", "figure3", "table8")
 
@@ -283,6 +307,16 @@ class TestAnalysisTraffic:
             assert all(hit for _, hit in loads), experiment_id
             repeated = [path for path, count in Counter(path for path, _ in loads).items() if count > 1]
             assert repeated == [], f"{experiment_id} loaded {len(repeated)} file-analysis keys more than once"
+
+        # one context runs every experiment: Figure 2 and Table 3 share the
+        # statements profile, so each stored partial is still loaded once
+        loads.clear()
+        with ExperimentContext(scale=0.05, seed=5, store_dir=str(store_dir)) as warm:
+            run_all(warm)
+        assert loads and all(hit for _, hit in loads)
+        repeated = [path for path, count in Counter(path for path, _ in loads).items() if count > 1]
+        assert repeated == [], f"a warm run_all loaded {len(repeated)} file-analysis keys more than once"
+        assert len(loads) == sum(stored.values())
 
 
 class TestIncrementalCorpus:
