@@ -722,7 +722,7 @@ class SelectExecutor:
             if source_positions is None:
                 source_positions = columnar.column_positions(relation.source_columns)
         values: list[Any] = []
-        programs: list[tuple[int, columnar.Program]] = []
+        programs: list[tuple[int, ast.Expression]] = []
         for item in order_by:
             expression = item.expression
             if isinstance(expression, ast.Literal) and isinstance(expression.value, int):

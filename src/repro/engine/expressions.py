@@ -1,16 +1,17 @@
 """Expression semantics that depend on the dialect.
 
 MiniDB evaluates every expression as a compiled column program
-(:mod:`repro.engine.columnar`); the helpers here are the dialect rules those
-programs call, each in one place.  They are where most of the paper's
-semantic incompatibilities live:
+(:mod:`repro.engine.columnar`); the helpers here are the data-dependent
+dialect rules those programs call, each in one place.  Most of the paper's
+semantic incompatibilities live here or next to them:
 
 * ``/`` on two integers truncates (SQLite, PostgreSQL) or produces a decimal
   result (MySQL, DuckDB) depending on the dialect profile,
 * ``'abc' + 1`` works only where weak typing allows it,
 * ``||`` is concatenation except for MySQL, where it is logical OR,
-* ``::`` casts exist only in PostgreSQL/DuckDB,
 * row-value comparison with a NULL component returns NULL except in DuckDB,
+* ``::`` casts exist only in PostgreSQL/DuckDB (the cast program in
+  :mod:`repro.engine.columnar`),
 * ``COALESCE(1, 1.0)`` keeps integer typing only in SQLite (implemented in the
   function registry).
 
@@ -111,25 +112,21 @@ def _as_bool(value: Any) -> bool | None:
 
 
 class RowContext:
-    """Column name -> value bindings for the row currently being evaluated.
+    """Column name -> value bindings of one row, which subqueries and outer
+    references resolve through.
 
-    Both bare (``a``) and qualified (``t1.a``) names are stored; an outer
-    context supports correlated subqueries.  Unqualified lookups that have to
-    fall back to qualified bindings are resolved through a lazily built
-    suffix index instead of re-scanning every binding on each reference; the
-    index is rebuilt whenever new bindings have been added since it was built.
+    Both bare (``a``) and qualified (``t1.a``) names are bound; ``outer`` is
+    the row of the enclosing query, for correlated subqueries.  Unqualified
+    lookups that have to fall back to qualified bindings are resolved
+    through a suffix index built on first use (the bindings never change).
     """
 
-    __slots__ = ("values", "outer", "_suffix_index", "_suffix_index_size")
+    __slots__ = ("values", "outer", "_suffix_index")
 
-    def __init__(self, values: dict[str, Any] | None = None, outer: "RowContext | None" = None):
-        self.values: dict[str, Any] = values if values is not None else {}
+    def __init__(self, values: dict[str, Any], outer: "RowContext | None" = None):
+        self.values = values
         self.outer = outer
         self._suffix_index: dict[str, Any] | None = None
-        self._suffix_index_size = -1
-
-    def bind(self, name: str, value: Any) -> None:
-        self.values[name.lower()] = value
 
     def _qualified_suffix_index(self) -> dict[str, Any]:
         """Map of bare column name -> qualified binding key (or ambiguity mark)."""
@@ -140,7 +137,6 @@ class RowContext:
                 continue
             index[suffix] = _AMBIGUOUS if suffix in index else binding
         self._suffix_index = index
-        self._suffix_index_size = len(self.values)
         return index
 
     def lookup(self, name: str, table: str | None = None) -> Any:
@@ -151,7 +147,7 @@ class RowContext:
         if table is None:
             # try any qualified binding that ends with .name
             index = self._suffix_index
-            if index is None or self._suffix_index_size != len(values):
+            if index is None:
                 index = self._qualified_suffix_index()
             match = index.get(key)
             if match is _AMBIGUOUS:
@@ -161,13 +157,6 @@ class RowContext:
         if self.outer is not None:
             return self.outer.lookup(name, table)
         raise CatalogError(f"no such column: {key}")
-
-    def has(self, name: str, table: str | None = None) -> bool:
-        try:
-            self.lookup(name, table)
-            return True
-        except CatalogError:
-            return False
 
 
 class ExpressionEvaluator:
