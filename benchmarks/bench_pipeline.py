@@ -795,15 +795,17 @@ def test_pipeline_analysis_warm(benchmark, tmp_path):
     both sides); the cold side is the direct whole-suite re-analysis
     (:func:`direct_report`, what every table/figure driver did before the
     analysis layer went incremental).  Both sides run best-of-three with
-    cleared statement caches, and the warm side's fresh artifacts are removed
-    between rounds so every round is a true first assembly after the edit.
+    cleared statement caches; every warm round uses a fresh analyzer (an
+    analyzer keeps the profiles it merged) and the warm side's fresh
+    artifacts are removed between rounds, so every round is a true first
+    assembly after the edit.
 
     Enforced: speedup >= ``MIN_ANALYSIS_SPEEDUP`` in **process CPU time**
     (the warm side's wall is single-digit milliseconds, where one scheduler
     gap on a shared runner swamps the ratio; both walls are still reported),
-    a 7-hit/1-miss-per-pass ``file-analysis`` profile, and byte-identical
-    reports against the storeless scan without a worker pool and on a
-    four-worker pool.
+    a 7-hit/1-miss-per-pass ``file-analysis`` profile in every warm round,
+    and byte-identical reports against the storeless scan without a worker
+    pool and on a four-worker pool.
     """
     from repro.analysis.incremental import ANALYSIS_PASSES, SuiteAnalyzer, direct_report
 
@@ -826,44 +828,55 @@ def test_pipeline_analysis_warm(benchmark, tmp_path):
     edited_files[INCREMENTAL_EDIT_INDEX] = variant.files[INCREMENTAL_EDIT_INDEX]
     edited = TestSuite(name=base.name, files=edited_files)
 
-    analyzer = SuiteAnalyzer(store=store)
     perf_cache.clear_caches()
-    analyzer.full_report(base)  # seed per-file analysis partials
+    SuiteAnalyzer(store=store).full_report(base)  # seed per-file analysis partials
 
     # cold direct whole-suite re-scan (the pre-incremental path)
     cold_wall = cold_cpu = float("inf")
-    cold_result = None
-    for _ in range(3):
+
+    def cold_round():
+        nonlocal cold_cpu, cold_wall
         perf_cache.clear_caches()
         gc.collect()  # an unlucky mid-round collection would skew the min
         started = time.perf_counter()
         started_cpu = time.process_time()
-        cold_result = direct_report(edited)
+        result = direct_report(edited)
         cold_cpu = min(cold_cpu, time.process_time() - started_cpu)
         cold_wall = min(cold_wall, time.perf_counter() - started)
+        return result
 
-    # warm assembly; the artifacts it writes (the edited file's partials) are
-    # removed between rounds so each round is the first assembly after the edit
+    for _ in range(3):
+        cold_result = cold_round()
+
+    # warm assembly; each round builds a fresh analyzer, which holds no merged
+    # profile, and the artifacts a round writes (the edited file's partials)
+    # are removed before the next, so each round is the first assembly after
+    # the edit and probes the store (its lookups are checked below)
     preexisting = set(store.root.rglob("*.pkl"))
-    perf_cache.clear_caches()
-    gc.collect()
-    store.stats.reset()
-    started = time.perf_counter()
-    started_cpu = time.process_time()
-    warm_result = benchmark.pedantic(lambda: analyzer.full_report(edited), rounds=1, iterations=1)
-    warm_cpu = time.process_time() - started_cpu
-    warm_wall = time.perf_counter() - started
-    analysis_lookups = dict(store.stats.by_namespace["file-analysis"])
-    for _ in range(2):
+    warm_wall = warm_cpu = float("inf")
+    warm_lookups = []
+
+    def warm_round(assemble):
+        nonlocal warm_cpu, warm_wall
         for fresh in set(store.root.rglob("*.pkl")) - preexisting:
             fresh.unlink()
+        analyzer = SuiteAnalyzer(store=store)
         perf_cache.clear_caches()
         gc.collect()
+        store.stats.reset()
         started = time.perf_counter()
         started_cpu = time.process_time()
-        warm_result = analyzer.full_report(edited)
+        result = assemble(analyzer)
         warm_cpu = min(warm_cpu, time.process_time() - started_cpu)
         warm_wall = min(warm_wall, time.perf_counter() - started)
+        warm_lookups.append(dict(store.stats.by_namespace.get("file-analysis", {})))
+        return result
+
+    warm_result = warm_round(
+        lambda analyzer: benchmark.pedantic(lambda: analyzer.full_report(edited), rounds=1, iterations=1)
+    )
+    for _ in range(2):
+        warm_result = warm_round(lambda analyzer: analyzer.full_report(edited))
 
     # the measured quantities are small (tens of ms cold, ~10ms warm), so a
     # shared runner's scheduler noise can dent either min; grant extra
@@ -872,22 +885,8 @@ def test_pipeline_analysis_warm(benchmark, tmp_path):
     for _ in range(3):
         if warm_cpu and cold_cpu / warm_cpu >= MIN_ANALYSIS_SPEEDUP:
             break
-        perf_cache.clear_caches()
-        gc.collect()
-        started = time.perf_counter()
-        started_cpu = time.process_time()
-        cold_result = direct_report(edited)
-        cold_cpu = min(cold_cpu, time.process_time() - started_cpu)
-        cold_wall = min(cold_wall, time.perf_counter() - started)
-        for fresh in set(store.root.rglob("*.pkl")) - preexisting:
-            fresh.unlink()
-        perf_cache.clear_caches()
-        gc.collect()
-        started = time.perf_counter()
-        started_cpu = time.process_time()
-        warm_result = analyzer.full_report(edited)
-        warm_cpu = min(warm_cpu, time.process_time() - started_cpu)
-        warm_wall = min(warm_wall, time.perf_counter() - started)
+        cold_result = cold_round()
+        warm_result = warm_round(lambda analyzer: analyzer.full_report(edited))
 
     serial_reference = SuiteAnalyzer(store=None).full_report(edited)
     with WorkerPool(CAMPAIGN_WORKERS) as pool:
@@ -903,9 +902,10 @@ def test_pipeline_analysis_warm(benchmark, tmp_path):
     )
     passes = len(ANALYSIS_PASSES)
     expected_lookups = {"hits": (INCREMENTAL_FILES - 1) * passes, "misses": passes}
-    assert analysis_lookups == expected_lookups, (
-        f"assembly must load {INCREMENTAL_FILES - 1} files and re-scan 1 per pass, got {analysis_lookups}"
+    assert warm_lookups == [expected_lookups] * len(warm_lookups), (
+        f"every warm round must load {INCREMENTAL_FILES - 1} files and re-scan 1 per pass, got {warm_lookups}"
     )
+    analysis_lookups = warm_lookups[0]
 
     speedup = cold_cpu / warm_cpu if warm_cpu else float("inf")
     wall_speedup = cold_wall / warm_wall if warm_wall else float("inf")
